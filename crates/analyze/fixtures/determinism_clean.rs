@@ -12,8 +12,8 @@ pub fn tally(keys: &[u32]) -> u64 {
     seen.len() as u64 + acc
 }
 
-pub fn from_env() -> Option<String> {
-    std::env::var("MAN_KERNEL").ok()
+pub fn level_from_env() -> Option<String> {
+    std::env::var("MAN_OBS").ok()
 }
 
 // DETERMINISM: reporting-only energy estimate; never feeds the MAC

@@ -9,12 +9,12 @@ pub fn tally(keys: &[u32]) -> u64 {
     let t = Instant::now(); //~ determinism
     let mut acc = 0.0f64;
     acc += keys.len() as f64; //~ determinism
-    let kernel = std::env::var("MAN_KERNEL").map(|_| 0).unwrap_or(0); //~ determinism
-    seen.len() as u64 + acc as u64 + t.elapsed().as_secs() + kernel
+    let level = std::env::var("MAN_OBS").map(|_| 0).unwrap_or(0); //~ determinism
+    seen.len() as u64 + acc as u64 + t.elapsed().as_secs() + level
 }
 
-pub fn from_env() -> Option<String> {
-    std::env::var("MAN_KERNEL").ok()
+pub fn level_from_env() -> Option<String> {
+    std::env::var("MAN_OBS").ok()
 }
 
 // DETERMINISM: keyed lookup only; this map is never iterated.

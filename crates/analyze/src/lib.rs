@@ -2,8 +2,8 @@
 //! `man-analyze`: the workspace invariant auditor.
 //!
 //! The compiler proves memory safety; it cannot prove the contracts this
-//! reproduction actually rests on — bit-identity of every kernel and
-//! shard plan against the sequential reference (DESIGN.md §8/§10), the
+//! reproduction actually rests on — bit-identity of the integer MAC path
+//! and every shard plan against the ASM reference (DESIGN.md §8/§10), the
 //! latch argument that makes the one `man-par` transmute sound (§9), and
 //! the absence of lock cycles in the serve tier. This crate audits those
 //! contracts statically, with four lint classes:
@@ -13,9 +13,9 @@
 //!    allowlisted per file);
 //! 2. **determinism** — bit-identity-critical modules must not reach for
 //!    `HashMap`/`HashSet`, float accumulation, `Instant`, or env reads
-//!    outside the documented `MAN_KERNEL` dispatch site;
+//!    outside the documented `MAN_OBS` seeding site;
 //! 3. **lock-order** — the interprocedural lock acquisition graph across
-//!    serve + the session cache must stay acyclic;
+//!    serve + the facade session must stay acyclic;
 //! 4. **atomics** — every `Ordering::Relaxed` needs an `// ORDERING:`
 //!    justification.
 //!
@@ -41,8 +41,8 @@ pub struct Config {
     /// Files allowed to carry a scoped `#[allow(unsafe_code)]` (each
     /// must still justify every `unsafe` with `// SAFETY:`).
     pub allow_unsafe_files: Vec<&'static str>,
-    /// The one blessed env-read site: `(file, callee ident)` — the
-    /// `MAN_KERNEL` dispatch function may read the environment.
+    /// The blessed env-read sites: `(file, callee ident)` — the
+    /// `MAN_OBS` level seeding may read the environment.
     pub env_read_allowed: Vec<(&'static str, &'static str)>,
 }
 
@@ -51,7 +51,6 @@ impl Default for Config {
         Self {
             determinism_scope: vec![
                 "crates/core/src/engine.rs",
-                "crates/core/src/kernel.rs",
                 "crates/core/src/asm.rs",
                 "crates/core/src/quartet.rs",
                 "crates/core/src/fixed.rs",
@@ -71,17 +70,11 @@ impl Default for Config {
             allow_unsafe_files: vec![
                 // The §9 latch transmute.
                 "crates/par/src/lib.rs",
-                // The AVX2 kernel intrinsics (§8 bit-identity proven by
-                // the kernel-equivalence CI job).
-                "crates/core/src/kernel.rs",
                 // The reactor's poll(2) shim (§13): the serve crate's
                 // single unsafe expression, one audited syscall.
                 "crates/serve/src/reactor/poll.rs",
             ],
             env_read_allowed: vec![
-                // Kernel::from_env — the documented MAN_KERNEL dispatch.
-                ("crates/par/src/lib.rs", "from_env"),
-                ("crates/core/src/kernel.rs", "from_env"),
                 // ObsLevel seeding — the documented MAN_OBS dispatch.
                 ("crates/obs/src/lib.rs", "level_from_env"),
             ],
@@ -214,9 +207,9 @@ pub fn self_check(fixtures_dir: &Path) -> Result<String, String> {
         (
             "determinism",
             "determinism_violating.rs",
-            "crates/core/src/kernel.rs",
+            "crates/obs/src/lib.rs",
             "determinism_clean.rs",
-            "crates/core/src/kernel.rs",
+            "crates/obs/src/lib.rs",
             lints::determinism::run,
         ),
         (

@@ -1,6 +1,6 @@
 //! Lint class 2: determinism lints, scoped to the bit-identity-critical
-//! modules (DESIGN.md §8/§10 — the kernels, the quartet datapath, the
-//! fixed-point plane, the shard engine, and the `man-par` pool).
+//! modules (DESIGN.md §8/§10 — the quartet datapath, the fixed-point
+//! engine, the shard engine, and the `man-par` pool).
 //!
 //! Four sub-lints, each a way nondeterminism sneaks into a numeric
 //! pipeline:
@@ -16,7 +16,7 @@
 //! * **time** — `Instant`/`SystemTime` values must not feed anything
 //!   bit-identical (timing belongs in `man-bench`);
 //! * **env-reads** — `std::env::var` calls outside the documented
-//!   `MAN_KERNEL` dispatch site (`Kernel::from_env`) would let the
+//!   `MAN_OBS` seeding site (`level_from_env`) would let the
 //!   environment silently change numeric results.
 
 use crate::findings::Finding;
@@ -85,7 +85,7 @@ pub fn run(ws: &Workspace, config: &Config) -> Vec<Finding> {
                         LINT,
                         &sf.rel_path,
                         t.line,
-                        "env read outside the documented MAN_KERNEL dispatch site".to_string(),
+                        "env read outside a documented env-seeding site".to_string(),
                     ));
                 }
             }

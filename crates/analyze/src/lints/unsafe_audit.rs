@@ -4,14 +4,14 @@
 //!
 //! * every `unsafe` keyword in non-test code must carry a `// SAFETY:`
 //!   justification (or a `# Safety` doc section on the enclosing fn) —
-//!   the §9 latch transmute and the AVX2 kernels set the precedent:
+//!   the §9 latch transmute set the precedent:
 //!   an unsafe block is only as sound as its written argument;
 //! * every crate root (`lib.rs` / `main.rs` / `src/bin/*.rs`) must
 //!   carry `#![deny(unsafe_code)]` or `#![forbid(unsafe_code)]`, so
 //!   new unsafe cannot appear without a deliberate, reviewable opt-out;
 //! * a scoped `#[allow(unsafe_code)]` may only appear in files on the
-//!   config allowlist (today: the `man-par` latch transmute, the
-//!   AVX2 kernel module, and the `man-serve` poll(2) shim).
+//!   config allowlist (today: the `man-par` latch transmute and the
+//!   `man-serve` poll(2) shim).
 
 use crate::findings::Finding;
 use crate::{Config, Workspace};

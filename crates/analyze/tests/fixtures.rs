@@ -58,10 +58,10 @@ fn determinism_lints_respect_the_path_scope() {
 
 #[test]
 fn determinism_env_allowlist_is_per_function() {
-    // In kernel.rs the env read inside `from_env` is blessed; the one
-    // inside `tally` is not.
+    // In the obs crate root the env read inside `level_from_env` is
+    // blessed; the one inside `tally` is not.
     let src = fixture("determinism_violating.rs");
-    let ws = Workspace::from_sources(&[("crates/core/src/kernel.rs", &src)]);
+    let ws = Workspace::from_sources(&[("crates/obs/src/lib.rs", &src)]);
     let findings = lints::determinism::run(&ws, &Config::default());
     let env_findings: Vec<_> = findings
         .iter()

@@ -114,9 +114,6 @@ struct ClusterBench {
     benchmark: String,
     bits: u32,
     alphabet: String,
-    /// Resolved MAC kernel of the serving sessions — scopes the gated
-    /// rows (kernel-mismatched baselines are incomparable).
-    kernel: String,
     quick: bool,
     workers: usize,
     replicas: usize,
@@ -313,17 +310,6 @@ fn main() {
             .into_iter()
             .map(|p| (p.class, p.scores))
             .collect()
-    };
-    let kernel = {
-        let local = ModelRegistry::new(BatchConfig::default());
-        local.install(MODEL, compiled);
-        let kernel = local
-            .stats(Some(MODEL))
-            .expect("model is loaded")
-            .remove(0)
-            .kernel;
-        local.shutdown();
-        kernel
     };
 
     // Workers, router, front-end.
@@ -621,7 +607,6 @@ fn main() {
         benchmark: benchmark.name().to_owned(),
         bits,
         alphabet: set.label(),
-        kernel,
         quick: !full,
         workers: WORKERS,
         replicas: REPLICAS,

@@ -73,9 +73,6 @@ struct ConnBench {
     benchmark: String,
     bits: u32,
     alphabet: String,
-    /// Resolved MAC kernel of the serving sessions — scopes the gated
-    /// rows (kernel-mismatched baselines are incomparable).
-    kernel: String,
     quick: bool,
     fd_limit: usize,
     reactor_threads: usize,
@@ -343,11 +340,6 @@ fn main() {
     let child: ChildReport = serde_json::from_str(json_line).expect("child report parses");
 
     let fe = server.frontend_stats();
-    let kernel = registry
-        .stats(Some(MODEL))
-        .expect("model is loaded")
-        .remove(0)
-        .kernel;
     for r in [&child.ndjson, &child.binary] {
         println!(
             "  {:<8} {} clients: {:>9.1} predict/s   p50 {:>6} us   p99 {:>7} us   ({} ok, {} err)",
@@ -382,7 +374,6 @@ fn main() {
         benchmark: benchmark.name().to_owned(),
         bits,
         alphabet: set.label(),
-        kernel,
         quick: !full,
         fd_limit: limit,
         reactor_threads: reactor.reactor_threads,

@@ -70,9 +70,6 @@ fn median(samples: &[f64]) -> f64 {
 struct ModeRow {
     mode: String,
     level: String,
-    /// The resolved MAC kernel (scopes this row in the regression gate;
-    /// kernel-mismatched baseline pairs are incomparable).
-    kernel: String,
     clients: usize,
     /// Median completed-inferences-per-second across the level's
     /// measurement windows — the gated throughput metric.
@@ -134,11 +131,6 @@ fn main() {
         .expect("projected weights compile");
 
     println!(
-        "[man-kernel] cpu: {}; default kernel: {}",
-        man::kernel::cpu_features(),
-        man::kernel::default_kernel().label()
-    );
-    println!(
         "man-obs overhead benchmark — {} ({bits}-bit, {}) with {CLIENTS} closed-loop clients\n",
         benchmark.name(),
         set.label()
@@ -165,9 +157,8 @@ fn main() {
         (ObsLevel::Counters, "obs_counters"),
     ];
 
-    // Warm at the most expensive level so thread-local span buffers,
-    // the flight ring and the product planes all exist before any
-    // measured window.
+    // Warm up at the most expensive level so thread-local span buffers
+    // and the flight ring exist before any measured window.
     man_obs::set_level(ObsLevel::Spans);
     let _ = closed_loop(CLIENTS, warmup, predict);
 
@@ -197,10 +188,6 @@ fn main() {
         .zip(samples[1].iter().copied())
         .collect();
 
-    let stats = registry
-        .stats(Some(MODEL))
-        .expect("model is loaded")
-        .remove(0);
     let modes: Vec<ModeRow> = levels
         .iter()
         .zip(samples)
@@ -218,7 +205,6 @@ fn main() {
             ModeRow {
                 mode: (*name).to_owned(),
                 level: level.label().to_owned(),
-                kernel: stats.kernel.clone(),
                 clients: CLIENTS,
                 batched_ips: med,
                 window_low: low,

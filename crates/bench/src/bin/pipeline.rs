@@ -1,8 +1,8 @@
 //! Batched-inference throughput of the `Pipeline` serving path: builds
 //! each of the five Table-IV benchmark networks at the A1/A2/A4 alphabet
 //! sets (projection-only — throughput does not depend on training),
-//! opens an `InferenceSession`, and measures inferences/second with and
-//! without the session's shared pre-computer bank cache.
+//! opens an `InferenceSession`, and measures inferences/second of one
+//! batched call against one fresh session per input.
 //!
 //! Emits `BENCH_pipeline.json` in the working directory — the seed of
 //! the perf trajectory for the ROADMAP's batching/throughput work.
@@ -10,10 +10,9 @@
 //! Run with: `cargo run --release -p man-bench --bin pipeline [--full]`
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
 use man::alphabet::AlphabetSet;
 use man::zoo::Benchmark;
+use man_bench::timed_rate;
 use man_datasets::GenOptions;
 use man_repro::Pipeline;
 use serde::Serialize;
@@ -24,19 +23,9 @@ struct ThroughputRow {
     bits: u32,
     alphabet: String,
     batch: usize,
-    /// The resolved MAC kernel these rows were measured under
-    /// (`scalar`/`swar`/`avx2`). The regression gate treats rows whose
-    /// kernel differs from the baseline's as incomparable.
-    kernel: String,
-    /// The data layout the *batched* path resolved to (`row`/`batch`).
-    /// Like `kernel`, a layout flip makes rows incomparable in the
-    /// regression gate rather than a regression. The cold path is
-    /// batch=1 and therefore always row-major; this field records the
-    /// batched run.
-    layout: String,
-    /// Inferences per second through `infer_batch` (shared bank cache).
+    /// Inferences per second through one `infer_batch` call.
     batched_ips: f64,
-    /// Inferences per second with a fresh session per input (no sharing).
+    /// Inferences per second with a fresh session per input.
     cold_ips: f64,
     /// batched_ips / cold_ips.
     speedup: f64,
@@ -47,20 +36,14 @@ struct ThroughputRow {
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let batch_size = if full { 128 } else { 24 };
-    // One-shot timings of a small batch swing ~2x with host noise; the
+    // Each sample repeats its path for at least `MIN_WINDOW`; the
     // regression gate gets best-of-N with the two paths interleaved so
-    // noise hits both alike. Each rep still opens fresh sessions — the
-    // row measures bank sharing *within* a batch, not across reps.
+    // noise hits both alike.
     let reps = if full { 5 } else { 3 };
-    println!(
-        "[man-kernel] cpu: {}; default kernel: {}",
-        man::kernel::cpu_features(),
-        man::kernel::default_kernel().label()
-    );
     println!("Pipeline serving throughput (batch = {batch_size}, best of {reps})\n");
     println!(
-        "{:<30} {:>4} {:<14} {:<7} {:>12} {:>12} {:>8}",
-        "Benchmark", "bits", "alphabet", "layout", "batched i/s", "cold i/s", "speedup"
+        "{:<30} {:>4} {:<14} {:>12} {:>12} {:>8}",
+        "Benchmark", "bits", "alphabet", "batched i/s", "cold i/s", "speedup"
     );
     let mut rows = Vec::new();
     for b in Benchmark::ALL {
@@ -80,32 +63,26 @@ fn main() {
                 .expect("projected weights compile");
             let macs: u64 = compiled.fixed().macs_per_layer().iter().sum();
 
-            let (mut batched_s, mut cold_s) = (f64::MAX, f64::MAX);
-            let kernel = compiled.session().kernel_label().to_owned();
-            let mut layout = String::new();
+            let (mut batched_ips, mut cold_ips) = (0.0f64, 0.0f64);
             for _ in 0..reps {
-                // Shared path: one session, banks shared across the batch.
+                // Batched path: one session, one call per batch.
                 let mut session = compiled.session();
-                let start = Instant::now();
-                let predictions = session
-                    .infer_batch(&ds.test_images)
-                    .expect("dataset images match the input layer");
-                batched_s = batched_s.min(start.elapsed().as_secs_f64());
-                assert_eq!(predictions.len(), batch_size);
-                // What the batched dispatch actually resolved to —
-                // identical every rep (same session config, same batch).
-                if let Some((_, kind)) = session.last_dispatch() {
-                    layout = kind.label().to_owned();
-                }
+                batched_ips = batched_ips.max(timed_rate(|| {
+                    session
+                        .infer_batch(&ds.test_images)
+                        .expect("dataset images match the input layer")
+                        .len()
+                }));
 
-                // Cold path: a fresh session (empty cache) per input.
-                let start = Instant::now();
-                for image in &ds.test_images {
-                    let mut fresh = compiled.session();
-                    let p = fresh.infer(image).expect("dataset image matches");
-                    assert!(p.class < 64);
-                }
-                cold_s = cold_s.min(start.elapsed().as_secs_f64());
+                // Cold path: a fresh session per input.
+                cold_ips = cold_ips.max(timed_rate(|| {
+                    for image in &ds.test_images {
+                        let mut fresh = compiled.session();
+                        let p = fresh.infer(image).expect("dataset image matches");
+                        assert!(p.class < 64);
+                    }
+                    batch_size
+                }));
             }
 
             let row = ThroughputRow {
@@ -113,22 +90,14 @@ fn main() {
                 bits,
                 alphabet: set.label(),
                 batch: batch_size,
-                kernel,
-                layout,
-                batched_ips: batch_size as f64 / batched_s,
-                cold_ips: batch_size as f64 / cold_s,
-                speedup: cold_s / batched_s,
+                batched_ips,
+                cold_ips,
+                speedup: batched_ips / cold_ips,
                 macs,
             };
             println!(
-                "{:<30} {:>4} {:<14} {:<7} {:>12.1} {:>12.1} {:>7.2}x",
-                row.benchmark,
-                row.bits,
-                row.alphabet,
-                row.layout,
-                row.batched_ips,
-                row.cold_ips,
-                row.speedup
+                "{:<30} {:>4} {:<14} {:>12.1} {:>12.1} {:>7.2}x",
+                row.benchmark, row.bits, row.alphabet, row.batched_ips, row.cold_ips, row.speedup
             );
             rows.push(row);
         }

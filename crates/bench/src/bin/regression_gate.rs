@@ -114,12 +114,11 @@ fn print_comparison(file: &str, cmp: &Comparison, tolerance: f64, mode: CompareM
         CompareMode::ScalingShape => "scaling-shape (cross-core-class)",
     };
     println!(
-        "  {file} [{mode}]: {} metrics compared, {} improved, {} regressed, {} missing, {} kernel-incomparable (tolerance -{:.0}%)",
+        "  {file} [{mode}]: {} metrics compared, {} improved, {} regressed, {} missing (tolerance -{:.0}%)",
         cmp.compared,
         cmp.improved,
         cmp.regressions.len(),
         cmp.missing.len(),
-        cmp.incomparable,
         tolerance * 100.0
     );
     for r in &cmp.regressions {

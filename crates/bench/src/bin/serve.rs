@@ -9,13 +9,12 @@
 //!   dispatch opens a fresh `InferenceSession`, shares nothing. This is
 //!   the naive stateless server one would write directly on the PR-1
 //!   `CompiledModel::session()` API.
-//! * `single_request_persistent` — `max_batch = 1` but a persistent warm
+//! * `single_request_persistent` — `max_batch = 1` but a persistent
 //!   session, isolating how much of the win is session reuse vs
 //!   coalescing.
 //! * `micro_batched` — the production configuration: whatever queued
 //!   while the previous batch computed coalesces (up to 32) into one
-//!   `infer_batch_shared` call on a persistent warm (product-plane)
-//!   session.
+//!   `infer_batch_shared` call on a persistent session.
 //!
 //! Emits `BENCH_serve.json` in the working directory.
 //!
@@ -41,14 +40,6 @@ struct ModeRow {
     mode: String,
     max_batch: usize,
     session: String,
-    /// The resolved MAC kernel the mode's scheduler sessions ran
-    /// (`scalar`/`swar`/`avx2`) — scopes this row's throughput in the
-    /// regression gate (kernel-mismatched rows are incomparable).
-    kernel: String,
-    /// The resolved data layout of the mode's most recent dispatch
-    /// (`row`/`batch`) — the third scoping label; a layout flip makes
-    /// the row incomparable rather than a regression.
-    layout: String,
     /// Throughput of the mode's *best* measurement window.
     load: LoadReport,
     /// Scheduler metrics accumulated over the warmup plus every
@@ -91,7 +82,6 @@ fn session_label(mode: SessionMode) -> &'static str {
     match mode {
         SessionMode::Cold => "cold (fresh per call)",
         SessionMode::Persistent => "persistent",
-        SessionMode::Warm => "persistent + product plane",
     }
 }
 
@@ -119,7 +109,7 @@ fn run_modes(
         let image = &images[(c * 7 + i as usize) % images.len()];
         client.predict(MODEL, image.clone()).is_ok()
     };
-    // Warm caches/planes and settle the thread pools before measuring.
+    // Settle the thread pools before measuring.
     for (_, _, _, client) in &runs {
         let _ = closed_loop(CLIENTS, warmup, |c, i| predict(client, c, i));
     }
@@ -151,8 +141,6 @@ fn run_modes(
                 mode: name.to_owned(),
                 max_batch: config.max_batch,
                 session: session_label(config.session_mode).to_owned(),
-                kernel: stats.kernel.clone(),
-                layout: stats.layout.clone(),
                 load,
                 stats,
             }
@@ -276,11 +264,6 @@ fn main() {
         .expect("projected weights compile");
 
     println!(
-        "[man-kernel] cpu: {}; default kernel: {}",
-        man::kernel::cpu_features(),
-        man::kernel::default_kernel().label()
-    );
-    println!(
         "man-serve load benchmark — {} ({bits}-bit, {}) with {CLIENTS} closed-loop clients\n",
         benchmark.name(),
         set.label()
@@ -303,7 +286,7 @@ fn main() {
                 BatchConfig {
                     max_batch: 1,
                     max_wait: Duration::ZERO,
-                    session_mode: SessionMode::Warm,
+                    session_mode: SessionMode::Persistent,
                     ..BatchConfig::default()
                 },
             ),

@@ -372,6 +372,24 @@ where
     }
 }
 
+/// Shortest timed window of one throughput sample. One batch of a small
+/// zoo model runs in about a millisecond, where scheduler and clock
+/// noise alone move a single-call rate by tens of percent — more than
+/// the regression gate's tolerance.
+pub const MIN_WINDOW: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// Items per second of `op` (which returns how many items it
+/// processed), calling it back to back until at least [`MIN_WINDOW`]
+/// has elapsed.
+pub fn timed_rate(mut op: impl FnMut() -> usize) -> f64 {
+    let start = std::time::Instant::now();
+    let mut items = 0;
+    while start.elapsed() < MIN_WINDOW {
+        items += op();
+    }
+    items as f64 / start.elapsed().as_secs_f64()
+}
+
 /// Serializes an experiment result under `target/experiments/`.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let dir = PathBuf::from("target/experiments");

@@ -53,20 +53,6 @@ pub struct Metric {
     pub path: String,
     /// The metric value (inferences/requests per second).
     pub value: f64,
-    /// The MAC-kernel label of the nearest enclosing row that records
-    /// one (`"scalar"`/`"swar"`/`"avx2"`), if any. A baseline and
-    /// current metric measured under *different* kernels are
-    /// incomparable — a kernel switch is a configuration change, not a
-    /// regression — so [`compare`] skips such pairs instead of gating
-    /// them. `kernel` is deliberately **not** part of the row identity:
-    /// paths stay stable across kernel changes, so a switched row pairs
-    /// up (and is then skipped) rather than reported missing.
-    pub kernel: Option<String>,
-    /// The layout label of the nearest enclosing row that records one
-    /// (`"row"`/`"batch"`), if any — the third tuner axis, handled
-    /// exactly like `kernel`: mismatched labels make a pair
-    /// incomparable, and the label is not part of the row identity.
-    pub layout: Option<String>,
 }
 
 fn numeric(v: &Value) -> Option<f64> {
@@ -101,27 +87,9 @@ fn element_label(v: &Value, index: usize) -> String {
     index.to_string()
 }
 
-/// The object's own string field named `key`, if it records one.
-fn label_of(v: &Value, key: &str) -> Option<String> {
-    let entries = v.as_object()?;
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::Str(s) => Some(s.clone()),
-            _ => None,
-        })
-}
-
-fn walk(v: &Value, path: &str, kernel: Option<&str>, layout: Option<&str>, out: &mut Vec<Metric>) {
+fn walk(v: &Value, path: &str, out: &mut Vec<Metric>) {
     match v {
         Value::Object(entries) => {
-            // A row that records its kernel/layout scopes every metric
-            // below it (the closest enclosing label wins, per axis).
-            let own_kernel = label_of(v, "kernel");
-            let kernel = own_kernel.as_deref().or(kernel);
-            let own_layout = label_of(v, "layout");
-            let layout = own_layout.as_deref().or(layout);
             for (key, child) in entries {
                 let child_path = if path.is_empty() {
                     key.clone()
@@ -133,13 +101,11 @@ fn walk(v: &Value, path: &str, kernel: Option<&str>, layout: Option<&str>, out: 
                         out.push(Metric {
                             path: child_path,
                             value,
-                            kernel: kernel.map(str::to_owned),
-                            layout: layout.map(str::to_owned),
                         });
                         continue;
                     }
                 }
-                walk(child, &child_path, kernel, layout, out);
+                walk(child, &child_path, out);
             }
         }
         Value::Array(items) => {
@@ -150,7 +116,7 @@ fn walk(v: &Value, path: &str, kernel: Option<&str>, layout: Option<&str>, out: 
                 } else {
                     format!("{path}/[{label}]")
                 };
-                walk(item, &child_path, kernel, layout, out);
+                walk(item, &child_path, out);
             }
         }
         _ => {}
@@ -160,7 +126,7 @@ fn walk(v: &Value, path: &str, kernel: Option<&str>, layout: Option<&str>, out: 
 /// Extracts every throughput metric from a bench JSON document.
 pub fn extract_metrics(doc: &Value) -> Vec<Metric> {
     let mut out = Vec::new();
-    walk(doc, "", None, None, &mut out);
+    walk(doc, "", &mut out);
     out
 }
 
@@ -189,13 +155,6 @@ pub struct Comparison {
     pub compared: usize,
     /// Compared metrics that improved beyond the tolerance (informational).
     pub improved: usize,
-    /// Metric pairs skipped because baseline and current were measured
-    /// under different MAC kernels or layouts (both rows record the
-    /// label and the labels differ): a kernel or layout switch changes
-    /// the configuration, so the pair is incomparable rather than
-    /// regressed. Informational — the gate still fails if the metric
-    /// vanished outright.
-    pub incomparable: usize,
 }
 
 impl Comparison {
@@ -238,22 +197,6 @@ pub fn compare(baseline: &Value, current: &Value, tolerance: f64) -> Comparison 
             cmp.missing.push(base.path.clone());
             continue;
         };
-        if let (Some(bk), Some(ck)) = (&base.kernel, &cur.kernel) {
-            if bk != ck {
-                // Measured under different MAC kernels: a configuration
-                // change, not a regression — skip rather than gate.
-                cmp.incomparable += 1;
-                continue;
-            }
-        }
-        if let (Some(bl), Some(cl)) = (&base.layout, &cur.layout) {
-            if bl != cl {
-                // Measured under different layouts (row- vs
-                // batch-major): same reasoning as the kernel axis.
-                cmp.incomparable += 1;
-                continue;
-            }
-        }
         cmp.compared += 1;
         // A zero/negative baseline can't anchor a ratio; count it as
         // compared but never as a regression (quick-mode benches can
@@ -693,107 +636,6 @@ mod tests {
             cmp.regressions[0].path,
             "modes/[mode=micro]/load/throughput_rps"
         );
-    }
-
-    #[test]
-    fn kernel_mismatched_rows_are_incomparable_not_regressed() {
-        let base = parse(
-            r#"[
-            {"benchmark": "A", "kernel": "scalar", "batched_ips": 1000.0},
-            {"benchmark": "B", "kernel": "avx2", "batched_ips": 2000.0}
-        ]"#,
-        );
-        // A's kernel switched (scalar -> avx2) and its throughput
-        // "fell" 10x: incomparable, not a regression. B kept its kernel
-        // and genuinely collapsed: still a regression.
-        let cur = parse(
-            r#"[
-            {"benchmark": "A", "kernel": "avx2", "batched_ips": 100.0},
-            {"benchmark": "B", "kernel": "avx2", "batched_ips": 900.0}
-        ]"#,
-        );
-        let cmp = compare(&base, &cur, 0.25);
-        assert_eq!(cmp.incomparable, 1);
-        assert_eq!(cmp.compared, 1);
-        assert_eq!(cmp.regressions.len(), 1);
-        assert!(cmp.regressions[0].path.contains("benchmark=B"));
-        // The kernel label scopes but does not rename rows: nothing is
-        // "missing" just because a kernel switched.
-        assert!(cmp.missing.is_empty());
-    }
-
-    #[test]
-    fn kernel_label_scopes_nested_metrics_and_absent_labels_compare() {
-        // The label on an enclosing row scopes metrics nested below it
-        // (serve's ModeRow.kernel scoping load/throughput_rps)...
-        let base = parse(
-            r#"{"modes": [{"mode": "m", "kernel": "swar", "load": {"throughput_rps": 500.0}}]}"#,
-        );
-        let cur = parse(
-            r#"{"modes": [{"mode": "m", "kernel": "avx2", "load": {"throughput_rps": 100.0}}]}"#,
-        );
-        let cmp = compare(&base, &cur, 0.25);
-        assert_eq!(cmp.incomparable, 1);
-        assert!(cmp.passed(), "{cmp:?}");
-        // ...while a pre-kernel baseline (no labels) keeps comparing
-        // absolutely against a labelled current run.
-        let old_base = parse(r#"{"modes": [{"mode": "m", "load": {"throughput_rps": 500.0}}]}"#);
-        let cmp = compare(&old_base, &cur, 0.25);
-        assert_eq!(cmp.compared, 1);
-        assert_eq!(cmp.regressions.len(), 1);
-    }
-
-    #[test]
-    fn layout_mismatched_rows_are_incomparable_not_regressed() {
-        let base = parse(
-            r#"[
-            {"benchmark": "A", "kernel": "swar", "layout": "row", "batched_ips": 1000.0},
-            {"benchmark": "B", "kernel": "swar", "layout": "batch", "batched_ips": 2000.0}
-        ]"#,
-        );
-        // A's layout flipped (row -> batch) and its throughput "fell"
-        // 10x: incomparable, not a regression. B kept both axes and
-        // genuinely collapsed: still a regression.
-        let cur = parse(
-            r#"[
-            {"benchmark": "A", "kernel": "swar", "layout": "batch", "batched_ips": 100.0},
-            {"benchmark": "B", "kernel": "swar", "layout": "batch", "batched_ips": 900.0}
-        ]"#,
-        );
-        let cmp = compare(&base, &cur, 0.25);
-        assert_eq!(cmp.incomparable, 1);
-        assert_eq!(cmp.compared, 1);
-        assert_eq!(cmp.regressions.len(), 1);
-        assert!(cmp.regressions[0].path.contains("benchmark=B"));
-        // The layout label scopes but does not rename rows: nothing is
-        // "missing" just because the layout axis flipped.
-        assert!(cmp.missing.is_empty());
-    }
-
-    #[test]
-    fn layout_label_scopes_nested_metrics_and_absent_labels_compare() {
-        // An enclosing row's layout label scopes nested metrics, and
-        // the axes are independent: same kernel but flipped layout is
-        // already incomparable...
-        let base = parse(
-            r#"{"modes": [{"mode": "m", "kernel": "swar", "layout": "row",
-                           "load": {"throughput_rps": 500.0}}]}"#,
-        );
-        let cur = parse(
-            r#"{"modes": [{"mode": "m", "kernel": "swar", "layout": "batch",
-                           "load": {"throughput_rps": 100.0}}]}"#,
-        );
-        let cmp = compare(&base, &cur, 0.25);
-        assert_eq!(cmp.incomparable, 1);
-        assert!(cmp.passed(), "{cmp:?}");
-        // ...while a pre-layout baseline (kernel label only) keeps
-        // comparing absolutely against a layout-labelled current run.
-        let old_base = parse(
-            r#"{"modes": [{"mode": "m", "kernel": "swar", "load": {"throughput_rps": 500.0}}]}"#,
-        );
-        let cmp = compare(&old_base, &cur, 0.25);
-        assert_eq!(cmp.compared, 1);
-        assert_eq!(cmp.regressions.len(), 1);
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! paper's processing engine.
 //!
 //! A trained float [`Network`] is *compiled* into a [`FixedNet`]: weights
-//! quantized into per-layer `QFormat`s (sign-magnitude), biases widened to
-//! the accumulator fraction, every multiply decoded into an ASM
-//! select/shift plan, and every activation replaced by the PLAN sigmoid
-//! unit (the same bit-exact reference the gate-level model uses).
+//! quantized into per-layer `QFormat`s (sign-magnitude) and checked
+//! against the layer's alphabet, biases widened to the accumulator
+//! fraction, and every activation replaced by the PLAN sigmoid unit (the
+//! same bit-exact reference the gate-level model uses). Inference runs
+//! as an exact integer dot product per neuron; the ASM select/shift/add
+//! datapath stays as the reference it is tested against and as the
+//! source of the cost model's operand traces.
 //!
 //! Activations and input pixels travel as unsigned `Q0.(bits-1)` words —
 //! sigmoid outputs live in `[0, 1)`, so the sign lane of the datapath is
@@ -15,13 +18,12 @@ use man_fixed::{quantize::fit_format, QFormat};
 use man_hw::components::activation::{activation_unit_fixed, PlanParams};
 use man_nn::layers::Layer;
 use man_nn::network::Network;
-use man_par::{default_chunk_size, run_chunked, Parallelism};
+use man_par::{parallel_map, Parallelism};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::alphabet::AlphabetSet;
-use crate::asm::AsmMultiplier;
-use crate::kernel::{self, BankArena, KernelKind, MacRun, MacSoa};
+use crate::asm::{AsmMultiplier, AsmPlan};
 
 /// Per-layer alphabet assignment (uniform or mixed, as in the paper's
 /// Section VI-E where early layers use `{1}` and late layers `{1,3}` /
@@ -213,29 +215,65 @@ enum OutputStage {
     Logits,
 }
 
-/// A signed activation word in sign-magnitude form (as the datapath sees
-/// it). Sigmoid outputs and input pixels always have `neg == false`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct SignedAct {
-    mag: u32,
-    neg: bool,
-}
-
 #[derive(Clone, Debug)]
 struct MacParams {
     asm: AsmMultiplier,
-    w_neg: Vec<bool>,
-    w_mag: Vec<u32>,
-    /// Pre-decoded select/shift plans, one per weight.
-    plans: Vec<crate::asm::AsmPlan>,
-    /// The same plans repacked as structure-of-arrays term bytes — what
-    /// the vectorized MAC kernels consume (see `crate::kernel`).
-    soa: MacSoa,
+    /// Sign-folded weights (`-mag` when the sign bit is set), one
+    /// row-major slab: the fan-in run of output `o` (dense), output
+    /// channel `oc` (conv) or channel `ch` (pool) starts at
+    /// `o · fan_in`.
+    weights: Vec<i16>,
+    /// The ASM control word of every weight magnitude this layer holds,
+    /// indexed by magnitude (`None` for magnitudes no weight uses) —
+    /// what the reference datapath selects and shifts with.
+    plans: Vec<Option<AsmPlan>>,
+    /// Longest run of products whose `i32` sum cannot overflow (see
+    /// [`FixedNet::compile_mac`]).
+    chunk: usize,
     /// Biases at the accumulator fraction.
     bias: Vec<i64>,
     /// Weight format (fraction defines the accumulator fraction).
     w_format: QFormat,
     output: OutputStage,
+}
+
+impl MacParams {
+    /// Exact `Σ w·x` over the weight run starting at `w0`: `i16 × i16`
+    /// products summed in `i32` runs of at most `chunk`, each run folded
+    /// into the `i64` result. Integer addition is associative, so the
+    /// grouping cannot change the value — only the bound on `chunk`
+    /// keeps every partial sum in range.
+    fn dot(&self, w0: usize, x: &[i16]) -> i64 {
+        let w = &self.weights[w0..w0 + x.len()];
+        w.chunks(self.chunk)
+            .zip(x.chunks(self.chunk))
+            .map(|(w, x)| i64::from(dot_run(w, x)))
+            .sum()
+    }
+
+    /// One multiply-accumulate through the ASM datapath: the weight's
+    /// control word applied to the input's pre-computer bank, signs
+    /// recombined as the sign-magnitude hardware does, optionally
+    /// recorded into the operand trace.
+    fn asm_step(
+        &self,
+        acc: &mut i64,
+        wi: usize,
+        x: i16,
+        bank: &[u64],
+        trace: &mut Option<&mut LayerTrace>,
+    ) {
+        let w = self.weights[wi];
+        let (w_neg, w_mag) = (w < 0, u32::from(w.unsigned_abs()));
+        let plan = self.plans[w_mag as usize]
+            .as_ref()
+            .expect("compile decoded every weight magnitude of the layer");
+        let p = man_fixed::bits::apply_sign(self.asm.apply(plan, bank), w_neg ^ (x < 0));
+        if let Some(t) = trace.as_deref_mut() {
+            t.record(w_mag, w_neg, u32::from(x.unsigned_abs()), x < 0, p, *acc);
+        }
+        *acc += p;
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -252,10 +290,9 @@ enum FixedLayer {
         in_h: usize,
         in_w: usize,
         /// Flat input index per (output position, fan-in slot), in the
-        /// scalar fan-in order `(c, ky, kx)` — the static half of the
-        /// vectorized path's gather lists, depending only on layer
-        /// geometry, so it is built once at compile time instead of
-        /// per inference.
+        /// fan-in order `(c, ky, kx)` that is also each output channel's
+        /// weight order. It depends only on layer geometry, so it is
+        /// built once at compile time.
         gather: Vec<u32>,
         mac: MacParams,
     },
@@ -280,6 +317,15 @@ impl FixedLayer {
 }
 
 /// A compiled fixed-point network.
+///
+/// It runs two datapaths over the same compiled weights. The serving
+/// path ([`FixedNet::infer_exact`], [`FixedNet::predict`], the accuracy
+/// evaluators) is a plain exact-integer dot product per neuron. The
+/// reference path ([`FixedNet::infer_raw`], [`FixedNet::infer_raw_traced`],
+/// [`FixedNet::sample_traces`]) simulates the paper's ASM select, shift
+/// and add. Every compiled weight decodes under its layer's alphabet and
+/// a decodable weight multiplies exactly, so the two agree bit for bit
+/// (DESIGN.md §10).
 #[derive(Clone, Debug)]
 pub struct FixedNet {
     bits: u32,
@@ -287,246 +333,47 @@ pub struct FixedNet {
     layers: Vec<FixedLayer>,
 }
 
-/// Widest word length for which [`FixedNet::session_cache_warm`] builds a
-/// product plane: the plane holds `2^(bits-1) × 2^(bits-1)` `u32` slots,
-/// so 12 bits costs 16 MiB and anything wider grows unreasonably.
-pub const PRODUCT_PLANE_MAX_BITS: u32 = 12;
-
-/// Lanes per batch-major block (DESIGN.md §10): the batch advances
-/// layer-by-layer in blocks of this many images. 16 lanes feed four
-/// 4-lane SWAR/AVX2 groups per term byte while keeping the transposed
-/// bank block of a wide layer comfortably inside L2.
-pub const LANE_BLOCK: usize = 16;
-
-/// A lazily-filled memo of the ASM datapath's products, indexed by
-/// `(weight magnitude, input magnitude)`.
-///
-/// The ASM's defining property — proven against the gate-level netlist in
-/// the workspace tests — is that every *supported* weight multiplies
-/// exactly: `apply(plan(w), bank(x)) == w·x`. The plane exploits that
-/// determinism one step past the pre-computer bank: once any layer has
-/// pushed a `(w_mag, x_mag)` pair through its select/shift/add datapath,
-/// the product is remembered for every later multiplication of the same
-/// pair, across layers, requests and batches. This is the software
-/// analogue of the paper's CSHM sharing taken to steady state, and it is
-/// what makes a long-lived serving session faster than per-request
-/// sessions. Entries are filled *by* the simulated datapath, so results
-/// stay bit-identical to the unmemoized path.
-///
-/// The table is **shared by clone**: cloning a plane (or a
-/// [`SessionCache`] carrying one) yields a handle onto the same slots,
-/// so a parallel session's per-worker caches amortize one plane — at
-/// the 12-bit maximum the plane is 16 MiB, which must not be multiplied
-/// by the worker count — and every worker profits from every worker's
-/// fills. Slots are relaxed atomics: two threads can only ever race to
-/// write the *same* pure value (`w·x`), so the worst case is a redundant
-/// computation, never a wrong bit; a relaxed `u32` load costs the same
-/// as a plain one on mainstream hardware.
-#[derive(Clone, Debug)]
-struct ProductPlane {
-    /// `2^(bits-1)`: magnitudes are strictly below this.
-    side: usize,
-    /// `side × side` products; `u32::MAX` marks an unfilled slot (the
-    /// largest real product, `(2^15-1)^2`, is below it for every
-    /// supported word length).
-    table: std::sync::Arc<[std::sync::atomic::AtomicU32]>,
-}
-
-impl ProductPlane {
-    const EMPTY: u32 = u32::MAX;
-
-    fn new(bits: u32) -> Self {
-        let side = 1usize << (bits - 1);
-        Self {
-            side,
-            table: (0..side * side)
-                .map(|_| std::sync::atomic::AtomicU32::new(Self::EMPTY))
-                .collect(),
+/// `Σ w·x` of one run no longer than its layer's `chunk`, so no partial
+/// sum leaves `i32`. Sixteen independent lane sums give the compiler a
+/// vectorizable loop; which lane a product lands in cannot change the
+/// total.
+fn dot_run(w: &[i16], x: &[i16]) -> i32 {
+    let body = w.len() / 16 * 16;
+    let mut lanes = [0i32; 16];
+    for (w, x) in w[..body].chunks_exact(16).zip(x[..body].chunks_exact(16)) {
+        for ((lane, &a), &b) in lanes.iter_mut().zip(w).zip(x) {
+            *lane += i32::from(a) * i32::from(b);
         }
     }
-
-    #[inline]
-    fn get(&self, w_mag: u32, x_mag: u32) -> Option<u64> {
-        let slot = &self.table[w_mag as usize * self.side + x_mag as usize];
-        // ORDERING: value-based benign race. Every writer stores the same
-        // pure function of the slot's index (see `store`), so a stale or
-        // torn-free Relaxed read returns either EMPTY (recompute) or the
-        // one correct product — no memory is published through this cell.
-        let cached = slot.load(std::sync::atomic::Ordering::Relaxed);
-        (cached != Self::EMPTY).then_some(cached as u64)
-    }
-
-    #[inline]
-    fn store(&self, w_mag: u32, x_mag: u32, product: u64) {
-        let slot = &self.table[w_mag as usize * self.side + x_mag as usize];
-        // ORDERING: monotonic publish of a pure function value; racing
-        // writers store identical bits, and readers tolerate staleness
-        // (they just recompute). Relaxed is sufficient — see `get`.
-        slot.store(product as u32, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Bytes of the (fully allocated, shared-by-clone) product table.
-    fn bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u32>()
-    }
+    let tail: i32 = w[body..]
+        .iter()
+        .zip(&x[body..])
+        .map(|(&a, &b)| i32::from(a) * i32::from(b))
+        .sum();
+    lanes.iter().sum::<i32>() + tail
 }
 
-/// Reusable per-layer pre-computer bank caches.
-///
-/// A bank depends only on the input magnitude and the layer's alphabet
-/// set, so it can be shared across every inference of a session — the
-/// mechanism behind [`FixedNet::infer_raw_with_cache`] and the batched
-/// `InferenceSession` in the facade crate. Banks live in one contiguous
-/// structure-of-arrays slab per layer (a `BankArena`: one padded row
-/// per magnitude, addressed by row offset), so the scalar hot path is
-/// an array index — and the vectorized MAC kernels stream rows out of
-/// the same slab without pointer chasing.
-///
-/// A cache built by [`FixedNet::session_cache_warm`] additionally carries
-/// a `ProductPlane` that memoizes whole products across inferences —
-/// the right choice for long-lived serving sessions, and bit-identical
-/// to the plain path. **Cloning** a warm cache shares the plane (its
-/// slots are relaxed atomics over pure values) while deep-copying the
-/// bank arenas — which is how a parallel session gives every worker
-/// slot a private bank cache without multiplying the plane's memory or
-/// its steady-state warm-up cost by the worker count.
-#[derive(Clone, Debug)]
-pub struct SessionCache {
-    /// Word length plus each layer's alphabet members: a bank's value
-    /// depends on exactly these, so two networks sharing this
-    /// fingerprint may share a cache and any other pairing is rejected.
-    bits: u32,
-    layer_alphabets: Vec<Vec<u8>>,
-    layers: Vec<BankArena>,
-    plane: Option<ProductPlane>,
-    /// Reusable batch-major transpose scratch (DESIGN.md §10): the
-    /// lane-transposed bank block and activation sign masks rebuilt per
-    /// layer per lane block. Empty until the first batch-major dispatch;
-    /// capacity then sticks at the widest layer's block so steady-state
-    /// serving never reallocates. Per-clone (each worker slot transposes
-    /// its own lanes), counted by [`CacheFootprint::transpose_bytes`].
-    bank_t: Vec<u64>,
-    sign_t: Vec<i64>,
+/// Signed average of a 2×2 window (truncating arithmetic shift, as the
+/// hardware adder tree plus wiring would produce), saturated to the
+/// activation word.
+fn pool_avg(x: &[i16], base: usize, in_w: usize, max_mag: i64) -> i16 {
+    let sum = [base, base + 1, base + in_w, base + in_w + 1]
+        .iter()
+        .map(|&i| i64::from(x[i]))
+        .sum::<i64>()
+        >> 2;
+    sum.clamp(-max_mag, max_mag) as i16
 }
 
-/// A [`SessionCache`]'s memory footprint — what the facade session and
-/// serve `stats` report so operators can see where cache bytes went.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheFootprint {
-    /// Heap bytes of each layer's bank arena (rows + magnitude index).
-    pub layer_bank_bytes: Vec<usize>,
-    /// Bytes of the shared product plane (0 without one). The plane is
-    /// shared across a session's worker-slot clones, so when summing
-    /// slot footprints it must be counted once.
-    pub plane_bytes: usize,
-    /// Heap bytes of the batch-major transpose scratch (lane-transposed
-    /// bank block + sign masks; 0 until the first batch-major dispatch).
-    /// Per worker slot, like the bank arenas.
-    pub transpose_bytes: usize,
-}
-
-impl CacheFootprint {
-    /// Total bytes: every layer's banks, the plane, and the batch-major
-    /// transpose scratch.
-    pub fn total_bytes(&self) -> usize {
-        self.layer_bank_bytes.iter().sum::<usize>() + self.plane_bytes + self.transpose_bytes
-    }
-}
-
-impl SessionCache {
-    /// One signed-magnitude product through the cache: the plane when the
-    /// cache is warm (a plane miss fills from the per-layer bank arena,
-    /// so the bank for an input magnitude is still computed only once),
-    /// the bank alone otherwise.
-    #[inline]
-    fn product(&mut self, layer: usize, mac: &MacParams, wi: usize, x_mag: u32) -> u64 {
-        let Self { plane, layers, .. } = self;
-        match plane {
-            Some(plane) => {
-                if let Some(p) = plane.get(mac.w_mag[wi], x_mag) {
-                    return p;
-                }
-                let arena = &mut layers[layer];
-                let row = arena.row_or_fill(&mac.asm, x_mag);
-                let p = mac.asm.apply(&mac.plans[wi], arena.bank(row));
-                plane.store(mac.w_mag[wi], x_mag, p);
-                p
-            }
-            None => {
-                let arena = &mut layers[layer];
-                let row = arena.row_or_fill(&mac.asm, x_mag);
-                mac.asm.apply(&mac.plans[wi], arena.bank(row))
-            }
-        }
-    }
-
-    /// Ensures a pre-computer bank row exists for every activation in
-    /// `xs` — the write phase that lets [`SessionCache::product_ro`] and
-    /// the vector kernels run the MAC loop itself through a shared
-    /// reference from many worker threads. The arena grows by *exactly*
-    /// the missing rows (`BankArena::prefill` counts first, then
-    /// `reserve_exact`s), so SoA repacking never silently doubles the
-    /// peak bank memory — and never thrashes the allocator with
-    /// grow-then-trim cycles as new magnitudes trickle in.
-    fn prefill_layer(&mut self, layer: usize, mac: &MacParams, xs: &[SignedAct]) {
-        self.layers[layer].prefill(&mac.asm, xs.iter().map(|x| x.mag));
-    }
-
-    /// Read-only twin of [`SessionCache::product`]: a plane hit when the
-    /// cache is warm, otherwise the (prefilled) bank through the ASM
-    /// datapath. Banks and plane entries are pure functions of
-    /// `(alphabet, w_mag, x_mag)`, so this returns bit-identical products
-    /// to the mutable path — it just cannot memoize new plane entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank for `x_mag` was not prefilled (an internal
-    /// invariant of the neuron-sharded MAC loop).
-    #[inline]
-    fn product_ro(&self, layer: usize, mac: &MacParams, wi: usize, x_mag: u32) -> u64 {
-        if let Some(plane) = &self.plane {
-            if let Some(p) = plane.get(mac.w_mag[wi], x_mag) {
-                return p;
-            }
-        }
-        let arena = &self.layers[layer];
-        let row = arena
-            .row(x_mag)
-            .expect("bank prefilled for every input magnitude before sharding");
-        mac.asm.apply(&mac.plans[wi], arena.bank(row))
-    }
-
-    /// `true` when this cache memoizes whole products.
-    pub fn has_product_plane(&self) -> bool {
-        self.plane.is_some()
-    }
-
-    /// The cache's current memory footprint: per-layer bank-arena bytes
-    /// plus the product plane's bytes (when warm).
-    pub fn footprint(&self) -> CacheFootprint {
-        CacheFootprint {
-            layer_bank_bytes: self.layers.iter().map(BankArena::bytes).collect(),
-            plane_bytes: self
-                .plane
-                .as_ref()
-                .map(ProductPlane::bytes)
-                .unwrap_or_default(),
-            transpose_bytes: self.bank_t.capacity() * std::mem::size_of::<u64>()
-                + self.sign_t.capacity() * std::mem::size_of::<i64>(),
-        }
-    }
-
-    /// Releases growth slack in every layer's bank arena — cheap (a
-    /// no-op per layer unless that arena actually over-allocated), and
-    /// called automatically after every prefill — and frees the
-    /// batch-major transpose scratch entirely (the next batch-major
-    /// dispatch rebuilds it at exactly the live layer's size).
-    pub fn shrink_to_fit(&mut self) {
-        for arena in &mut self.layers {
-            arena.shrink_to_fit();
-        }
-        self.bank_t = Vec::new();
-        self.sign_t = Vec::new();
+/// Evaluates `out(o)` for every output of a layer, sharded over
+/// `workers` pool threads when the layer is wide enough to pay for the
+/// handoff. Each output is computed whole on one thread, so the result
+/// does not depend on the split.
+fn layer_outputs(outputs: usize, workers: usize, out: impl Fn(usize) -> i64 + Sync) -> Vec<i64> {
+    if workers > 1 && outputs >= workers * 4 {
+        parallel_map(Parallelism::Threads(workers), outputs, out)
+    } else {
+        (0..outputs).map(out).collect()
     }
 }
 
@@ -642,6 +489,18 @@ impl FixedNet {
         })
     }
 
+    /// Quantizes and checks one layer's weights.
+    ///
+    /// Each weight is split by `sign_magnitude` (which saturates the
+    /// format minimum `-2^(bits-1)` to magnitude `2^(bits-1) - 1`, as the
+    /// datapath does) and its magnitude must decode under the layer's
+    /// alphabet. The pair is stored folded back into one `i16`, so the
+    /// integer path multiplies by exactly what the ASM would.
+    ///
+    /// The `i32` run length follows from the word length: every
+    /// activation magnitude is below `2^(bits-1)`, so one product is at
+    /// most `max|w| · (2^(bits-1) - 1)` and `chunk` of them cannot pass
+    /// `i32::MAX`.
     #[allow(clippy::too_many_arguments)]
     fn compile_mac(
         weights: &[f32],
@@ -654,34 +513,41 @@ impl FixedNet {
         output: OutputStage,
     ) -> Result<MacParams, CompileError> {
         let asm = AsmMultiplier::new(bits, set);
-        let mut w_neg = Vec::with_capacity(weights.len());
-        let mut w_mag = Vec::with_capacity(weights.len());
-        let mut plans = Vec::with_capacity(weights.len());
+        let mut plans: Vec<Option<AsmPlan>> = Vec::new();
+        let mut folded = Vec::with_capacity(weights.len());
         for &w in weights {
             let q = format.quantize(w as f64);
             let (neg, mag) = man_fixed::bits::sign_magnitude(q.raw(), bits);
-            let plan = asm
-                .decode(mag)
-                .map_err(|e| CompileError::UnconstrainedWeight {
-                    layer: layer_index,
-                    magnitude: e.magnitude,
-                })?;
-            w_neg.push(neg);
-            w_mag.push(mag);
-            plans.push(plan);
+            let slot = mag as usize;
+            if plans.len() <= slot {
+                plans.resize(slot + 1, None);
+            }
+            if plans[slot].is_none() {
+                plans[slot] =
+                    Some(
+                        asm.decode(mag)
+                            .map_err(|e| CompileError::UnconstrainedWeight {
+                                layer: layer_index,
+                                magnitude: e.magnitude,
+                            })?,
+                    );
+            }
+            let mag = i16::try_from(mag).expect("the ASM caps word length at 16 bits");
+            folded.push(if neg { -mag } else { mag });
         }
+        let max_w = folded.iter().map(|w| i64::from(w.unsigned_abs())).max();
+        let max_x = (1i64 << (bits - 1)) - 1;
+        let chunk = (i64::from(i32::MAX) / (max_w.unwrap_or(0).max(1) * max_x)).max(1);
         let acc_frac = spec.act_frac() + format.frac();
         let bias = bias_f
             .iter()
             .map(|&b| (b as f64 * (1u64 << acc_frac) as f64).round() as i64)
             .collect();
-        let soa = MacSoa::build(&asm, &plans);
         Ok(MacParams {
             asm,
-            w_neg,
-            w_mag,
+            weights: folded,
             plans,
-            soa,
+            chunk: chunk as usize,
             bias,
             w_format: format,
             output,
@@ -753,15 +619,6 @@ impl FixedNet {
         self.macs_per_layer().iter().sum()
     }
 
-    /// Heap bytes of the per-layer structure-of-arrays kernel plans
-    /// (the repacked select/shift term buffers the vectorized MAC
-    /// kernels consume). Shared by every session over this engine —
-    /// part of the memory story `stats` surfaces next to the per-cache
-    /// bank footprint.
-    pub fn kernel_plan_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.mac().soa.bytes()).sum()
-    }
-
     /// Neuron outputs per inference, per layer (activation-unit uses).
     pub fn neurons_per_layer(&self) -> Vec<u64> {
         self.layers
@@ -785,12 +642,14 @@ impl FixedNet {
             .collect()
     }
 
-    fn quantize_input(&self, image: &[f32]) -> Vec<u32> {
+    /// Input pixels as activation words: unsigned `Q0.(bits-1)`,
+    /// saturated below `2^(bits-1)`.
+    fn quantize_input(&self, image: &[f32]) -> Vec<i16> {
         let scale = (1u64 << self.act_frac) as f64;
-        let max = (1u64 << self.act_frac) - 1;
+        let max = (1i64 << self.act_frac) - 1;
         image
             .iter()
-            .map(|&p| (((p as f64) * scale).round_ties_even() as i64).clamp(0, max as i64) as u32)
+            .map(|&p| (((p as f64) * scale).round_ties_even() as i64).clamp(0, max) as i16)
             .collect()
     }
 
@@ -802,154 +661,15 @@ impl FixedNet {
         }
     }
 
-    /// Runs one MAC layer. `fan_ins(o)` yields output `o`'s
-    /// `(weight index, activation)` pairs as an iterator — no per-output
-    /// allocation, and the whole MAC loop monomorphizes per layer shape.
-    ///
-    /// With `workers > 1`, no tracing, and a `prefill` slice of the
-    /// layer's input activations, the outputs are sharded across the
-    /// worker pool: banks are prefilled once (the only writes), then each
-    /// worker computes a contiguous range of output neurons through the
-    /// read-only cache. Every neuron's shift-add chain runs in exactly
-    /// the fan-in order of the sequential loop and the merge only
-    /// reassembles whole neurons, so accumulation within a neuron is
-    /// never reordered — the results are bit-identical by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn run_mac_layer<I: Iterator<Item = (usize, SignedAct)>>(
-        &self,
-        li: usize,
-        mac: &MacParams,
-        acc_init: impl Fn(usize) -> i64 + Sync,
-        fan_ins: impl Fn(usize) -> I + Sync,
-        outputs: usize,
-        cache: &mut SessionCache,
-        trace: &mut Option<&mut LayerTrace>,
-        workers: usize,
-        prefill: Option<&[SignedAct]>,
-    ) -> Vec<i64> {
-        // Sharding pays only when each worker gets a few neurons; tiny
-        // layers (and traced runs, whose operand stream is ordered) stay
-        // on the sequential reference path. A warm cache also stays
-        // sequential: the shard loop is read-only and cannot memoize new
-        // product-plane entries, so sharding a plane-backed session would
-        // starve the steady-state memo that makes warm serving fast —
-        // the mutable path both fills and profits from the plane.
-        let shardable =
-            workers > 1 && outputs >= workers * 4 && trace.is_none() && !cache.has_product_plane();
-        if let (true, Some(xs)) = (shardable, prefill) {
-            cache.prefill_layer(li, mac, xs);
-            let shared: &SessionCache = cache;
-            let mut slots = vec![(); workers];
-            return run_chunked(
-                &mut slots,
-                outputs,
-                default_chunk_size(outputs, workers),
-                |(), range| {
-                    range
-                        .map(|o| {
-                            let mut acc = acc_init(o);
-                            for (wi, x) in fan_ins(o) {
-                                let mag = shared.product_ro(li, mac, wi, x.mag);
-                                let neg = mac.w_neg[wi] ^ x.neg;
-                                acc += man_fixed::bits::apply_sign(mag, neg);
-                            }
-                            acc
-                        })
-                        .collect()
-                },
-            );
-        }
-        let mut accs = Vec::with_capacity(outputs);
-        for o in 0..outputs {
-            let mut acc = acc_init(o);
-            for (wi, x) in fan_ins(o) {
-                let mag = cache.product(li, mac, wi, x.mag);
-                let neg = mac.w_neg[wi] ^ x.neg;
-                let p = man_fixed::bits::apply_sign(mag, neg);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(mac.w_mag[wi], mac.w_neg[wi], x.mag, x.neg, p, acc);
-                }
-                acc += p;
-            }
-            accs.push(acc);
-        }
-        accs
-    }
-
-    /// Runs one MAC layer through a vectorized kernel (see
-    /// `crate::kernel`): banks are prefilled into the layer's contiguous
-    /// arena (the only writes), per-output fan-in runs are described by
-    /// arena row offsets, and the kernel evaluates 4 weights per step —
-    /// with the `i64` accumulation still in exact sequential fan-in
-    /// order, so the results are bit-identical to [`Self::run_mac_layer`]
-    /// by construction. `fan_of(o)` yields output `o`'s
-    /// `(first weight, fan-in gather range)`; the gather lists live in
-    /// `rows`/`x_neg` (for dense layers one shared list, for
-    /// convolutions one list per output position).
-    #[allow(clippy::too_many_arguments)]
-    fn run_mac_layer_soa(
-        &self,
-        mac: &MacParams,
-        outputs: usize,
-        rows: &[u32],
-        x_neg: &[bool],
-        acc_init: impl Fn(usize) -> i64 + Sync,
-        fan_of: impl Fn(usize) -> (usize, std::ops::Range<usize>) + Sync,
-        slab: &[u64],
-        workers: usize,
-        kind: KernelKind,
-    ) -> Vec<i64> {
-        let k = kernel::kernel_for(kind);
-        let run_output = |o: usize| {
-            let (w0, gather) = fan_of(o);
-            k.accumulate(MacRun {
-                soa: &mac.soa,
-                slab,
-                w_neg: &mac.w_neg,
-                w0,
-                rows: &rows[gather.clone()],
-                x_neg: &x_neg[gather],
-                acc: acc_init(o),
-            })
-        };
-        // Same shard threshold as the scalar path; the kernel loop never
-        // touches the product plane, so plane-backed caches may shard
-        // here too (the prefilled arena is all it reads).
-        if workers > 1 && outputs >= workers * 4 {
-            let mut slots = vec![(); workers];
-            return run_chunked(
-                &mut slots,
-                outputs,
-                default_chunk_size(outputs, workers),
-                |(), range| range.map(run_output).collect(),
-            );
-        }
-        (0..outputs).map(run_output).collect()
-    }
-
-    fn forward_layers(
+    /// The forward pass both datapaths share: input quantization and the
+    /// output stages (PLAN sigmoid, requantization, logits) are the same
+    /// integer arithmetic for both, and `layer_accs(li, layer, x)`
+    /// supplies each layer's accumulators from its sign-folded input
+    /// activations.
+    fn forward(
         &self,
         image: &[f32],
-        traces: Option<&mut Vec<LayerTrace>>,
-        cache: &mut SessionCache,
-    ) -> Vec<i64> {
-        self.forward_layers_sharded(image, traces, cache, 1, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::forward_layers`] with the MAC loops of large layers
-    /// sharded over `workers` threads (neuron-level parallelism) and the
-    /// per-layer kernel dispatched per `kind` (DESIGN.md §10). Pool
-    /// layers multiply *derived* 2×2-average activations whose magnitudes
-    /// are not in the layer input, so they keep the sequential scalar
-    /// path — they are a vanishing fraction of the MACs anyway; traced
-    /// runs force the scalar path too (the operand stream is ordered).
-    fn forward_layers_sharded(
-        &self,
-        image: &[f32],
-        mut traces: Option<&mut Vec<LayerTrace>>,
-        cache: &mut SessionCache,
-        workers: usize,
-        kind: KernelKind,
+        mut layer_accs: impl FnMut(usize, &FixedLayer, &[i16]) -> Vec<i64>,
     ) -> Vec<i64> {
         assert_eq!(
             image.len(),
@@ -959,218 +679,27 @@ impl FixedNet {
             self.input_len()
         );
         let plan = self.plan_params();
-        let mut x: Vec<SignedAct> = self
-            .quantize_input(image)
-            .into_iter()
-            .map(|mag| SignedAct { mag, neg: false })
-            .collect();
+        let max_mag = (1i64 << (self.bits - 1)) - 1;
+        let mut x = self.quantize_input(image);
         let mut logits = Vec::new();
         for (li, layer) in self.layers.iter().enumerate() {
+            let accs = layer_accs(li, layer, &x);
             let mac = layer.mac();
             let acc_frac = self.act_frac + mac.w_format.frac();
-            let mut layer_trace = traces
-                .as_deref_mut()
-                .map(|ts| &mut ts[li])
-                .map(|t| t as &mut LayerTrace);
-            // The §10 dispatch rule: vectorized kernels run every
-            // untraced dense/conv layer over the prefilled SoA arena;
-            // traced runs, pool layers and the scalar kernel keep the
-            // per-weight reference loop (which is also the only path
-            // that reads — and fills — the warm product plane).
-            let vectorize = kind.is_vectorized() && layer_trace.is_none();
-            let accs: Vec<i64> = match layer {
-                FixedLayer::Dense {
-                    in_dim, out_dim, ..
-                } if vectorize => {
-                    let xs: &[SignedAct] = &x;
-                    let (in_dim, out_dim) = (*in_dim, *out_dim);
-                    cache.prefill_layer(li, mac, xs);
-                    let arena = &cache.layers[li];
-                    let rows: Vec<u32> = xs
-                        .iter()
-                        .map(|x| arena.row(x.mag).expect("prefilled above"))
-                        .collect();
-                    let x_neg: Vec<bool> = xs.iter().map(|x| x.neg).collect();
-                    // Every output shares one gather list; its weights
-                    // are the contiguous run starting at `o * in_dim`.
-                    self.run_mac_layer_soa(
-                        mac,
-                        out_dim,
-                        &rows,
-                        &x_neg,
-                        |o| mac.bias[o],
-                        |o| (o * in_dim, 0..in_dim),
-                        arena.slab(),
-                        workers,
-                        kind,
-                    )
-                }
-                FixedLayer::Conv {
-                    in_ch,
-                    out_ch,
-                    k,
-                    in_h,
-                    in_w,
-                    gather,
-                    ..
-                } if vectorize => {
-                    let xs: &[SignedAct] = &x;
-                    let (in_h, in_w, in_ch, k, out_ch) = (*in_h, *in_w, *in_ch, *k, *out_ch);
-                    let (oh, ow) = (in_h - k + 1, in_w - k + 1);
-                    let fan = in_ch * k * k;
-                    cache.prefill_layer(li, mac, xs);
-                    let arena = &cache.layers[li];
-                    // One gather list per output *position* (shared by
-                    // all output channels), in exactly the scalar
-                    // fan-in order (c, ky, kx) — which is also weight
-                    // order within an output channel's contiguous run.
-                    // The input-index pattern is static per layer
-                    // geometry (`gather`, built at compile time); only
-                    // the per-activation row offsets and signs are
-                    // resolved per inference.
-                    let row_of: Vec<u32> = xs
-                        .iter()
-                        .map(|x| arena.row(x.mag).expect("prefilled above"))
-                        .collect();
-                    let rows: Vec<u32> = gather.iter().map(|&xi| row_of[xi as usize]).collect();
-                    let x_neg: Vec<bool> = gather.iter().map(|&xi| xs[xi as usize].neg).collect();
-                    self.run_mac_layer_soa(
-                        mac,
-                        out_ch * oh * ow,
-                        &rows,
-                        &x_neg,
-                        |o| mac.bias[o / (oh * ow)],
-                        |o| {
-                            let pos = o % (oh * ow);
-                            (o / (oh * ow) * fan, pos * fan..(pos + 1) * fan)
-                        },
-                        arena.slab(),
-                        workers,
-                        kind,
-                    )
-                }
-                FixedLayer::Dense {
-                    in_dim, out_dim, ..
-                } => {
-                    let xs: &[SignedAct] = &x;
-                    let in_dim = *in_dim;
-                    self.run_mac_layer(
-                        li,
-                        mac,
-                        |o| mac.bias[o],
-                        move |o| (0..in_dim).map(move |i| (o * in_dim + i, xs[i])),
-                        *out_dim,
-                        cache,
-                        &mut layer_trace,
-                        workers,
-                        Some(xs),
-                    )
-                }
-                FixedLayer::Conv {
-                    in_ch,
-                    out_ch,
-                    k,
-                    in_h,
-                    in_w,
-                    ..
-                } => {
-                    let (oh, ow) = (in_h - k + 1, in_w - k + 1);
-                    let xs: &[SignedAct] = &x;
-                    let (in_h, in_w, in_ch, k) = (*in_h, *in_w, *in_ch, *k);
-                    self.run_mac_layer(
-                        li,
-                        mac,
-                        |o| mac.bias[o / (oh * ow)],
-                        move |o| {
-                            let oc = o / (oh * ow);
-                            let oy = (o % (oh * ow)) / ow;
-                            let ox = o % ow;
-                            (0..in_ch).flat_map(move |c| {
-                                (0..k).flat_map(move |ky| {
-                                    (0..k).map(move |kx| {
-                                        let wi = ((oc * in_ch + c) * k + ky) * k + kx;
-                                        let xi = c * in_h * in_w + (oy + ky) * in_w + (ox + kx);
-                                        (wi, xs[xi])
-                                    })
-                                })
-                            })
-                        },
-                        out_ch * oh * ow,
-                        cache,
-                        &mut layer_trace,
-                        workers,
-                        Some(xs),
-                    )
-                }
-                FixedLayer::Pool {
-                    channels,
-                    in_h,
-                    in_w,
-                    ..
-                } => {
-                    let (oh, ow) = (in_h / 2, in_w / 2);
-                    let xs: &[SignedAct] = &x;
-                    let (in_h, in_w) = (*in_h, *in_w);
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
-                    self.run_mac_layer(
-                        li,
-                        mac,
-                        |o| mac.bias[o / (oh * ow)],
-                        move |o| {
-                            let ch = o / (oh * ow);
-                            let oy = (o % (oh * ow)) / ow;
-                            let ox = o % ow;
-                            let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                            // Signed average of the 2×2 window (truncating
-                            // arithmetic shift, as the hardware adder tree
-                            // plus wiring would produce).
-                            let signed =
-                                |a: SignedAct| man_fixed::bits::apply_sign(a.mag as u64, a.neg);
-                            let sum = (signed(xs[base])
-                                + signed(xs[base + 1])
-                                + signed(xs[base + in_w])
-                                + signed(xs[base + in_w + 1]))
-                                >> 2;
-                            let avg = SignedAct {
-                                mag: sum.unsigned_abs().min(max_mag as u64) as u32,
-                                neg: sum < 0,
-                            };
-                            std::iter::once((ch, avg))
-                        },
-                        channels * oh * ow,
-                        cache,
-                        &mut layer_trace,
-                        // Pool magnitudes are derived, not prefillable:
-                        // stay sequential (see forward_layers_sharded).
-                        1,
-                        None,
-                    )
-                }
-            };
             match mac.output {
                 OutputStage::Sigmoid => {
                     x = accs
                         .iter()
-                        .map(|&a| SignedAct {
-                            mag: activation_unit_fixed(a, 64, acc_frac, &plan) as u32,
-                            neg: false,
-                        })
+                        .map(|&a| activation_unit_fixed(a, 64, acc_frac, &plan) as i16)
                         .collect();
                 }
                 OutputStage::Requant => {
                     // Saturating arithmetic shift back to the activation
                     // fraction: the hardware word between conv and pool.
                     let shift = mac.w_format.frac();
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
                     x = accs
                         .iter()
-                        .map(|&a| {
-                            let v = (a >> shift).clamp(-max_mag, max_mag);
-                            SignedAct {
-                                mag: v.unsigned_abs() as u32,
-                                neg: v < 0,
-                            }
-                        })
+                        .map(|&a| (a >> shift).clamp(-max_mag, max_mag) as i16)
                         .collect();
                 }
                 OutputStage::Logits => logits = accs,
@@ -1179,557 +708,177 @@ impl FixedNet {
         logits
     }
 
-    /// A fresh, empty bank cache shaped for this network. Reuse one cache
-    /// across the inferences of a batch or session: every bank computed
-    /// for one image is then shared by all later images.
-    pub fn session_cache(&self) -> SessionCache {
-        let slots = 1usize << (self.bits - 1);
-        SessionCache {
-            bits: self.bits,
-            layer_alphabets: self.layer_alphabet_members(),
-            layers: self
-                .layers
-                .iter()
-                .map(|l| BankArena::new(slots, l.mac().asm.alphabet().len()))
-                .collect(),
-            plane: None,
-            bank_t: Vec::new(),
-            sign_t: Vec::new(),
+    /// One layer through the exact-integer datapath, outputs sharded
+    /// over `workers` threads when the layer is wide enough.
+    fn exact_layer(&self, layer: &FixedLayer, x: &[i16], workers: usize) -> Vec<i64> {
+        let mac = layer.mac();
+        match layer {
+            FixedLayer::Dense {
+                in_dim, out_dim, ..
+            } => layer_outputs(*out_dim, workers, |o| mac.bias[o] + mac.dot(o * in_dim, x)),
+            FixedLayer::Conv {
+                in_ch,
+                out_ch,
+                k,
+                in_h,
+                in_w,
+                gather,
+                ..
+            } => {
+                let positions = (in_h - k + 1) * (in_w - k + 1);
+                let fan = in_ch * k * k;
+                // Every output position's fan-in, gathered once and
+                // shared by all output channels.
+                let cols: Vec<i16> = gather.iter().map(|&i| x[i as usize]).collect();
+                layer_outputs(out_ch * positions, workers, |o| {
+                    let (oc, pos) = (o / positions, o % positions);
+                    mac.bias[oc] + mac.dot(oc * fan, &cols[pos * fan..(pos + 1) * fan])
+                })
+            }
+            FixedLayer::Pool {
+                channels,
+                in_h,
+                in_w,
+                ..
+            } => {
+                let (oh, ow) = (in_h / 2, in_w / 2);
+                let max_mag = (1i64 << (self.bits - 1)) - 1;
+                layer_outputs(channels * oh * ow, workers, |o| {
+                    let (ch, oy, ox) = (o / (oh * ow), (o % (oh * ow)) / ow, o % ow);
+                    let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
+                    mac.bias[ch] + mac.dot(ch, &[pool_avg(x, base, *in_w, max_mag)])
+                })
+            }
         }
     }
 
-    /// A [`FixedNet::session_cache`] that additionally memoizes whole
-    /// `(weight, input)` products across inferences — the steady-state
-    /// serving configuration. Falls back to a plain cache when the word
-    /// length exceeds [`PRODUCT_PLANE_MAX_BITS`] (the plane would be too
-    /// large). Results are bit-identical either way.
-    pub fn session_cache_warm(&self) -> SessionCache {
-        let mut cache = self.session_cache();
-        if self.bits <= PRODUCT_PLANE_MAX_BITS {
-            cache.plane = Some(ProductPlane::new(self.bits));
+    /// One layer through the ASM reference datapath, in the sequential
+    /// fan-in order the operand trace records. Each layer-input
+    /// activation's pre-computer bank is computed once and shared by
+    /// every weight it meets (the CSHM arrangement); pool layers
+    /// multiply a derived window average, whose bank is computed where
+    /// it is used.
+    fn asm_layer(
+        &self,
+        layer: &FixedLayer,
+        x: &[i16],
+        mut trace: Option<&mut LayerTrace>,
+    ) -> Vec<i64> {
+        let mac = layer.mac();
+        let width = mac.asm.alphabet().len();
+        let bank_of = |v: i16| mac.asm.precompute(u32::from(v.unsigned_abs()));
+        let banks: Vec<u64> = match layer {
+            FixedLayer::Pool { .. } => Vec::new(),
+            _ => x.iter().flat_map(|&v| bank_of(v)).collect(),
+        };
+        let bank = |i: usize| &banks[i * width..(i + 1) * width];
+        let mut accs = Vec::new();
+        match layer {
+            FixedLayer::Dense {
+                in_dim, out_dim, ..
+            } => {
+                for o in 0..*out_dim {
+                    let mut acc = mac.bias[o];
+                    for (i, &xi) in x.iter().enumerate() {
+                        mac.asm_step(&mut acc, o * in_dim + i, xi, bank(i), &mut trace);
+                    }
+                    accs.push(acc);
+                }
+            }
+            FixedLayer::Conv {
+                in_ch,
+                out_ch,
+                k,
+                in_h,
+                in_w,
+                gather,
+                ..
+            } => {
+                let positions = (in_h - k + 1) * (in_w - k + 1);
+                let fan = in_ch * k * k;
+                for o in 0..out_ch * positions {
+                    let (oc, pos) = (o / positions, o % positions);
+                    let mut acc = mac.bias[oc];
+                    for (j, &xi) in gather[pos * fan..(pos + 1) * fan].iter().enumerate() {
+                        let xi = xi as usize;
+                        mac.asm_step(&mut acc, oc * fan + j, x[xi], bank(xi), &mut trace);
+                    }
+                    accs.push(acc);
+                }
+            }
+            FixedLayer::Pool {
+                channels,
+                in_h,
+                in_w,
+                ..
+            } => {
+                let (oh, ow) = (in_h / 2, in_w / 2);
+                let max_mag = (1i64 << (self.bits - 1)) - 1;
+                for o in 0..channels * oh * ow {
+                    let (ch, oy, ox) = (o / (oh * ow), (o % (oh * ow)) / ow, o % ow);
+                    let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
+                    let avg = pool_avg(x, base, *in_w, max_mag);
+                    let mut acc = mac.bias[ch];
+                    mac.asm_step(&mut acc, ch, avg, &bank_of(avg), &mut trace);
+                    accs.push(acc);
+                }
+            }
         }
-        cache
+        accs
     }
 
-    fn layer_alphabet_members(&self) -> Vec<Vec<u8>> {
-        self.layers
-            .iter()
-            .map(|l| l.mac().asm.alphabet().members().to_vec())
-            .collect()
-    }
-
-    /// `true` if `cache` was created by a network with this word length
-    /// and alphabet assignment (the inputs a bank's value depends on).
-    fn cache_matches(&self, cache: &SessionCache) -> bool {
-        cache.bits == self.bits
-            && cache.layer_alphabets.len() == self.layers.len()
-            && cache
-                .layer_alphabets
-                .iter()
-                .zip(&self.layers)
-                .all(|(members, l)| members == l.mac().asm.alphabet().members())
-    }
-
-    /// Runs one inference, returning the raw output-layer accumulators
-    /// ("logits" at the final layer's accumulator fraction).
+    /// Runs one inference through the ASM reference datapath, returning
+    /// the raw output-layer accumulators ("logits" at the final layer's
+    /// accumulator fraction). This is the oracle the exact-integer path
+    /// is tested against; serve through [`FixedNet::infer_exact`].
     ///
     /// # Panics
     ///
     /// Panics if `image` does not hold [`FixedNet::input_len`] values.
     pub fn infer_raw(&self, image: &[f32]) -> Vec<i64> {
-        self.forward_layers(image, None, &mut self.session_cache())
+        self.forward(image, |_, layer, x| self.asm_layer(layer, x, None))
     }
 
-    /// [`FixedNet::infer_raw`] reusing a caller-held [`SessionCache`] —
-    /// the batched hot path. Results are bit-identical to `infer_raw`.
+    /// Runs one inference through the exact-integer datapath, with each
+    /// wide layer's outputs sharded over `workers` pool threads (1 runs
+    /// on the caller's thread). Bit-identical to [`FixedNet::infer_raw`]
+    /// for every `workers`.
     ///
     /// # Panics
     ///
-    /// Panics if `cache` was created by a network with a different word
-    /// length or alphabet assignment — its banks would silently corrupt
-    /// this network's products.
-    pub fn infer_raw_with_cache(&self, image: &[f32], cache: &mut SessionCache) -> Vec<i64> {
-        self.infer_raw_with_cache_kernel(image, cache, kernel::default_kernel())
+    /// Panics if `image` does not hold [`FixedNet::input_len`] values.
+    pub fn infer_exact(&self, image: &[f32], workers: usize) -> Vec<i64> {
+        self.forward(image, |_, layer, x| self.exact_layer(layer, x, workers))
     }
 
-    /// [`FixedNet::infer_raw_with_cache`] with an explicit MAC kernel
-    /// (see `crate::kernel`). Every kernel returns bit-identical logits;
-    /// the choice only moves wall-clock time around.
+    /// Runs a batch through the exact-integer datapath with its rows
+    /// sharded over `workers` pool threads. Row `i` is
+    /// `infer_exact(&images[i], 1)`: each row runs whole on one thread.
     ///
     /// # Panics
     ///
-    /// As [`FixedNet::infer_raw_with_cache`].
-    pub fn infer_raw_with_cache_kernel(
-        &self,
-        image: &[f32],
-        cache: &mut SessionCache,
-        kind: KernelKind,
-    ) -> Vec<i64> {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        self.forward_layers_sharded(image, None, cache, 1, kind)
-    }
-
-    /// [`FixedNet::infer_raw_with_cache`] with large layers sharded over
-    /// `parallelism` worker threads (each output neuron computed whole,
-    /// on one thread, in fan-in order — see `run_mac_layer`). Results are
-    /// bit-identical to the sequential path for every `Parallelism`.
-    ///
-    /// A cache with a product plane ([`FixedNet::session_cache_warm`])
-    /// runs sequentially regardless: the sharded loop cannot write the
-    /// plane, and in steady state the plane makes the MAC loop a table
-    /// lookup that sharding could only slow down.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`].
-    pub fn infer_raw_with_cache_par(
-        &self,
-        image: &[f32],
-        cache: &mut SessionCache,
-        parallelism: Parallelism,
-    ) -> Vec<i64> {
-        self.infer_raw_with_cache_par_kernel(image, cache, parallelism, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::infer_raw_with_cache_par`] with an explicit MAC
-    /// kernel. With a vectorized kernel, neuron sharding runs through
-    /// the prefilled SoA arena — including on plane-backed (warm)
-    /// caches, which the kernel path never reads the plane of.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`].
-    pub fn infer_raw_with_cache_par_kernel(
-        &self,
-        image: &[f32],
-        cache: &mut SessionCache,
-        parallelism: Parallelism,
-        kind: KernelKind,
-    ) -> Vec<i64> {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        self.forward_layers_sharded(image, None, cache, parallelism.workers(), kind)
-    }
-
-    /// Runs a batch with rows sharded across one worker per element of
-    /// `caches` — the data-parallel serving hot path. Row `i` of the
-    /// result is bit-identical to `infer_raw_with_cache(&images[i], c)`
-    /// for any matching cache `c`: each row's whole forward pass runs on
-    /// one thread, and worker-local caches only memoize pure functions of
-    /// the compiled network, so sharding changes wall-clock time, never
-    /// bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caches` is empty or any cache does not match this
-    /// network (as [`FixedNet::infer_raw_with_cache`]).
-    pub fn infer_batch_raw_par(
-        &self,
-        images: &[Vec<f32>],
-        caches: &mut [&mut SessionCache],
-    ) -> Vec<Vec<i64>> {
-        self.infer_batch_raw_par_kernel(images, caches, kernel::default_kernel())
-    }
-
-    /// [`FixedNet::infer_batch_raw_par`] with an explicit MAC kernel for
-    /// every row's forward pass.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_batch_raw_par`].
-    pub fn infer_batch_raw_par_kernel(
-        &self,
-        images: &[Vec<f32>],
-        caches: &mut [&mut SessionCache],
-        kind: KernelKind,
-    ) -> Vec<Vec<i64>> {
-        assert!(!caches.is_empty(), "need at least one worker cache");
-        for cache in caches.iter() {
-            assert!(
-                self.cache_matches(cache),
-                "session cache belongs to a network with a different word \
-                 length or alphabet assignment"
-            );
-        }
-        let workers = caches.len();
-        run_chunked(
-            caches,
-            images.len(),
-            default_chunk_size(images.len(), workers),
-            |cache, range| {
-                range
-                    .map(|i| self.forward_layers_sharded(&images[i], None, cache, 1, kind))
-                    .collect()
-            },
-        )
-    }
-
-    /// Runs a whole batch through the **batch-major** datapath
-    /// (DESIGN.md §10): images advance layer-by-layer *together* in lane
-    /// blocks of [`LANE_BLOCK`], each dense/conv layer transposing its
-    /// prefilled bank rows so one weight's term byte is applied to every
-    /// lane under a single shared shift — the per-row term reload the
-    /// row-major loop pays per image disappears. Row `i` of the result
-    /// is bit-identical to
-    /// `infer_raw_with_cache_kernel(&images[i], cache, kind)`: lanes are
-    /// independent batch rows and each lane's `i64` accumulator chain
-    /// runs strictly in fan-in order, so flipping the layout moves
-    /// work, never bits (§8/§10).
-    ///
-    /// Like the row-major vector kernels, the batch-major MAC loop runs
-    /// over the prefilled bank arena alone and never reads (or fills)
-    /// the warm product plane — a plane-backed cache is valid and still
-    /// bit-identical. Pool layers and the output stages loop lanes
-    /// through the existing scalar arithmetic (a vanishing fraction of
-    /// the MACs).
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_raw_with_cache`], for every image.
-    pub fn infer_batch_raw_batch_major_kernel(
-        &self,
-        images: &[Vec<f32>],
-        cache: &mut SessionCache,
-        kind: KernelKind,
-    ) -> Vec<Vec<i64>> {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        let mut out = Vec::with_capacity(images.len());
-        for block in images.chunks(LANE_BLOCK) {
-            out.extend(self.forward_lane_block(block, cache, kind));
-        }
-        out
-    }
-
-    /// [`FixedNet::infer_batch_raw_batch_major_kernel`] with the batch
-    /// row-sharded across one worker per element of `caches`. Unlike the
-    /// row-major [`FixedNet::infer_batch_raw_par_kernel`] (which deals
-    /// fine-grained chunks for load balance), each worker gets one
-    /// contiguous chunk: batch-major throughput comes from lane width,
-    /// so the split should hand every worker the widest blocks it can.
-    ///
-    /// # Panics
-    ///
-    /// As [`FixedNet::infer_batch_raw_par`].
-    pub fn infer_batch_raw_batch_major_par_kernel(
-        &self,
-        images: &[Vec<f32>],
-        caches: &mut [&mut SessionCache],
-        kind: KernelKind,
-    ) -> Vec<Vec<i64>> {
-        assert!(!caches.is_empty(), "need at least one worker cache");
-        for cache in caches.iter() {
-            assert!(
-                self.cache_matches(cache),
-                "session cache belongs to a network with a different word \
-                 length or alphabet assignment"
-            );
-        }
-        let workers = caches.len();
-        let chunk = images.len().div_ceil(workers).max(1);
-        run_chunked(caches, images.len(), chunk, |cache, range| {
-            let mut out = Vec::with_capacity(range.len());
-            for block in images[range].chunks(LANE_BLOCK) {
-                out.extend(self.forward_lane_block(block, cache, kind));
-            }
-            out
+    /// Panics if any image does not hold [`FixedNet::input_len`] values.
+    pub fn infer_batch_exact(&self, images: &[Vec<f32>], workers: usize) -> Vec<Vec<i64>> {
+        parallel_map(Parallelism::Threads(workers), images.len(), |i| {
+            self.infer_exact(&images[i], 1)
         })
-    }
-
-    /// One lane block's forward pass — the batch-major engine loop. All
-    /// lanes advance through each layer together: dense and conv layers
-    /// prefill every lane's banks, transpose them into the cache's
-    /// reusable scratch ([`crate::kernel`]'s `transpose_bank_block`),
-    /// and run the batch-major kernel per output neuron; pool layers
-    /// and the output stages loop the lanes through the scalar path.
-    /// Accumulators are laid out `accs[o * width + b]` (output-major)
-    /// so each kernel call writes one contiguous lane group.
-    fn forward_lane_block(
-        &self,
-        images: &[Vec<f32>],
-        cache: &mut SessionCache,
-        kind: KernelKind,
-    ) -> Vec<Vec<i64>> {
-        let width = images.len();
-        if width == 0 {
-            return Vec::new();
-        }
-        let plan = self.plan_params();
-        let bk = kernel::batch_kernel_for(kind);
-        let mut xs: Vec<Vec<SignedAct>> = images
-            .iter()
-            .map(|image| {
-                assert_eq!(
-                    image.len(),
-                    self.input_len(),
-                    "input has {} values but the network expects {}",
-                    image.len(),
-                    self.input_len()
-                );
-                self.quantize_input(image)
-                    .into_iter()
-                    .map(|mag| SignedAct { mag, neg: false })
-                    .collect()
-            })
-            .collect();
-        let mut logits: Vec<Vec<i64>> = vec![Vec::new(); width];
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mac = layer.mac();
-            let acc_frac = self.act_frac + mac.w_format.frac();
-            let stride = mac.asm.alphabet().len() + 1;
-            let accs: Vec<i64> = match layer {
-                FixedLayer::Dense {
-                    in_dim, out_dim, ..
-                } => {
-                    let (in_dim, out_dim) = (*in_dim, *out_dim);
-                    for lane in &xs {
-                        cache.prefill_layer(li, mac, lane);
-                    }
-                    let SessionCache {
-                        layers,
-                        bank_t,
-                        sign_t,
-                        ..
-                    } = &mut *cache;
-                    let arena = &layers[li];
-                    let lane_rows: Vec<Vec<u32>> = xs
-                        .iter()
-                        .map(|lane| {
-                            lane.iter()
-                                .map(|x| arena.row(x.mag).expect("prefilled above"))
-                                .collect()
-                        })
-                        .collect();
-                    let lane_negs: Vec<Vec<bool>> = xs
-                        .iter()
-                        .map(|lane| lane.iter().map(|x| x.neg).collect())
-                        .collect();
-                    let row_refs: Vec<&[u32]> = lane_rows.iter().map(Vec::as_slice).collect();
-                    let neg_refs: Vec<&[bool]> = lane_negs.iter().map(Vec::as_slice).collect();
-                    kernel::transpose_bank_block(
-                        arena.slab(),
-                        stride,
-                        &row_refs,
-                        &neg_refs,
-                        bank_t,
-                        sign_t,
-                    );
-                    // Dense fan-in is the identity gather; every output
-                    // shares it, with weights at the contiguous run
-                    // starting at `o * in_dim`.
-                    let fan: Vec<u32> = (0..in_dim as u32).collect();
-                    let mut accs = vec![0i64; out_dim * width];
-                    for o in 0..out_dim {
-                        let lane_accs = &mut accs[o * width..(o + 1) * width];
-                        lane_accs.fill(mac.bias[o]);
-                        bk.accumulate(kernel::MacBatchRun {
-                            soa: &mac.soa,
-                            bank_t,
-                            stride,
-                            width,
-                            w_neg: &mac.w_neg,
-                            w0: o * in_dim,
-                            fan: &fan,
-                            sign_t,
-                            accs: lane_accs,
-                        });
-                    }
-                    accs
-                }
-                FixedLayer::Conv {
-                    in_ch,
-                    out_ch,
-                    k,
-                    in_h,
-                    in_w,
-                    gather,
-                    ..
-                } => {
-                    let (in_h, in_w, in_ch, k, out_ch) = (*in_h, *in_w, *in_ch, *k, *out_ch);
-                    let (oh, ow) = (in_h - k + 1, in_w - k + 1);
-                    let fan = in_ch * k * k;
-                    for lane in &xs {
-                        cache.prefill_layer(li, mac, lane);
-                    }
-                    let SessionCache {
-                        layers,
-                        bank_t,
-                        sign_t,
-                        ..
-                    } = &mut *cache;
-                    let arena = &layers[li];
-                    // Transpose over the *raw* input activations; the
-                    // per-position gather (static layer geometry, built
-                    // at compile time) is applied through the kernel's
-                    // `fan` indirection instead of materializing a
-                    // gathered row list per lane.
-                    let lane_rows: Vec<Vec<u32>> = xs
-                        .iter()
-                        .map(|lane| {
-                            lane.iter()
-                                .map(|x| arena.row(x.mag).expect("prefilled above"))
-                                .collect()
-                        })
-                        .collect();
-                    let lane_negs: Vec<Vec<bool>> = xs
-                        .iter()
-                        .map(|lane| lane.iter().map(|x| x.neg).collect())
-                        .collect();
-                    let row_refs: Vec<&[u32]> = lane_rows.iter().map(Vec::as_slice).collect();
-                    let neg_refs: Vec<&[bool]> = lane_negs.iter().map(Vec::as_slice).collect();
-                    kernel::transpose_bank_block(
-                        arena.slab(),
-                        stride,
-                        &row_refs,
-                        &neg_refs,
-                        bank_t,
-                        sign_t,
-                    );
-                    let outputs = out_ch * oh * ow;
-                    let mut accs = vec![0i64; outputs * width];
-                    for o in 0..outputs {
-                        let pos = o % (oh * ow);
-                        let lane_accs = &mut accs[o * width..(o + 1) * width];
-                        lane_accs.fill(mac.bias[o / (oh * ow)]);
-                        bk.accumulate(kernel::MacBatchRun {
-                            soa: &mac.soa,
-                            bank_t,
-                            stride,
-                            width,
-                            w_neg: &mac.w_neg,
-                            w0: o / (oh * ow) * fan,
-                            fan: &gather[pos * fan..(pos + 1) * fan],
-                            sign_t,
-                            accs: lane_accs,
-                        });
-                    }
-                    accs
-                }
-                FixedLayer::Pool {
-                    channels,
-                    in_h,
-                    in_w,
-                    ..
-                } => {
-                    // Pool magnitudes are derived, not prefillable; each
-                    // lane keeps the sequential scalar reference path
-                    // (identical to the row-major pool arm).
-                    let (oh, ow) = (in_h / 2, in_w / 2);
-                    let (in_h, in_w, channels) = (*in_h, *in_w, *channels);
-                    let outputs = channels * oh * ow;
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
-                    let mut accs = vec![0i64; outputs * width];
-                    for (b, lane) in xs.iter().enumerate() {
-                        let lxs: &[SignedAct] = lane;
-                        let lane_accs = self.run_mac_layer(
-                            li,
-                            mac,
-                            |o| mac.bias[o / (oh * ow)],
-                            move |o| {
-                                let ch = o / (oh * ow);
-                                let oy = (o % (oh * ow)) / ow;
-                                let ox = o % ow;
-                                let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                                let signed =
-                                    |a: SignedAct| man_fixed::bits::apply_sign(a.mag as u64, a.neg);
-                                let sum = (signed(lxs[base])
-                                    + signed(lxs[base + 1])
-                                    + signed(lxs[base + in_w])
-                                    + signed(lxs[base + in_w + 1]))
-                                    >> 2;
-                                let avg = SignedAct {
-                                    mag: sum.unsigned_abs().min(max_mag as u64) as u32,
-                                    neg: sum < 0,
-                                };
-                                std::iter::once((ch, avg))
-                            },
-                            outputs,
-                            cache,
-                            &mut None,
-                            1,
-                            None,
-                        );
-                        for (o, a) in lane_accs.into_iter().enumerate() {
-                            accs[o * width + b] = a;
-                        }
-                    }
-                    accs
-                }
-            };
-            let outputs = accs.len() / width;
-            match mac.output {
-                OutputStage::Sigmoid => {
-                    for (b, lane) in xs.iter_mut().enumerate() {
-                        *lane = (0..outputs)
-                            .map(|o| SignedAct {
-                                mag: activation_unit_fixed(accs[o * width + b], 64, acc_frac, &plan)
-                                    as u32,
-                                neg: false,
-                            })
-                            .collect();
-                    }
-                }
-                OutputStage::Requant => {
-                    let shift = mac.w_format.frac();
-                    let max_mag = (1i64 << (self.bits - 1)) - 1;
-                    for (b, lane) in xs.iter_mut().enumerate() {
-                        *lane = (0..outputs)
-                            .map(|o| {
-                                let v = (accs[o * width + b] >> shift).clamp(-max_mag, max_mag);
-                                SignedAct {
-                                    mag: v.unsigned_abs() as u32,
-                                    neg: v < 0,
-                                }
-                            })
-                            .collect();
-                    }
-                }
-                OutputStage::Logits => {
-                    for (b, out) in logits.iter_mut().enumerate() {
-                        *out = (0..outputs).map(|o| accs[o * width + b]).collect();
-                    }
-                }
-            }
-        }
-        logits
     }
 
     /// Predicted class (exact argmax over the raw integer logits).
     pub fn predict(&self, image: &[f32]) -> usize {
-        argmax_raw(&self.infer_raw(image))
+        argmax_raw(&self.infer_exact(image, 1))
     }
 
-    /// Classification accuracy over a test set. Pre-computer banks are
-    /// shared across the whole set (results are bit-identical to
+    /// Classification accuracy over a test set (the same count as
     /// per-image [`FixedNet::predict`] calls).
     pub fn accuracy(&self, images: &[Vec<f32>], labels: &[usize]) -> f64 {
-        assert_eq!(images.len(), labels.len());
-        if images.is_empty() {
-            return 0.0;
-        }
-        let mut cache = self.session_cache();
-        let correct = images
-            .iter()
-            .zip(labels)
-            .filter(|(img, &l)| argmax_raw(&self.forward_layers(img, None, &mut cache)) == l)
-            .count();
-        correct as f64 / images.len() as f64
+        self.accuracy_par(images, labels, Parallelism::Sequential)
     }
 
     /// [`FixedNet::accuracy`] parallelized across `parallelism` workers.
     /// Exactly the same count as the sequential pass — inference is
     /// deterministic per row — just faster on multi-core hosts.
-    /// `Threads(n)` row-shards the set across `n` bank caches; under
+    /// `Threads(n)` row-shards the set across `n` workers; under
     /// [`Parallelism::Auto`] the `man-par` decision table (compile-time
     /// MACs per row × set size) resolves the whole plan, so tiny
     /// evaluation sets skip the pool handoff entirely and a *small* set
@@ -1766,60 +915,29 @@ impl FixedNet {
                 workers => ShardPlan::Rows { workers },
             },
         };
-        match plan {
-            ShardPlan::Sequential => self.accuracy(images, labels),
-            ShardPlan::Neurons { workers } => {
-                // Few large rows: walk them in order, sharding each
-                // row's big layers across the pool (bit-identical — see
-                // `run_mac_layer`).
-                let mut cache = self.session_cache();
-                let correct = images
-                    .iter()
-                    .zip(labels)
-                    .filter(|(img, &l)| {
-                        argmax_raw(&self.forward_layers_sharded(
-                            img,
-                            None,
-                            &mut cache,
-                            workers,
-                            kernel::default_kernel(),
-                        )) == l
-                    })
-                    .count();
-                correct as f64 / images.len() as f64
-            }
-            ShardPlan::Rows { workers } => {
-                let workers = workers.min(images.len()).max(1);
-                let mut caches: Vec<SessionCache> =
-                    (0..workers).map(|_| self.session_cache()).collect();
-                let hits = run_chunked(
-                    &mut caches,
-                    images.len(),
-                    default_chunk_size(images.len(), workers),
-                    |cache, range| {
-                        range
-                            .map(|i| {
-                                (argmax_raw(&self.forward_layers(&images[i], None, cache))
-                                    == labels[i]) as u64
-                            })
-                            .collect()
-                    },
-                );
-                hits.iter().sum::<u64>() as f64 / images.len() as f64
-            }
-        }
+        let scores = match plan {
+            ShardPlan::Sequential => self.infer_batch_exact(images, 1),
+            ShardPlan::Rows { workers } => self.infer_batch_exact(images, workers),
+            ShardPlan::Neurons { workers } => images
+                .iter()
+                .map(|x| self.infer_exact(x, workers))
+                .collect(),
+        };
+        let correct = scores
+            .iter()
+            .zip(labels)
+            .filter(|(s, &l)| argmax_raw(s) == l)
+            .count();
+        correct as f64 / images.len() as f64
     }
 
-    /// Runs inferences over `images` collecting per-layer operand traces
-    /// (up to `limit` MACs per layer) for the switching-activity power
-    /// model.
+    /// Runs ASM inferences over `images` collecting per-layer operand
+    /// traces (up to `limit` MACs per layer) for the switching-activity
+    /// power model.
     pub fn sample_traces(&self, images: &[Vec<f32>], limit: usize) -> Vec<LayerTrace> {
-        let mut traces: Vec<LayerTrace> = (0..self.layers.len())
-            .map(|_| LayerTrace::new(limit))
-            .collect();
-        let mut cache = self.session_cache();
+        let mut traces = self.empty_traces(limit);
         for image in images {
-            let _ = self.forward_layers(image, Some(&mut traces), &mut cache);
+            let _ = self.forward_traced(image, &mut traces);
             if traces.iter().all(LayerTrace::full) {
                 break;
             }
@@ -1827,30 +945,29 @@ impl FixedNet {
         traces
     }
 
-    /// Runs one traced inference: raw logits plus the full per-layer
-    /// operand streams (up to `limit` MACs per layer).
+    /// Runs one traced inference through the ASM reference datapath: raw
+    /// logits plus the full per-layer operand streams (up to `limit`
+    /// MACs per layer).
     ///
     /// # Panics
     ///
-    /// Panics if `cache` was created by a network with a different word
-    /// length or alphabet assignment (as
-    /// [`FixedNet::infer_raw_with_cache`]).
-    pub fn infer_raw_traced(
-        &self,
-        image: &[f32],
-        limit: usize,
-        cache: &mut SessionCache,
-    ) -> (Vec<i64>, Vec<LayerTrace>) {
-        assert!(
-            self.cache_matches(cache),
-            "session cache belongs to a network with a different word \
-             length or alphabet assignment"
-        );
-        let mut traces: Vec<LayerTrace> = (0..self.layers.len())
-            .map(|_| LayerTrace::new(limit))
-            .collect();
-        let logits = self.forward_layers(image, Some(&mut traces), cache);
+    /// Panics if `image` does not hold [`FixedNet::input_len`] values.
+    pub fn infer_raw_traced(&self, image: &[f32], limit: usize) -> (Vec<i64>, Vec<LayerTrace>) {
+        let mut traces = self.empty_traces(limit);
+        let logits = self.forward_traced(image, &mut traces);
         (logits, traces)
+    }
+
+    fn empty_traces(&self, limit: usize) -> Vec<LayerTrace> {
+        (0..self.layers.len())
+            .map(|_| LayerTrace::new(limit))
+            .collect()
+    }
+
+    fn forward_traced(&self, image: &[f32], traces: &mut [LayerTrace]) -> Vec<i64> {
+        self.forward(image, |li, layer, x| {
+            self.asm_layer(layer, x, Some(&mut traces[li]))
+        })
     }
 }
 
@@ -2022,118 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_cache_is_bit_identical_to_plain_cache() {
-        for (bits, set) in [
-            (8, AlphabetSet::a1()),
-            (8, AlphabetSet::a4()),
-            (12, AlphabetSet::a2()),
-        ] {
-            let mut net = tiny_net(40 + bits as u64 + set.len() as u64);
-            let spec = QuantSpec::fit(&net, bits);
-            let alphabets = LayerAlphabets::uniform(set, 2);
-            constrain_net(&mut net, &spec, &alphabets);
-            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            let mut plain = fixed.session_cache();
-            let mut warm = fixed.session_cache_warm();
-            assert!(warm.has_product_plane(), "bits={bits} should get a plane");
-            for i in 0..12 {
-                let x: Vec<f32> = (0..16)
-                    .map(|j| ((i * 13 + j * 5) % 17) as f32 / 17.0)
-                    .collect();
-                assert_eq!(
-                    fixed.infer_raw_with_cache(&x, &mut plain),
-                    fixed.infer_raw_with_cache(&x, &mut warm),
-                    "bits={bits}: warm cache must not change a single bit"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warm_cache_skips_plane_for_wide_words() {
-        let net = tiny_net(41);
-        let spec = QuantSpec::fit(&net, PRODUCT_PLANE_MAX_BITS + 1);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a8(), 2);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        assert!(!fixed.session_cache_warm().has_product_plane());
-    }
-
-    #[test]
-    fn neuron_sharded_inference_is_bit_identical() {
-        // A wide hidden layer so the shard threshold (outputs >= 4·workers)
-        // actually engages, plain and warm caches, several thread counts.
-        let mut rng = SmallRng::seed_from_u64(77);
-        let mut net = Network::new(vec![
-            Layer::Dense(Dense::new(16, 64, &mut rng)),
-            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-            Layer::Dense(Dense::new(64, 10, &mut rng)),
-        ]);
-        let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), 2);
-        constrain_net(&mut net, &spec, &alphabets);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        for warm in [false, true] {
-            let mk = || {
-                if warm {
-                    fixed.session_cache_warm()
-                } else {
-                    fixed.session_cache()
-                }
-            };
-            let mut seq_cache = mk();
-            for i in 0..6 {
-                let x: Vec<f32> = (0..16)
-                    .map(|j| ((i * 11 + j * 3) % 13) as f32 / 13.0)
-                    .collect();
-                let seq = fixed.infer_raw_with_cache(&x, &mut seq_cache);
-                for threads in [1usize, 2, 3, 8] {
-                    let mut cache = mk();
-                    assert_eq!(
-                        fixed.infer_raw_with_cache_par(
-                            &x,
-                            &mut cache,
-                            Parallelism::Threads(threads)
-                        ),
-                        seq,
-                        "warm={warm} threads={threads}: sharding must not change a bit"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_sharded_batch_is_bit_identical() {
-        let mut net = tiny_net(78);
-        let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a1(), 2);
-        constrain_net(&mut net, &spec, &alphabets);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        let images: Vec<Vec<f32>> = (0..17)
-            .map(|i| (0..16).map(|j| ((i * 5 + j) % 11) as f32 / 11.0).collect())
-            .collect();
-        let mut seq_cache = fixed.session_cache();
-        let seq: Vec<Vec<i64>> = images
-            .iter()
-            .map(|x| fixed.infer_raw_with_cache(x, &mut seq_cache))
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let mut caches: Vec<SessionCache> =
-                (0..workers).map(|_| fixed.session_cache()).collect();
-            let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
-            assert_eq!(
-                fixed.infer_batch_raw_par(&images, &mut refs),
-                seq,
-                "{workers} worker caches"
-            );
-        }
-        // Degenerate batches.
-        let mut caches = vec![fixed.session_cache(); 4];
-        let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
-        assert!(fixed.infer_batch_raw_par(&[], &mut refs).is_empty());
-    }
-
-    #[test]
     fn parallel_accuracy_matches_sequential() {
         let mut net = tiny_net(79);
         let spec = QuantSpec::fit(&net, 8);
@@ -2158,246 +1163,164 @@ mod tests {
         }
     }
 
-    /// Every resolved kernel (scalar reference, portable SWAR, AVX2
-    /// when the host has it) produces bit-identical logits on dense
-    /// *and* convolutional networks, plain and warm caches, sequential
-    /// and neuron-sharded — the engine-level half of the §10
-    /// bit-exactness contract (the kernel-level half is exhaustive in
-    /// `crate::kernel`'s tests).
     #[test]
-    fn all_kernels_are_bit_identical_on_dense_and_conv() {
-        use man_nn::layers::{Conv2d, ScaledAvgPool};
-        let mut kinds = vec![KernelKind::Scalar, KernelKind::Swar];
-        if crate::kernel::avx2_available() {
-            kinds.push(KernelKind::Avx2);
-        }
-        let mut rng = SmallRng::seed_from_u64(91);
-        let nets: Vec<(Network, usize, u32)> = vec![
-            // A wide MLP (dense SoA path, shard threshold engages).
-            (
-                Network::new(vec![
-                    Layer::Dense(Dense::new(18, 48, &mut rng)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(48, 5, &mut rng)),
-                ]),
-                18,
-                8,
-            ),
-            // A conv → pool → dense LeNet-style stack (conv SoA path,
-            // requant stage, signed activations into the pool layer).
-            (
-                Network::new(vec![
-                    Layer::Conv2d(Conv2d::new(1, 4, 3, 10, 10, &mut rng)),
-                    Layer::ScaledAvgPool(ScaledAvgPool::new(4, 8, 8)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(4 * 4 * 4, 3, &mut rng)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(3, 2, &mut rng)),
-                ]),
-                100,
-                12,
-            ),
-        ];
-        for (mut net, in_len, bits) in nets {
-            let spec = QuantSpec::fit(&net, bits);
-            let layers = spec.layer_formats().len();
-            let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
-            constrain_net(&mut net, &spec, &alphabets);
-            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            let images: Vec<Vec<f32>> = (0..5)
-                .map(|i| {
-                    (0..in_len)
-                        .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
-                        .collect()
-                })
-                .collect();
-            let mut ref_cache = fixed.session_cache();
-            let reference: Vec<Vec<i64>> = images
-                .iter()
-                .map(|x| fixed.infer_raw_with_cache_kernel(x, &mut ref_cache, KernelKind::Scalar))
-                .collect();
-            for &kind in &kinds {
-                for warm in [false, true] {
-                    let mut cache = if warm {
-                        fixed.session_cache_warm()
-                    } else {
-                        fixed.session_cache()
-                    };
-                    for (x, want) in images.iter().zip(&reference) {
-                        assert_eq!(
-                            &fixed.infer_raw_with_cache_kernel(x, &mut cache, kind),
-                            want,
-                            "bits={bits} kernel={} warm={warm}",
-                            kind.label()
-                        );
-                        assert_eq!(
-                            &fixed.infer_raw_with_cache_par_kernel(
-                                x,
-                                &mut cache,
-                                Parallelism::Threads(3),
-                                kind
-                            ),
-                            want,
-                            "bits={bits} kernel={} warm={warm} sharded",
-                            kind.label()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The batch-major engine path (every kernel kind, plain and warm
-    /// caches, sequential and row-sharded) is bit-identical to the
-    /// row-major scalar reference on dense *and* conv stacks, across
-    /// batch sizes straddling the [`LANE_BLOCK`] boundary — the
-    /// engine-level half of the §10 layout contract (the kernel-level
-    /// half is exhaustive in `crate::kernel`'s tests).
-    #[test]
-    fn batch_major_is_bit_identical_on_dense_and_conv() {
-        use man_nn::layers::{Conv2d, ScaledAvgPool};
-        let mut kinds = vec![KernelKind::Scalar, KernelKind::Swar];
-        if crate::kernel::avx2_available() {
-            kinds.push(KernelKind::Avx2);
-        }
-        let mut rng = SmallRng::seed_from_u64(92);
-        let nets: Vec<(Network, usize, u32)> = vec![
-            (
-                Network::new(vec![
-                    Layer::Dense(Dense::new(18, 48, &mut rng)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(48, 5, &mut rng)),
-                ]),
-                18,
-                8,
-            ),
-            (
-                Network::new(vec![
-                    Layer::Conv2d(Conv2d::new(1, 4, 3, 10, 10, &mut rng)),
-                    Layer::ScaledAvgPool(ScaledAvgPool::new(4, 8, 8)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(4 * 4 * 4, 3, &mut rng)),
-                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-                    Layer::Dense(Dense::new(3, 2, &mut rng)),
-                ]),
-                100,
-                12,
-            ),
-        ];
-        for (mut net, in_len, bits) in nets {
-            let spec = QuantSpec::fit(&net, bits);
-            let layers = spec.layer_formats().len();
-            let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
-            constrain_net(&mut net, &spec, &alphabets);
-            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            // Batches straddling the lane-block boundary: empty, one
-            // lane, a partial block, exactly one block, block + tail.
-            for batch in [0usize, 1, 5, LANE_BLOCK, LANE_BLOCK + 5] {
-                let images: Vec<Vec<f32>> = (0..batch)
-                    .map(|i| {
-                        (0..in_len)
-                            .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
-                            .collect()
-                    })
-                    .collect();
-                let mut ref_cache = fixed.session_cache();
-                let reference: Vec<Vec<i64>> = images
-                    .iter()
-                    .map(|x| {
-                        fixed.infer_raw_with_cache_kernel(x, &mut ref_cache, KernelKind::Scalar)
-                    })
-                    .collect();
-                for &kind in &kinds {
-                    for warm in [false, true] {
-                        let mk = || {
-                            if warm {
-                                fixed.session_cache_warm()
-                            } else {
-                                fixed.session_cache()
-                            }
-                        };
-                        let mut cache = mk();
-                        assert_eq!(
-                            fixed.infer_batch_raw_batch_major_kernel(&images, &mut cache, kind),
-                            reference,
-                            "bits={bits} kernel={} warm={warm} batch={batch}",
-                            kind.label()
-                        );
-                        for workers in [1usize, 3] {
-                            let mut caches: Vec<SessionCache> =
-                                (0..workers).map(|_| mk()).collect();
-                            let mut refs: Vec<&mut SessionCache> = caches.iter_mut().collect();
-                            assert_eq!(
-                                fixed.infer_batch_raw_batch_major_par_kernel(
-                                    &images, &mut refs, kind
-                                ),
-                                reference,
-                                "bits={bits} kernel={} warm={warm} batch={batch} workers={workers}",
-                                kind.label()
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cache_footprint_counts_transpose_scratch() {
-        let mut net = tiny_net(93);
+    fn neuron_sharded_inference_matches_the_oracle() {
+        // A wide hidden layer so the shard threshold (outputs >= 4·workers)
+        // actually engages, several thread counts.
+        let mut rng = SmallRng::seed_from_u64(77);
+        let mut net = Network::new(vec![
+            Layer::Dense(Dense::new(16, 64, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+            Layer::Dense(Dense::new(64, 10, &mut rng)),
+        ]);
         let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a4(), 2);
+        let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), 2);
         constrain_net(&mut net, &spec, &alphabets);
         let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        let mut cache = fixed.session_cache();
-        assert_eq!(cache.footprint().transpose_bytes, 0, "empty until used");
-        let images: Vec<Vec<f32>> = (0..4)
+        for i in 0..6 {
+            let x: Vec<f32> = (0..16)
+                .map(|j| ((i * 11 + j * 3) % 13) as f32 / 13.0)
+                .collect();
+            let oracle = fixed.infer_raw(&x);
+            for threads in [1usize, 2, 3, 8] {
+                assert_eq!(
+                    fixed.infer_exact(&x, threads),
+                    oracle,
+                    "threads={threads}: sharding must not change a bit"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_sharded_batch_matches_the_oracle() {
+        let mut net = tiny_net(78);
+        let spec = QuantSpec::fit(&net, 8);
+        let alphabets = LayerAlphabets::uniform(AlphabetSet::a1(), 2);
+        constrain_net(&mut net, &spec, &alphabets);
+        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
+        let images: Vec<Vec<f32>> = (0..17)
             .map(|i| (0..16).map(|j| ((i * 5 + j) % 11) as f32 / 11.0).collect())
             .collect();
-        let _ = fixed.infer_batch_raw_batch_major_kernel(&images, &mut cache, KernelKind::Swar);
-        let used = cache.footprint();
-        assert!(
-            used.transpose_bytes > 0,
-            "batch-major run leaves scratch capacity: {used:?}"
-        );
-        assert_eq!(
-            used.total_bytes(),
-            used.layer_bank_bytes.iter().sum::<usize>() + used.plane_bytes + used.transpose_bytes
-        );
-        cache.shrink_to_fit();
-        assert_eq!(
-            cache.footprint().transpose_bytes,
-            0,
-            "shrink_to_fit frees the batch-major scratch"
-        );
-        // The freed cache still serves batch-major inference (the next
-        // dispatch rebuilds the scratch at the live layer's size).
-        let again = fixed.infer_batch_raw_batch_major_kernel(&images, &mut cache, KernelKind::Swar);
-        assert_eq!(again.len(), images.len());
+        let oracle: Vec<Vec<i64>> = images.iter().map(|x| fixed.infer_raw(x)).collect();
+        for workers in [1usize, 2, 4] {
+            assert_eq!(
+                fixed.infer_batch_exact(&images, workers),
+                oracle,
+                "{workers} workers"
+            );
+        }
+        assert!(fixed.infer_batch_exact(&[], 4).is_empty());
     }
 
+    /// The exact-integer path agrees with the ASM oracle on dense *and*
+    /// conv → requant → pool stacks (signed activations into the pool
+    /// layer), sequential and neuron-sharded.
     #[test]
-    fn cache_footprint_reports_banks_and_plane() {
-        let mut net = tiny_net(90);
-        let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a4(), 2);
-        constrain_net(&mut net, &spec, &alphabets);
+    fn exact_path_matches_the_oracle_on_dense_and_conv() {
+        use man_nn::layers::{Conv2d, ScaledAvgPool};
+        let mut rng = SmallRng::seed_from_u64(91);
+        let nets: Vec<(Network, usize, u32)> = vec![
+            (
+                Network::new(vec![
+                    Layer::Dense(Dense::new(18, 48, &mut rng)),
+                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+                    Layer::Dense(Dense::new(48, 5, &mut rng)),
+                ]),
+                18,
+                8,
+            ),
+            (
+                Network::new(vec![
+                    Layer::Conv2d(Conv2d::new(1, 4, 3, 10, 10, &mut rng)),
+                    Layer::ScaledAvgPool(ScaledAvgPool::new(4, 8, 8)),
+                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+                    Layer::Dense(Dense::new(4 * 4 * 4, 3, &mut rng)),
+                    Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+                    Layer::Dense(Dense::new(3, 2, &mut rng)),
+                ]),
+                100,
+                12,
+            ),
+        ];
+        for (mut net, in_len, bits) in nets {
+            let spec = QuantSpec::fit(&net, bits);
+            let layers = spec.layer_formats().len();
+            let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
+            constrain_net(&mut net, &spec, &alphabets);
+            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
+            for i in 0..5 {
+                let x: Vec<f32> = (0..in_len)
+                    .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
+                    .collect();
+                let oracle = fixed.infer_raw(&x);
+                for workers in [1usize, 3] {
+                    assert_eq!(
+                        fixed.infer_exact(&x, workers),
+                        oracle,
+                        "bits={bits} workers={workers}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A one-layer logits network with every weight and bias set by
+    /// hand under an explicit weight format.
+    fn hand_set_net(bits: u32, w_frac: u32, weights: &[f32]) -> (FixedNet, QuantSpec) {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut net = Network::new(vec![Layer::Dense(Dense::new(weights.len(), 1, &mut rng))]);
+        net.visit_params_mut(|_, kind, values, _| match kind {
+            man_nn::layers::ParamKind::Weights => values.copy_from_slice(weights),
+            man_nn::layers::ParamKind::Bias => values.fill(0.0),
+        });
+        let spec = QuantSpec {
+            bits,
+            layer_formats: vec![QFormat::new(bits, w_frac)],
+        };
+        let alphabets = LayerAlphabets::uniform(AlphabetSet::a8(), 1);
         let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        let mut cache = fixed.session_cache_warm();
-        let empty = cache.footprint();
-        assert_eq!(empty.layer_bank_bytes.len(), 2);
-        assert_eq!(empty.plane_bytes, 128 * 128 * 4, "8-bit plane is 64 KiB");
-        let x: Vec<f32> = (0..16).map(|j| (j % 7) as f32 / 7.0).collect();
-        let _ = fixed.infer_raw_with_cache(&x, &mut cache);
-        let filled = cache.footprint();
-        assert!(
-            filled.layer_bank_bytes[0] > empty.layer_bank_bytes[0],
-            "inference fills bank rows: {filled:?}"
-        );
-        assert!(filled.total_bytes() > filled.plane_bytes);
-        cache.shrink_to_fit();
-        assert!(cache.footprint().total_bytes() <= filled.total_bytes());
-        assert!(fixed.kernel_plan_bytes() > 0);
+        (fixed, spec)
+    }
+
+    /// A weight quantized to the format minimum `-2^(bits-1)` folds to
+    /// the saturated magnitude `sign_magnitude` gives the ASM, so both
+    /// datapaths multiply by `-(2^(bits-1) - 1)`.
+    #[test]
+    fn format_minimum_weight_folds_like_the_asm() {
+        for bits in [4u32, 8, 12, 16] {
+            let (fixed, _) = hand_set_net(bits, bits - 1, &[-1.0, 0.5]);
+            let max_mag = (1i64 << (bits - 1)) - 1;
+            let w = &fixed.layers[0].mac().weights;
+            assert_eq!(i64::from(w[0]), -max_mag, "bits={bits}");
+            let x = [0.75f32, 1.0];
+            let xq: Vec<i64> = fixed
+                .quantize_input(&x)
+                .into_iter()
+                .map(i64::from)
+                .collect();
+            let want = -max_mag * xq[0] + (1i64 << (bits - 2)) * xq[1];
+            assert_eq!(fixed.infer_raw(&x), vec![want], "bits={bits} oracle");
+            assert_eq!(fixed.infer_exact(&x, 1), vec![want], "bits={bits} exact");
+        }
+    }
+
+    /// A 16-bit layer of maximum-magnitude weights fed maximum inputs: its
+    /// `i32` runs hold two products, so a fan-in of 9 crosses four run
+    /// boundaries, and a single `i32` sum would overflow 4× over.
+    #[test]
+    fn sixteen_bit_fan_in_crosses_the_chunk_bound_exactly() {
+        let bits = 16;
+        let w_max = 32_767.0 / 32_768.0;
+        let (fixed, _) = hand_set_net(bits, bits - 1, &[w_max; 9]);
+        let mac = fixed.layers[0].mac();
+        assert_eq!(mac.chunk, 2);
+        assert!(mac.chunk < mac.weights.len());
+        let x = vec![1.0f32; 9];
+        let want = 9 * 32_767i64 * 32_767;
+        assert!(want > i64::from(i32::MAX));
+        assert_eq!(fixed.infer_raw(&x), vec![want]);
+        assert_eq!(fixed.infer_exact(&x, 1), vec![want]);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! * [`constrain`] — Algorithm 1 (exact and greedy projections);
 //! * [`train`] — Algorithm 2 (constrained retraining methodology);
 //! * [`fixed`] — the fixed-point inference engine (compiled networks,
-//!   PLAN sigmoid, operand tracing);
+//!   the exact-integer MAC path, the ASM reference path, PLAN sigmoid,
+//!   operand tracing);
 //! * [`engine`] — the 4-lane CSHM processing-engine cost model (cycles,
 //!   switching-activity energy, area at iso-speed);
 //! * [`zoo`] — the five Table-IV benchmark applications.
@@ -38,12 +39,7 @@
 //! assert_eq!(man.multiply(66, &bank).unwrap(), 66 * 77);
 //! ```
 
-// `deny` rather than `forbid`: the MAC kernel layer's AVX2
-// specialization (`kernel` module) holds the crate's only `unsafe` —
-// `std::arch` intrinsic calls behind a runtime
-// `is_x86_feature_detected!` gate — under a scoped, documented allow,
-// the same discipline as `man-par`'s single lifetime-erasing transmute.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alphabet;
@@ -51,7 +47,6 @@ pub mod asm;
 pub mod constrain;
 pub mod engine;
 pub mod fixed;
-pub mod kernel;
 pub mod quartet;
 pub mod train;
 pub mod zoo;
@@ -63,5 +58,5 @@ pub use man_par as par;
 
 pub use alphabet::AlphabetSet;
 pub use asm::AsmMultiplier;
-pub use fixed::{FixedNet, LayerAlphabets, QuantSpec, SessionCache};
+pub use fixed::{FixedNet, LayerAlphabets, QuantSpec};
 pub use man_par::Parallelism;

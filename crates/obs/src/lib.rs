@@ -167,7 +167,7 @@ pub enum Stage {
     /// replies); the event label carries the resolved shard plan.
     Dispatch = 4,
     /// Kernel execution of one batch inside the session; the event
-    /// label carries the resolved MAC kernel.
+    /// label carries the resolved shard plan.
     Kernel = 5,
     /// Response render + socket write.
     Encode = 6,
@@ -240,7 +240,7 @@ pub struct SpanEvent {
     pub start_ns: u64,
     /// Duration in nanoseconds (0 for incident markers).
     pub dur_ns: u64,
-    /// Static annotation (plan / kernel label); `""` when unused.
+    /// Static annotation (e.g. the shard-plan label); `""` when unused.
     pub label: &'static str,
     /// Numeric annotation (worker count, batch size, ...); 0 unused.
     pub arg: u64,

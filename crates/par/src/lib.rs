@@ -9,8 +9,8 @@
 //!
 //! * work is split into contiguous index chunks and results are
 //!   reassembled in item order — output never depends on scheduling;
-//! * each worker owns a private mutable context (a session cache, an
-//!   accumulator, …); nothing is shared mutably between workers;
+//! * each worker owns a private mutable context (an accumulator, …);
+//!   nothing is shared mutably between workers;
 //! * a panic inside one chunk never deadlocks or leaks threads: the
 //!   remaining workers finish their current chunk, stop pulling new
 //!   ones, and the panic resumes on the caller once every worker slot
@@ -96,142 +96,6 @@ pub fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Which MAC kernel a caller asks the fixed-point engine to run — the
-/// second tuner axis next to [`Parallelism`]. Every kernel is
-/// bit-identical by construction (the vectorized kernels evaluate the
-/// same select/shift/add datapath over a structure-of-arrays repack of
-/// the per-weight plans, and accumulate in exactly the sequential
-/// fan-in order); the request only moves wall-clock time around.
-///
-/// This crate owns the *request* vocabulary so the tuner
-/// ([`AutoTuning::kernel`]) and the serve scheduler can carry it; the
-/// engine (`man-core`'s `kernel` module) owns detection and dispatch
-/// and reports what actually ran (`scalar`/`swar`/`avx2`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Kernel {
-    /// The per-weight reference loop — the bit-exact baseline every
-    /// other kernel is proven against.
-    Scalar,
-    /// The portable structure-of-arrays SWAR kernel, with any
-    /// `std::arch` specialization explicitly disabled — the fallback
-    /// path CI pins on AVX2-less (or forced-AVX2-off) runs.
-    Swar,
-    /// The best vectorized kernel the host supports: the AVX2
-    /// specialization when `is_x86_feature_detected!("avx2")` says so,
-    /// the portable SWAR kernel otherwise.
-    Vector,
-    /// Let the engine decide (the default): the `MAN_KERNEL`
-    /// environment variable when set (`scalar`/`swar`/`vector`), else
-    /// [`Kernel::Vector`].
-    #[default]
-    Auto,
-}
-
-impl Kernel {
-    /// A short label (`"scalar"`, `"swar"`, `"vector"`, `"auto"`) for
-    /// logs and bench reports. This names the *request*; the resolved
-    /// kernel label (`scalar`/`swar`/`avx2`) comes from the engine.
-    pub fn label(self) -> &'static str {
-        match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Swar => "swar",
-            Kernel::Vector => "vector",
-            Kernel::Auto => "auto",
-        }
-    }
-
-    /// Parses a request label (as accepted in `MAN_KERNEL`).
-    pub fn parse(s: &str) -> Option<Kernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Kernel::Scalar),
-            "swar" => Some(Kernel::Swar),
-            "vector" => Some(Kernel::Vector),
-            "auto" => Some(Kernel::Auto),
-            _ => None,
-        }
-    }
-
-    /// The `MAN_KERNEL` environment override, if set and well-formed.
-    /// CI's `kernel-equivalence` job uses this to pin the whole test
-    /// suite onto one kernel per run.
-    pub fn from_env() -> Option<Kernel> {
-        std::env::var("MAN_KERNEL").ok().and_then(|v| {
-            let parsed = Kernel::parse(&v);
-            if parsed.is_none() {
-                eprintln!("warning: MAN_KERNEL={v} is not scalar/swar/vector/auto; ignored");
-            }
-            parsed
-        })
-    }
-}
-
-/// Which MAC *layout* a caller asks the fixed-point engine to run — the
-/// third tuner axis next to [`Parallelism`] and [`Kernel`]. Row-major
-/// (the PR 5 family) vectorizes across one neuron's fan-in; batch-major
-/// flips the axis and evaluates one weight term against several batch
-/// rows at once (the term byte loaded once, reused across lanes, over a
-/// batch-transposed view of the bank rows). Both layouts accumulate
-/// each row strictly sequentially in fan-in order, so every
-/// `(plan, kernel, layout)` triple is bit-identical; the request only
-/// moves wall-clock time around.
-///
-/// This crate owns the *request* vocabulary so the tuner
-/// ([`AutoTuning::layout`]) and the serve scheduler can carry it; the
-/// engine (`man-core`'s `kernel` module) owns resolution and reports
-/// what actually ran (`row`/`batch`).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Layout {
-    /// Vectorize across one neuron's fan-in (the PR 5 kernels) — the
-    /// layout every batch size supports.
-    RowMajor,
-    /// Vectorize across batch rows: one weight term against 4–8 rows
-    /// per step. Degrades to row-major when the batch has fewer than
-    /// two rows (there is no batch axis to vectorize).
-    BatchMajor,
-    /// Let the engine decide (the default): the `MAN_LAYOUT`
-    /// environment variable when set (`row`/`batch`), else the tuner
-    /// heuristic [`plan_layout`] driven by batch size and MACs/row.
-    #[default]
-    Auto,
-}
-
-impl Layout {
-    /// A short label (`"row"`, `"batch"`, `"auto"`) for logs and bench
-    /// reports. This names the *request*; the resolved layout label
-    /// (`row`/`batch`) comes from the engine.
-    pub fn label(self) -> &'static str {
-        match self {
-            Layout::RowMajor => "row",
-            Layout::BatchMajor => "batch",
-            Layout::Auto => "auto",
-        }
-    }
-
-    /// Parses a request label (as accepted in `MAN_LAYOUT`).
-    pub fn parse(s: &str) -> Option<Layout> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "row" => Some(Layout::RowMajor),
-            "batch" => Some(Layout::BatchMajor),
-            "auto" => Some(Layout::Auto),
-            _ => None,
-        }
-    }
-
-    /// The `MAN_LAYOUT` environment override, if set and well-formed.
-    /// CI's `kernel-equivalence` job uses this to pin the whole test
-    /// suite onto one layout per run; an explicit session request
-    /// always beats the environment (only [`Layout::Auto`] consults it).
-    pub fn from_env() -> Option<Layout> {
-        std::env::var("MAN_LAYOUT").ok().and_then(|v| {
-            let parsed = Layout::parse(&v);
-            if parsed.is_none() {
-                eprintln!("warning: MAN_LAYOUT={v} is not row/batch/auto; ignored");
-            }
-            parsed
-        })
-    }
-}
-
 /// Splits one worker budget across two nested parallel stages: the
 /// outer stage fans `outer_items` tasks across the budget, and each
 /// task gets `budget / outer_items` workers for its own inner
@@ -274,23 +138,6 @@ pub struct AutoTuning {
     pub row_shard_min_batch: usize,
     /// Hard cap on resolved workers (`None` = the host core count).
     pub max_workers: Option<usize>,
-    /// The MAC kernel axis: which datapath kernel the engine should run
-    /// under this tuning (see [`Kernel`]). Orthogonal to the sharding
-    /// decision — every `(plan, kernel)` pair is bit-identical.
-    pub kernel: Kernel,
-    /// The MAC layout axis: which traversal order the engine should run
-    /// under this tuning (see [`Layout`]). Orthogonal to both other
-    /// axes — every `(plan, kernel, layout)` triple is bit-identical.
-    pub layout: Layout,
-    /// The smallest batch worth flipping to the batch-major layout
-    /// under [`Layout::Auto`] — below it the transpose setup outweighs
-    /// the per-term reuse across lanes.
-    pub batch_major_min_batch: usize,
-    /// Batch-major only pays off when each row re-reads enough term
-    /// bytes for the across-lane reuse to matter; under [`Layout::Auto`]
-    /// a model cheaper than this many MACs per inference stays
-    /// row-major.
-    pub batch_major_min_macs_per_row: u64,
 }
 
 impl Default for AutoTuning {
@@ -300,10 +147,6 @@ impl Default for AutoTuning {
             neuron_shard_min_macs: 16_384,
             row_shard_min_batch: 2,
             max_workers: None,
-            kernel: Kernel::Auto,
-            layout: Layout::Auto,
-            batch_major_min_batch: 8,
-            batch_major_min_macs_per_row: 4_096,
         }
     }
 }
@@ -368,21 +211,6 @@ impl ShardPlan {
         }
     }
 
-    /// The full plan × kernel label (`"rows(4)+swar"`) — what a batch
-    /// actually resolved to on both tuner axes. `kernel` is the
-    /// *resolved* kernel label the engine reports.
-    pub fn label_with_kernel(self, kernel: &str) -> String {
-        format!("{}+{kernel}", self.label())
-    }
-
-    /// The full plan × kernel × layout label (`"rows(4)+swar+batch"`) —
-    /// what a batch actually resolved to on all three tuner axes. Both
-    /// `kernel` and `layout` are the *resolved* labels the engine
-    /// reports (`scalar`/`swar`/`avx2` and `row`/`batch`).
-    pub fn label_with_kernel_layout(self, kernel: &str, layout: &str) -> String {
-        format!("{}+{kernel}+{layout}", self.label())
-    }
-
     /// The allocation-free variant label (`"sequential"` / `"rows"` /
     /// `"neurons"`) — what tracing spans carry (worker count travels as
     /// the span's numeric argument), and what the telemetry exporter
@@ -440,31 +268,6 @@ pub fn plan_shards(ctx: &AutoContext, tuning: &AutoTuning) -> ShardPlan {
         };
     }
     ShardPlan::Sequential
-}
-
-/// The [`Layout::Auto`] half of the decision table: whether a batch is
-/// worth flipping to the batch-major layout. Deterministic in its
-/// inputs and overridable through [`AutoTuning`]:
-///
-/// | # | condition                                         | layout |
-/// |---|---------------------------------------------------|--------|
-/// | 1 | `batch < batch_major_min_batch`                   | `RowMajor` |
-/// | 2 | `macs_per_row < batch_major_min_macs_per_row`     | `RowMajor` |
-/// | 3 | otherwise                                         | `BatchMajor` |
-///
-/// Row 1 keeps small batches on the row-major family (too few lanes to
-/// amortize the bank transpose); row 2 keeps cheap models there (not
-/// enough term-byte reuse per row for the flipped axis to matter).
-/// Never returns [`Layout::Auto`]. The engine applies this *after* the
-/// `MAN_LAYOUT` environment override and an explicit session request,
-/// both of which beat the heuristic.
-pub fn plan_layout(batch: usize, macs_per_row: u64, tuning: &AutoTuning) -> Layout {
-    if batch >= tuning.batch_major_min_batch && macs_per_row >= tuning.batch_major_min_macs_per_row
-    {
-        Layout::BatchMajor
-    } else {
-        Layout::RowMajor
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1402,69 +1205,5 @@ mod tests {
         assert_eq!(ShardPlan::Rows { workers: 2 }.workers(), 2);
         assert_eq!(ShardPlan::Neurons { workers: 8 }.label(), "neurons(8)");
         assert_eq!(ShardPlan::Sequential.workers(), 1);
-    }
-
-    #[test]
-    fn tuner_layout_axis_flips_on_batch_and_row_cost() {
-        let t = AutoTuning::default();
-        // Row 1: batch below the lane floor stays row-major, however
-        // expensive the rows are.
-        assert_eq!(plan_layout(1, 1_000_000, &t), Layout::RowMajor);
-        assert_eq!(plan_layout(7, 1_000_000, &t), Layout::RowMajor);
-        // Row 2: cheap rows stay row-major, however wide the batch is.
-        assert_eq!(plan_layout(64, 1_000, &t), Layout::RowMajor);
-        // Row 3: wide batch x expensive rows flips the axis.
-        assert_eq!(plan_layout(8, 4_096, &t), Layout::BatchMajor);
-        assert_eq!(plan_layout(64, 100_000, &t), Layout::BatchMajor);
-        // Thresholds are overridable like every other table entry.
-        let eager = AutoTuning {
-            batch_major_min_batch: 2,
-            batch_major_min_macs_per_row: 0,
-            ..AutoTuning::default()
-        };
-        assert_eq!(plan_layout(2, 1, &eager), Layout::BatchMajor);
-        let never = AutoTuning {
-            batch_major_min_batch: usize::MAX,
-            ..AutoTuning::default()
-        };
-        assert_eq!(plan_layout(1 << 20, u64::MAX, &never), Layout::RowMajor);
-    }
-
-    #[test]
-    fn layout_labels_and_parsing_roundtrip() {
-        for l in [Layout::RowMajor, Layout::BatchMajor, Layout::Auto] {
-            assert_eq!(Layout::parse(l.label()), Some(l));
-        }
-        assert_eq!(Layout::parse(" BATCH "), Some(Layout::BatchMajor));
-        assert_eq!(Layout::parse("column"), None);
-        assert_eq!(Layout::default(), Layout::Auto);
-        assert_eq!(AutoTuning::default().layout, Layout::Auto);
-        assert_eq!(
-            ShardPlan::Rows { workers: 4 }.label_with_kernel_layout("swar", "batch"),
-            "rows(4)+swar+batch"
-        );
-        assert_eq!(
-            ShardPlan::Sequential.label_with_kernel_layout("avx2", "row"),
-            "sequential+avx2+row"
-        );
-    }
-
-    #[test]
-    fn kernel_labels_and_parsing_roundtrip() {
-        for k in [Kernel::Scalar, Kernel::Swar, Kernel::Vector, Kernel::Auto] {
-            assert_eq!(Kernel::parse(k.label()), Some(k));
-        }
-        assert_eq!(Kernel::parse(" VECTOR "), Some(Kernel::Vector));
-        assert_eq!(Kernel::parse("mmx"), None);
-        assert_eq!(Kernel::default(), Kernel::Auto);
-        assert_eq!(AutoTuning::default().kernel, Kernel::Auto);
-        assert_eq!(
-            ShardPlan::Rows { workers: 4 }.label_with_kernel("swar"),
-            "rows(4)+swar"
-        );
-        assert_eq!(
-            ShardPlan::Sequential.label_with_kernel("avx2"),
-            "sequential+avx2"
-        );
     }
 }

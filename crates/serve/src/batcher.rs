@@ -4,18 +4,16 @@
 //! Callers submit single requests; workers coalesce whatever is queued —
 //! up to [`BatchConfig::max_batch`] requests, waiting at most
 //! [`BatchConfig::max_wait`] after the first — into one
-//! `infer_batch_shared` call, so concurrent callers share pre-computer
-//! banks (and, in [`SessionMode::Warm`], memoized products) exactly the
-//! way a batch does. Replies travel back over per-request oneshot
-//! channels. When the queue is full, submission fails *immediately* with
-//! [`man_repro::ServeError::Overloaded`] — explicit backpressure beats
-//! unbounded latency.
+//! `infer_batch_shared` call. Replies travel back over per-request
+//! oneshot channels. When the queue is full, submission fails
+//! *immediately* with [`man_repro::ServeError::Overloaded`] — explicit
+//! backpressure beats unbounded latency.
 //!
 //! The whole lifecycle is traced through `man-obs` (DESIGN.md §12):
 //! submit records an `accept` span and tags the job with a request id,
 //! the drain loop records `queue_wait` (per request) and `coalesce`
 //! (per batch), dispatch records `dispatch` (with the resolved plan
-//! label) and `kernel` (with the resolved kernel label) — and the
+//! label) and `kernel` (with the same label) — and the
 //! incident paths (`Overloaded`, request timeout, contained panic)
 //! anchor a flight-recorder dump to the failing request.
 
@@ -26,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use man_obs::{flight, Span, Stage};
-use man_par::{AutoTuning, Kernel, Layout, ShardPlan};
+use man_par::{AutoTuning, ShardPlan};
 use man_repro::{CompiledModel, InferenceSession, ManError, Parallelism, Prediction, ServeError};
 
 use crate::metrics::ModelMetrics;
@@ -38,12 +36,9 @@ pub enum SessionMode {
     /// baseline a naive server would implement; nothing is shared
     /// between calls. Exists for benchmarking and comparison.
     Cold,
-    /// One persistent session per worker, sharing pre-computer banks
-    /// across every request the worker ever serves.
+    /// One session per worker, opened once and kept for every request
+    /// the worker ever serves — the production default.
     Persistent,
-    /// [`SessionMode::Persistent`] plus the product-plane memo
-    /// ([`InferenceSession::warm`]) — the production default.
-    Warm,
 }
 
 /// Scheduler tuning for one hosted model.
@@ -63,9 +58,8 @@ pub enum SessionMode {
 ///     ..BatchConfig::default()
 /// };
 /// assert_eq!(config.workers, 1);
-/// assert_eq!(config.session_mode, SessionMode::Warm);
+/// assert_eq!(config.session_mode, SessionMode::Persistent);
 /// assert_eq!(config.request_timeout, Duration::from_secs(30));
-/// assert_eq!(config.layout, man_repro::man_par::Layout::Auto);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
@@ -100,18 +94,6 @@ pub struct BatchConfig {
     /// Threshold overrides for the [`Parallelism::Auto`] decision table
     /// (ignored under `Sequential`/`Threads`).
     pub auto_tuning: AutoTuning,
-    /// The MAC-kernel axis for every worker session: scalar reference,
-    /// portable SWAR, the host's best vectorized kernel, or `Auto`
-    /// (engine default, `MAN_KERNEL`-overridable). Bit-identical either
-    /// way; the resolved label lands in the model's `stats`.
-    pub kernel: Kernel,
-    /// The layout axis for every worker session: row-major (per-image
-    /// kernels), batch-major (batch-transposed lane kernels), or `Auto`
-    /// (engine default, `MAN_LAYOUT`-overridable — the tuner flips to
-    /// batch-major when the coalesced batch is wide and rows are
-    /// expensive). Bit-identical either way; the per-dispatch resolved
-    /// label lands in the model's `stats`.
-    pub layout: Layout,
     /// How long a submitter waits for its reply before giving up.
     pub request_timeout: Duration,
 }
@@ -123,11 +105,9 @@ impl Default for BatchConfig {
             max_wait: Duration::ZERO,
             queue_capacity: 256,
             workers: 1,
-            session_mode: SessionMode::Warm,
+            session_mode: SessionMode::Persistent,
             parallelism: Parallelism::Sequential,
             auto_tuning: AutoTuning::default(),
-            kernel: Kernel::Auto,
-            layout: Layout::Auto,
             request_timeout: Duration::from_secs(30),
         }
     }
@@ -345,16 +325,14 @@ impl Drop for ModelHost {
 
 /// Builds the session a persistent-mode worker keeps for its lifetime.
 fn worker_session(model: &CompiledModel, cfg: &BatchConfig) -> Option<InferenceSession> {
-    let tuned = |s: InferenceSession| {
-        s.with_parallelism(cfg.parallelism)
-            .with_auto_tuning(cfg.auto_tuning.clone())
-            .with_kernel(cfg.kernel)
-            .with_layout(cfg.layout)
-    };
     match cfg.session_mode {
         SessionMode::Cold => None,
-        SessionMode::Persistent => Some(tuned(model.session())),
-        SessionMode::Warm => Some(tuned(model.session().warm())),
+        SessionMode::Persistent => Some(
+            model
+                .session()
+                .with_parallelism(cfg.parallelism)
+                .with_auto_tuning(cfg.auto_tuning.clone()),
+        ),
     }
 }
 
@@ -507,7 +485,7 @@ fn dispatch(
     };
     // What the dispatch resolved to, captured for span labels (the
     // closure also records it into the model metrics).
-    let mut resolved: Option<(ShardPlan, &'static str)> = None;
+    let mut resolved: Option<ShardPlan> = None;
     // The kernel-execution window inside the dispatch, on the obs
     // clock (start, duration); left (0, 0) when the plane is off.
     let mut kernel_window = (0u64, 0u64);
@@ -518,64 +496,34 @@ fn dispatch(
     let outcome = {
         let resolved = &mut resolved;
         let kernel_window = &mut kernel_window;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match session {
-            Some(session) => {
-                let kernel_start = if dispatch_start > 0 {
-                    man_obs::now_ns().max(1)
-                } else {
-                    0
-                };
-                let result = session.infer_batch_with_load(&inputs, streams);
-                if kernel_start > 0 {
-                    *kernel_window = (kernel_start, man_obs::now_ns().saturating_sub(kernel_start));
-                }
-                // What this batch actually resolved to (plan × kernel) —
-                // two Copy stores, cheap enough for every dispatch. The
-                // full cache-footprint walk locks every worker-slot cache
-                // and allocates, so it runs on the first batch (latch
-                // below) and then only periodically; the snapshot drifts
-                // by at most 64 batches.
-                if let Some((plan, layout)) = session.last_dispatch() {
-                    metrics.observe_plan(plan, session.kernel_label(), layout.label());
-                    *resolved = Some((plan, session.kernel_label()));
-                }
-                // ORDERING: the swap is a first-observation latch — any
-                // one racing worker wins it and walks the footprint, so
-                // batch 1 is never missed (the old `batches == 1` read
-                // raced sibling workers); later walks are periodic.
-                let first = !metrics.memory_observed.swap(true, Ordering::Relaxed);
-                // ORDERING: monotonic statistics counter, reporting only.
-                let batches = metrics.batches.load(Ordering::Relaxed);
-                if first || batches.is_multiple_of(64) {
-                    metrics.observe_memory(&session.stats());
-                }
-                result
-            }
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Cold mode: a throwaway session per dispatch call, sharing
-            // nothing beyond this call (deliberately sequential, too — it is
-            // the naive-server baseline); building the session dwarfs the
-            // stats walk, so both observations run every time.
-            None => {
-                let cold = model
-                    .session()
-                    .with_kernel(cfg.kernel)
-                    .with_layout(cfg.layout);
-                let kernel_start = if dispatch_start > 0 {
-                    man_obs::now_ns().max(1)
-                } else {
-                    0
-                };
-                let result = cold.infer_batch_shared(&inputs);
-                if kernel_start > 0 {
-                    *kernel_window = (kernel_start, man_obs::now_ns().saturating_sub(kernel_start));
+            // nothing beyond this call (deliberately sequential, too — it
+            // is the naive-server baseline).
+            let cold;
+            let session = match session {
+                Some(session) => session,
+                None => {
+                    cold = model.session();
+                    &cold
                 }
-                if let Some((plan, layout)) = cold.last_dispatch() {
-                    metrics.observe_plan(plan, cold.kernel_label(), layout.label());
-                    *resolved = Some((plan, cold.kernel_label()));
-                }
-                metrics.observe_memory(&cold.stats());
-                result
+            };
+            let kernel_start = if dispatch_start > 0 {
+                man_obs::now_ns().max(1)
+            } else {
+                0
+            };
+            let result = session.infer_batch_with_load(&inputs, streams);
+            if kernel_start > 0 {
+                *kernel_window = (kernel_start, man_obs::now_ns().saturating_sub(kernel_start));
             }
+            // What this batch actually resolved to — one Copy store,
+            // cheap enough for every dispatch.
+            if let Some(plan) = session.last_plan() {
+                metrics.observe_plan(plan);
+                *resolved = Some(plan);
+            }
+            result
         }))
     }
     .unwrap_or_else(|panic| {
@@ -593,9 +541,9 @@ fn dispatch(
     });
     if dispatch_start > 0 {
         let dispatch_ns = man_obs::now_ns().saturating_sub(dispatch_start);
-        let (plan_label, plan_workers, kernel_label) = match resolved {
-            Some((plan, kernel)) => (plan.stage_label(), plan.workers() as u64, kernel),
-            None => ("", 0, ""),
+        let (plan_label, plan_workers) = match resolved {
+            Some(plan) => (plan.stage_label(), plan.workers() as u64),
+            None => ("", 0),
         };
         let (kernel_start, kernel_ns) = kernel_window;
         for (i, (_, req)) in replies.iter().enumerate() {
@@ -629,7 +577,7 @@ fn dispatch(
                     *req,
                     kernel_start,
                     kernel_ns,
-                    kernel_label,
+                    plan_label,
                     replies.len() as u64,
                 );
             }
@@ -667,7 +615,7 @@ mod tests {
         let cfg = BatchConfig::default();
         assert!(cfg.max_batch >= 8);
         assert!(cfg.queue_capacity >= cfg.max_batch);
-        assert_eq!(cfg.session_mode, SessionMode::Warm);
+        assert_eq!(cfg.session_mode, SessionMode::Persistent);
         assert_eq!(cfg.auto_tuning, AutoTuning::default());
     }
 

@@ -1,6 +1,6 @@
 //! The unified telemetry export plane (DESIGN.md §12): one Prometheus
 //! text page covering the whole stack — per-model request counters and
-//! raw latency/queue-wait histograms, the resolved plan × kernel info
+//! raw latency/queue-wait histograms, the resolved plan info
 //! series, `man-par` pool utilization, and the process-wide per-stage
 //! span histograms `man-obs` collects.
 //!
@@ -79,18 +79,13 @@ pub fn prometheus_page(registry: &ModelRegistry) -> String {
     page.header(
         "man_serve_model_info",
         "gauge",
-        "Resolved plan, kernel and layout labels of the most recent dispatch (value is always 1).",
+        "Resolved plan label of the most recent dispatch (value is always 1).",
     );
     for (name, m) in &handles {
-        if let Some((plan, kernel, layout)) = m.resolved_labels() {
+        if let Some(plan) = m.resolved_plan() {
             page.sample_u64(
                 "man_serve_model_info",
-                &[
-                    ("model", name),
-                    ("plan", plan.as_str()),
-                    ("kernel", kernel),
-                    ("layout", layout),
-                ],
+                &[("model", name), ("plan", plan.as_str())],
                 1,
             );
         }

@@ -1,16 +1,16 @@
 //! **man-serve** — a concurrent serving runtime for compiled MAN models.
 //!
-//! The paper's economics only pay off under traffic: CSHM pre-computer
-//! banks (and this workspace's product planes) amortize across
-//! *concurrent requests* exactly like they amortize across a batch. This
-//! crate turns many independent callers into batches:
+//! The paper's economics only pay off under traffic: per-call costs
+//! amortize across *concurrent requests* exactly like they amortize
+//! across a batch. This crate turns many independent callers into
+//! batches:
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
 //!  TCP (NDJSON) ───▶ │ ModelRegistry ──▶ ModelHost("digits")      │
 //!  in-process ─────▶ │   name routing      bounded queue          │
 //!   Client           │   hot load/reload   micro-batching workers │
-//!                    │   unload/stats      warm InferenceSession  │
+//!                    │   unload/stats      InferenceSession       │
 //!                    └────────────────────────────────────────────┘
 //! ```
 //!

@@ -19,13 +19,12 @@
 //! hammers — and a client that got its reply always sees it counted
 //! in its very next `stats` call.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 pub use man_obs::OctaveHistogram as LatencyHistogram;
 
 use man_par::ShardPlan;
-use man_repro::SessionStats;
 use serde::Serialize;
 
 /// Live counters for one hosted model. Shared (`Arc`) between the
@@ -58,32 +57,10 @@ pub struct ModelMetrics {
     pub queue_wait: LatencyHistogram,
     /// Requests currently queued (approximate).
     pub queue_depth: AtomicUsize,
-    /// First-memory-walk latch: guarantees the very first dispatched
-    /// batch of a freshly loaded model records the cache footprint,
-    /// however many workers race it (see `dispatch`).
-    pub(crate) memory_observed: AtomicBool,
-    /// What the most recent dispatch resolved to (plan × kernel) plus
-    /// the worker session's cache memory — plan/kernel are recorded per
-    /// batch (two `Copy` stores), the memory walk only periodically;
-    /// both read by `stats`.
-    session: Mutex<SessionObservation>,
-}
-
-/// The session snapshot the scheduler records. Plan and kernel are
-/// kept in their cheap `Copy` forms — labels are rendered at snapshot
-/// time, not on the dispatch hot path.
-#[derive(Clone, Debug, Default)]
-struct SessionObservation {
-    plan: Option<ShardPlan>,
-    /// `""` until the first dispatch.
-    kernel: &'static str,
-    /// `""` until the first dispatch.
-    layout: &'static str,
-    layer_bank_bytes: Vec<u64>,
-    bank_bytes: u64,
-    plane_bytes: u64,
-    kernel_plan_bytes: u64,
-    transpose_bytes: u64,
+    /// The sharding plan the most recent dispatch resolved to, kept in
+    /// its cheap `Copy` form (one store per batch) and rendered only by
+    /// `stats`.
+    plan: Mutex<Option<ShardPlan>>,
 }
 
 impl ModelMetrics {
@@ -100,8 +77,7 @@ impl ModelMetrics {
             latency: LatencyHistogram::new(),
             queue_wait: LatencyHistogram::new(),
             queue_depth: AtomicUsize::new(0),
-            memory_observed: AtomicBool::new(false),
-            session: Mutex::new(SessionObservation::default()),
+            plan: Mutex::new(None),
         }
     }
 
@@ -117,51 +93,24 @@ impl ModelMetrics {
         }
     }
 
-    /// Records what a dispatch resolved to on all three tuner axes —
-    /// three `Copy` stores under a short lock, cheap enough for every
-    /// batch, so operators always see what the tuner actually chose
-    /// last.
-    pub fn observe_plan(&self, plan: ShardPlan, kernel: &'static str, layout: &'static str) {
-        let mut obs = self
-            .session
+    /// Records the plan a dispatch resolved to — one `Copy` store under
+    /// a short lock, cheap enough for every batch, so operators always
+    /// see what the tuner actually chose last.
+    pub fn observe_plan(&self, plan: ShardPlan) {
+        *self
+            .plan
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        obs.plan = Some(plan);
-        obs.kernel = kernel;
-        obs.layout = layout;
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
     }
 
-    /// Records a worker session's cache memory footprint. Walking the
-    /// footprint locks every worker-slot cache and allocates, so the
-    /// scheduler calls this on the first batch and then periodically,
-    /// not per batch.
-    pub fn observe_memory(&self, stats: &SessionStats) {
-        let mut obs = self
-            .session
+    /// The most recent resolved plan, rendered (`None` before the first
+    /// dispatch) — what the Prometheus exporter labels
+    /// `man_serve_model_info` with.
+    pub fn resolved_plan(&self) -> Option<String> {
+        self.plan
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        obs.layer_bank_bytes = stats.layer_bank_bytes.clone();
-        obs.bank_bytes = stats.bank_bytes;
-        obs.plane_bytes = stats.plane_bytes;
-        obs.kernel_plan_bytes = stats.kernel_plan_bytes;
-        obs.transpose_bytes = stats.transpose_bytes;
-    }
-
-    /// The most recent resolved plan × kernel × layout, rendered
-    /// (`None` before the first dispatch) — what the Prometheus
-    /// exporter labels `man_serve_model_info` with.
-    pub fn resolved_labels(&self) -> Option<(String, &'static str, &'static str)> {
-        let obs = self
-            .session
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        obs.plan.map(|p| {
-            (
-                p.label_with_kernel_layout(obs.kernel, obs.layout),
-                obs.kernel,
-                obs.layout,
-            )
-        })
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .map(ShardPlan::label)
     }
 
     /// Aggregates the counters into a serializable snapshot.
@@ -178,12 +127,6 @@ impl ModelMetrics {
     /// statistics counters (histograms, batch sizes, queue depth); no
     /// cross-counter consistency is promised for them.
     pub fn snapshot(&self, model: &str) -> ModelStats {
-        let obs = self
-            .session
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let unresolved = || "unresolved".to_owned();
         let latency = self.latency.snapshot();
         let queue_wait = self.queue_wait.snapshot();
         let batch_histogram: Vec<u64> = self
@@ -226,25 +169,9 @@ impl ModelMetrics {
             queue_p50_us: queue_wait.quantile(0.50),
             queue_p95_us: queue_wait.quantile(0.95),
             queue_p99_us: queue_wait.quantile(0.99),
-            plan: obs
-                .plan
-                .map(|p| p.label_with_kernel_layout(obs.kernel, obs.layout))
-                .unwrap_or_else(unresolved),
-            kernel: if obs.kernel.is_empty() {
-                unresolved()
-            } else {
-                obs.kernel.to_owned()
-            },
-            layout: if obs.layout.is_empty() {
-                unresolved()
-            } else {
-                obs.layout.to_owned()
-            },
-            cache_layer_bank_bytes: obs.layer_bank_bytes,
-            cache_bank_bytes: obs.bank_bytes,
-            cache_plane_bytes: obs.plane_bytes,
-            kernel_plan_bytes: obs.kernel_plan_bytes,
-            cache_transpose_bytes: obs.transpose_bytes,
+            plan: self
+                .resolved_plan()
+                .unwrap_or_else(|| "unresolved".to_owned()),
         }
     }
 }
@@ -293,29 +220,9 @@ pub struct ModelStats {
     /// queue percentiles with flat execution percentiles is the
     /// backpressure-onset signature.
     pub queue_p99_us: u64,
-    /// The sharding plan × kernel × layout the most recent dispatch
-    /// resolved to (e.g. `"rows(4)+swar+batch"`); `"unresolved"` before
-    /// the first batch.
+    /// The sharding plan the most recent dispatch resolved to (e.g.
+    /// `"rows(4)"`); `"unresolved"` before the first batch.
     pub plan: String,
-    /// The resolved MAC kernel label (`"scalar"`/`"swar"`/`"avx2"`;
-    /// `"unresolved"` before the first batch).
-    pub kernel: String,
-    /// The resolved layout label (`"row"`/`"batch"`; `"unresolved"`
-    /// before the first batch).
-    pub layout: String,
-    /// Per-layer bank-arena bytes of the observed worker session.
-    pub cache_layer_bank_bytes: Vec<u64>,
-    /// Total bank-arena bytes of the observed worker session.
-    pub cache_bank_bytes: u64,
-    /// Product-plane bytes (0 outside `SessionMode::Warm`; the plane is
-    /// shared across worker slots and counted once).
-    pub cache_plane_bytes: u64,
-    /// Bytes of the engine's shared SoA kernel plans.
-    pub kernel_plan_bytes: u64,
-    /// Batch-major transpose-scratch bytes of the observed worker
-    /// session, summed across its slots (0 until a batch-major
-    /// dispatch ran).
-    pub cache_transpose_bytes: u64,
 }
 
 #[cfg(test)]

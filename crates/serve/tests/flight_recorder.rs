@@ -1,9 +1,8 @@
 //! Flight-recorder smoke: force an `Overloaded` rejection with full
 //! span tracing on and assert the triggered dump parses, anchors the
 //! rejecting request, and covers the whole request lifecycle —
-//! queue-wait, coalesce, dispatch (with the resolved shard-plan
-//! label) and kernel (with the resolved MAC-kernel label) — for a
-//! single request id. Also round-trips the `dump_trace` and `metrics`
+//! queue-wait, coalesce, dispatch and kernel (both with the resolved
+//! shard-plan label) — for a single request id. Also round-trips the `dump_trace` and `metrics`
 //! protocol verbs over loopback TCP.
 //!
 //! The obs level is process-global state, so everything lives in one
@@ -87,7 +86,7 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
         max_wait: Duration::from_micros(200),
         queue_capacity: 2,
         workers: 1,
-        session_mode: SessionMode::Warm,
+        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
@@ -184,19 +183,20 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
         "no request id covers {lifecycle:?}; saw {stages_by_req:?}"
     );
 
-    // Dispatch events carry the resolved shard-plan label, kernel
-    // events the resolved MAC kernel.
+    // Dispatch and kernel events carry the resolved shard-plan label.
     let stats = registry.stats(Some("m")).expect("stats").remove(0);
-    for label in &dispatch_labels {
+    for label in dispatch_labels.iter().chain(&kernel_labels) {
         assert!(
             ["sequential", "rows", "neurons"].contains(&label.as_str()),
             "unexpected shard-plan label {label:?}"
         );
     }
     assert!(
-        kernel_labels.contains(&stats.kernel),
-        "kernel events {kernel_labels:?} lack the resolved kernel {:?}",
-        stats.kernel
+        kernel_labels
+            .iter()
+            .any(|label| stats.plan.starts_with(label.as_str())),
+        "kernel events {kernel_labels:?} lack the resolved plan {:?}",
+        stats.plan
     );
 
     // The protocol verbs see the same state over loopback TCP: the

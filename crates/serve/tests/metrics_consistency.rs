@@ -83,7 +83,7 @@ fn snapshots_stay_consistent_under_concurrent_hammering() {
         // rejected counter participates in the race too.
         queue_capacity: 4,
         workers: 2,
-        session_mode: SessionMode::Warm,
+        session_mode: SessionMode::Persistent,
         // Effectively no timeouts: at quiescence every accepted request
         // must resolve to completed or rejected.
         request_timeout: Duration::from_secs(60),

@@ -49,7 +49,7 @@ fn quick_config() -> BatchConfig {
         max_wait: Duration::from_micros(200),
         queue_capacity: 64,
         workers: 2,
-        session_mode: SessionMode::Warm,
+        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     }

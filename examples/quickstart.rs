@@ -20,14 +20,6 @@ fn main() -> Result<(), ManError> {
         available_cores(),
         par.label()
     );
-    // ...and which MAC kernel the engine dispatched to (scalar
-    // reference / portable SWAR / AVX2) — same grep-ability, for the
-    // kernel-equivalence CI logs.
-    println!(
-        "[man-kernel] cpu: {}; resolved kernel: {}",
-        man_repro::man::kernel::cpu_features(),
-        man_repro::man::kernel::default_kernel().label()
-    );
 
     // ---- Part 1: the multiplier the paper replaces multiplication with.
 
@@ -88,21 +80,25 @@ fn main() -> Result<(), ManError> {
     );
     println!("artifact round-trip OK: {}", path.display());
 
-    // Serve a batch: pre-computer banks are shared across the batch, and
-    // the rows are sharded across every available core (bit-identical to
-    // the sequential session — see DESIGN.md §8).
+    // Serve a batch through the exact-integer MAC path, rows sharded
+    // across every available core (bit-identical to the sequential
+    // session and to the ASM reference `infer_raw` — DESIGN.md §8/§10).
     let mut session = reloaded.session_parallel(par);
     let batch: Vec<Vec<f32>> = (0..4).map(|i| vec![0.2 * i as f32; 1024]).collect();
     for (i, p) in session.infer_batch(&batch)?.iter().enumerate() {
         println!("batch[{i}] -> class {} (scores {:?})", p.class, p.scores);
     }
-    // The third tuner axis: which MAC data layout that batch resolved
-    // to (`row` vectorizes within a row's fan-in, `batch` across batch
-    // rows — DESIGN.md §10) — grep-able next to `[man-kernel]`.
+    for (x, p) in batch.iter().zip(session.infer_batch(&batch)?) {
+        assert_eq!(
+            reloaded.fixed().infer_raw(x),
+            p.scores,
+            "matches the ASM oracle"
+        );
+    }
     println!(
-        "[man-kernel] resolved layout for the batch of {}: {}",
+        "batch of {} resolved to plan {}",
         batch.len(),
-        session.stats().layout
+        session.stats().plan
     );
     std::fs::remove_file(&path).ok();
     Ok(())

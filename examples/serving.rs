@@ -30,14 +30,6 @@ fn main() -> Result<(), ManError> {
         available_cores(),
         parallelism.label()
     );
-    // And the MAC-kernel axis: what the workers' inner loop dispatched
-    // to on this host (see DESIGN.md §10) — grep `[man-kernel]` in CI
-    // logs to confirm which kernels a run actually exercised.
-    println!(
-        "[man-kernel] cpu: {}; resolved kernel: {}",
-        man_repro::man::kernel::cpu_features(),
-        man_repro::man::kernel::default_kernel().label()
-    );
 
     // ---- Compile the paper's Digit-8bit MLP onto the MAN lattice and
     // persist it as a single-file artifact (see `quickstart.rs` for the
@@ -90,23 +82,15 @@ fn main() -> Result<(), ManError> {
     });
     for s in client.stats(Some("digits"))? {
         println!(
-            "stats: {} completed, {} batches (mean size {:.2}), p50 {} us, p99 {} us",
-            s.completed, s.batches, s.mean_batch, s.p50_us, s.p99_us
-        );
-        // The layout axis next to the kernel one: what data layout the
-        // scheduler's most recent dispatch resolved to (DESIGN.md §10)
-        // — `row` below the tuner's batch/row-cost thresholds, `batch`
-        // once micro-batches are wide and rows heavy enough.
-        println!(
-            "[man-kernel] resolved layout: {} (plan {})",
-            s.layout, s.plan
+            "stats: {} completed, {} batches (mean size {:.2}), p50 {} us, p99 {} us, plan {}",
+            s.completed, s.batches, s.mean_batch, s.p50_us, s.p99_us, s.plan
         );
     }
 
     // ---- Where did the time go? The observability plane histograms
     // every lifecycle stage (queue wait, batch coalesce, shard
-    // dispatch, kernel execute, ...) across serve, par and the kernel
-    // layer — one table instead of per-crate guesswork.
+    // dispatch, kernel execute, ...) across serve, par and the engine —
+    // one table instead of per-crate guesswork.
     println!("\nper-stage latency breakdown (man-obs):");
     println!(
         "  {:<12} {:>8} {:>10} {:>10} {:>10}",

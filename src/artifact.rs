@@ -121,15 +121,6 @@ impl CompiledModel {
         self.fixed.macs_per_inference()
     }
 
-    /// Heap bytes of the engine's repacked structure-of-arrays kernel
-    /// plans (DESIGN.md §10), recorded at compile time like
-    /// [`CompiledModel::macs_per_inference`] — shared by every session
-    /// over this model, and surfaced next to the per-session cache
-    /// footprint in session/serve `stats`.
-    pub fn kernel_plan_bytes(&self) -> usize {
-        self.fixed.kernel_plan_bytes()
-    }
-
     /// Classification accuracy of the fixed-point engine over a set.
     pub fn accuracy(&self, images: &[Vec<f32>], labels: &[usize]) -> f64 {
         self.fixed.accuracy(images, labels)

@@ -23,12 +23,12 @@
 //!   / [`CompiledModel::load`] bundle network + quantization spec +
 //!   alphabet assignment into a single JSON artifact that reloads to
 //!   bit-identical inference.
-//! * [`InferenceSession`] — batched serving with pre-computer banks
-//!   shared across the batch; [`Prediction`] carries argmax, raw scores
-//!   and opt-in per-layer traces. Shared-reference entry points
-//!   (`infer_shared` / `infer_batch_shared`) plus an opt-in warm product
-//!   memo make one session drivable from many threads — the contract the
-//!   `man-serve` runtime builds its micro-batching scheduler on.
+//! * [`InferenceSession`] — batched serving through the exact-integer
+//!   MAC path; [`Prediction`] carries argmax, raw scores and opt-in
+//!   per-layer traces. Shared-reference entry points (`infer_shared` /
+//!   `infer_batch_shared`) make one session drivable from many threads —
+//!   the contract the `man-serve` runtime builds its micro-batching
+//!   scheduler on.
 //! * [`Parallelism`] — the deterministic parallel batch engine
 //!   (`man-par`): `session.with_parallelism(Parallelism::Auto)` shards
 //!   batch rows (and lone large inferences, by output neuron) across
@@ -38,12 +38,6 @@
 //!   neuron-sharding and the worker count per batch from compile-time
 //!   MACs/row, batch size and serve queue pressure ([`AutoTuning`],
 //!   [`ShardPlan`]; DESIGN.md §8–§9).
-//! * [`Kernel`] — the MAC-kernel axis (DESIGN.md §10): the engine's
-//!   inner select/shift/add loop runs as the scalar reference, a
-//!   portable SWAR vector kernel, or an AVX2 specialization picked at
-//!   runtime — all bit-identical; `session.with_kernel(...)` overrides,
-//!   [`InferenceSession::stats`] reports the resolved plan × kernel and
-//!   the cache memory footprint.
 //! * [`ManError`] — one `Result`-first error taxonomy wrapping the
 //!   member crates' typed errors, including the serving-runtime
 //!   [`ServeError`] variants.
@@ -89,7 +83,6 @@ pub mod session;
 
 pub use artifact::{CompiledModel, CostedModel};
 pub use error::{ManError, ServeError};
-pub use man::kernel::KernelKind;
-pub use man_par::{AutoContext, AutoTuning, Kernel, Parallelism, ShardPlan, WorkerPool};
+pub use man_par::{AutoContext, AutoTuning, Parallelism, ShardPlan, WorkerPool};
 pub use pipeline::{BaselineModel, Pipeline, TrainedModel, TrainingData};
 pub use session::{InferenceSession, Prediction, SessionStats};

@@ -1,28 +1,23 @@
 //! The serving entry point: batched inference sessions.
 //!
-//! An [`InferenceSession`] owns a compiled [`man::fixed::FixedNet`] plus
-//! one persistent [`man::fixed::SessionCache`] of pre-computer banks per
-//! worker slot. A bank depends only on the input magnitude and the
-//! layer's alphabet set, so across a batch most multiplications find
-//! their bank already computed — the software analogue of the paper's
-//! CSHM sharing. A session opened with [`InferenceSession::warm`] goes
-//! one step further and memoizes whole `(weight, input)` products across
-//! requests, the steady-state configuration the `man-serve` scheduler
-//! workers run.
+//! An [`InferenceSession`] shares a compiled [`man::fixed::FixedNet`] and
+//! runs every inference through its exact-integer MAC path
+//! ([`man::fixed::FixedNet::infer_exact`]), which is bit-identical to the
+//! ASM reference datapath [`man::fixed::FixedNet::infer_raw`]. A session
+//! holds no per-request state beyond its configuration: scratch buffers
+//! live for one call.
 //!
 //! # Parallel execution
 //!
 //! [`InferenceSession::with_parallelism`] turns the session into the
 //! parallel batch engine: `infer_batch*` shards the rows of a batch
-//! across worker slots (one bank cache per slot, threads drawn from the
-//! process-wide persistent `man-par` pool), and a lone large inference
-//! shards its big layers across output neurons instead. Both shardings
-//! are bit-identical to the sequential path **by construction**: every
-//! output neuron's shift-add chain is computed whole, on one thread, in
-//! fan-in order, and the merge only reassembles finished rows/neurons —
-//! accumulation within a neuron is never reordered, and the worker-local
-//! caches memoize pure functions of the compiled network. See `man-par`
-//! for the pool itself and DESIGN.md §8–§9 for the determinism argument.
+//! across workers (threads drawn from the process-wide persistent
+//! `man-par` pool), and a lone large inference shards its big layers
+//! across output neurons instead. Both shardings are bit-identical to
+//! the sequential path **by construction**: every output neuron is
+//! computed whole, on one thread, and the merge only reassembles
+//! finished rows/neurons. See `man-par` for the pool itself and
+//! DESIGN.md §8–§9 for the determinism argument.
 //!
 //! With [`Parallelism::Auto`] the session resolves the sharding *per
 //! batch* through the `man-par` decision table ([`man_par::plan_shards`]):
@@ -33,20 +28,17 @@
 //! [`InferenceSession::with_auto_tuning`] to override the table's
 //! thresholds. Explicit `Threads(n)` keeps the static behavior.
 //!
-//! The mutable state (bank caches, product planes) lives behind internal
-//! locks, so the shared-reference entry points
-//! [`InferenceSession::infer_shared`] / [`infer_batch_shared`] work
-//! through `&self` — which is what lets one session be driven from many
-//! scheduler threads via an `Arc`. The original `&mut self` signatures
-//! remain as thin wrappers.
+//! The shared-reference entry points [`InferenceSession::infer_shared`] /
+//! [`infer_batch_shared`] work through `&self`, which is what lets one
+//! session be driven from many scheduler threads via an `Arc`. The
+//! original `&mut self` signatures remain as thin wrappers.
 //!
 //! [`infer_batch_shared`]: InferenceSession::infer_batch_shared
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-use man::fixed::{argmax_raw, FixedNet, LayerTrace, SessionCache};
-use man::kernel::{KernelKind, LayoutKind};
-use man_par::{plan_shards, AutoContext, AutoTuning, Kernel, Layout, Parallelism, ShardPlan};
+use man::fixed::{argmax_raw, FixedNet, LayerTrace};
+use man_par::{plan_shards, AutoContext, AutoTuning, Parallelism, ShardPlan};
 use serde::Serialize;
 
 use crate::artifact::CompiledModel;
@@ -66,6 +58,16 @@ pub struct Prediction {
     pub traces: Option<Vec<LayerTrace>>,
 }
 
+impl Prediction {
+    fn untraced(scores: Vec<i64>) -> Self {
+        Self {
+            class: argmax_raw(&scores),
+            scores,
+            traces: None,
+        }
+    }
+}
+
 /// A batched inference session over a compiled model.
 ///
 /// # Example
@@ -81,71 +83,37 @@ pub struct Prediction {
 /// ```
 pub struct InferenceSession {
     fixed: Arc<FixedNet>,
-    /// One cache per worker slot; `caches.len()` is the worker *budget*
-    /// (`Parallelism::Auto` allocates one slot per core and the tuner
-    /// resolves how many of them a given batch engages).
-    caches: Vec<Mutex<SessionCache>>,
     parallelism: Parallelism,
+    /// The worker *budget* (`Parallelism::Auto` budgets one worker per
+    /// core and the tuner resolves how many of them a given batch
+    /// engages).
+    workers: usize,
     /// Compile-time MACs per inference — the tuner's work measure.
     macs_per_row: u64,
     /// Thresholds for the [`Parallelism::Auto`] decision table.
     auto_tuning: AutoTuning,
-    /// The session-level MAC-kernel request. [`Kernel::Auto`] defers to
-    /// [`AutoTuning::kernel`], which itself defaults to the engine's
-    /// env-aware auto resolution.
-    kernel: Kernel,
-    /// The session-level layout request — the third tuner axis.
-    /// [`Layout::Auto`] defers to [`AutoTuning::layout`] and the
-    /// `MAN_LAYOUT` environment override; the resolved axis is decided
-    /// per batch (see [`InferenceSession::resolved_layout`]).
-    layout: Layout,
-    /// The `(sharding plan, layout)` the most recent batch resolved to —
-    /// what [`InferenceSession::stats`] reports so operators can see
-    /// what the tuner actually chose.
-    resolved_plan: Mutex<Option<(ShardPlan, LayoutKind)>>,
-    warm: bool,
+    /// The sharding plan the most recent batch resolved to — what
+    /// [`InferenceSession::stats`] reports so operators can see what the
+    /// tuner actually chose.
+    last_plan: Mutex<Option<ShardPlan>>,
     trace_limit: Option<usize>,
 }
 
-/// A point-in-time observability snapshot of one session: the resolved
-/// execution configuration (plan × kernel) plus the cache memory story
-/// (per-layer bank arenas, the shared product plane, the engine's
-/// shared SoA kernel plans).
+/// A point-in-time observability snapshot of one session: its
+/// configuration and the plan the most recent batch resolved to.
 #[derive(Clone, Debug, Serialize)]
 pub struct SessionStats {
     /// The configured parallelism (`"sequential"`, `"threads(4)"`,
     /// `"auto(8)"`).
     pub parallelism: String,
-    /// Worker-slot budget (persistent caches held).
+    /// Worker budget.
     pub workers: u64,
-    /// The resolved MAC kernel label (`"scalar"`, `"swar"`, `"avx2"`).
-    pub kernel: String,
-    /// The layout axis the most recent batch resolved to (`"row"`,
-    /// `"batch"`); `"unresolved"` before the first inference.
-    pub layout: String,
-    /// The sharding plan the most recent batch resolved to, combined
-    /// with the kernel and layout (e.g. `"rows(4)+swar+batch"`);
-    /// `"unresolved"` before the first inference.
+    /// The sharding plan the most recent batch resolved to (e.g.
+    /// `"sequential"`, `"rows(4)"`); `"unresolved"` before the first
+    /// inference.
     pub plan: String,
     /// Compile-time MACs per inference (the tuner's work measure).
     pub macs_per_row: u64,
-    /// Heap bytes of each layer's bank arenas, summed across worker
-    /// slots.
-    pub layer_bank_bytes: Vec<u64>,
-    /// Total bank-arena bytes across layers and slots.
-    pub bank_bytes: u64,
-    /// Bytes of the warm product plane (counted once — slots share it
-    /// by clone), 0 on plain sessions.
-    pub plane_bytes: u64,
-    /// Bytes of the engine's repacked SoA kernel plans (shared by every
-    /// session over the same compiled model).
-    pub kernel_plan_bytes: u64,
-    /// Heap bytes of the batch-major transpose scratch, summed across
-    /// worker slots (0 until a batch-major dispatch ran).
-    pub transpose_bytes: u64,
-    /// `bank_bytes + plane_bytes + transpose_bytes` — the session-owned
-    /// cache total.
-    pub cache_bytes: u64,
 }
 
 impl InferenceSession {
@@ -153,65 +121,30 @@ impl InferenceSession {
     /// shared, not copied — opening many sessions is cheap.
     pub fn new(model: &CompiledModel) -> Self {
         let fixed = model.fixed_shared();
-        let caches = Self::build_caches(&fixed, false, 1);
         let macs_per_row = fixed.macs_per_inference();
         Self {
             fixed,
-            caches,
             parallelism: Parallelism::Sequential,
+            workers: 1,
             macs_per_row,
             auto_tuning: AutoTuning::default(),
-            kernel: Kernel::Auto,
-            layout: Layout::Auto,
-            resolved_plan: Mutex::new(None),
-            warm: false,
+            last_plan: Mutex::new(None),
             trace_limit: None,
         }
     }
 
-    fn build_caches(fixed: &FixedNet, warm: bool, workers: usize) -> Vec<Mutex<SessionCache>> {
-        // One template, cloned per worker slot: each slot gets a private
-        // bank table, while a warm template's product plane (16 MiB at
-        // the 12-bit maximum) is *shared* by clone — every slot fills
-        // and profits from the same memo.
-        let template = if warm {
-            fixed.session_cache_warm()
-        } else {
-            fixed.session_cache()
-        };
-        (0..workers.max(1))
-            .map(|_| Mutex::new(template.clone()))
-            .collect()
-    }
-
-    /// Switches the session onto warm caches that memoize whole
-    /// `(weight, input)` products across inferences (see
-    /// [`man::fixed::FixedNet::session_cache_warm`]). Bit-identical to
-    /// the plain caches; the right choice for long-lived serving
-    /// sessions, and what the `man-serve` scheduler workers use. A
-    /// no-op beyond the plain bank cache for word lengths past
-    /// [`man::fixed::PRODUCT_PLANE_MAX_BITS`].
-    #[must_use]
-    pub fn warm(mut self) -> Self {
-        self.warm = true;
-        self.caches = Self::build_caches(&self.fixed, true, self.caches.len());
-        self
-    }
-
     /// Sets the worker budget batches may be sharded across. The
-    /// session keeps one persistent bank cache per worker slot, so the
-    /// cache-warmth story of a long-lived session survives going
-    /// parallel; the threads themselves come from the process-wide
-    /// persistent `man-par` pool, so resizing a session never spawns or
-    /// kills OS threads. [`Parallelism::Sequential`] (the default)
-    /// restores the single-threaded reference path;
-    /// [`Parallelism::Auto`] lets the tuner resolve sharding mode and
-    /// worker count per batch (see [`InferenceSession::plan_for_batch`]).
-    /// Every setting returns bit-identical predictions.
+    /// threads come from the process-wide persistent `man-par` pool, so
+    /// resizing a session never spawns or kills OS threads.
+    /// [`Parallelism::Sequential`] (the default) runs on the caller's
+    /// thread; [`Parallelism::Auto`] lets the tuner resolve sharding
+    /// mode and worker count per batch (see
+    /// [`InferenceSession::plan_for_batch`]). Every setting returns
+    /// bit-identical predictions.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self.caches = Self::build_caches(&self.fixed, self.warm, parallelism.workers());
+        self.workers = parallelism.workers();
         self
     }
 
@@ -224,127 +157,27 @@ impl InferenceSession {
         self
     }
 
-    /// Sets the session's MAC-kernel request (see [`Kernel`]):
-    /// `Scalar` pins the per-weight reference loop, `Swar` the portable
-    /// vector kernel, `Vector` the best vectorized kernel the host
-    /// supports (AVX2 when detected), and `Auto` — the default — defers
-    /// to [`AutoTuning::kernel`] and the `MAN_KERNEL` environment
-    /// override. Every kernel returns bit-identical predictions; see
-    /// [`InferenceSession::resolved_kernel`] for what actually runs.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Sets the session's layout request (see [`Layout`]): `RowMajor`
-    /// pins the per-image kernels, `BatchMajor` the batch-transposed
-    /// lane kernels for every batch of ≥ 2 rows, and `Auto` — the
-    /// default — defers to [`AutoTuning::layout`], the `MAN_LAYOUT`
-    /// environment override, and the tuner's batch/MACs-per-row
-    /// heuristic. Every layout returns bit-identical predictions; see
-    /// [`InferenceSession::resolved_layout`] for what actually runs.
-    #[must_use]
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// The MAC kernel this session's inferences run after dispatch
-    /// (`scalar`/`swar`/`avx2`): the session-level request when
-    /// explicit, else the tuning's kernel axis, else the engine's
-    /// env-aware auto resolution.
-    pub fn resolved_kernel(&self) -> KernelKind {
-        match self.kernel {
-            Kernel::Auto => man::kernel::resolve(self.auto_tuning.kernel),
-            explicit => man::kernel::resolve(explicit),
-        }
-    }
-
-    /// The layout a batch of `batch` rows runs under on this session:
-    /// the session-level request when explicit, else the tuning's layout
-    /// axis, through the engine's env-aware resolution
-    /// ([`man::kernel::resolve_layout`]) — which degrades every batch of
-    /// fewer than 2 rows to row-major, so the label always names the
-    /// datapath that actually ran. Tracing forces row-major (the operand
-    /// stream is ordered per image).
-    pub fn resolved_layout(&self, batch: usize) -> LayoutKind {
-        if self.trace_limit.is_some() {
-            return LayoutKind::RowMajor;
-        }
-        let request = match self.layout {
-            Layout::Auto => self.auto_tuning.layout,
-            explicit => explicit,
-        };
-        man::kernel::resolve_layout(request, batch, self.macs_per_row, &self.auto_tuning)
-    }
-
-    /// The resolved kernel's label (`"scalar"`, `"swar"`, `"avx2"`) for
-    /// logs and bench rows.
-    pub fn kernel_label(&self) -> &'static str {
-        self.resolved_kernel().label()
-    }
-
-    /// The `(sharding plan, layout)` the most recent batch resolved to,
-    /// or `None` before the first inference — the cheap (`Copy`) form of
-    /// what [`InferenceSession::stats`] renders as the `plan` label, for
+    /// The sharding plan the most recent batch resolved to, or `None`
+    /// before the first inference — the cheap (`Copy`) form of what
+    /// [`InferenceSession::stats`] renders as the `plan` label, for
     /// callers on a hot path (the serve scheduler records it per
     /// dispatch).
-    pub fn last_dispatch(&self) -> Option<(ShardPlan, LayoutKind)> {
+    pub fn last_plan(&self) -> Option<ShardPlan> {
         *self
-            .resolved_plan
+            .last_plan
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The sharding-plan half of [`InferenceSession::last_dispatch`].
-    pub fn last_plan(&self) -> Option<ShardPlan> {
-        self.last_dispatch().map(|(plan, _)| plan)
-    }
-
-    /// An observability snapshot: resolved plan × kernel plus the cache
-    /// memory footprint (per-layer bank arenas summed across worker
-    /// slots; the shared product plane counted once; the engine's
-    /// shared SoA plan bytes alongside).
+    /// An observability snapshot: configuration and resolved plan.
     pub fn stats(&self) -> SessionStats {
-        let kernel = self.resolved_kernel();
-        let dispatch = self.last_dispatch();
-        let plan = dispatch
-            .map(|(p, l)| p.label_with_kernel_layout(kernel.label(), l.label()))
-            .unwrap_or_else(|| "unresolved".to_owned());
-        let layout = dispatch
-            .map(|(_, l)| l.label().to_owned())
-            .unwrap_or_else(|| "unresolved".to_owned());
-        let mut layer_bank_bytes: Vec<u64> = Vec::new();
-        let mut plane_bytes = 0u64;
-        let mut transpose_bytes = 0u64;
-        for slot in 0..self.caches.len() {
-            let fp = self.lock_cache(slot).footprint();
-            if layer_bank_bytes.is_empty() {
-                layer_bank_bytes = vec![0; fp.layer_bank_bytes.len()];
-            }
-            for (sum, bytes) in layer_bank_bytes.iter_mut().zip(&fp.layer_bank_bytes) {
-                *sum += *bytes as u64;
-            }
-            // The plane is shared by clone across slots: count it once.
-            // Transpose scratch (like the banks) is per slot: sum it.
-            plane_bytes = plane_bytes.max(fp.plane_bytes as u64);
-            transpose_bytes += fp.transpose_bytes as u64;
-        }
-        let bank_bytes: u64 = layer_bank_bytes.iter().sum();
         SessionStats {
             parallelism: self.parallelism.label(),
-            workers: self.caches.len() as u64,
-            kernel: kernel.label().to_owned(),
-            layout,
-            plan,
+            workers: self.workers as u64,
+            plan: self
+                .last_plan()
+                .map_or_else(|| "unresolved".to_owned(), ShardPlan::label),
             macs_per_row: self.macs_per_row,
-            layer_bank_bytes,
-            bank_bytes,
-            plane_bytes,
-            kernel_plan_bytes: self.fixed.kernel_plan_bytes() as u64,
-            transpose_bytes,
-            cache_bytes: bank_bytes + plane_bytes + transpose_bytes,
         }
     }
 
@@ -353,11 +186,11 @@ impl InferenceSession {
         self.parallelism
     }
 
-    /// The worker budget (one persistent cache slot per worker; under
-    /// [`Parallelism::Auto`] the per-batch resolved count can be lower —
-    /// see [`InferenceSession::plan_for_batch`]).
+    /// The worker budget (under [`Parallelism::Auto`] the per-batch
+    /// resolved count can be lower — see
+    /// [`InferenceSession::plan_for_batch`]).
     pub fn workers(&self) -> usize {
-        self.caches.len()
+        self.workers
     }
 
     /// Compile-time MACs one inference of this model costs — the work
@@ -383,20 +216,21 @@ impl InferenceSession {
         if self.trace_limit.is_some() || batch == 0 {
             return ShardPlan::Sequential;
         }
-        let slots = self.caches.len();
         match self.parallelism {
             Parallelism::Sequential => ShardPlan::Sequential,
             Parallelism::Threads(_) => {
                 // Static behavior: the caller asked for exactly this
                 // many workers; rows when the batch has them, neurons
                 // for a lone row.
-                if slots <= 1 {
+                if self.workers <= 1 {
                     ShardPlan::Sequential
                 } else if batch == 1 {
-                    ShardPlan::Neurons { workers: slots }
+                    ShardPlan::Neurons {
+                        workers: self.workers,
+                    }
                 } else {
                     ShardPlan::Rows {
-                        workers: slots.min(batch),
+                        workers: self.workers.min(batch),
                     }
                 }
             }
@@ -405,7 +239,7 @@ impl InferenceSession {
                     macs_per_row: self.macs_per_row,
                     batch,
                     streams,
-                    cores: slots,
+                    cores: self.workers,
                 },
                 &self.auto_tuning,
             ),
@@ -413,9 +247,9 @@ impl InferenceSession {
     }
 
     /// Enables per-layer operand tracing on every prediction (up to
-    /// `limit` MACs per layer). Tracing costs time and memory — and
-    /// forces the sequential path, since the operand stream is ordered —
-    /// so leave it off for throughput serving.
+    /// `limit` MACs per layer). Traced predictions run the ASM reference
+    /// datapath — slower, and sequential since the operand stream is
+    /// ordered — so leave it off for throughput serving.
     #[must_use]
     pub fn with_trace(mut self, limit: usize) -> Self {
         self.trace_limit = Some(limit);
@@ -438,53 +272,28 @@ impl InferenceSession {
         Ok(())
     }
 
-    /// Remembers what the most recent batch resolved to (for
-    /// [`InferenceSession::stats`]), then returns the dispatch unchanged.
-    fn record_dispatch(&self, plan: ShardPlan, layout: LayoutKind) -> (ShardPlan, LayoutKind) {
+    /// Resolves and remembers (for [`InferenceSession::stats`]) the plan
+    /// of a batch of `batch` rows.
+    fn resolve(&self, batch: usize, streams: usize) -> ShardPlan {
+        let plan = self.plan_with_load(batch, streams);
         *self
-            .resolved_plan
+            .last_plan
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((plan, layout));
-        (plan, layout)
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(plan);
+        plan
     }
 
-    fn infer_locked(&self, input: &[f32], cache: &mut SessionCache) -> Prediction {
-        let (scores, traces) = match self.trace_limit {
+    fn infer_row(&self, input: &[f32], workers: usize) -> Prediction {
+        match self.trace_limit {
             Some(limit) => {
-                let (scores, traces) = self.fixed.infer_raw_traced(input, limit, cache);
-                (scores, Some(traces))
+                let (scores, traces) = self.fixed.infer_raw_traced(input, limit);
+                Prediction {
+                    class: argmax_raw(&scores),
+                    scores,
+                    traces: Some(traces),
+                }
             }
-            None => (
-                self.fixed
-                    .infer_raw_with_cache_kernel(input, cache, self.resolved_kernel()),
-                None,
-            ),
-        };
-        Prediction {
-            class: argmax_raw(&scores),
-            scores,
-            traces,
-        }
-    }
-
-    /// One untraced inference with large layers neuron-sharded across
-    /// `workers` pool threads.
-    fn infer_locked_sharded(
-        &self,
-        input: &[f32],
-        cache: &mut SessionCache,
-        workers: usize,
-    ) -> Prediction {
-        let scores = self.fixed.infer_raw_with_cache_par_kernel(
-            input,
-            cache,
-            Parallelism::Threads(workers),
-            self.resolved_kernel(),
-        );
-        Prediction {
-            class: argmax_raw(&scores),
-            scores,
-            traces: None,
+            None => Prediction::untraced(self.fixed.infer_exact(input, workers)),
         }
     }
 
@@ -500,41 +309,20 @@ impl InferenceSession {
     /// `self.fixed().input_len()` values.
     pub fn infer_shared(&self, input: &[f32]) -> Result<Prediction, ManError> {
         self.check_shape(input)?;
-        let mut cache = self.lock_cache(0);
-        // A lone row always resolves row-major (the batch-major path
-        // needs ≥ 2 lanes to pay for the transpose).
-        let (plan, _) = self.record_dispatch(self.plan_with_load(1, 1), self.resolved_layout(1));
-        match plan {
-            ShardPlan::Neurons { workers } | ShardPlan::Rows { workers } => {
-                Ok(self.infer_locked_sharded(input, &mut cache, workers))
-            }
-            ShardPlan::Sequential => Ok(self.infer_locked(input, &mut cache)),
-        }
+        let plan = self.resolve(1, 1);
+        Ok(self.infer_row(input, plan.workers()))
     }
 
-    /// The caches stay internally consistent even if a thread panicked
-    /// mid-inference (bank and plane slots are written atomically, and a
-    /// half-run inference leaves no partial state behind), so a poisoned
-    /// lock is recovered rather than propagated — one panicking request
-    /// must not brick a long-lived serving session.
-    fn lock_cache(&self, slot: usize) -> MutexGuard<'_, SessionCache> {
-        self.caches[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Runs a batch of inferences through a shared reference, sharing
-    /// pre-computer banks (and, on a [`InferenceSession::warm`] session,
-    /// memoized products) across the whole batch. Equivalent to — and
-    /// bit-identical with — calling [`InferenceSession::infer_shared`]
-    /// once per input, for every [`Parallelism`] setting.
+    /// Runs a batch of inferences through a shared reference. Equivalent
+    /// to — and bit-identical with — calling
+    /// [`InferenceSession::infer_shared`] once per input, for every
+    /// [`Parallelism`] setting.
     ///
-    /// On a parallel session the rows are sharded across the worker
-    /// slots (each with its own persistent cache); a batch smaller than
-    /// the worker count falls back to neuron-sharding each row instead,
-    /// so big lone requests still use every core. Under
-    /// [`Parallelism::Auto`], the `man-par` decision table resolves the
-    /// mode and worker count per batch.
+    /// On a parallel session the rows are sharded across the workers; a
+    /// batch smaller than the worker count falls back to neuron-sharding
+    /// each row instead, so big lone requests still use every core.
+    /// Under [`Parallelism::Auto`], the `man-par` decision table
+    /// resolves the mode and worker count per batch.
     ///
     /// # Errors
     ///
@@ -562,92 +350,28 @@ impl InferenceSession {
         for input in inputs {
             self.check_shape(input)?;
         }
+        let plan = self.resolve(inputs.len(), streams);
         // The kernel-execute stage of the obs taxonomy (DESIGN.md §12):
-        // one span per batch, labeled with the resolved MAC kernel,
-        // arg = batch size. A no-op branch when the plane is off.
+        // one span per batch, labeled with the resolved plan, arg =
+        // batch size. A no-op branch when the plane is off.
         let _kernel_span = man_obs::Span::labeled(
             man_obs::Stage::Kernel,
             0,
-            self.kernel_label(),
+            plan.stage_label(),
             inputs.len() as u64,
         );
-        let mut plan = self.plan_with_load(inputs.len(), streams);
-        let layout = self.resolved_layout(inputs.len());
-        if layout.is_batch_major() {
-            // Batch-major consumes whole rows per lane, so a Neurons
-            // plan (rows too few/expensive to row-shard each) remaps to
-            // row sharding over the same worker budget — each worker
-            // then runs the widest lane block its rows allow.
-            if let ShardPlan::Neurons { workers } = plan {
-                plan = ShardPlan::Rows {
-                    workers: workers.min(inputs.len()),
-                };
-            }
-        }
-        match self.record_dispatch(plan, layout) {
-            (ShardPlan::Sequential, LayoutKind::BatchMajor) => {
-                let mut cache = self.lock_cache(0);
-                Ok(self
-                    .fixed
-                    .infer_batch_raw_batch_major_kernel(inputs, &mut cache, self.resolved_kernel())
-                    .into_iter()
-                    .map(|scores| Prediction {
-                        class: argmax_raw(&scores),
-                        scores,
-                        traces: None,
-                    })
-                    .collect())
-            }
-            (ShardPlan::Sequential, LayoutKind::RowMajor) => {
-                let mut cache = self.lock_cache(0);
-                Ok(inputs
-                    .iter()
-                    .map(|x| self.infer_locked(x, &mut cache))
-                    .collect())
-            }
-            (ShardPlan::Neurons { workers }, _) => {
-                // Rows too few (or too expensive each) to row-shard:
-                // shard each row's large layers across the workers
-                // instead (a no-op on warm sessions, whose product
-                // plane beats sharding — see
-                // `FixedNet::infer_raw_with_cache_par`). Only reachable
-                // row-major: batch-major remapped this plan above.
-                let mut cache = self.lock_cache(0);
-                Ok(inputs
-                    .iter()
-                    .map(|x| self.infer_locked_sharded(x, &mut cache, workers))
-                    .collect())
-            }
-            (ShardPlan::Rows { workers }, layout) => {
-                // Row sharding over as many worker slots as the plan
-                // engaged; each slot's cache memoizes (banks and, when
-                // warm, plane entries) on the ordinary mutable path.
-                let mut guards: Vec<MutexGuard<'_, SessionCache>> =
-                    (0..workers).map(|slot| self.lock_cache(slot)).collect();
-                let mut caches: Vec<&mut SessionCache> =
-                    guards.iter_mut().map(|g| &mut **g).collect();
-                let raw = match layout {
-                    LayoutKind::BatchMajor => self.fixed.infer_batch_raw_batch_major_par_kernel(
-                        inputs,
-                        &mut caches,
-                        self.resolved_kernel(),
-                    ),
-                    LayoutKind::RowMajor => self.fixed.infer_batch_raw_par_kernel(
-                        inputs,
-                        &mut caches,
-                        self.resolved_kernel(),
-                    ),
-                };
-                Ok(raw
-                    .into_iter()
-                    .map(|scores| Prediction {
-                        class: argmax_raw(&scores),
-                        scores,
-                        traces: None,
-                    })
-                    .collect())
-            }
-        }
+        Ok(match plan {
+            ShardPlan::Rows { workers } => self
+                .fixed
+                .infer_batch_exact(inputs, workers)
+                .into_iter()
+                .map(Prediction::untraced)
+                .collect(),
+            plan => inputs
+                .iter()
+                .map(|x| self.infer_row(x, plan.workers()))
+                .collect(),
+        })
     }
 
     /// Runs one inference ([`InferenceSession::infer_shared`] behind the

