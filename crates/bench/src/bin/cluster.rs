@@ -32,8 +32,8 @@ use man::zoo::Benchmark;
 use man_datasets::GenOptions;
 use man_repro::Pipeline;
 use man_serve::{
-    BatchConfig, BinaryClient, FrontendMode, ModelRegistry, ReactorConfig, RequestHandler, Router,
-    RouterConfig, Server, ServerConfig, TcpClient,
+    BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, RequestHandler, Router, RouterConfig,
+    Server, TcpClient,
 };
 use serde::Serialize;
 
@@ -205,13 +205,10 @@ fn run_worker() {
     let mut server = Server::bind_with(
         "127.0.0.1:0",
         Arc::clone(&registry),
-        ServerConfig {
-            mode: Some(FrontendMode::Reactor),
-            reactor: ReactorConfig {
-                reactor_threads: 1,
-                dispatch_threads: 1,
-                ..ReactorConfig::default()
-            },
+        ReactorConfig {
+            reactor_threads: 1,
+            dispatch_threads: 1,
+            ..ReactorConfig::default()
         },
     )
     .expect("worker server binds");
@@ -305,7 +302,7 @@ fn main() {
         let batch: Vec<Vec<f32>> = (0..REF_COUNT).map(|i| probe_input(input_len, i)).collect();
         compiled
             .session()
-            .infer_batch_shared(&batch)
+            .infer_batch(&batch)
             .expect("reference inference")
             .into_iter()
             .map(|p| (p.class, p.scores))
@@ -328,13 +325,10 @@ fn main() {
     let mut front = Server::bind_handler(
         "127.0.0.1:0",
         Arc::clone(&router) as Arc<dyn RequestHandler>,
-        ServerConfig {
-            mode: Some(FrontendMode::Reactor),
-            reactor: ReactorConfig {
-                reactor_threads: 1,
-                dispatch_threads: 2,
-                ..ReactorConfig::default()
-            },
+        ReactorConfig {
+            reactor_threads: 1,
+            dispatch_threads: 2,
+            ..ReactorConfig::default()
         },
     )
     .expect("router front-end binds");
@@ -345,7 +339,7 @@ fn main() {
     println!(
         "man-serve cluster benchmark — router + {WORKERS} workers, {REPLICAS} replicas, {ACTIVE_PER_MODE}x2 clients"
     );
-    println!("[man-serve] front-end: {}", front.mode().label());
+    println!("[man-serve] front-end: {}", front.frontend_stats().mode);
 
     // A verified-predict closure factory: checks every answer against
     // the reference session (bit-equality is part of "success").

@@ -24,10 +24,7 @@ use man::alphabet::AlphabetSet;
 use man::zoo::Benchmark;
 use man_datasets::GenOptions;
 use man_repro::Pipeline;
-use man_serve::{
-    BatchConfig, BinaryClient, FrontendMode, ModelRegistry, ReactorConfig, Server, ServerConfig,
-    TcpClient,
-};
+use man_serve::{BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, Server, TcpClient};
 use serde::{Deserialize, Serialize};
 
 const MODEL: &str = "digits";
@@ -297,22 +294,15 @@ fn main() {
         dispatch_threads: 2,
         ..ReactorConfig::default()
     };
-    let mut server = Server::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServerConfig {
-            mode: Some(FrontendMode::Reactor),
-            reactor: reactor.clone(),
-        },
-    )
-    .expect("reactor server binds");
+    let mut server = Server::bind_with("127.0.0.1:0", Arc::clone(&registry), reactor.clone())
+        .expect("reactor server binds");
     println!(
         "man-serve connection-scaling benchmark — {} idle + {}x2 active clients, fd limit {limit}",
         idle_target, ACTIVE_PER_MODE
     );
     println!(
         "[man-serve] front-end: {} ({} reactor + {} dispatch threads)",
-        server.mode().label(),
+        server.frontend_stats().mode,
         reactor.reactor_threads,
         reactor.dispatch_threads
     );

@@ -64,7 +64,7 @@ struct ParReport {
 /// check.
 fn warmup(session: &man_repro::InferenceSession, images: &[Vec<f32>]) -> Vec<Vec<i64>> {
     session
-        .infer_batch_shared(images)
+        .infer_batch(images)
         .expect("dataset images match the input layer")
         .into_iter()
         .map(|p| p.scores)
@@ -75,7 +75,7 @@ fn warmup(session: &man_repro::InferenceSession, images: &[Vec<f32>]) -> Vec<Vec
 fn timed_ips(session: &man_repro::InferenceSession, images: &[Vec<f32>]) -> f64 {
     timed_rate(|| {
         session
-            .infer_batch_shared(images)
+            .infer_batch(images)
             .expect("dataset images match the input layer")
             .len()
     })

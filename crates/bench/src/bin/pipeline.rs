@@ -66,7 +66,7 @@ fn main() {
             let (mut batched_ips, mut cold_ips) = (0.0f64, 0.0f64);
             for _ in 0..reps {
                 // Batched path: one session, one call per batch.
-                let mut session = compiled.session();
+                let session = compiled.session();
                 batched_ips = batched_ips.max(timed_rate(|| {
                     session
                         .infer_batch(&ds.test_images)
@@ -77,7 +77,7 @@ fn main() {
                 // Cold path: a fresh session per input.
                 cold_ips = cold_ips.max(timed_rate(|| {
                     for image in &ds.test_images {
-                        let mut fresh = compiled.session();
+                        let fresh = compiled.session();
                         let p = fresh.infer(image).expect("dataset image matches");
                         assert!(p.class < 64);
                     }

@@ -14,7 +14,7 @@
 //!   coalescing.
 //! * `micro_batched` — the production configuration: whatever queued
 //!   while the previous batch computed coalesces (up to 32) into one
-//!   `infer_batch_shared` call on a persistent session.
+//!   `infer_batch_with_load` call on a persistent session.
 //!
 //! Emits `BENCH_serve.json` in the working directory.
 //!
@@ -195,7 +195,7 @@ fn tcp_roundtrip(model: &CompiledModel, images: &[Vec<f32>], rounds: usize) -> T
     println!("\nloopback TCP round-trip:");
     let expected = model
         .session()
-        .infer_shared(&images[0])
+        .infer(&images[0])
         .expect("image matches the input layer");
     let path = std::env::temp_dir().join("man_bench_serve_digits.man.json");
     model.save(&path).expect("artifact saves");

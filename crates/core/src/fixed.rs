@@ -18,7 +18,7 @@ use man_fixed::{quantize::fit_format, QFormat};
 use man_hw::components::activation::{activation_unit_fixed, PlanParams};
 use man_nn::layers::Layer;
 use man_nn::network::Network;
-use man_par::{parallel_map, Parallelism};
+use man_par::{parallel_map, Parallelism, ShardPlan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -319,9 +319,9 @@ impl FixedLayer {
 /// A compiled fixed-point network.
 ///
 /// It runs two datapaths over the same compiled weights. The serving
-/// path ([`FixedNet::infer_exact`], [`FixedNet::predict`], the accuracy
-/// evaluators) is a plain exact-integer dot product per neuron. The
-/// reference path ([`FixedNet::infer_raw`], [`FixedNet::infer_raw_traced`],
+/// path ([`FixedNet::run`], and through it [`FixedNet::predict`] and the
+/// accuracy evaluators) is a plain exact-integer dot product per neuron.
+/// The reference path ([`FixedNet::infer_raw`] and
 /// [`FixedNet::sample_traces`]) simulates the paper's ASM select, shift
 /// and add. Every compiled weight decodes under its layer's alphabet and
 /// a decodable weight multiplies exactly, so the two agree bit for bit
@@ -423,6 +423,13 @@ impl FixedNet {
                 Some(Layer::Activation(a))
                     if a.activation == man_nn::layers::Activation::Sigmoid =>
                 {
+                    // The PLAN unit emits `bits - 1` output bits and is
+                    // only defined for at least 5 of them.
+                    if bits < 6 {
+                        return Err(CompileError::UnsupportedArchitecture(format!(
+                            "layer {i} feeds a sigmoid, whose PLAN unit needs at least 6-bit words (got {bits})"
+                        )));
+                    }
                     i += 1;
                     OutputStage::Sigmoid
                 }
@@ -830,7 +837,7 @@ impl FixedNet {
     /// Runs one inference through the ASM reference datapath, returning
     /// the raw output-layer accumulators ("logits" at the final layer's
     /// accumulator fraction). This is the oracle the exact-integer path
-    /// is tested against; serve through [`FixedNet::infer_exact`].
+    /// is tested against; serve through [`FixedNet::run`].
     ///
     /// # Panics
     ///
@@ -839,34 +846,38 @@ impl FixedNet {
         self.forward(image, |_, layer, x| self.asm_layer(layer, x, None))
     }
 
-    /// Runs one inference through the exact-integer datapath, with each
-    /// wide layer's outputs sharded over `workers` pool threads (1 runs
-    /// on the caller's thread). Bit-identical to [`FixedNet::infer_raw`]
-    /// for every `workers`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not hold [`FixedNet::input_len`] values.
-    pub fn infer_exact(&self, image: &[f32], workers: usize) -> Vec<i64> {
+    /// One row through the exact-integer datapath, each wide layer's
+    /// outputs sharded over `workers` pool threads.
+    fn exact_row(&self, image: &[f32], workers: usize) -> Vec<i64> {
         self.forward(image, |_, layer, x| self.exact_layer(layer, x, workers))
     }
 
-    /// Runs a batch through the exact-integer datapath with its rows
-    /// sharded over `workers` pool threads. Row `i` is
-    /// `infer_exact(&images[i], 1)`: each row runs whole on one thread.
+    /// Runs `rows` through the exact-integer datapath under `plan`:
+    /// `Rows` shards the rows over its workers (each row whole on one
+    /// thread), `Neurons` shards each wide layer's outputs row after row,
+    /// and `Sequential` runs on the caller's thread. Row `i` of the
+    /// result is bit-identical to `infer_raw(rows[i])` for every plan.
     ///
     /// # Panics
     ///
-    /// Panics if any image does not hold [`FixedNet::input_len`] values.
-    pub fn infer_batch_exact(&self, images: &[Vec<f32>], workers: usize) -> Vec<Vec<i64>> {
-        parallel_map(Parallelism::Threads(workers), images.len(), |i| {
-            self.infer_exact(&images[i], 1)
-        })
+    /// Panics if any row does not hold [`FixedNet::input_len`] values.
+    pub fn run<R: AsRef<[f32]> + Sync>(&self, rows: &[R], plan: ShardPlan) -> Vec<Vec<i64>> {
+        match plan {
+            ShardPlan::Rows { workers } => {
+                parallel_map(Parallelism::Threads(workers), rows.len(), |i| {
+                    self.exact_row(rows[i].as_ref(), 1)
+                })
+            }
+            plan => rows
+                .iter()
+                .map(|x| self.exact_row(x.as_ref(), plan.workers()))
+                .collect(),
+        }
     }
 
     /// Predicted class (exact argmax over the raw integer logits).
     pub fn predict(&self, image: &[f32]) -> usize {
-        argmax_raw(&self.infer_exact(image, 1))
+        argmax_raw(&self.run(&[image], ShardPlan::Sequential)[0])
     }
 
     /// Classification accuracy over a test set (the same count as
@@ -875,15 +886,10 @@ impl FixedNet {
         self.accuracy_par(images, labels, Parallelism::Sequential)
     }
 
-    /// [`FixedNet::accuracy`] parallelized across `parallelism` workers.
-    /// Exactly the same count as the sequential pass — inference is
-    /// deterministic per row — just faster on multi-core hosts.
-    /// `Threads(n)` row-shards the set across `n` workers; under
-    /// [`Parallelism::Auto`] the `man-par` decision table (compile-time
-    /// MACs per row × set size) resolves the whole plan, so tiny
-    /// evaluation sets skip the pool handoff entirely and a *small* set
-    /// of *large* rows neuron-shards each row's layers instead of
-    /// starving on rows.
+    /// [`FixedNet::accuracy`] run under the plan
+    /// [`Parallelism::plan`] resolves for the whole set. Exactly the
+    /// same count as the sequential pass — inference is deterministic
+    /// per row — just faster on multi-core hosts.
     ///
     /// # Panics
     ///
@@ -894,36 +900,13 @@ impl FixedNet {
         labels: &[usize],
         parallelism: Parallelism,
     ) -> f64 {
-        use man_par::ShardPlan;
         assert_eq!(images.len(), labels.len());
         if images.is_empty() {
             return 0.0;
         }
-        let plan = match parallelism {
-            Parallelism::Auto => man_par::plan_shards(
-                &man_par::AutoContext {
-                    macs_per_row: self.macs_per_inference(),
-                    batch: images.len(),
-                    streams: 1,
-                    cores: man_par::available_cores(),
-                },
-                &man_par::AutoTuning::default(),
-            ),
-            // Static request: row sharding, the historical behavior.
-            other => match other.workers().min(images.len()) {
-                0 | 1 => ShardPlan::Sequential,
-                workers => ShardPlan::Rows { workers },
-            },
-        };
-        let scores = match plan {
-            ShardPlan::Sequential => self.infer_batch_exact(images, 1),
-            ShardPlan::Rows { workers } => self.infer_batch_exact(images, workers),
-            ShardPlan::Neurons { workers } => images
-                .iter()
-                .map(|x| self.infer_exact(x, workers))
-                .collect(),
-        };
-        let correct = scores
+        let plan = parallelism.plan(self.macs_per_inference(), images.len(), 1);
+        let correct = self
+            .run(images, plan)
             .iter()
             .zip(labels)
             .filter(|(s, &l)| argmax_raw(s) == l)
@@ -934,40 +917,23 @@ impl FixedNet {
     /// Runs ASM inferences over `images` collecting per-layer operand
     /// traces (up to `limit` MACs per layer) for the switching-activity
     /// power model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image does not hold [`FixedNet::input_len`] values.
     pub fn sample_traces(&self, images: &[Vec<f32>], limit: usize) -> Vec<LayerTrace> {
-        let mut traces = self.empty_traces(limit);
+        let mut traces: Vec<LayerTrace> = (0..self.layers.len())
+            .map(|_| LayerTrace::new(limit))
+            .collect();
         for image in images {
-            let _ = self.forward_traced(image, &mut traces);
+            self.forward(image, |li, layer, x| {
+                self.asm_layer(layer, x, Some(&mut traces[li]))
+            });
             if traces.iter().all(LayerTrace::full) {
                 break;
             }
         }
         traces
-    }
-
-    /// Runs one traced inference through the ASM reference datapath: raw
-    /// logits plus the full per-layer operand streams (up to `limit`
-    /// MACs per layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` does not hold [`FixedNet::input_len`] values.
-    pub fn infer_raw_traced(&self, image: &[f32], limit: usize) -> (Vec<i64>, Vec<LayerTrace>) {
-        let mut traces = self.empty_traces(limit);
-        let logits = self.forward_traced(image, &mut traces);
-        (logits, traces)
-    }
-
-    fn empty_traces(&self, limit: usize) -> Vec<LayerTrace> {
-        (0..self.layers.len())
-            .map(|_| LayerTrace::new(limit))
-            .collect()
-    }
-
-    fn forward_traced(&self, image: &[f32], traces: &mut [LayerTrace]) -> Vec<i64> {
-        self.forward(image, |li, layer, x| {
-            self.asm_layer(layer, x, Some(&mut traces[li]))
-        })
     }
 }
 
@@ -1182,11 +1148,11 @@ mod tests {
                 .map(|j| ((i * 11 + j * 3) % 13) as f32 / 13.0)
                 .collect();
             let oracle = fixed.infer_raw(&x);
-            for threads in [1usize, 2, 3, 8] {
+            for workers in [1usize, 2, 3, 8] {
                 assert_eq!(
-                    fixed.infer_exact(&x, threads),
+                    fixed.run(&[&x], ShardPlan::Neurons { workers })[0],
                     oracle,
-                    "threads={threads}: sharding must not change a bit"
+                    "workers={workers}: sharding must not change a bit"
                 );
             }
         }
@@ -1205,12 +1171,15 @@ mod tests {
         let oracle: Vec<Vec<i64>> = images.iter().map(|x| fixed.infer_raw(x)).collect();
         for workers in [1usize, 2, 4] {
             assert_eq!(
-                fixed.infer_batch_exact(&images, workers),
+                fixed.run(&images, ShardPlan::Rows { workers }),
                 oracle,
                 "{workers} workers"
             );
         }
-        assert!(fixed.infer_batch_exact(&[], 4).is_empty());
+        assert_eq!(fixed.run(&images, ShardPlan::Sequential), oracle);
+        assert!(fixed
+            .run::<Vec<f32>>(&[], ShardPlan::Rows { workers: 4 })
+            .is_empty());
     }
 
     /// The exact-integer path agrees with the ASM oracle on dense *and*
@@ -1256,7 +1225,7 @@ mod tests {
                 let oracle = fixed.infer_raw(&x);
                 for workers in [1usize, 3] {
                     assert_eq!(
-                        fixed.infer_exact(&x, workers),
+                        fixed.run(&[&x], ShardPlan::Neurons { workers })[0],
                         oracle,
                         "bits={bits} workers={workers}"
                     );
@@ -1301,7 +1270,11 @@ mod tests {
                 .collect();
             let want = -max_mag * xq[0] + (1i64 << (bits - 2)) * xq[1];
             assert_eq!(fixed.infer_raw(&x), vec![want], "bits={bits} oracle");
-            assert_eq!(fixed.infer_exact(&x, 1), vec![want], "bits={bits} exact");
+            assert_eq!(
+                fixed.run(&[x], ShardPlan::Sequential),
+                [[want]],
+                "bits={bits} exact"
+            );
         }
     }
 
@@ -1320,7 +1293,7 @@ mod tests {
         let want = 9 * 32_767i64 * 32_767;
         assert!(want > i64::from(i32::MAX));
         assert_eq!(fixed.infer_raw(&x), vec![want]);
-        assert_eq!(fixed.infer_exact(&x, 1), vec![want]);
+        assert_eq!(fixed.run(&[&x], ShardPlan::Sequential), [[want]]);
     }
 
     #[test]

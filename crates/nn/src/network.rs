@@ -149,13 +149,12 @@ impl Network {
         correct as f64 / samples.len() as f64
     }
 
-    /// [`Network::accuracy`] with the dataset row-sharded across
-    /// `parallelism` worker threads. Each sample's forward pass is
-    /// independent and deterministic, so the count — and therefore the
-    /// returned accuracy — is identical to the sequential pass. Under
-    /// [`man_par::Parallelism::Auto`] the worker count comes from the
-    /// `man-par` decision table (MACs per row × set size), so tiny
-    /// evaluation sets skip the pool handoff entirely.
+    /// [`Network::accuracy`] with the dataset row-sharded across the
+    /// workers of the plan [`man_par::Parallelism::plan`] resolves for
+    /// it. The float engine has no neuron-sharded forward pass, so every
+    /// plan row-shards over its worker count. Each sample's forward pass
+    /// is independent and deterministic, so the count — and therefore
+    /// the returned accuracy — is identical to the sequential pass.
     ///
     /// # Panics
     ///
@@ -170,36 +169,16 @@ impl Network {
         if samples.is_empty() {
             return 0.0;
         }
-        let resolved = match parallelism {
-            man_par::Parallelism::Auto => {
-                // The float engine has no neuron-sharded forward pass,
-                // so the only plans this path can honor are Sequential
-                // and Rows — disable the decision table's neuron row
-                // rather than misreading a Neurons plan's worker count
-                // as a row-shard width.
-                let plan = man_par::plan_shards(
-                    &man_par::AutoContext {
-                        macs_per_row: self.macs_per_inference(),
-                        batch: samples.len(),
-                        streams: 1,
-                        cores: man_par::available_cores(),
-                    },
-                    &man_par::AutoTuning {
-                        neuron_shard_min_macs: u64::MAX,
-                        ..man_par::AutoTuning::default()
-                    },
-                );
-                debug_assert!(!matches!(plan, man_par::ShardPlan::Neurons { .. }));
-                man_par::Parallelism::Threads(plan.workers())
-            }
-            other => other,
-        };
-        if resolved.workers() <= 1 {
+        let workers = parallelism
+            .plan(self.macs_per_inference(), samples.len(), 1)
+            .workers();
+        if workers <= 1 {
             return self.accuracy(samples, labels);
         }
-        let hits = man_par::parallel_map(resolved, samples.len(), |i| {
-            u64::from(self.predict(&samples[i]) == labels[i])
-        });
+        let hits =
+            man_par::parallel_map(man_par::Parallelism::Threads(workers), samples.len(), |i| {
+                u64::from(self.predict(&samples[i]) == labels[i])
+            });
         hits.iter().sum::<u64>() as f64 / samples.len() as f64
     }
 
@@ -323,5 +302,29 @@ mod tests {
         let p1 = net.predict(&samples[1]);
         let acc = net.accuracy(&samples, &[p0, p1]);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn parallel_accuracy_matches_sequential() {
+        // 2,500 rows of a 25-MAC net clear the Auto table's total-work
+        // floor, so `Auto` row-shards on any multi-core host.
+        let net = tiny_net(5);
+        let samples: Vec<Vec<f32>> = (0..2_500)
+            .map(|i| {
+                (0..3)
+                    .map(|j| ((i * 7 + j * 5) % 17) as f32 / 8.0 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let labels: Vec<usize> = (0..samples.len()).map(|i| i % 2).collect();
+        let seq = net.accuracy(&samples, &labels);
+        assert!(seq > 0.0 && seq < 1.0, "a degenerate set proves nothing");
+        for p in [
+            man_par::Parallelism::Sequential,
+            man_par::Parallelism::Threads(3),
+            man_par::Parallelism::Auto,
+        ] {
+            assert_eq!(net.accuracy_par(&samples, &labels, p), seq, "{p:?}");
+        }
     }
 }

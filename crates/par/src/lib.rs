@@ -27,11 +27,11 @@
 //! the (single, encapsulated) lifetime erasure in [`WorkerPool::run_chunked`]
 //! sound.
 //!
-//! This crate also hosts the [`Parallelism::Auto`] tuner: a small,
-//! unit-tested decision table ([`plan_shards`]) that resolves row- vs
-//! neuron-sharding and the worker count per batch from measured MACs per
-//! row, batch size and serve queue pressure (see [`AutoContext`] /
-//! [`AutoTuning`]).
+//! This crate also hosts the one place a batch's sharding is decided:
+//! [`Parallelism::plan`] turns a setting plus the batch's MACs per row,
+//! size and serve queue pressure into a [`ShardPlan`]. Under
+//! [`Parallelism::Auto`] that is a small, unit-tested decision table
+//! with constant thresholds.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,9 +59,8 @@ pub enum Parallelism {
     Threads(usize),
     /// Let the tuner decide: the worker *budget* is one per available
     /// hardware thread ([`std::thread::available_parallelism`]), and
-    /// call sites that know their workload (the facade session, the
-    /// serve scheduler, the accuracy evaluators) resolve sharding mode
-    /// and worker count per batch through [`plan_shards`].
+    /// [`Parallelism::plan`] resolves sharding mode and worker count per
+    /// batch.
     Auto,
 }
 
@@ -69,7 +68,7 @@ impl Parallelism {
     /// The worker *budget* this configuration resolves to (always ≥ 1).
     /// For [`Parallelism::Auto`] this is the upper bound the tuner works
     /// under — the per-batch resolved count can be lower (see
-    /// [`plan_shards`]).
+    /// [`Parallelism::plan`]).
     pub fn workers(self) -> usize {
         match self {
             Parallelism::Sequential => 1,
@@ -87,13 +86,59 @@ impl Parallelism {
             Parallelism::Auto => format!("auto({})", available_cores()),
         }
     }
+
+    /// Resolves how a batch of `batch` rows, each costing
+    /// `macs_per_row` multiply-accumulates, shards under this setting
+    /// while `streams` batch streams (≥ 1) compete for the same cores.
+    /// This is the one place a [`ShardPlan`] is decided:
+    ///
+    /// * `Sequential` always runs on the caller;
+    /// * `Threads(n)` is static: `Sequential` for `n = 1` or an empty
+    ///   batch, `Neurons(n)` for a lone row, `Rows(min(n, batch))`
+    ///   otherwise. `macs_per_row` and `streams` are ignored;
+    /// * `Auto` consults the decision table below over every available
+    ///   core.
+    ///
+    /// | # | condition                                             | plan |
+    /// |---|-------------------------------------------------------|------|
+    /// | 1 | worker budget `cores / streams` is 1, or batch is 0   | `Sequential` |
+    /// | 2 | `macs_per_row × batch` < 50 000                       | `Sequential` |
+    /// | 3 | `batch ≥ 2` and `2·batch ≥ budget`                    | `Rows(min(budget, batch))` |
+    /// | 4 | `macs_per_row` ≥ 16 384                               | `Neurons(budget)` |
+    /// | 5 | `batch ≥ 2`                                           | `Rows(min(budget, batch))` |
+    ///
+    /// Row 3 prefers row sharding whenever there are enough rows to keep
+    /// at least half the budget busy — row sharding has no prefill phase
+    /// and perfect per-row locality. Row 4 catches the lone large
+    /// inference (one expensive row, many idle cores). Row 5 is the
+    /// small-rows fallback: a few cheap rows still beat neuron
+    /// sharding's prefill.
+    ///
+    /// Every plan is bit-identical to `Sequential`; the plan only moves
+    /// wall-clock time around.
+    pub fn plan(self, macs_per_row: u64, batch: usize, streams: usize) -> ShardPlan {
+        match self {
+            Parallelism::Sequential => ShardPlan::Sequential,
+            Parallelism::Threads(n) if n <= 1 || batch == 0 => ShardPlan::Sequential,
+            Parallelism::Threads(n) if batch == 1 => ShardPlan::Neurons { workers: n },
+            Parallelism::Threads(n) => ShardPlan::Rows {
+                workers: n.min(batch),
+            },
+            Parallelism::Auto => auto_plan(macs_per_row, batch, streams, available_cores()),
+        }
+    }
 }
 
-/// The host's available hardware threads (≥ 1; 1 when detection fails).
+/// The host's available hardware threads (≥ 1; 1 when detection fails),
+/// detected once per process: [`Parallelism::plan`] consults it for
+/// every `Auto` batch, and detection reads cgroup files.
 pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Splits one worker budget across two nested parallel stages: the
@@ -116,63 +161,20 @@ pub fn default_chunk_size(items: usize, workers: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The Auto tuner
+// The one resolve point
 // ---------------------------------------------------------------------------
 
-/// Thresholds of the [`Parallelism::Auto`] decision table. Every field
-/// is public so callers (tests, the serve `BatchConfig`, ablation
-/// studies) can override individual entries; [`AutoTuning::default`] is
-/// the production table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AutoTuning {
-    /// Below this many MACs in the *whole* batch, parallel dispatch
-    /// overhead (queue handoff, condvar wake) outweighs the work:
-    /// stay sequential.
-    pub min_total_macs: u64,
-    /// A lone row (or a batch too small to row-shard) only
-    /// neuron-shards its layers when one inference costs at least this
-    /// many MACs — below it, per-layer prefill + handout costs more
-    /// than it saves.
-    pub neuron_shard_min_macs: u64,
-    /// The smallest batch worth row-sharding.
-    pub row_shard_min_batch: usize,
-    /// Hard cap on resolved workers (`None` = the host core count).
-    pub max_workers: Option<usize>,
-}
-
-impl Default for AutoTuning {
-    fn default() -> Self {
-        Self {
-            min_total_macs: 50_000,
-            neuron_shard_min_macs: 16_384,
-            row_shard_min_batch: 2,
-            max_workers: None,
-        }
-    }
-}
-
-/// What the tuner knows about one batch when [`Parallelism::Auto`]
-/// resolves it.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct AutoContext {
-    /// Multiply-accumulates one inference of this model costs — recorded
-    /// at compile time (`FixedNet::macs_per_layer` summed; carried by
-    /// `CompiledModel`/`CostedModel`).
-    pub macs_per_row: u64,
-    /// Rows in this batch.
-    pub batch: usize,
-    /// Concurrent streams competing for the same cores (≥ 1). The serve
-    /// scheduler derives this from its queue depth: a backlog deep
-    /// enough to keep sibling workers busy means this batch should not
-    /// grab every core for itself.
-    pub streams: usize,
-    /// The worker budget (usually [`available_cores`], or the session's
-    /// configured slot count).
-    pub cores: usize,
-}
+/// Below this many MACs in the *whole* batch, parallel dispatch
+/// overhead (queue handoff, condvar wake) outweighs the work.
+const MIN_TOTAL_MACS: u64 = 50_000;
+/// A lone row (or a batch too small to row-shard) only neuron-shards its
+/// layers when one inference costs at least this many MACs.
+const NEURON_SHARD_MIN_MACS: u64 = 16_384;
+/// The smallest batch worth row-sharding.
+const ROW_SHARD_MIN_BATCH: usize = 2;
 
 /// How a batch resolved: the sharding mode and worker count
-/// [`plan_shards`] picked. Every variant is bit-identical to
+/// [`Parallelism::plan`] picked. Every variant is bit-identical to
 /// `Sequential`; the plan only moves wall-clock time around.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ShardPlan {
@@ -224,48 +226,30 @@ impl ShardPlan {
     }
 }
 
-/// The [`Parallelism::Auto`] decision table. Deterministic in its
-/// inputs, unit-tested row by row, and overridable through
-/// [`AutoTuning`]:
-///
-/// | # | condition                                             | plan |
-/// |---|-------------------------------------------------------|------|
-/// | 1 | worker budget (`cores / streams`, capped) is 1        | `Sequential` |
-/// | 2 | `macs_per_row × batch < min_total_macs`               | `Sequential` |
-/// | 3 | `batch ≥ row_shard_min_batch` and `2·batch ≥ budget`  | `Rows(min(budget, batch))` |
-/// | 4 | `macs_per_row ≥ neuron_shard_min_macs`                | `Neurons(budget)` |
-/// | 5 | `batch ≥ row_shard_min_batch`                         | `Rows(min(budget, batch))` |
-/// | 6 | otherwise                                             | `Sequential` |
-///
-/// Row 3 prefers row sharding whenever there are enough rows to keep at
-/// least half the budget busy — row sharding has no prefill phase and
-/// perfect per-row locality. Row 4 catches the lone-large-inference
-/// case (one expensive row, many idle cores). Row 5 is the small-rows
-/// fallback: a few cheap rows still beat neuron-sharding's prefill.
-pub fn plan_shards(ctx: &AutoContext, tuning: &AutoTuning) -> ShardPlan {
-    let mut budget = (ctx.cores / ctx.streams.max(1)).max(1);
-    if let Some(cap) = tuning.max_workers {
-        budget = budget.min(cap.max(1));
-    }
-    if budget <= 1 || ctx.batch == 0 {
+/// The [`Parallelism::Auto`] decision table documented on
+/// [`Parallelism::plan`], over a budget of `cores / streams` workers.
+/// The table's closing default (`Sequential`) cannot be reached with
+/// these constants: a batch that misses rows 2, 4 and 5 is one row of
+/// fewer MACs than row 2 asks for.
+fn auto_plan(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> ShardPlan {
+    let budget = (cores / streams.max(1)).max(1);
+    if budget <= 1 || batch == 0 {
         return ShardPlan::Sequential;
     }
-    let total_macs = ctx.macs_per_row.saturating_mul(ctx.batch as u64);
-    if total_macs < tuning.min_total_macs {
+    if macs_per_row.saturating_mul(batch as u64) < MIN_TOTAL_MACS {
         return ShardPlan::Sequential;
     }
-    if ctx.batch >= tuning.row_shard_min_batch && 2 * ctx.batch >= budget {
-        return ShardPlan::Rows {
-            workers: budget.min(ctx.batch),
-        };
+    let rows = ShardPlan::Rows {
+        workers: budget.min(batch),
+    };
+    if batch >= ROW_SHARD_MIN_BATCH && 2 * batch >= budget {
+        return rows;
     }
-    if ctx.macs_per_row >= tuning.neuron_shard_min_macs {
+    if macs_per_row >= NEURON_SHARD_MIN_MACS {
         return ShardPlan::Neurons { workers: budget };
     }
-    if ctx.batch >= tuning.row_shard_min_batch {
-        return ShardPlan::Rows {
-            workers: budget.min(ctx.batch),
-        };
+    if batch >= ROW_SHARD_MIN_BATCH {
+        return rows;
     }
     ShardPlan::Sequential
 }
@@ -1094,114 +1078,83 @@ mod tests {
         }
     }
 
-    // -- Auto tuner decision table -------------------------------------
+    // -- The resolve point ---------------------------------------------
 
-    fn ctx(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> AutoContext {
-        AutoContext {
-            macs_per_row,
-            batch,
-            streams,
-            cores,
+    #[test]
+    fn threads_plan_is_static() {
+        for streams in [1usize, 8] {
+            let plan = |p: Parallelism, batch| p.plan(1_000_000, batch, streams);
+            assert_eq!(plan(Parallelism::Threads(1), 64), ShardPlan::Sequential);
+            assert_eq!(plan(Parallelism::Threads(4), 0), ShardPlan::Sequential);
+            assert_eq!(
+                plan(Parallelism::Threads(4), 1),
+                ShardPlan::Neurons { workers: 4 }
+            );
+            assert_eq!(
+                plan(Parallelism::Threads(4), 2),
+                ShardPlan::Rows { workers: 2 }
+            );
+            assert_eq!(
+                plan(Parallelism::Threads(4), 64),
+                ShardPlan::Rows { workers: 4 }
+            );
+            assert_eq!(plan(Parallelism::Sequential, 64), ShardPlan::Sequential);
         }
+        // Tiny work does not change a static request either.
+        assert_eq!(
+            Parallelism::Threads(3).plan(1, 5, 1),
+            ShardPlan::Rows { workers: 3 }
+        );
     }
 
     #[test]
     fn tuner_stays_sequential_on_one_core_or_tiny_work() {
-        let t = AutoTuning::default();
         // Row 1: no budget.
-        assert_eq!(
-            plan_shards(&ctx(1_000_000, 64, 1, 1), &t),
-            ShardPlan::Sequential
-        );
+        assert_eq!(auto_plan(1_000_000, 64, 1, 1), ShardPlan::Sequential);
         // Row 1 via streams: 8 cores but 8 competing streams.
-        assert_eq!(
-            plan_shards(&ctx(1_000_000, 64, 8, 8), &t),
-            ShardPlan::Sequential
-        );
+        assert_eq!(auto_plan(1_000_000, 64, 8, 8), ShardPlan::Sequential);
         // Row 2: total work below the floor.
-        assert_eq!(plan_shards(&ctx(100, 64, 1, 8), &t), ShardPlan::Sequential);
+        assert_eq!(auto_plan(100, 64, 1, 8), ShardPlan::Sequential);
         // Empty batch.
-        assert_eq!(
-            plan_shards(&ctx(1_000_000, 0, 1, 8), &t),
-            ShardPlan::Sequential
-        );
+        assert_eq!(auto_plan(1_000_000, 0, 1, 8), ShardPlan::Sequential);
     }
 
     #[test]
     fn tuner_row_shards_plentiful_batches() {
-        let t = AutoTuning::default();
         // Row 3: 64 rows, 8 cores -> rows across all 8.
-        assert_eq!(
-            plan_shards(&ctx(100_000, 64, 1, 8), &t),
-            ShardPlan::Rows { workers: 8 }
-        );
+        assert_eq!(auto_plan(100_000, 64, 1, 8), ShardPlan::Rows { workers: 8 });
         // Workers never exceed rows.
-        assert_eq!(
-            plan_shards(&ctx(100_000, 5, 1, 8), &t),
-            ShardPlan::Rows { workers: 5 }
-        );
+        assert_eq!(auto_plan(100_000, 5, 1, 8), ShardPlan::Rows { workers: 5 });
     }
 
     #[test]
     fn tuner_neuron_shards_lone_large_inferences() {
-        let t = AutoTuning::default();
         // Row 4: one expensive row, 8 idle cores.
         assert_eq!(
-            plan_shards(&ctx(400_000, 1, 1, 8), &t),
+            auto_plan(400_000, 1, 1, 8),
             ShardPlan::Neurons { workers: 8 }
         );
         // Two expensive rows against 8 cores: still neurons (2*2 < 8).
         assert_eq!(
-            plan_shards(&ctx(400_000, 2, 1, 8), &t),
+            auto_plan(400_000, 2, 1, 8),
             ShardPlan::Neurons { workers: 8 }
         );
         // Same two rows against 4 cores: rows win (2*2 >= 4).
-        assert_eq!(
-            plan_shards(&ctx(400_000, 2, 1, 4), &t),
-            ShardPlan::Rows { workers: 2 }
-        );
+        assert_eq!(auto_plan(400_000, 2, 1, 4), ShardPlan::Rows { workers: 2 });
     }
 
     #[test]
     fn tuner_small_rows_fall_back_to_row_sharding() {
-        let t = AutoTuning::default();
         // Row 5: 4 cheap rows (below the neuron floor per row, above the
         // total floor), budget 16: 2*4 < 16 so row 3 misses, neuron floor
         // misses, rows still beat sequential.
-        assert_eq!(
-            plan_shards(&ctx(15_000, 4, 1, 16), &t),
-            ShardPlan::Rows { workers: 4 }
-        );
-        // Row 6: a lone cheap-ish row parallelizes nowhere.
-        assert_eq!(
-            plan_shards(
-                &ctx(60_000, 1, 1, 8),
-                &AutoTuning {
-                    neuron_shard_min_macs: 100_000,
-                    ..AutoTuning::default()
-                }
-            ),
-            ShardPlan::Sequential
-        );
+        assert_eq!(auto_plan(15_000, 4, 1, 16), ShardPlan::Rows { workers: 4 });
     }
 
     #[test]
-    fn tuner_respects_stream_pressure_and_caps() {
-        let t = AutoTuning::default();
+    fn tuner_respects_stream_pressure() {
         // 2 competing streams halve the budget.
-        assert_eq!(
-            plan_shards(&ctx(100_000, 64, 2, 8), &t),
-            ShardPlan::Rows { workers: 4 }
-        );
-        // Explicit worker cap.
-        let capped = AutoTuning {
-            max_workers: Some(2),
-            ..AutoTuning::default()
-        };
-        assert_eq!(
-            plan_shards(&ctx(100_000, 64, 1, 8), &capped),
-            ShardPlan::Rows { workers: 2 }
-        );
+        assert_eq!(auto_plan(100_000, 64, 2, 8), ShardPlan::Rows { workers: 4 });
         assert_eq!(ShardPlan::Rows { workers: 2 }.workers(), 2);
         assert_eq!(ShardPlan::Neurons { workers: 8 }.label(), "neurons(8)");
         assert_eq!(ShardPlan::Sequential.workers(), 1);

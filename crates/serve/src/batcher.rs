@@ -4,7 +4,7 @@
 //! Callers submit single requests; workers coalesce whatever is queued —
 //! up to [`BatchConfig::max_batch`] requests, waiting at most
 //! [`BatchConfig::max_wait`] after the first — into one
-//! `infer_batch_shared` call. Replies travel back over per-request
+//! `infer_batch_with_load` call. Replies travel back over per-request
 //! oneshot channels. When the queue is full, submission fails
 //! *immediately* with [`man_repro::ServeError::Overloaded`] — explicit
 //! backpressure beats unbounded latency.
@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use man_obs::{flight, Span, Stage};
-use man_par::{AutoTuning, ShardPlan};
+use man_par::ShardPlan;
 use man_repro::{CompiledModel, InferenceSession, ManError, Parallelism, Prediction, ServeError};
 
 use crate::metrics::ModelMetrics;
@@ -91,9 +91,6 @@ pub struct BatchConfig {
     /// means sibling batches are right behind this one, so it should not
     /// grab every core.
     pub parallelism: Parallelism,
-    /// Threshold overrides for the [`Parallelism::Auto`] decision table
-    /// (ignored under `Sequential`/`Threads`).
-    pub auto_tuning: AutoTuning,
     /// How long a submitter waits for its reply before giving up.
     pub request_timeout: Duration,
 }
@@ -107,7 +104,6 @@ impl Default for BatchConfig {
             workers: 1,
             session_mode: SessionMode::Persistent,
             parallelism: Parallelism::Sequential,
-            auto_tuning: AutoTuning::default(),
             request_timeout: Duration::from_secs(30),
         }
     }
@@ -327,12 +323,7 @@ impl Drop for ModelHost {
 fn worker_session(model: &CompiledModel, cfg: &BatchConfig) -> Option<InferenceSession> {
     match cfg.session_mode {
         SessionMode::Cold => None,
-        SessionMode::Persistent => Some(
-            model
-                .session()
-                .with_parallelism(cfg.parallelism)
-                .with_auto_tuning(cfg.auto_tuning.clone()),
-        ),
+        SessionMode::Persistent => Some(model.session().with_parallelism(cfg.parallelism)),
     }
 }
 
@@ -616,7 +607,6 @@ mod tests {
         assert!(cfg.max_batch >= 8);
         assert!(cfg.queue_capacity >= cfg.max_batch);
         assert_eq!(cfg.session_mode, SessionMode::Persistent);
-        assert_eq!(cfg.auto_tuning, AutoTuning::default());
     }
 
     #[test]

@@ -226,14 +226,7 @@ impl Backend {
         timeout: Duration,
     ) -> Result<Prediction, WireError> {
         let (class, scores) = self.round_trip(timeout, |conn| conn.predict(model, input))?;
-        // Operand traces never travel the wire (`PROTOCOL.md`): a
-        // routed prediction carries class + scores, like any remote
-        // client's.
-        Ok(Prediction {
-            class,
-            scores,
-            traces: None,
-        })
+        Ok(Prediction { class, scores })
     }
 
     /// One JSON verb through this backend, `ok` envelope unwrapped.

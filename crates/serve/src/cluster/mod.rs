@@ -8,7 +8,7 @@
 //! * **Front-end reuse** — the router implements
 //!   [`crate::server::RequestHandler`], so
 //!   [`crate::Server::bind_handler`] serves it through the same poll
-//!   reactor (or legacy engine) a plain model server uses: both wire
+//!   reactor a plain model server uses: both wire
 //!   modes on one port, same backpressure, same stable error codes.
 //! * **Transport reuse** — router→worker traffic is the existing MANB
 //!   binary framing (`PROTOCOL.md` §binary); workers are stock

@@ -256,7 +256,6 @@ mod tests {
         let p = Prediction {
             class: 3,
             scores: vec![-1024, 0, 77, i64::MAX],
-            traces: None,
         };
         let framed = frame_predict_response(&p);
         let FrameStatus::Complete(payload) = split_frame(&framed) else {

@@ -17,7 +17,7 @@
 //! * [`ModelHost`] — the dynamic micro-batching scheduler: a bounded
 //!   MPSC queue and worker threads that coalesce up to
 //!   [`BatchConfig::max_batch`] requests (waiting at most
-//!   [`BatchConfig::max_wait`]) into one `infer_batch_shared` call, with
+//!   [`BatchConfig::max_wait`]) into one `infer_batch_with_load` call, with
 //!   oneshot replies, explicit `Overloaded` backpressure and
 //!   drain-then-join shutdown.
 //! * [`ModelRegistry`] — named models, hot (re)loaded from single-file
@@ -25,13 +25,12 @@
 //!   in-process handle with the same four operations the wire protocol
 //!   speaks.
 //! * [`Server`] / [`TcpClient`] / [`BinaryClient`] — the TCP front-end
-//!   over `std::net`: by default a nonblocking poll [`reactor`] that
-//!   serves 10k+ mostly-idle connections on a handful of threads, with
+//!   over `std::net`: a nonblocking poll [`reactor`] that serves 10k+
+//!   mostly-idle connections on a handful of threads, with
 //!   newline-delimited JSON and a compact length-prefixed binary
 //!   [`framing`] negotiated per connection on the same port (see
-//!   `PROTOCOL.md`, [`protocol`] for the grammar and stable error
-//!   codes, and `MAN_FRONTEND=legacy` for the thread-per-connection
-//!   fallback).
+//!   `PROTOCOL.md` and [`protocol`] for the grammar and stable error
+//!   codes).
 //! * [`metrics`] — per-model counters, octave-bucket latency and
 //!   queue-wait percentiles and the micro-batch size distribution,
 //!   exported through `stats` and `BENCH_serve.json`.
@@ -42,7 +41,7 @@
 //!   histograms; the `dump_trace` verb retrieves flight-recorder
 //!   dumps.
 //! * [`cluster`] — the multi-process tier: a [`Router`] that serves
-//!   both wire modes on one port through the same front-end engines
+//!   both wire modes on one port through the same reactor front-end
 //!   (via [`RequestHandler`]) and fans out to worker processes over the
 //!   binary framing, with consistent-hash sharding, per-model replica
 //!   sets, health-check-driven failover and drain-then-join rebalance
@@ -97,9 +96,7 @@ pub use metrics::{LatencyHistogram, ModelMetrics, ModelStats};
 pub use protocol::Request;
 pub use reactor::{FrontendStats, ReactorConfig};
 pub use registry::{Client, ModelInfo, ModelRegistry};
-pub use server::{
-    BinaryClient, FrontendMode, RequestHandler, Server, ServerConfig, TcpClient, WireError,
-};
+pub use server::{BinaryClient, RequestHandler, Server, TcpClient, WireError};
 
 // The observability plane itself (levels, span stages, flight
 // recorder): re-exported so servers and tests can set the level and
@@ -109,5 +106,5 @@ pub use man_obs as obs;
 // Re-export the facade's serving-relevant types so a server binary can
 // depend on `man-serve` alone.
 pub use man_repro::{
-    AutoTuning, CompiledModel, InferenceSession, ManError, Parallelism, Prediction, ServeError,
+    CompiledModel, InferenceSession, ManError, Parallelism, Prediction, ServeError,
 };

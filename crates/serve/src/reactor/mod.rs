@@ -1,13 +1,14 @@
 //! The nonblocking poll reactor front-end (DESIGN.md §13).
 //!
-//! The legacy front-end spends one OS thread per connection; ten
-//! thousand mostly-idle clients would cost ten thousand stacks doing
-//! nothing but blocking in `read`. The reactor inverts that: a handful
-//! of threads own *all* the sockets and wait on readiness — `poll(2)`
-//! through the one audited shim in [`poll`] — so an idle connection
-//! costs one slab slot and eight bytes in the poll set, and the
-//! scheduler/registry/metrics stack underneath is reused **unchanged**
-//! (the reactor owns socket I/O and framing, nothing else).
+//! A thread-per-connection front-end would spend one OS thread per
+//! client; ten thousand mostly-idle clients would cost ten thousand
+//! stacks doing nothing but blocking in `read`. The reactor inverts
+//! that: a handful of threads own *all* the sockets and wait on
+//! readiness — `poll(2)` through the one audited shim in [`poll`] — so
+//! an idle connection costs one slab slot and eight bytes in the poll
+//! set, and the scheduler/registry/metrics stack underneath is reused
+//! **unchanged** (the reactor owns socket I/O and framing, nothing
+//! else).
 //!
 //! Three moving parts:
 //!
@@ -131,23 +132,23 @@ impl Default for ReactorConfig {
     }
 }
 
-/// A point-in-time view of the front-end, whatever the mode — what the
-/// serving example and CI smoke print, and what the `conn` bench
-/// records next to its latency numbers.
+/// A point-in-time view of the front-end — what the serving example and
+/// CI smoke print, and what the `conn` bench records next to its latency
+/// numbers.
 #[derive(Clone, Debug)]
 pub struct FrontendStats {
-    /// `"reactor"` or `"legacy"`.
+    /// The front-end engine's name: always `"reactor"`.
     pub mode: &'static str,
-    /// Event-loop threads (0 in legacy mode).
+    /// Event-loop threads.
     pub reactor_threads: usize,
-    /// Dispatch workers (0 in legacy mode).
+    /// Dispatch workers.
     pub dispatch_threads: usize,
     /// Connections accepted over the server's lifetime.
     pub accepted_conns: u64,
     /// Connections currently open.
     pub open_conns: usize,
     /// Most connections ever simultaneously open — the slab high-water
-    /// mark (thread high-water in legacy mode).
+    /// mark.
     pub slab_high_water: usize,
     /// Connections dropped because the slab was at capacity.
     pub rejected_conns: u64,
@@ -160,7 +161,7 @@ pub struct FrontendStats {
 /// Process-shared front-end counters (all advisory: they report, they
 /// never synchronize data).
 #[derive(Default)]
-pub(crate) struct FrontendCounters {
+struct FrontendCounters {
     pub accepted: AtomicU64,
     pub open: AtomicUsize,
     pub high_water: AtomicUsize,
@@ -171,7 +172,7 @@ pub(crate) struct FrontendCounters {
 
 impl FrontendCounters {
     /// Records one installed connection and updates the high-water mark.
-    pub(crate) fn connection_opened(&self) {
+    fn connection_opened(&self) {
         // ORDERING: advisory statistics counters; reporting only.
         self.accepted.fetch_add(1, Ordering::Relaxed);
         // ORDERING: advisory gauge + monotonic max; reporting only.
@@ -181,21 +182,16 @@ impl FrontendCounters {
     }
 
     /// Records one closed connection.
-    pub(crate) fn connection_closed(&self) {
+    fn connection_closed(&self) {
         // ORDERING: advisory gauge; reporting only.
         self.open.fetch_sub(1, Ordering::Relaxed);
     }
 
     // ORDERING: advisory snapshot of statistics counters; the loads
     // report, they never synchronize data.
-    pub(crate) fn stats(
-        &self,
-        mode: &'static str,
-        reactor_threads: usize,
-        dispatch_threads: usize,
-    ) -> FrontendStats {
+    fn stats(&self, reactor_threads: usize, dispatch_threads: usize) -> FrontendStats {
         FrontendStats {
-            mode,
+            mode: "reactor",
             reactor_threads,
             dispatch_threads,
             accepted_conns: self.accepted.load(Ordering::Relaxed),
@@ -730,9 +726,8 @@ impl ReactorThread {
                     Some(pos) => {
                         let line_bytes: Vec<u8> = conn.rbuf.drain(..=pos).collect();
                         let Ok(line) = std::str::from_utf8(&line_bytes[..pos]) else {
-                            // Same answer as the legacy engine: a stable
-                            // `bad_request`, then close — never a lossy
-                            // decode that parses mangled bytes.
+                            // A stable `bad_request`, then close — never
+                            // a lossy decode that parses mangled bytes.
                             let mut reply = raw_error_response(
                                 "bad_request",
                                 "request line is not valid UTF-8",
@@ -1064,7 +1059,7 @@ impl ReactorFrontend {
 
     pub(crate) fn stats(&self) -> FrontendStats {
         self.counters
-            .stats("reactor", self.reactor_threads, self.dispatch_threads)
+            .stats(self.reactor_threads, self.dispatch_threads)
     }
 
     /// Drain-then-join shutdown: stop accepting, let in-flight requests

@@ -1,27 +1,20 @@
-//! The TCP front-end: one port, two wire modes, two engines.
+//! The TCP front-end: one port, two wire modes, one engine.
 //!
-//! [`Server::bind`] serves `PROTOCOL.md` over `std::net` in whichever
-//! front-end mode resolves (see [`FrontendMode`]):
+//! [`Server::bind`] serves `PROTOCOL.md` over `std::net` through the
+//! nonblocking poll reactor of [`crate::reactor`]: a few event-loop
+//! threads own every socket, dispatch workers feed the blocking
+//! scheduler, and both NDJSON and the length-prefixed binary framing
+//! are negotiated per connection.
 //!
-//! * **reactor** (the default) — the nonblocking poll reactor of
-//!   [`crate::reactor`]: a few event-loop threads own every socket,
-//!   dispatch workers feed the blocking scheduler, and both NDJSON and
-//!   the length-prefixed binary framing are negotiated per connection.
-//! * **legacy** — the original thread-per-connection loop (one blocking
-//!   thread per client, NDJSON only), kept as a fallback and as the
-//!   behavioral reference the reactor's tests compare against.
-//!
-//! Both engines serve requests through the same [`handle_request`]
-//! seam, so responses are byte-identical across engines and wire modes.
-//! [`TcpClient`] (NDJSON) and [`BinaryClient`] (binary framing) are the
-//! matching blocking clients used by the bench load generators, CI
-//! smoke run, and tests.
+//! Every request is served through the same [`RequestHandler`] seam
+//! ([`handle_request`] for a plain model server), so responses are
+//! byte-identical across wire modes. [`TcpClient`] (NDJSON) and
+//! [`BinaryClient`] (binary framing) are the matching blocking clients
+//! used by the bench load generators, CI smoke run, and tests.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 use serde::Value;
@@ -39,18 +32,14 @@ use crate::protocol::{
 use crate::reactor::{FrontendStats, ReactorConfig, ReactorFrontend};
 use crate::registry::ModelRegistry;
 
-/// How often an idle legacy connection (or its accept loop, via a
-/// self-connect) re-checks the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(100);
-
-/// The dispatch seam both front-end engines serve requests through.
+/// The dispatch seam the front-end serves requests through.
 ///
 /// Everything above the socket — wire-mode sniffing, framing,
 /// backpressure, the dispatch pool — is identical whether the process
 /// is a plain model server or a cluster router; only what happens to a
 /// *parsed* request differs. A [`ModelRegistry`] serves requests
 /// locally (scheduler + sessions); a [`crate::cluster::Router`] routes
-/// them to worker processes over the binary framing. Both engines are
+/// them to worker processes over the binary framing. The reactor is
 /// generic over this trait, so the router inherits NDJSON + binary
 /// serving, the reactor's slab, and every backpressure valve for free.
 pub trait RequestHandler: Send + Sync + 'static {
@@ -81,7 +70,7 @@ impl RequestHandler for ModelRegistry {
 
 /// Serves one already-parsed request line against a registry and renders
 /// the response line. This is the single dispatch point shared by every
-/// connection of both engines — and a convenient seam for tests.
+/// connection — and a convenient seam for tests.
 ///
 /// Tracing: the `decode` span covers request parsing, the `encode` span
 /// covers dispatch *and* response rendering (request ids are assigned
@@ -120,74 +109,24 @@ pub fn handle_request(registry: &ModelRegistry, line: &str) -> String {
     }
 }
 
-/// Which engine drives the TCP front-end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontendMode {
-    /// Nonblocking poll reactor (default): a few threads, many sockets,
-    /// NDJSON + binary framing. See [`crate::reactor`].
-    Reactor,
-    /// Thread-per-connection fallback: one blocking thread per client,
-    /// NDJSON only.
-    Legacy,
-}
-
-impl FrontendMode {
-    /// The mode's stable lowercase name (`"reactor"` / `"legacy"`) —
-    /// what the serving example and CI smoke print.
-    pub fn label(self) -> &'static str {
-        match self {
-            FrontendMode::Reactor => "reactor",
-            FrontendMode::Legacy => "legacy",
-        }
-    }
-}
-
-/// Front-end selection and tuning for [`Server::bind_with`].
-#[derive(Clone, Debug, Default)]
-pub struct ServerConfig {
-    /// Explicit mode; `None` defers to the `MAN_FRONTEND` environment
-    /// variable (`reactor` / `legacy`), then to the reactor default.
-    pub mode: Option<FrontendMode>,
-    /// Reactor tuning (ignored in legacy mode).
-    pub reactor: ReactorConfig,
-}
-
-fn resolve_mode(explicit: Option<FrontendMode>) -> FrontendMode {
-    if let Some(mode) = explicit {
-        return mode;
-    }
-    match std::env::var("MAN_FRONTEND").ok().as_deref() {
-        Some("legacy") => FrontendMode::Legacy,
-        Some("reactor") => FrontendMode::Reactor,
-        _ => FrontendMode::Reactor,
-    }
-}
-
-enum Engine {
-    Reactor(ReactorFrontend),
-    Legacy(LegacyFrontend),
-}
-
 /// A running TCP front-end over a shared [`ModelRegistry`].
 pub struct Server {
     addr: SocketAddr,
-    mode: FrontendMode,
-    engine: Engine,
+    reactor: ReactorFrontend,
 }
 
 impl Server {
-    /// Binds and starts accepting in the default front-end mode
-    /// (reactor, unless `MAN_FRONTEND=legacy`). Bind to port 0 for an
-    /// ephemeral port (see [`Server::local_addr`]).
+    /// Binds and starts accepting with the default [`ReactorConfig`].
+    /// Bind to port 0 for an ephemeral port (see [`Server::local_addr`]).
     ///
     /// # Errors
     ///
     /// Propagates the bind (or reactor spawn) failure.
     pub fn bind(addr: impl ToSocketAddrs, registry: Arc<ModelRegistry>) -> io::Result<Self> {
-        Self::bind_with(addr, registry, ServerConfig::default())
+        Self::bind_with(addr, registry, ReactorConfig::default())
     }
 
-    /// Binds with explicit front-end selection and tuning.
+    /// Binds with explicit reactor tuning.
     ///
     /// # Errors
     ///
@@ -195,14 +134,14 @@ impl Server {
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         registry: Arc<ModelRegistry>,
-        config: ServerConfig,
+        config: ReactorConfig,
     ) -> io::Result<Self> {
         Self::bind_handler(addr, registry as Arc<dyn RequestHandler>, config)
     }
 
     /// Binds a front-end over any [`RequestHandler`] — the seam the
     /// cluster router uses to serve both wire modes on one port with
-    /// the exact same engines a plain model server gets.
+    /// the exact same reactor a plain model server gets.
     ///
     /// # Errors
     ///
@@ -210,18 +149,12 @@ impl Server {
     pub fn bind_handler(
         addr: impl ToSocketAddrs,
         handler: Arc<dyn RequestHandler>,
-        config: ServerConfig,
+        config: ReactorConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let mode = resolve_mode(config.mode);
-        let engine = match mode {
-            FrontendMode::Reactor => {
-                Engine::Reactor(ReactorFrontend::spawn(listener, handler, config.reactor)?)
-            }
-            FrontendMode::Legacy => Engine::Legacy(LegacyFrontend::spawn(listener, addr, handler)?),
-        };
-        Ok(Self { addr, mode, engine })
+        let reactor = ReactorFrontend::spawn(listener, handler, config)?;
+        Ok(Self { addr, reactor })
     }
 
     /// The bound address (useful after binding port 0).
@@ -229,173 +162,22 @@ impl Server {
         self.addr
     }
 
-    /// The engine this server resolved to at bind time.
-    pub fn mode(&self) -> FrontendMode {
-        self.mode
-    }
-
     /// Connection-level counters: accepted/open/rejected connections,
     /// the slab high-water mark, and the per-wire-mode split.
     pub fn frontend_stats(&self) -> FrontendStats {
-        match &self.engine {
-            Engine::Reactor(reactor) => reactor.stats(),
-            Engine::Legacy(legacy) => legacy.stats(),
-        }
+        self.reactor.stats()
     }
 
     /// Stops accepting, answers everything in flight, closes every
-    /// connection, and joins the engine's threads. Idempotent.
+    /// connection, and joins the reactor's threads. Idempotent.
     pub fn shutdown(&mut self) {
-        match &mut self.engine {
-            Engine::Reactor(reactor) => reactor.shutdown(),
-            Engine::Legacy(legacy) => legacy.shutdown(),
-        }
+        self.reactor.shutdown();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Legacy engine: thread-per-connection, NDJSON only.
-// ---------------------------------------------------------------------
-
-/// Process-shared counters behind [`FrontendStats`], updated by both
-/// engines (all advisory: they report, they never synchronize data).
-pub(crate) use crate::reactor::FrontendCounters;
-
-struct LegacyFrontend {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<JoinHandle<()>>,
-    counters: Arc<FrontendCounters>,
-}
-
-impl LegacyFrontend {
-    fn spawn(
-        listener: TcpListener,
-        addr: SocketAddr,
-        handler: Arc<dyn RequestHandler>,
-    ) -> io::Result<Self> {
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(FrontendCounters::default());
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_counters = Arc::clone(&counters);
-        let accept_handle = std::thread::Builder::new()
-            .name("man-serve/accept".into())
-            .spawn(move || accept_loop(&listener, &handler, &accept_shutdown, &accept_counters))?;
-        Ok(Self {
-            addr,
-            shutdown,
-            accept_handle: Some(accept_handle),
-            counters,
-        })
-    }
-
-    fn stats(&self) -> FrontendStats {
-        self.counters.stats("legacy", 0, 0)
-    }
-
-    fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept call with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    handler: &Arc<dyn RequestHandler>,
-    shutdown: &Arc<AtomicBool>,
-    counters: &Arc<FrontendCounters>,
-) {
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    for stream in listener.incoming() {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let handler = Arc::clone(handler);
-        let conn_shutdown = Arc::clone(shutdown);
-        let conn_counters = Arc::clone(counters);
-        let handle = std::thread::Builder::new()
-            .name("man-serve/conn".into())
-            .spawn(move || {
-                conn_counters.connection_opened();
-                // The legacy engine speaks NDJSON only; binary clients
-                // must use the reactor front-end.
-                // ORDERING: advisory statistics counter.
-                conn_counters.ndjson.fetch_add(1, Ordering::Relaxed);
-                connection_loop(stream, handler.as_ref(), &conn_shutdown);
-                conn_counters.connection_closed();
-            });
-        let mut conns = conns.lock().expect("connection list lock poisoned");
-        if let Ok(handle) = handle {
-            conns.push(handle);
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    let handles: Vec<_> = {
-        let mut conns = conns.lock().expect("connection list lock poisoned");
-        conns.drain(..).collect()
-    };
-    for h in handles {
-        let _ = h.join();
-    }
-}
-
-fn connection_loop(stream: TcpStream, handler: &dyn RequestHandler, shutdown: &Arc<AtomicBool>) {
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    let mut raw = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut raw) {
-            // EOF: client closed its half; we are done.
-            Ok(0) => return,
-            Ok(_) => {
-                // Bytes, then a strict UTF-8 check — the same stable
-                // `bad_request` + close the reactor engine answers, so
-                // responses stay identical across engines.
-                let Ok(line) = std::str::from_utf8(&raw) else {
-                    let reply =
-                        raw_error_response("bad_request", "request line is not valid UTF-8");
-                    let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-                    return;
-                };
-                if !line.trim().is_empty() {
-                    let response = handler.handle_line(line);
-                    if writeln!(writer, "{response}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                raw.clear();
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle tick; partially-read bytes stay in `raw`.
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
     }
 }
 
@@ -465,8 +247,7 @@ fn check_ok(value: Value) -> Result<Value, WireError> {
 /// A blocking line-protocol (NDJSON) client for the TCP front-end.
 ///
 /// One request in flight at a time; responses arrive in request order.
-/// Works against both engines — the reactor sniffs the first byte (a
-/// `{`) and speaks NDJSON back.
+/// The reactor sniffs the first byte (a `{`) and speaks NDJSON back.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -621,7 +402,7 @@ impl TcpClient {
 }
 
 /// A blocking client for the length-prefixed binary framing
-/// (`PROTOCOL.md` §binary; reactor front-end only).
+/// (`PROTOCOL.md` §binary).
 ///
 /// [`BinaryClient::connect`] performs the `MANB` handshake; after it,
 /// `predict` travels in the compact fixed-layout encoding (no JSON on
@@ -641,8 +422,7 @@ impl BinaryClient {
     /// # Errors
     ///
     /// `io` on transport failure; `bad_response` if the server answers
-    /// with anything but a valid `MANB` handshake (e.g. a legacy-mode
-    /// server, which speaks only NDJSON).
+    /// with anything but a valid `MANB` handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
         let stream = TcpStream::connect(addr).map_err(|e| WireError::io(&e))?;
         Self::handshake_on(stream)

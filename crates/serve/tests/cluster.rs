@@ -89,7 +89,7 @@ fn reference_answers(model: &CompiledModel, count: usize) -> Vec<(usize, Vec<i64
     let batch: Vec<Vec<f32>> = (0..count).map(probe_input).collect();
     model
         .session()
-        .infer_batch_shared(&batch)
+        .infer_batch(&batch)
         .expect("shapes match")
         .into_iter()
         .map(|p| (p.class, p.scores))

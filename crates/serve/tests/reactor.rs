@@ -13,8 +13,8 @@ use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, Pipeline};
 use man_serve::{
-    framing, BatchConfig, BinaryClient, FrontendMode, ModelRegistry, ReactorConfig, Server,
-    ServerConfig, SessionMode, TcpClient,
+    framing, BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, Server, SessionMode,
+    TcpClient,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -56,34 +56,21 @@ fn quick_config() -> BatchConfig {
 }
 
 fn reactor_server(registry: Arc<ModelRegistry>) -> Server {
-    Server::bind_with(
-        "127.0.0.1:0",
-        registry,
-        ServerConfig {
-            mode: Some(FrontendMode::Reactor),
-            reactor: ReactorConfig::default(),
-        },
-    )
-    .expect("reactor server binds")
+    Server::bind("127.0.0.1:0", registry).expect("reactor server binds")
 }
 
 #[test]
 fn reactor_is_the_default_mode() {
-    // An explicit config pins the tests; but the plain bind must
-    // resolve to the reactor unless MAN_FRONTEND overrides it.
-    if std::env::var("MAN_FRONTEND").is_err() {
-        let server = Server::bind("127.0.0.1:0", ModelRegistry::with_defaults())
-            .expect("default server binds");
-        assert_eq!(server.mode(), FrontendMode::Reactor);
-        assert_eq!(server.frontend_stats().mode, "reactor");
-    }
+    let server =
+        Server::bind("127.0.0.1:0", ModelRegistry::with_defaults()).expect("default server binds");
+    assert_eq!(server.frontend_stats().mode, "reactor");
 }
 
 #[test]
 fn ndjson_roundtrip_through_reactor() {
     let registry = ModelRegistry::new(quick_config());
     registry.install("m", compiled_model(3, AlphabetSet::a1()));
-    let mut reference = compiled_model(3, AlphabetSet::a1()).session();
+    let reference = compiled_model(3, AlphabetSet::a1()).session();
     let mut server = reactor_server(Arc::clone(&registry));
 
     let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
@@ -153,7 +140,7 @@ fn binary_and_ndjson_clients_interleave_bit_identically() {
 fn slow_loris_partial_frames_are_served_once_complete() {
     let registry = ModelRegistry::new(quick_config());
     registry.install("m", compiled_model(5, AlphabetSet::a1()));
-    let mut reference = compiled_model(5, AlphabetSet::a1()).session();
+    let reference = compiled_model(5, AlphabetSet::a1()).session();
     let server = reactor_server(Arc::clone(&registry));
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
@@ -399,13 +386,10 @@ fn over_long_ndjson_line_gets_bad_request_past_high_water() {
     let server = Server::bind_with(
         "127.0.0.1:0",
         Arc::clone(&registry),
-        ServerConfig {
-            mode: Some(FrontendMode::Reactor),
-            reactor: ReactorConfig {
-                read_high_water: 4 * 1024,
-                max_line_len,
-                ..ReactorConfig::default()
-            },
+        ReactorConfig {
+            read_high_water: 4 * 1024,
+            max_line_len,
+            ..ReactorConfig::default()
         },
     )
     .expect("reactor server binds");
@@ -424,30 +408,20 @@ fn over_long_ndjson_line_gets_bad_request_past_high_water() {
 }
 
 #[test]
-fn invalid_utf8_line_gets_bad_request_on_both_engines() {
-    for mode in [FrontendMode::Reactor, FrontendMode::Legacy] {
-        let registry = ModelRegistry::new(quick_config());
-        let mut server = Server::bind_with(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            ServerConfig {
-                mode: Some(mode),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server binds");
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .write_all(b"{\"op\":\"\xff\xfe\"}\n")
-            .expect("write mangled line");
-        let reply = read_until_close(&mut stream);
-        assert!(
-            reply.contains(r#""error":"bad_request""#),
-            "{mode:?}: expected bad_request, got: {reply:?}"
-        );
-        server.shutdown();
-        registry.shutdown();
-    }
+fn invalid_utf8_line_gets_bad_request() {
+    let registry = ModelRegistry::new(quick_config());
+    let mut server = reactor_server(Arc::clone(&registry));
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .write_all(b"{\"op\":\"\xff\xfe\"}\n")
+        .expect("write mangled line");
+    let reply = read_until_close(&mut stream);
+    assert!(
+        reply.contains(r#""error":"bad_request""#),
+        "expected bad_request, got: {reply:?}"
+    );
+    server.shutdown();
+    registry.shutdown();
 }
 
 #[test]
@@ -494,35 +468,6 @@ fn invalid_utf8_json_frame_gets_bad_request_and_conn_survives() {
         body.contains(r#""ok":true"#),
         "connection must survive a mangled JSON frame, got: {body}"
     );
-    registry.shutdown();
-}
-
-#[test]
-fn legacy_mode_still_serves_ndjson() {
-    let registry = ModelRegistry::new(quick_config());
-    registry.install("m", compiled_model(12, AlphabetSet::a1()));
-    let mut server = Server::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ServerConfig {
-            mode: Some(FrontendMode::Legacy),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("legacy server binds");
-    assert_eq!(server.mode(), FrontendMode::Legacy);
-
-    let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
-    let (_, scores) = tcp.predict("m", &probe_input(0)).expect("predict");
-    assert_eq!(scores.len(), 4);
-    let stats = server.frontend_stats();
-    assert_eq!(stats.mode, "legacy");
-    assert!(stats.accepted_conns >= 1);
-    // Binary handshake against legacy: no reply, the bytes just sit
-    // unparsed — the client times out rather than negotiates. (Covered
-    // here only as "does not crash the server".)
-    drop(tcp);
-    server.shutdown();
     registry.shutdown();
 }
 

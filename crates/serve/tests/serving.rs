@@ -54,7 +54,7 @@ fn quick_config() -> BatchConfig {
 fn hammering_clients_get_bit_identical_predictions() {
     let model = compiled_model(1, AlphabetSet::a2());
     // Sequential reference through a plain session.
-    let mut reference = model.session();
+    let reference = model.session();
     let expected: Vec<Vec<i64>> = (0..48)
         .map(|i| reference.infer(&probe_input(i)).expect("shape ok").scores)
         .collect();
@@ -189,14 +189,14 @@ fn reload_under_load_never_drops_or_corrupts_requests() {
     let after = compiled_model(11, AlphabetSet::a1());
     let probes: Vec<Vec<f32>> = (0..16).map(probe_input).collect();
     let expect_before: Vec<Vec<i64>> = {
-        let mut s = before.session();
+        let s = before.session();
         probes
             .iter()
             .map(|x| s.infer(x).expect("shape ok").scores)
             .collect()
     };
     let expect_after: Vec<Vec<i64>> = {
-        let mut s = after.session();
+        let s = after.session();
         probes
             .iter()
             .map(|x| s.infer(x).expect("shape ok").scores)
@@ -297,7 +297,7 @@ fn tcp_roundtrip_load_predict_stats_unload() {
     // The artifact on disk, loaded over the wire.
     let model = compiled_model(6, AlphabetSet::a2());
     let expected = {
-        let mut s = model.session();
+        let s = model.session();
         s.infer(&probe_input(0)).expect("shape ok")
     };
     let path = std::env::temp_dir().join("man_serve_tcp_roundtrip.man.json");
@@ -377,7 +377,7 @@ fn cold_and_persistent_modes_match_the_asm_oracle() {
 #[test]
 fn intra_batch_parallelism_is_bit_identical_and_exposed_in_config() {
     let model = compiled_model(8, AlphabetSet::a2());
-    let mut reference = model.session();
+    let reference = model.session();
     let expected: Vec<Vec<i64>> = (0..24)
         .map(|i| reference.infer(&probe_input(i)).expect("shape ok").scores)
         .collect();

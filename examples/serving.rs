@@ -112,13 +112,12 @@ fn main() -> Result<(), ManError> {
 
     // ---- The same four operations over TCP (newline-delimited JSON).
     let mut server = Server::bind("127.0.0.1:0", Arc::clone(&registry)).map_err(ManError::Io)?;
-    // Which front-end engine `Server::bind` resolved to (the poll
-    // reactor by default; `MAN_FRONTEND=legacy` forces the
-    // thread-per-connection fallback) — grep `[man-serve]` in CI logs.
+    // The front-end engine and its threads — grep `[man-serve]` in CI
+    // logs.
     let fe = server.frontend_stats();
     println!(
         "[man-serve] front-end: {} ({} reactor + {} dispatch threads), TCP on {}",
-        server.mode().label(),
+        fe.mode,
         fe.reactor_threads,
         fe.dispatch_threads,
         server.local_addr()

@@ -114,9 +114,10 @@ impl CompiledModel {
 
     /// Multiply-accumulate operations one inference costs, recorded at
     /// compile time — the work measure the [`Parallelism::Auto`] tuner
-    /// plans batches with (see `man_par::plan_shards`).
+    /// plans batches with (see [`Parallelism::plan`]).
     ///
     /// [`Parallelism::Auto`]: man_par::Parallelism::Auto
+    /// [`Parallelism::plan`]: man_par::Parallelism::plan
     pub fn macs_per_inference(&self) -> u64 {
         self.fixed.macs_per_inference()
     }

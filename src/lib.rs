@@ -24,20 +24,19 @@
 //!   alphabet assignment into a single JSON artifact that reloads to
 //!   bit-identical inference.
 //! * [`InferenceSession`] — batched serving through the exact-integer
-//!   MAC path; [`Prediction`] carries argmax, raw scores and opt-in
-//!   per-layer traces. Shared-reference entry points (`infer_shared` /
-//!   `infer_batch_shared`) make one session drivable from many threads —
-//!   the contract the `man-serve` runtime builds its micro-batching
-//!   scheduler on.
+//!   MAC path; [`Prediction`] carries argmax and raw scores. Every entry
+//!   point (`infer` / `infer_batch`) takes `&self`, so one session is
+//!   drivable from many threads — the contract the `man-serve` runtime
+//!   builds its micro-batching scheduler on.
 //! * [`Parallelism`] — the deterministic parallel batch engine
 //!   (`man-par`): `session.with_parallelism(Parallelism::Auto)` shards
 //!   batch rows (and lone large inferences, by output neuron) across
 //!   cores with bit-identical results by construction. Threads come
 //!   from one process-wide persistent [`WorkerPool`] of parked workers
-//!   (no per-call spawning), and `Auto` resolves row- vs
-//!   neuron-sharding and the worker count per batch from compile-time
-//!   MACs/row, batch size and serve queue pressure ([`AutoTuning`],
-//!   [`ShardPlan`]; DESIGN.md §8–§9).
+//!   (no per-call spawning). [`Parallelism::plan`] is the one place a
+//!   batch's [`ShardPlan`] is resolved; under `Auto` it picks row- vs
+//!   neuron-sharding and the worker count from compile-time MACs/row,
+//!   batch size and serve queue pressure (DESIGN.md §8–§9).
 //! * [`ManError`] — one `Result`-first error taxonomy wrapping the
 //!   member crates' typed errors, including the serving-runtime
 //!   [`ServeError`] variants.
@@ -59,7 +58,7 @@
 //!     compiled.save("faces.man.json")?;
 //!     let session = CompiledModel::load("faces.man.json")?.session();
 //!     # let pixels = vec![0.0f32; 1024];
-//!     let prediction = session.infer_shared(&pixels)?;
+//!     let prediction = session.infer(&pixels)?;
 //!     println!("class {}", prediction.class);
 //!     Ok(())
 //! }
@@ -83,6 +82,6 @@ pub mod session;
 
 pub use artifact::{CompiledModel, CostedModel};
 pub use error::{ManError, ServeError};
-pub use man_par::{AutoContext, AutoTuning, Parallelism, ShardPlan, WorkerPool};
+pub use man_par::{Parallelism, ShardPlan, WorkerPool};
 pub use pipeline::{BaselineModel, Pipeline, TrainedModel, TrainingData};
 pub use session::{InferenceSession, Prediction, SessionStats};

@@ -2,10 +2,11 @@
 //!
 //! An [`InferenceSession`] shares a compiled [`man::fixed::FixedNet`] and
 //! runs every inference through its exact-integer MAC path
-//! ([`man::fixed::FixedNet::infer_exact`]), which is bit-identical to the
-//! ASM reference datapath [`man::fixed::FixedNet::infer_raw`]. A session
+//! ([`man::fixed::FixedNet::run`]), which is bit-identical to the ASM
+//! reference datapath [`man::fixed::FixedNet::infer_raw`]. A session
 //! holds no per-request state beyond its configuration: scratch buffers
-//! live for one call.
+//! live for one call, and every entry point takes `&self`, so one
+//! session can be driven from many scheduler threads via an `Arc`.
 //!
 //! # Parallel execution
 //!
@@ -19,26 +20,15 @@
 //! finished rows/neurons. See `man-par` for the pool itself and
 //! DESIGN.md §8–§9 for the determinism argument.
 //!
-//! With [`Parallelism::Auto`] the session resolves the sharding *per
-//! batch* through the `man-par` decision table ([`man_par::plan_shards`]):
-//! the model's compile-time MACs-per-inference, the batch size and the
-//! serve scheduler's queue pressure pick between staying sequential,
-//! row sharding and neuron sharding — see
-//! [`InferenceSession::plan_for_batch`] for the resolved plan and
-//! [`InferenceSession::with_auto_tuning`] to override the table's
-//! thresholds. Explicit `Threads(n)` keeps the static behavior.
-//!
-//! The shared-reference entry points [`InferenceSession::infer_shared`] /
-//! [`infer_batch_shared`] work through `&self`, which is what lets one
-//! session be driven from many scheduler threads via an `Arc`. The
-//! original `&mut self` signatures remain as thin wrappers.
-//!
-//! [`infer_batch_shared`]: InferenceSession::infer_batch_shared
+//! Every batch's sharding is resolved by [`Parallelism::plan`] from the
+//! model's compile-time MACs per inference, the batch size and the serve
+//! scheduler's queue pressure — see [`InferenceSession::plan_for_batch`]
+//! for the resolved plan.
 
 use std::sync::{Arc, Mutex};
 
-use man::fixed::{argmax_raw, FixedNet, LayerTrace};
-use man_par::{plan_shards, AutoContext, AutoTuning, Parallelism, ShardPlan};
+use man::fixed::{argmax_raw, FixedNet};
+use man_par::{Parallelism, ShardPlan};
 use serde::Serialize;
 
 use crate::artifact::CompiledModel;
@@ -53,17 +43,13 @@ pub struct Prediction {
     /// accumulator fraction) — bit-identical to
     /// [`man::fixed::FixedNet::infer_raw`].
     pub scores: Vec<i64>,
-    /// Per-layer operand traces, captured when the session was opened
-    /// with [`InferenceSession::with_trace`].
-    pub traces: Option<Vec<LayerTrace>>,
 }
 
 impl Prediction {
-    fn untraced(scores: Vec<i64>) -> Self {
+    fn new(scores: Vec<i64>) -> Self {
         Self {
             class: argmax_raw(&scores),
             scores,
-            traces: None,
         }
     }
 }
@@ -75,7 +61,7 @@ impl Prediction {
 /// ```no_run
 /// # use man_repro::{CompiledModel, Parallelism};
 /// # fn demo(model: &CompiledModel, batch: &[Vec<f32>]) {
-/// let mut session = model.session().with_parallelism(Parallelism::Auto);
+/// let session = model.session().with_parallelism(Parallelism::Auto);
 /// for p in session.infer_batch(batch).expect("inputs match the network") {
 ///     println!("class {} (scores {:?})", p.class, p.scores);
 /// }
@@ -84,19 +70,12 @@ impl Prediction {
 pub struct InferenceSession {
     fixed: Arc<FixedNet>,
     parallelism: Parallelism,
-    /// The worker *budget* (`Parallelism::Auto` budgets one worker per
-    /// core and the tuner resolves how many of them a given batch
-    /// engages).
-    workers: usize,
     /// Compile-time MACs per inference — the tuner's work measure.
     macs_per_row: u64,
-    /// Thresholds for the [`Parallelism::Auto`] decision table.
-    auto_tuning: AutoTuning,
     /// The sharding plan the most recent batch resolved to — what
     /// [`InferenceSession::stats`] reports so operators can see what the
     /// tuner actually chose.
     last_plan: Mutex<Option<ShardPlan>>,
-    trace_limit: Option<usize>,
 }
 
 /// A point-in-time observability snapshot of one session: its
@@ -125,11 +104,8 @@ impl InferenceSession {
         Self {
             fixed,
             parallelism: Parallelism::Sequential,
-            workers: 1,
             macs_per_row,
-            auto_tuning: AutoTuning::default(),
             last_plan: Mutex::new(None),
-            trace_limit: None,
         }
     }
 
@@ -144,16 +120,6 @@ impl InferenceSession {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self.workers = parallelism.workers();
-        self
-    }
-
-    /// Overrides the [`Parallelism::Auto`] decision-table thresholds
-    /// (a no-op under `Sequential`/`Threads`). The default table is
-    /// [`AutoTuning::default`].
-    #[must_use]
-    pub fn with_auto_tuning(mut self, tuning: AutoTuning) -> Self {
-        self.auto_tuning = tuning;
         self
     }
 
@@ -173,7 +139,7 @@ impl InferenceSession {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             parallelism: self.parallelism.label(),
-            workers: self.workers as u64,
+            workers: self.workers() as u64,
             plan: self
                 .last_plan()
                 .map_or_else(|| "unresolved".to_owned(), ShardPlan::label),
@@ -190,7 +156,7 @@ impl InferenceSession {
     /// resolved count can be lower — see
     /// [`InferenceSession::plan_for_batch`]).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.parallelism.workers()
     }
 
     /// Compile-time MACs one inference of this model costs — the work
@@ -201,59 +167,9 @@ impl InferenceSession {
 
     /// How a batch of `batch` rows would shard on this session, assuming
     /// no competing streams — the honest "what did `Auto` resolve to"
-    /// answer the bench reports record. Sessions configured with
-    /// explicit [`Parallelism`] values keep their static plan (rows when
-    /// the batch has them, neurons for a lone row); [`Parallelism::Auto`]
-    /// consults the `man-par` decision table with the model's
-    /// compile-time MACs per row.
+    /// answer the bench reports record (see [`Parallelism::plan`]).
     pub fn plan_for_batch(&self, batch: usize) -> ShardPlan {
-        self.plan_with_load(batch, 1)
-    }
-
-    fn plan_with_load(&self, batch: usize, streams: usize) -> ShardPlan {
-        // Tracing forces the sequential path: the operand stream is
-        // ordered.
-        if self.trace_limit.is_some() || batch == 0 {
-            return ShardPlan::Sequential;
-        }
-        match self.parallelism {
-            Parallelism::Sequential => ShardPlan::Sequential,
-            Parallelism::Threads(_) => {
-                // Static behavior: the caller asked for exactly this
-                // many workers; rows when the batch has them, neurons
-                // for a lone row.
-                if self.workers <= 1 {
-                    ShardPlan::Sequential
-                } else if batch == 1 {
-                    ShardPlan::Neurons {
-                        workers: self.workers,
-                    }
-                } else {
-                    ShardPlan::Rows {
-                        workers: self.workers.min(batch),
-                    }
-                }
-            }
-            Parallelism::Auto => plan_shards(
-                &AutoContext {
-                    macs_per_row: self.macs_per_row,
-                    batch,
-                    streams,
-                    cores: self.workers,
-                },
-                &self.auto_tuning,
-            ),
-        }
-    }
-
-    /// Enables per-layer operand tracing on every prediction (up to
-    /// `limit` MACs per layer). Traced predictions run the ASM reference
-    /// datapath — slower, and sequential since the operand stream is
-    /// ordered — so leave it off for throughput serving.
-    #[must_use]
-    pub fn with_trace(mut self, limit: usize) -> Self {
-        self.trace_limit = Some(limit);
-        self
+        self.parallelism.plan(self.macs_per_row, batch, 1)
     }
 
     /// The compiled engine the session serves.
@@ -275,7 +191,7 @@ impl InferenceSession {
     /// Resolves and remembers (for [`InferenceSession::stats`]) the plan
     /// of a batch of `batch` rows.
     fn resolve(&self, batch: usize, streams: usize) -> ShardPlan {
-        let plan = self.plan_with_load(batch, streams);
+        let plan = self.parallelism.plan(self.macs_per_row, batch, streams);
         *self
             .last_plan
             .lock()
@@ -283,65 +199,47 @@ impl InferenceSession {
         plan
     }
 
-    fn infer_row(&self, input: &[f32], workers: usize) -> Prediction {
-        match self.trace_limit {
-            Some(limit) => {
-                let (scores, traces) = self.fixed.infer_raw_traced(input, limit);
-                Prediction {
-                    class: argmax_raw(&scores),
-                    scores,
-                    traces: Some(traces),
-                }
-            }
-            None => Prediction::untraced(self.fixed.infer_exact(input, workers)),
-        }
-    }
-
-    /// Runs one inference through a shared reference — the entry point
-    /// scheduler workers drive via `Arc<InferenceSession>`. On a
-    /// parallel session, large layers are sharded across the workers
-    /// (under [`Parallelism::Auto`], only when the tuner decides the
-    /// row is worth it).
+    /// Runs one inference. On a parallel session, large layers are
+    /// sharded across the workers (under [`Parallelism::Auto`], only when
+    /// the tuner decides the row is worth it).
     ///
     /// # Errors
     ///
     /// Returns [`ManError::Shape`] if `input` does not hold exactly
     /// `self.fixed().input_len()` values.
-    pub fn infer_shared(&self, input: &[f32]) -> Result<Prediction, ManError> {
+    pub fn infer(&self, input: &[f32]) -> Result<Prediction, ManError> {
         self.check_shape(input)?;
         let plan = self.resolve(1, 1);
-        Ok(self.infer_row(input, plan.workers()))
+        let scores = self.fixed.run(&[input], plan).swap_remove(0);
+        Ok(Prediction::new(scores))
     }
 
-    /// Runs a batch of inferences through a shared reference. Equivalent
-    /// to — and bit-identical with — calling
-    /// [`InferenceSession::infer_shared`] once per input, for every
-    /// [`Parallelism`] setting.
+    /// Runs a batch of inferences. Equivalent to — and bit-identical
+    /// with — calling [`InferenceSession::infer`] once per input, for
+    /// every [`Parallelism`] setting.
     ///
     /// On a parallel session the rows are sharded across the workers; a
-    /// batch smaller than the worker count falls back to neuron-sharding
-    /// each row instead, so big lone requests still use every core.
-    /// Under [`Parallelism::Auto`], the `man-par` decision table
-    /// resolves the mode and worker count per batch.
+    /// lone row neuron-shards its layers instead, so big lone requests
+    /// still use every core.
     ///
     /// # Errors
     ///
     /// Returns [`ManError::Shape`] on the first wrong-length input; the
     /// whole batch is validated before any inference runs.
-    pub fn infer_batch_shared(&self, inputs: &[Vec<f32>]) -> Result<Vec<Prediction>, ManError> {
+    pub fn infer_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Prediction>, ManError> {
         self.infer_batch_with_load(inputs, 1)
     }
 
-    /// [`InferenceSession::infer_batch_shared`] with a load hint:
-    /// `streams` is the number of concurrent batch streams competing for
-    /// the same cores (≥ 1). The serve scheduler derives it from its
-    /// queue depth so a deep backlog does not let one micro-batch grab
-    /// every core; it only influences the [`Parallelism::Auto`] plan and
-    /// never the predicted bits.
+    /// [`InferenceSession::infer_batch`] with a load hint: `streams` is
+    /// the number of concurrent batch streams competing for the same
+    /// cores (≥ 1). The serve scheduler derives it from its queue depth
+    /// so a deep backlog does not let one micro-batch grab every core;
+    /// it only influences the [`Parallelism::Auto`] plan and never the
+    /// predicted bits.
     ///
     /// # Errors
     ///
-    /// As [`InferenceSession::infer_batch_shared`].
+    /// As [`InferenceSession::infer_batch`].
     pub fn infer_batch_with_load(
         &self,
         inputs: &[Vec<f32>],
@@ -360,38 +258,11 @@ impl InferenceSession {
             plan.stage_label(),
             inputs.len() as u64,
         );
-        Ok(match plan {
-            ShardPlan::Rows { workers } => self
-                .fixed
-                .infer_batch_exact(inputs, workers)
-                .into_iter()
-                .map(Prediction::untraced)
-                .collect(),
-            plan => inputs
-                .iter()
-                .map(|x| self.infer_row(x, plan.workers()))
-                .collect(),
-        })
-    }
-
-    /// Runs one inference ([`InferenceSession::infer_shared`] behind the
-    /// historical `&mut self` receiver).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManError::Shape`] if `input` does not hold exactly
-    /// `self.fixed().input_len()` values.
-    pub fn infer(&mut self, input: &[f32]) -> Result<Prediction, ManError> {
-        self.infer_shared(input)
-    }
-
-    /// Runs a batch of inferences ([`InferenceSession::infer_batch_shared`]
-    /// behind the historical `&mut self` receiver).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManError::Shape`] on the first wrong-length input.
-    pub fn infer_batch(&mut self, inputs: &[Vec<f32>]) -> Result<Vec<Prediction>, ManError> {
-        self.infer_batch_shared(inputs)
+        Ok(self
+            .fixed
+            .run(inputs, plan)
+            .into_iter()
+            .map(Prediction::new)
+            .collect())
     }
 }

@@ -38,7 +38,7 @@ fn every_configuration_compiles_and_infers() {
                 .unwrap_or_else(|e| panic!("bits={bits} {set}: {e}"))
                 .compile()
                 .unwrap_or_else(|e| panic!("bits={bits} {set}: {e}"));
-            let mut session = compiled.session();
+            let session = compiled.session();
             let p = session.infer(&[0.4; 10]).expect("input matches");
             assert_eq!(p.scores.len(), 3, "bits={bits} {set}");
             assert!(p.class < 3, "bits={bits} {set}");
@@ -122,7 +122,7 @@ fn every_configuration_is_bit_identical_under_parallel_sessions() {
                 .unwrap_or_else(|e| panic!("bits={bits} {set}: {e}"));
             let expected: Vec<Vec<i64>> = compiled
                 .session()
-                .infer_batch_shared(&batch)
+                .infer_batch(&batch)
                 .expect("inputs match")
                 .into_iter()
                 .map(|p| p.scores)
@@ -134,7 +134,7 @@ fn every_configuration_is_bit_identical_under_parallel_sessions() {
             ] {
                 let got: Vec<Vec<i64>> = compiled
                     .session_parallel(p)
-                    .infer_batch_shared(&batch)
+                    .infer_batch(&batch)
                     .expect("inputs match")
                     .into_iter()
                     .map(|x| x.scores)

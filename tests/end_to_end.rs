@@ -46,7 +46,7 @@ fn faces_methodology_reaches_usable_accuracy() {
     let compiled = trained.compile().expect("selected model compiles");
     let session = compiled.session();
     let predictions = session
-        .infer_batch_shared(&ds.test_images[..10])
+        .infer_batch(&ds.test_images[..10])
         .expect("test images match the input layer");
     assert_eq!(predictions.len(), 10);
 }
@@ -204,7 +204,7 @@ fn concurrent_serving_is_bit_identical_to_sequential_inference() {
         .expect("projected weights compile");
     let probes = &ds.test_images[..32];
     let sequential: Vec<Vec<i64>> = {
-        let mut session = compiled.session();
+        let session = compiled.session();
         probes
             .iter()
             .map(|x| session.infer(x).expect("dataset image").scores)

@@ -105,6 +105,44 @@ fn non_sigmoid_activation_is_rejected() {
     assert!(err.to_string().contains("sigmoid"));
 }
 
+/// The PLAN sigmoid emits `bits - 1` output bits and needs at least 5,
+/// so 4- and 5-bit sigmoid networks are rejected at compile time (not
+/// by a panic at the first inference) — through the pipeline and
+/// through an artifact that claims such a word length. 6 bits works.
+#[test]
+fn low_bit_sigmoid_networks_are_rejected_at_compile_time() {
+    let compile = |bits| {
+        Pipeline::from_network(mlp(6))
+            .with_bits(bits)
+            .with_alphabets(vec![AlphabetSet::a8()])
+            .constrain()
+            .expect("projection itself succeeds")
+            .compile()
+    };
+    for bits in [4u32, 5] {
+        let err = compile(bits).unwrap_err();
+        assert!(matches!(err, ManError::Compile(_)), "bits={bits}: {err}");
+        assert!(err.to_string().contains("sigmoid"), "bits={bits}: {err}");
+    }
+    let six = compile(6).expect("6-bit sigmoid networks compile");
+    assert_eq!(
+        six.session()
+            .infer(&[0.5; 8])
+            .expect("shape ok")
+            .scores
+            .len(),
+        2
+    );
+
+    let json = six.to_json().expect("serializes");
+    assert!(json.contains(r#""bits":6"#));
+    for bits in [4u32, 5] {
+        let tampered = json.replace(r#""bits":6"#, &format!(r#""bits":{bits}"#));
+        let err = CompiledModel::from_json(&tampered).unwrap_err();
+        assert!(matches!(err, ManError::Compile(_)), "bits={bits}: {err}");
+    }
+}
+
 #[test]
 fn asm_error_identifies_the_offending_quartet() {
     let asm = AsmMultiplier::new(12, AlphabetSet::a2());
@@ -152,7 +190,7 @@ fn extreme_inputs_saturate_gracefully() {
         .expect("projection")
         .compile()
         .expect("compiles");
-    let mut session = compiled.session();
+    let session = compiled.session();
     for pixel in [0.0f32, 0.999, 1.0, 123.0, -5.0] {
         // Out-of-range pixels clamp at quantization; nothing panics.
         let p = session.infer(&[pixel; 8]).expect("shape matches");

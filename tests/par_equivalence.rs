@@ -119,9 +119,9 @@ proptest! {
         let batch = random_batch(seed, rows, in_dim);
         let want = oracle(&model, &batch);
         let session = model.session_parallel(parallelism_of(pick));
-        let got = scores_of(session.infer_batch_shared(&batch).expect("shapes match"));
+        let got = scores_of(session.infer_batch(&batch).expect("shapes match"));
         prop_assert_eq!(&got, &want);
-        let again = scores_of(session.infer_batch_shared(&batch).expect("shapes match"));
+        let again = scores_of(session.infer_batch(&batch).expect("shapes match"));
         prop_assert_eq!(&again, &want);
     }
 
@@ -138,7 +138,7 @@ proptest! {
         let want = model.fixed().infer_raw(&input);
         let parallel = model
             .session_parallel(Parallelism::Threads(threads))
-            .infer_shared(&input)
+            .infer(&input)
             .expect("shape ok");
         prop_assert_eq!(parallel.class, argmax_raw(&want));
         prop_assert_eq!(parallel.scores, want);
@@ -180,13 +180,13 @@ proptest! {
             match op % 4 {
                 0 => {
                     let got = scores_of(
-                        plain.infer_batch_shared(&batch).expect("shapes match"),
+                        plain.infer_batch(&batch).expect("shapes match"),
                     );
                     prop_assert_eq!(&got, &want, "plain tenant diverged");
                 }
                 1 => {
                     let got = scores_of(
-                        auto.infer_batch_shared(&batch).expect("shapes match"),
+                        auto.infer_batch(&batch).expect("shapes match"),
                     );
                     prop_assert_eq!(&got, &want, "auto tenant diverged");
                 }
@@ -202,7 +202,7 @@ proptest! {
                     // must survive the resize.
                     plain = model.session_parallel(Parallelism::Threads(1 + op % 7));
                     let got = scores_of(
-                        plain.infer_batch_shared(&batch).expect("shapes match"),
+                        plain.infer_batch(&batch).expect("shapes match"),
                     );
                     prop_assert_eq!(&got, &want, "resized tenant diverged");
                 }
@@ -224,7 +224,7 @@ proptest! {
         let batch = random_batch(seed, rows, 14);
         let want = oracle(&model, &batch);
         let session = model.session_parallel(Parallelism::Auto);
-        let auto = scores_of(session.infer_batch_shared(&batch).expect("shapes match"));
+        let auto = scores_of(session.infer_batch(&batch).expect("shapes match"));
         prop_assert_eq!(&auto, &want);
         for streams in [1usize, 2, 16] {
             let hinted = scores_of(
@@ -258,13 +258,9 @@ fn zoo_models_match_the_asm_oracle() {
             let want = oracle(&model, &ds.test_images);
             for parallelism in [Parallelism::Sequential, Parallelism::Threads(3)] {
                 let session = model.session_parallel(parallelism);
-                let got = scores_of(
-                    session
-                        .infer_batch_shared(&ds.test_images)
-                        .expect("shapes match"),
-                );
+                let got = scores_of(session.infer_batch(&ds.test_images).expect("shapes match"));
                 assert_eq!(got, want, "{} {set} {parallelism:?}", bench.name());
-                let single = session.infer_shared(&ds.test_images[0]).expect("shape ok");
+                let single = session.infer(&ds.test_images[0]).expect("shape ok");
                 assert_eq!(single.scores, want[0].1, "{} {set} one row", bench.name());
             }
         }
@@ -305,7 +301,7 @@ fn panic_in_worker_is_contained_and_pool_survives_reuse() {
     let parallel = scores_of(
         model
             .session_parallel(Parallelism::Threads(4))
-            .infer_batch_shared(&batch)
+            .infer_batch(&batch)
             .expect("shapes match"),
     );
     assert_eq!(parallel, want);
@@ -318,7 +314,7 @@ fn panic_in_worker_is_contained_and_pool_survives_reuse() {
     let resized = scores_of(
         model
             .session_parallel(Parallelism::Threads(3))
-            .infer_batch_shared(&batch)
+            .infer_batch(&batch)
             .expect("shapes match"),
     );
     assert_eq!(resized, want);
@@ -339,11 +335,11 @@ fn session_stats_report_the_resolved_plan() {
     assert_eq!(fresh.plan, "unresolved", "no batch has resolved yet");
     assert_eq!(fresh.workers, 2);
     assert_eq!(fresh.parallelism, "threads(2)");
-    session.infer_batch_shared(&batch).expect("shapes match");
+    session.infer_batch(&batch).expect("shapes match");
     let stats = session.stats();
     assert_eq!(stats.plan, "rows(2)");
     assert_eq!(session.last_plan().map(|p| p.label()), Some(stats.plan));
-    session.infer_shared(&batch[0]).expect("shape ok");
+    session.infer(&batch[0]).expect("shape ok");
     assert_eq!(session.stats().plan, "neurons(2)");
     assert_eq!(stats.macs_per_row, model.macs_per_inference());
 }

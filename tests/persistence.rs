@@ -127,14 +127,14 @@ fn infer_batch_matches_single_infer_calls() {
     let singles: Vec<_> = batch
         .iter()
         .map(|x| {
-            let mut fresh = model.session();
+            let fresh = model.session();
             fresh.infer(x).expect("probe inputs match the input layer")
         })
         .collect();
     // Batched: one session, one call for the whole batch.
     let session = model.session();
     let batched = session
-        .infer_batch_shared(&batch)
+        .infer_batch(&batch)
         .expect("probe inputs match the input layer");
 
     assert_eq!(singles.len(), batched.len());
@@ -148,18 +148,19 @@ fn infer_batch_matches_single_infer_calls() {
     }
 }
 
+/// Operand traces come from the ASM reference datapath
+/// (`FixedNet::sample_traces`), never from a session: every layer records
+/// real operands for each input, and the session's scores for that same
+/// input are the ASM's.
 #[test]
 fn traced_sessions_capture_real_operands_without_changing_scores() {
     let model = compiled_model(8, AlphabetSet::a1());
     let batch = probe_inputs(4, 24);
-    let mut plain = model.session();
-    let mut traced = model.session().with_trace(64);
+    let session = model.session();
     for x in &batch {
-        let p = plain.infer(x).expect("shape matches");
-        let t = traced.infer(x).expect("shape matches");
-        assert_eq!(p.scores, t.scores, "tracing must not perturb inference");
-        assert!(p.traces.is_none());
-        let traces = t.traces.expect("tracing enabled");
+        let p = session.infer(x).expect("shape matches");
+        assert_eq!(p.scores, model.fixed().infer_raw(x), "session == ASM");
+        let traces = model.fixed().sample_traces(std::slice::from_ref(x), 64);
         assert_eq!(traces.len(), model.fixed().layer_count());
         for tr in &traces {
             assert!(!tr.is_empty(), "every layer records operands");
