@@ -164,22 +164,64 @@ pub fn project_greedy(bits: u32, alphabet: &AlphabetSet, mag: u32) -> u32 {
     scheme.reconstruct(&quartets)
 }
 
+/// Algorithm 1 for one `(format, lattice)` pair as a lookup table: entry
+/// `raw − min_raw` holds the projected `f32` of raw word `raw`, computed
+/// once by sign/magnitude split, [`WeightLattice::project_exact`] on the
+/// magnitude, sign reapplication and dequantization. With `bits ≤ 16` a
+/// table has at most 2^16 entries (256 at 8 bits).
+///
+/// Projecting a weight is then one quantization
+/// ([`QFormat::quantize`]) and one lookup.
+#[derive(Clone, Debug)]
+pub struct ProjectionTable {
+    format: QFormat,
+    projected: Vec<f32>,
+}
+
+impl ProjectionTable {
+    /// Tabulates the projection of every raw word of `format`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `format` and `lattice` differ in word length.
+    pub fn new(format: QFormat, lattice: &WeightLattice) -> Self {
+        assert_eq!(format.bits(), lattice.bits, "format/lattice word length");
+        let projected = (format.min_raw()..=format.max_raw())
+            .map(|raw| {
+                let (neg, mag) = man_fixed::bits::sign_magnitude(raw, format.bits());
+                let projected = lattice.project_exact(mag);
+                let raw = man_fixed::bits::apply_sign(projected as u64, neg);
+                (raw as f64 / format.scale()) as f32
+            })
+            .collect();
+        Self { format, projected }
+    }
+
+    /// Projects one float weight.
+    #[inline]
+    pub fn project(&self, v: f32) -> f32 {
+        let raw = self.format.quantize(v as f64).raw();
+        self.projected[(raw - self.format.min_raw()) as usize]
+    }
+
+    /// Projects every value of a tensor in place.
+    pub fn apply(&self, values: &mut [f32]) {
+        for v in values.iter_mut() {
+            *v = self.project(*v);
+        }
+    }
+}
+
 /// Projects a trained float weight tensor onto the constrained fixed-point
 /// lattice: quantize into `format`, split sign/magnitude, project the
-/// magnitude, and write back the dequantized value.
+/// magnitude, and write back the dequantized value — through a
+/// [`ProjectionTable`] built for the call.
 ///
 /// This is the transform applied after every optimizer step during
 /// constrained retraining, and to the final weights before compiling the
 /// fixed-point network.
 pub fn constrain_slice(format: QFormat, lattice: &WeightLattice, values: &mut [f32]) {
-    debug_assert_eq!(format.bits(), lattice.bits);
-    for v in values.iter_mut() {
-        let q = format.quantize(*v as f64);
-        let (neg, mag) = man_fixed::bits::sign_magnitude(q.raw(), format.bits());
-        let projected = lattice.project_exact(mag);
-        let raw = man_fixed::bits::apply_sign(projected as u64, neg);
-        *v = (raw as f64 / format.scale()) as f32;
-    }
+    ProjectionTable::new(format, lattice).apply(values);
 }
 
 #[cfg(test)]
@@ -252,6 +294,72 @@ mod tests {
             assert_eq!(q.to_f64() as f32, v, "projection must be exact in Q");
             let (_, mag) = man_fixed::bits::sign_magnitude(q.raw(), 8);
             assert!(lattice.contains(mag), "value {v} -> magnitude {mag}");
+        }
+    }
+
+    /// The constraint arithmetic as it was computed per weight before the
+    /// table existed, `round_ties_even` quantizer included: the reference
+    /// the table must reproduce.
+    fn project_direct(format: QFormat, lattice: &WeightLattice, v: f32) -> f32 {
+        let scaled = v as f64 * format.scale();
+        let q = if scaled.is_nan() {
+            0
+        } else if scaled >= format.max_raw() as f64 {
+            format.max_raw()
+        } else if scaled <= format.min_raw() as f64 {
+            format.min_raw()
+        } else {
+            scaled.round_ties_even() as i32
+        };
+        let (neg, mag) = man_fixed::bits::sign_magnitude(q, format.bits());
+        let projected = lattice.project_exact(mag);
+        let raw = man_fixed::bits::apply_sign(projected as u64, neg);
+        (raw as f64 / format.scale()) as f32
+    }
+
+    #[test]
+    fn projection_table_matches_the_direct_path_for_every_raw_word() {
+        for bits in [4u32, 8, 12, 16] {
+            for alphabet in [
+                AlphabetSet::a1(),
+                AlphabetSet::a2(),
+                AlphabetSet::a4(),
+                AlphabetSet::a8(),
+            ] {
+                let lattice = WeightLattice::new(bits, &alphabet);
+                for frac in [0, bits / 2, bits - 1] {
+                    let format = QFormat::new(bits, frac);
+                    let table = ProjectionTable::new(format, &lattice);
+                    let resolution = format.resolution();
+                    for raw in format.min_raw()..=format.max_raw() {
+                        // The word itself, a point a quarter LSB off it, and
+                        // the half-way points on either side.
+                        let r = raw as f64;
+                        for v in [r, r + 0.25, r + 0.5, r - 0.5] {
+                            let v = (v * resolution) as f32;
+                            assert_eq!(
+                                table.project(v).to_bits(),
+                                project_direct(format, &lattice, v).to_bits(),
+                                "{bits}-bit Q.{frac} {alphabet} raw {raw}"
+                            );
+                        }
+                    }
+                    for v in [
+                        f32::NAN,
+                        f32::INFINITY,
+                        f32::NEG_INFINITY,
+                        -0.0,
+                        1e30,
+                        -1e30,
+                    ] {
+                        assert_eq!(
+                            table.project(v).to_bits(),
+                            project_direct(format, &lattice, v).to_bits(),
+                            "{bits}-bit Q.{frac} {alphabet} value {v}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -14,7 +14,8 @@
 //! sigmoid outputs live in `[0, 1)`, so the sign lane of the datapath is
 //! only exercised by weights.
 
-use man_fixed::{quantize::fit_format, QFormat};
+use man_fixed::quantize::{fit_format, round_to_range};
+use man_fixed::QFormat;
 use man_hw::components::activation::{activation_unit_fixed, PlanParams};
 use man_nn::layers::Layer;
 use man_nn::network::Network;
@@ -653,10 +654,10 @@ impl FixedNet {
     /// saturated below `2^(bits-1)`.
     fn quantize_input(&self, image: &[f32]) -> Vec<i16> {
         let scale = (1u64 << self.act_frac) as f64;
-        let max = (1i64 << self.act_frac) - 1;
+        let max = (1i32 << self.act_frac) - 1;
         image
             .iter()
-            .map(|&p| (((p as f64) * scale).round_ties_even() as i64).clamp(0, max) as i16)
+            .map(|&p| round_to_range((p as f64) * scale, 0, max) as i16)
             .collect()
     }
 

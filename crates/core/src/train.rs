@@ -19,7 +19,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::alphabet::AlphabetSet;
-use crate::constrain::{constrain_slice, WeightLattice};
+use crate::constrain::{ProjectionTable, WeightLattice};
 use crate::fixed::{FixedNet, LayerAlphabets, QuantSpec};
 
 /// Hyper-parameters of the methodology.
@@ -78,16 +78,17 @@ impl MethodologyConfig {
     }
 }
 
-/// The projector that imposes Algorithm 1 on every weight update.
+/// The projector that imposes Algorithm 1 on every weight update: one
+/// [`ProjectionTable`] per parameterized layer, so projecting a weight is
+/// a quantization and a lookup.
 #[derive(Clone, Debug)]
 pub struct ConstraintProjector {
-    spec: QuantSpec,
-    lattices: Vec<WeightLattice>,
+    tables: Vec<ProjectionTable>,
 }
 
 impl ConstraintProjector {
-    /// Builds per-layer lattices for a quantization spec and alphabet
-    /// assignment.
+    /// Builds per-layer projection tables for a quantization spec and
+    /// alphabet assignment.
     ///
     /// # Panics
     ///
@@ -98,24 +99,26 @@ impl ConstraintProjector {
             alphabets.len(),
             "alphabet assignment must cover every parameterized layer"
         );
-        let lattices = alphabets
-            .sets()
+        let tables = spec
+            .layer_formats()
             .iter()
-            .map(|set| WeightLattice::new(spec.bits(), set))
+            .zip(alphabets.sets())
+            .map(|(&format, set)| {
+                ProjectionTable::new(format, &WeightLattice::new(spec.bits(), set))
+            })
             .collect();
-        Self {
-            spec: spec.clone(),
-            lattices,
-        }
+        Self { tables }
     }
 
     /// Projects every weight tensor of `net` onto its constrained lattice.
     pub fn project(&self, net: &mut Network) {
-        let mut pi = 0usize;
+        let mut tables = self.tables.iter();
         net.visit_params_mut(|_, kind, values, _| {
             if kind == ParamKind::Weights {
-                constrain_slice(self.spec.layer_formats()[pi], &self.lattices[pi], values);
-                pi += 1;
+                tables
+                    .next()
+                    .expect("one table per parameterized layer")
+                    .apply(values);
             }
         });
     }

@@ -2,6 +2,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::quantize::round_to_range;
 use crate::value::Fx;
 
 /// A two's-complement fixed-point format: `bits` total word length
@@ -98,23 +99,14 @@ impl QFormat {
     }
 
     /// Quantizes a real value: scale by `2^frac`, round half to even, and
-    /// saturate into range.
+    /// saturate into range (see [`crate::quantize::round_to_range`]).
     ///
     /// Non-finite inputs are handled conservatively: `NaN` quantizes to zero
     /// and infinities saturate.
+    #[inline]
     pub fn quantize(&self, x: f64) -> Fx {
-        if x.is_nan() {
-            return Fx::from_parts(0, *self);
-        }
-        let scaled = x * self.scale();
-        let raw = if scaled >= self.max_raw() as f64 {
-            self.max_raw() as i64
-        } else if scaled <= self.min_raw() as f64 {
-            self.min_raw() as i64
-        } else {
-            scaled.round_ties_even() as i64
-        };
-        Fx::from_parts(self.saturate_raw(raw), *self)
+        let raw = round_to_range(x * self.scale(), self.min_raw(), self.max_raw());
+        Fx::from_parts(raw, *self)
     }
 
     /// Builds a value from a raw word.

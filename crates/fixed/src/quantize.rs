@@ -8,6 +8,47 @@
 
 use crate::{Fx, QFormat};
 
+/// `1.5 · 2^52`: adding it to any `|x| < 2^51` leaves a sum whose unit in
+/// the last place is 1, so the addition itself rounds `x` to an integer
+/// under the default round-half-to-even mode, and subtracting it back is
+/// exact.
+const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
+/// Rounds `x` half to even and clamps it into `[lo, hi]` — exactly
+/// `(x.round_ties_even() as i64).clamp(lo, hi)`, with `NaN` taken as 0 and
+/// infinities saturating — without the libm call `round_ties_even` is on
+/// targets without SSE4.1. The value is clamped first (rounding is
+/// monotone and the bounds are integers, so the order does not matter),
+/// then rounded by adding and subtracting `1.5 · 2^52`.
+///
+/// [`QFormat::quantize`] and the fixed-point engine's input quantizer
+/// both round through it.
+///
+/// # Example
+///
+/// ```
+/// use man_fixed::quantize::round_to_range;
+///
+/// assert_eq!(round_to_range(2.5, -128, 127), 2);
+/// assert_eq!(round_to_range(-3.5, -128, 127), -4);
+/// assert_eq!(round_to_range(1e300, -128, 127), 127);
+/// assert_eq!(round_to_range(f64::NAN, 1, 127), 1);
+/// ```
+#[inline]
+pub fn round_to_range(x: f64, lo: i32, hi: i32) -> i32 {
+    debug_assert!(lo <= hi, "empty range {lo}..={hi}");
+    let clamped = if x < lo as f64 {
+        lo as f64
+    } else if x > hi as f64 {
+        hi as f64
+    } else {
+        x
+    };
+    // NaN passes both comparisons, stays NaN and casts to 0.
+    let rounded = ((clamped + ROUND_MAGIC) - ROUND_MAGIC) as i32;
+    rounded.clamp(lo, hi)
+}
+
 /// Largest absolute value in a slice (0.0 for an empty slice; NaNs ignored).
 pub fn max_abs(values: &[f32]) -> f64 {
     values

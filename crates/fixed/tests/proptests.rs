@@ -1,8 +1,14 @@
 //! Property-based tests for the fixed-point substrate.
 
 use man_fixed::bits::{apply_sign, join_groups, sign_magnitude, split_groups};
+use man_fixed::quantize::round_to_range;
 use man_fixed::{Accum, QFormat};
 use proptest::prelude::*;
+
+/// What `round_to_range` replaces: libm rounding, then a clamp.
+fn round_then_clamp(x: f64, lo: i32, hi: i32) -> i32 {
+    (x.round_ties_even() as i64).clamp(lo as i64, hi as i64) as i32
+}
 
 proptest! {
     /// Quantizing any in-range value introduces at most half an LSB of error.
@@ -73,5 +79,57 @@ proptest! {
         }
         // Even when max_abs exceeds the widest format, the fraction is valid.
         prop_assert!(fmt.frac() < bits);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The add-and-subtract rounding equals `round_ties_even` followed by
+    /// a clamp, for every word length, on random values, random bit
+    /// patterns, exact half-way points and the special values — both into
+    /// a format's signed range (`QFormat::quantize`) and into the unsigned
+    /// input-activation range.
+    #[test]
+    fn round_to_range_is_round_ties_even_then_clamp(
+        bits in 2u32..=32,
+        frac_pick in any::<u32>(),
+        x in -4.0f64..4.0,
+        word in any::<i64>(),
+        pattern in any::<u64>(),
+    ) {
+        let fmt = QFormat::new(bits, frac_pick % bits);
+        let scale = fmt.scale();
+        let (lo, hi) = (fmt.min_raw(), fmt.max_raw());
+        // An integer a little beyond either end of the range.
+        let span = hi as i64 - lo as i64 + 5;
+        let k = (lo as i64 - 2 + word.rem_euclid(span)) as f64;
+        let values = [
+            x * scale,
+            x,
+            f64::from_bits(pattern),
+            k,
+            k + 0.5,
+            k - 0.5,
+            k + 0.25,
+            hi as f64 + 0.5,
+            lo as f64 - 0.5,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+        ];
+        for v in values {
+            prop_assert_eq!(round_to_range(v, lo, hi), round_then_clamp(v, lo, hi), "{} into {}", v, fmt);
+            prop_assert_eq!(round_to_range(v, 0, hi), round_then_clamp(v, 0, hi), "{} into 0..={}", v, hi);
+            prop_assert_eq!(fmt.quantize(v / scale).raw(), round_then_clamp(v, lo, hi), "{} in {}", v, fmt);
+        }
     }
 }

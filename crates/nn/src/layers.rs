@@ -4,9 +4,21 @@
 //! Layers are an enum (not trait objects) so the fixed-point inference
 //! engine in the `man` crate can pattern-match on the architecture and
 //! replay it bit-accurately on the ASM datapath.
+//!
+//! Every pass is batch-major: a layer takes `rows` rows as one row-major
+//! `[rows][in]` buffer and returns `[rows][out]`. [`Dense`] computes
+//! 16 rows side by side; convolution, pooling and activations run
+//! their per-row arithmetic inside a row loop. Either way each row's
+//! floating-point operations, and their order, are the ones a one-row
+//! pass performs, so every output and gradient bit is independent of how
+//! rows are grouped into batches.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Rows a [`Dense`] layer computes side by side: one `f32` accumulator
+/// lane per row, wide enough for the compiler to vectorize across rows.
+const LANES: usize = 16;
 
 /// Which parameter tensor of a layer is being visited.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -109,34 +121,72 @@ impl Dense {
         self.bias.copy_from_slice(bias);
     }
 
-    fn forward(&mut self, x: Vec<f32>, train: bool) -> Vec<f32> {
-        debug_assert_eq!(x.len(), self.in_dim);
-        let mut y = self.bias.clone();
-        for (o, yo) in y.iter_mut().enumerate() {
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = 0.0f32;
-            for (w, xi) in row.iter().zip(&x) {
-                acc += w * xi;
+    /// `y = W·x + b` for each of `rows` rows. Rows are transposed into
+    /// blocks of [`LANES`] (tail lanes zero-padded, their outputs
+    /// discarded); inside a lane, a row's products are summed from `0.0`
+    /// in input order and the bias is added last.
+    fn infer(&self, x: &[f32], rows: usize) -> Vec<f32> {
+        let (ni, no) = (self.in_dim, self.out_dim);
+        assert_eq!(x.len(), rows * ni, "dense input is not rows x {ni}");
+        let mut y = vec![0.0f32; rows * no];
+        let mut xt = vec![[0.0f32; LANES]; ni];
+        for (xs, ys) in x.chunks(LANES * ni).zip(y.chunks_mut(LANES * no)) {
+            let lanes = xs.len() / ni;
+            for (l, row) in xs.chunks_exact(ni).enumerate() {
+                for (col, &v) in xt.iter_mut().zip(row) {
+                    col[l] = v;
+                }
             }
-            *yo += acc;
-        }
-        if train {
-            self.cached_input = x;
+            if lanes < LANES {
+                for col in &mut xt {
+                    col[lanes..].fill(0.0);
+                }
+            }
+            for (o, (w, &b)) in self.weights.chunks_exact(ni).zip(&self.bias).enumerate() {
+                let mut acc = [0.0f32; LANES];
+                for (&wi, col) in w.iter().zip(&xt) {
+                    // Rebuilding the lane array vectorizes; a zipped
+                    // in-place update does not.
+                    acc = std::array::from_fn(|l| acc[l] + wi * col[l]);
+                }
+                for (yl, &a) in ys.chunks_exact_mut(no).zip(&acc) {
+                    yl[o] = b + a;
+                }
+            }
         }
         y
     }
 
-    fn backward(&mut self, g: Vec<f32>) -> Vec<f32> {
-        debug_assert_eq!(g.len(), self.out_dim);
-        let x = &self.cached_input;
-        let mut gx = vec![0.0f32; self.in_dim];
-        for (o, go) in g.iter().enumerate() {
-            self.grad_b[o] += go;
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let grow = &mut self.grad_w[o * self.in_dim..(o + 1) * self.in_dim];
-            for i in 0..self.in_dim {
-                grow[i] += go * x[i];
-                gx[i] += go * row[i];
+    /// Folds the rows' gradients into `grad_w`/`grad_b` in row order and,
+    /// with `input_grad`, returns each row's input gradient summed over
+    /// outputs in ascending order.
+    fn backward(&mut self, g: &[f32], rows: usize, input_grad: bool) -> Vec<f32> {
+        let (ni, no) = (self.in_dim, self.out_dim);
+        debug_assert_eq!(g.len(), rows * no);
+        let x = std::mem::take(&mut self.cached_input);
+        debug_assert_eq!(x.len(), rows * ni);
+        for gr in g.chunks_exact(no) {
+            for (b, &go) in self.grad_b.iter_mut().zip(gr) {
+                *b += go;
+            }
+        }
+        for (o, grow) in self.grad_w.chunks_exact_mut(ni).enumerate() {
+            for (gr, xr) in g.chunks_exact(no).zip(x.chunks_exact(ni)) {
+                let go = gr[o];
+                for (gw, &xi) in grow.iter_mut().zip(xr) {
+                    *gw += go * xi;
+                }
+            }
+        }
+        if !input_grad {
+            return Vec::new();
+        }
+        let mut gx = vec![0.0f32; rows * ni];
+        for (gxr, gr) in gx.chunks_exact_mut(ni).zip(g.chunks_exact(no)) {
+            for (&go, w) in gr.iter().zip(self.weights.chunks_exact(ni)) {
+                for (gi, &wi) in gxr.iter_mut().zip(w) {
+                    *gi += go * wi;
+                }
             }
         }
         gx
@@ -222,11 +272,27 @@ impl Conv2d {
         self.bias.copy_from_slice(bias);
     }
 
-    fn forward(&mut self, x: Vec<f32>, train: bool) -> Vec<f32> {
+    fn input_len(&self) -> usize {
+        self.in_channels * self.in_h * self.in_w
+    }
+
+    fn output_len(&self) -> usize {
+        self.out_channels * self.out_h() * self.out_w()
+    }
+
+    fn infer(&self, x: &[f32], rows: usize) -> Vec<f32> {
+        let (ni, no) = (self.input_len(), self.output_len());
+        assert_eq!(x.len(), rows * ni, "conv input is not rows x {ni}");
+        let mut y = vec![0.0f32; rows * no];
+        for (xr, yr) in x.chunks_exact(ni).zip(y.chunks_exact_mut(no)) {
+            self.infer_row(xr, yr);
+        }
+        y
+    }
+
+    fn infer_row(&self, x: &[f32], y: &mut [f32]) {
         let (ic, k, ih, iw) = (self.in_channels, self.kernel, self.in_h, self.in_w);
-        debug_assert_eq!(x.len(), ic * ih * iw);
         let (oh, ow) = (self.out_h(), self.out_w());
-        let mut y = vec![0.0f32; self.out_channels * oh * ow];
         for oc in 0..self.out_channels {
             let kbase = oc * ic * k * k;
             for oy in 0..oh {
@@ -247,17 +313,23 @@ impl Conv2d {
                 }
             }
         }
-        if train {
-            self.cached_input = x;
-        }
-        y
     }
 
-    fn backward(&mut self, g: Vec<f32>) -> Vec<f32> {
+    fn backward(&mut self, g: &[f32], rows: usize, input_grad: bool) -> Vec<f32> {
+        let (ni, no) = (self.input_len(), self.output_len());
+        let x = std::mem::take(&mut self.cached_input);
+        debug_assert_eq!((x.len(), g.len()), (rows * ni, rows * no));
+        let mut gx = vec![0.0f32; if input_grad { rows * ni } else { 0 }];
+        for (r, (xr, gr)) in x.chunks_exact(ni).zip(g.chunks_exact(no)).enumerate() {
+            let gxr = gx.get_mut(r * ni..(r + 1) * ni);
+            self.backward_row(xr, gr, gxr);
+        }
+        gx
+    }
+
+    fn backward_row(&mut self, x: &[f32], g: &[f32], mut gx: Option<&mut [f32]>) {
         let (ic, k, ih, iw) = (self.in_channels, self.kernel, self.in_h, self.in_w);
         let (oh, ow) = (self.out_h(), self.out_w());
-        let x = &self.cached_input;
-        let mut gx = vec![0.0f32; ic * ih * iw];
         for oc in 0..self.out_channels {
             let kbase = oc * ic * k * k;
             for oy in 0..oh {
@@ -275,14 +347,15 @@ impl Conv2d {
                             let krow = kc + ky * k;
                             for kx in 0..k {
                                 self.grad_w[krow + kx] += go * x[xrow + kx];
-                                gx[xrow + kx] += go * self.weights[krow + kx];
+                                if let Some(gx) = gx.as_deref_mut() {
+                                    gx[xrow + kx] += go * self.weights[krow + kx];
+                                }
                             }
                         }
                     }
                 }
             }
         }
-        gx
     }
 }
 
@@ -359,51 +432,79 @@ impl ScaledAvgPool {
         self.in_w / 2
     }
 
-    fn forward(&mut self, x: Vec<f32>, train: bool) -> Vec<f32> {
+    fn input_len(&self) -> usize {
+        self.channels * self.in_h * self.in_w
+    }
+
+    /// The 2×2 averages of every row, `[rows][C, H/2, W/2]`.
+    fn average(&self, x: &[f32], rows: usize) -> Vec<f32> {
         let (c, ih, iw) = (self.channels, self.in_h, self.in_w);
-        debug_assert_eq!(x.len(), c * ih * iw);
+        assert_eq!(
+            x.len(),
+            rows * self.input_len(),
+            "pool input is not rows x C x H x W"
+        );
         let (oh, ow) = (self.out_h(), self.out_w());
-        let mut avg = vec![0.0f32; c * oh * ow];
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let base = ch * ih * iw + 2 * oy * iw + 2 * ox;
-                    avg[ch * oh * ow + oy * ow + ox] =
-                        0.25 * (x[base] + x[base + 1] + x[base + iw] + x[base + iw + 1]);
+        let mut avg = vec![0.0f32; rows * c * oh * ow];
+        for (xr, ar) in x
+            .chunks_exact(c * ih * iw)
+            .zip(avg.chunks_exact_mut(c * oh * ow))
+        {
+            for ch in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let base = ch * ih * iw + 2 * oy * iw + 2 * ox;
+                        ar[ch * oh * ow + oy * ow + ox] =
+                            0.25 * (xr[base] + xr[base + 1] + xr[base + iw] + xr[base + iw + 1]);
+                    }
                 }
             }
         }
-        let y = avg
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| {
-                let ch = i / (oh * ow);
-                self.weights[ch] * a + self.bias[ch]
-            })
-            .collect();
-        if train {
-            self.cached_avg = avg;
-        }
-        y
+        avg
     }
 
-    fn backward(&mut self, g: Vec<f32>) -> Vec<f32> {
+    /// Applies the per-channel coefficient and bias to averages.
+    fn scale(&self, avg: &[f32]) -> Vec<f32> {
+        let plane = self.out_h() * self.out_w();
+        avg.iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let ch = (i / plane) % self.channels;
+                self.weights[ch] * a + self.bias[ch]
+            })
+            .collect()
+    }
+
+    fn backward(&mut self, g: &[f32], rows: usize, input_grad: bool) -> Vec<f32> {
         let (c, ih, iw) = (self.channels, self.in_h, self.in_w);
         let (oh, ow) = (self.out_h(), self.out_w());
-        let mut gx = vec![0.0f32; c * ih * iw];
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let idx = ch * oh * ow + oy * ow + ox;
-                    let go = g[idx];
-                    self.grad_w[ch] += go * self.cached_avg[idx];
-                    self.grad_b[ch] += go;
-                    let spread = go * self.weights[ch] * 0.25;
-                    let base = ch * ih * iw + 2 * oy * iw + 2 * ox;
-                    gx[base] += spread;
-                    gx[base + 1] += spread;
-                    gx[base + iw] += spread;
-                    gx[base + iw + 1] += spread;
+        let avg = std::mem::take(&mut self.cached_avg);
+        debug_assert_eq!(
+            (avg.len(), g.len()),
+            (rows * c * oh * ow, rows * c * oh * ow)
+        );
+        let mut gx = vec![0.0f32; if input_grad { rows * c * ih * iw } else { 0 }];
+        for (r, (ar, gr)) in avg
+            .chunks_exact(c * oh * ow)
+            .zip(g.chunks_exact(c * oh * ow))
+            .enumerate()
+        {
+            for ch in 0..c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let idx = ch * oh * ow + oy * ow + ox;
+                        let go = gr[idx];
+                        self.grad_w[ch] += go * ar[idx];
+                        self.grad_b[ch] += go;
+                        if input_grad {
+                            let spread = go * self.weights[ch] * 0.25;
+                            let base = r * c * ih * iw + ch * ih * iw + 2 * oy * iw + 2 * ox;
+                            gx[base] += spread;
+                            gx[base + 1] += spread;
+                            gx[base + iw] += spread;
+                            gx[base + iw + 1] += spread;
+                        }
+                    }
                 }
             }
         }
@@ -430,6 +531,10 @@ impl ActivationLayer {
 }
 
 /// One network layer.
+///
+/// Every pass takes `rows` rows as one row-major buffer:
+/// [`Layer::infer`] is the immutable inference pass, [`Layer::forward`]
+/// the training pass that also caches what [`Layer::backward`] consumes.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Layer {
     /// Fully connected.
@@ -443,56 +548,73 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Forward pass. With `train == true` the layer caches what backward
-    /// needs.
-    pub fn forward(&mut self, x: Vec<f32>, train: bool) -> Vec<f32> {
+    /// Inference forward pass over `rows` rows held row-major in `x`:
+    /// immutable, no caches touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold `rows` rows of the layer's input width.
+    pub fn infer(&self, x: &[f32], rows: usize) -> Vec<f32> {
         match self {
-            Layer::Dense(l) => l.forward(x, train),
-            Layer::Conv2d(l) => l.forward(x, train),
-            Layer::ScaledAvgPool(l) => l.forward(x, train),
+            Layer::Dense(l) => l.infer(x, rows),
+            Layer::Conv2d(l) => l.infer(x, rows),
+            Layer::ScaledAvgPool(l) => l.scale(&l.average(x, rows)),
+            Layer::Activation(l) => x.iter().map(|&v| l.activation.eval(v)).collect(),
+        }
+    }
+
+    /// Training forward pass over a minibatch of `rows` rows: the
+    /// arithmetic of [`Layer::infer`], plus caching what
+    /// [`Layer::backward`] needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold `rows` rows of the layer's input width.
+    pub fn forward(&mut self, x: Vec<f32>, rows: usize) -> Vec<f32> {
+        match self {
+            Layer::Dense(l) => {
+                let y = l.infer(&x, rows);
+                l.cached_input = x;
+                y
+            }
+            Layer::Conv2d(l) => {
+                let y = l.infer(&x, rows);
+                l.cached_input = x;
+                y
+            }
+            Layer::ScaledAvgPool(l) => {
+                l.cached_avg = l.average(&x, rows);
+                l.scale(&l.cached_avg)
+            }
             Layer::Activation(l) => {
                 let y: Vec<f32> = x.iter().map(|&v| l.activation.eval(v)).collect();
-                if train {
-                    l.cached_output = y.clone();
-                }
+                l.cached_output = y.clone();
                 y
             }
         }
     }
 
-    /// Inference-only forward pass (no caching, immutable).
-    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
-        // Forward never mutates observable state when train == false; clone
-        // the cheap parts instead of duplicating the arithmetic.
+    /// Backward pass over the minibatch of the last [`Layer::forward`]:
+    /// consumes the upstream gradient `[rows][out]` and that pass's
+    /// caches, adds each row's parameter gradients in row order, and
+    /// returns the gradient w.r.t. the layer input — or an empty vector
+    /// when `input_grad` is false (the first layer's input gradient is
+    /// never used).
+    pub fn backward(&mut self, g: Vec<f32>, rows: usize, input_grad: bool) -> Vec<f32> {
         match self {
-            Layer::Dense(l) => {
-                let mut tmp = l.clone();
-                tmp.forward(x.to_vec(), false)
+            Layer::Dense(l) => l.backward(&g, rows, input_grad),
+            Layer::Conv2d(l) => l.backward(&g, rows, input_grad),
+            Layer::ScaledAvgPool(l) => l.backward(&g, rows, input_grad),
+            Layer::Activation(l) => {
+                let y = std::mem::take(&mut l.cached_output);
+                if !input_grad {
+                    return Vec::new();
+                }
+                g.iter()
+                    .zip(&y)
+                    .map(|(go, &y)| go * l.activation.derivative_from_output(y))
+                    .collect()
             }
-            Layer::Conv2d(l) => {
-                let mut tmp = l.clone();
-                tmp.forward(x.to_vec(), false)
-            }
-            Layer::ScaledAvgPool(l) => {
-                let mut tmp = l.clone();
-                tmp.forward(x.to_vec(), false)
-            }
-            Layer::Activation(l) => x.iter().map(|&v| l.activation.eval(v)).collect(),
-        }
-    }
-
-    /// Backward pass: consumes the upstream gradient, accumulates parameter
-    /// gradients and returns the gradient w.r.t. the layer input.
-    pub fn backward(&mut self, g: Vec<f32>) -> Vec<f32> {
-        match self {
-            Layer::Dense(l) => l.backward(g),
-            Layer::Conv2d(l) => l.backward(g),
-            Layer::ScaledAvgPool(l) => l.backward(g),
-            Layer::Activation(l) => g
-                .iter()
-                .zip(&l.cached_output)
-                .map(|(go, &y)| go * l.activation.derivative_from_output(y))
-                .collect(),
         }
     }
 
@@ -551,7 +673,7 @@ mod tests {
         let mut d = Dense::new(2, 2, &mut rng);
         d.weights = vec![1.0, 2.0, 3.0, 4.0];
         d.bias = vec![0.5, -0.5];
-        let y = d.forward(vec![1.0, -1.0], false);
+        let y = d.infer(&[1.0, -1.0], 1);
         assert_eq!(y, vec![1.0 - 2.0 + 0.5, 3.0 - 4.0 - 0.5]);
     }
 
@@ -562,7 +684,7 @@ mod tests {
         c.weights = vec![1.0, 0.0, 0.0, 1.0]; // identity-ish: x[0,0] + x[1,1]
         c.bias = vec![0.0];
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let y = c.forward(x, false);
+        let y = c.infer(&x, 1);
         assert_eq!(y, vec![1.0 + 5.0, 2.0 + 6.0, 4.0 + 8.0, 5.0 + 9.0]);
     }
 
@@ -571,14 +693,14 @@ mod tests {
         let mut p = ScaledAvgPool::new(1, 2, 2);
         p.weights = vec![2.0];
         p.bias = vec![1.0];
-        let y = p.forward(vec![1.0, 2.0, 3.0, 4.0], false);
+        let y = Layer::ScaledAvgPool(p).infer(&[1.0, 2.0, 3.0, 4.0], 1);
         assert_eq!(y, vec![2.0 * 2.5 + 1.0]);
     }
 
     #[test]
     fn activation_shapes_preserved() {
         let mut a = Layer::Activation(ActivationLayer::new(Activation::Sigmoid));
-        let y = a.forward(vec![0.0; 10], true);
+        let y = a.forward(vec![0.0; 10], 1);
         assert_eq!(y.len(), 10);
         assert!((y[0] - 0.5).abs() < 1e-6);
     }

@@ -10,6 +10,14 @@
 //! enum-based layer stack the fixed-point inference engine can replay
 //! bit-accurately.
 //!
+//! Training and inference are batch-major: a minibatch travels through
+//! the layers as one row-major `[rows][dim]` buffer
+//! ([`network::Network::accumulate_batch`]), and inference runs the same
+//! `&self` forward pass over blocks of rows. Weights only change between
+//! minibatches and every row keeps the operation order of a one-row pass,
+//! so losses, gradients and trained parameters are bit-identical for any
+//! grouping of rows into batches.
+//!
 //! # Example
 //!
 //! ```

@@ -5,7 +5,16 @@ use serde::{Deserialize, Serialize};
 use crate::layers::{Layer, ParamKind};
 use crate::loss::Loss;
 
+/// Rows one inference pass of [`Network::accuracy`] carries.
+const INFER_ROWS: usize = 32;
+
 /// A feedforward network: an ordered stack of layers.
+///
+/// Rows travel through the stack batch-major: training takes a minibatch
+/// as one row-major buffer ([`Network::accumulate_batch`]), and
+/// [`Network::infer`], [`Network::predict`], [`Network::accuracy`] and
+/// [`Network::accuracy_par`] share one `&self` batched forward pass. A
+/// row's result never depends on the rows batched with it.
 ///
 /// # Example
 ///
@@ -88,29 +97,41 @@ impl Network {
             .sum()
     }
 
-    /// Inference forward pass (no gradient caches touched).
-    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
-        let mut v = x.to_vec();
-        for layer in &self.layers {
-            v = layer.infer(&v);
-        }
-        v
+    /// Inference forward pass over `rows` rows held row-major in `x` —
+    /// the one `&self` path behind [`Network::infer`],
+    /// [`Network::predict`] and the accuracy measurements.
+    fn infer_rows(&self, x: &[f32], rows: usize) -> Vec<f32> {
+        self.layers
+            .iter()
+            .fold(x.to_vec(), |v, layer| layer.infer(&v, rows))
     }
 
-    /// Training forward pass (caches activations for backward).
-    pub fn forward(&mut self, x: &[f32]) -> Vec<f32> {
+    /// Inference forward pass for one row (no gradient caches touched).
+    pub fn infer(&self, x: &[f32]) -> Vec<f32> {
+        self.infer_rows(x, 1)
+    }
+
+    /// Training forward pass over a minibatch of `rows` rows held
+    /// row-major in `x`; caches activations for [`Network::backward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold `rows` rows of the input width.
+    pub fn forward(&mut self, x: &[f32], rows: usize) -> Vec<f32> {
         let mut v = x.to_vec();
         for layer in &mut self.layers {
-            v = layer.forward(v, true);
+            v = layer.forward(v, rows);
         }
         v
     }
 
-    /// Backpropagates a loss gradient, accumulating parameter gradients.
-    pub fn backward(&mut self, grad_out: Vec<f32>) {
+    /// Backpropagates the loss gradients `[rows][out]` of the last
+    /// [`Network::forward`], adding each row's parameter gradients in row
+    /// order.
+    pub fn backward(&mut self, grad_out: Vec<f32>, rows: usize) {
         let mut g = grad_out;
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(g);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            g = layer.backward(g, rows, i > 0);
         }
     }
 
@@ -121,40 +142,81 @@ impl Network {
         }
     }
 
-    /// Runs forward + backward for one sample, returning the loss.
-    pub fn accumulate_sample(&mut self, x: &[f32], label: usize, loss: Loss) -> f32 {
-        let out = self.forward(x);
-        let (l, g) = loss.loss_and_grad(&out, label);
-        self.backward(g);
-        l
+    /// Runs forward + backward for one minibatch — `labels.len()` rows
+    /// held row-major in `x` — adding its gradients to the accumulated
+    /// ones, and returns the per-row losses.
+    ///
+    /// Weights do not change within the call and every row keeps its
+    /// one-row operation order, so the losses and every gradient bit
+    /// equal those of `labels.len()` one-row calls made in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold `labels.len()` rows of the input width
+    /// or a label is out of range.
+    pub fn accumulate_batch(&mut self, x: &[f32], labels: &[usize], loss: Loss) -> Vec<f32> {
+        let rows = labels.len();
+        if rows == 0 {
+            return Vec::new();
+        }
+        let out = self.forward(x, rows);
+        let mut losses = Vec::with_capacity(rows);
+        let mut grad = Vec::with_capacity(out.len());
+        for (o, &label) in out.chunks_exact(out.len() / rows).zip(labels) {
+            let (l, g) = loss.loss_and_grad(o, label);
+            losses.push(l);
+            grad.extend_from_slice(&g);
+        }
+        self.backward(grad, rows);
+        losses
     }
 
     /// The predicted class (argmax of the output).
     pub fn predict(&self, x: &[f32]) -> usize {
-        let out = self.infer(x);
-        argmax(&out)
+        argmax(&self.infer(x))
+    }
+
+    /// Correct predictions over a slice of rows, run through
+    /// [`Network::infer_rows`] [`INFER_ROWS`] rows at a time.
+    fn hits(&self, samples: &[Vec<f32>], labels: &[usize]) -> u64 {
+        let mut x = Vec::new();
+        let mut hits = 0;
+        for (rows, labels) in samples.chunks(INFER_ROWS).zip(labels.chunks(INFER_ROWS)) {
+            x.clear();
+            for row in rows {
+                x.extend_from_slice(row);
+            }
+            let out = self.infer_rows(&x, rows.len());
+            let width = out.len() / rows.len();
+            hits += out
+                .chunks_exact(width)
+                .zip(labels)
+                .filter(|&(o, &l)| argmax(o) == l)
+                .count() as u64;
+        }
+        hits
     }
 
     /// Classification accuracy over a dataset given as flat samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample and label counts differ.
     pub fn accuracy(&self, samples: &[Vec<f32>], labels: &[usize]) -> f64 {
         assert_eq!(samples.len(), labels.len(), "sample/label count mismatch");
         if samples.is_empty() {
             return 0.0;
         }
-        let correct = samples
-            .iter()
-            .zip(labels)
-            .filter(|(x, &l)| self.predict(x) == l)
-            .count();
-        correct as f64 / samples.len() as f64
+        self.hits(samples, labels) as f64 / samples.len() as f64
     }
 
     /// [`Network::accuracy`] with the dataset row-sharded across the
     /// workers of the plan [`man_par::Parallelism::plan`] resolves for
     /// it. The float engine has no neuron-sharded forward pass, so every
-    /// plan row-shards over its worker count. Each sample's forward pass
-    /// is independent and deterministic, so the count — and therefore
-    /// the returned accuracy — is identical to the sequential pass.
+    /// plan row-shards over its worker count, in blocks of the batched
+    /// forward pass. Each row's forward pass is independent of the rows
+    /// batched with it, so the count — and therefore the returned
+    /// accuracy — is identical to the sequential pass.
     ///
     /// # Panics
     ///
@@ -175,10 +237,11 @@ impl Network {
         if workers <= 1 {
             return self.accuracy(samples, labels);
         }
-        let hits =
-            man_par::parallel_map(man_par::Parallelism::Threads(workers), samples.len(), |i| {
-                u64::from(self.predict(&samples[i]) == labels[i])
-            });
+        let blocks = samples.len().div_ceil(INFER_ROWS);
+        let hits = man_par::parallel_map(man_par::Parallelism::Threads(workers), blocks, |b| {
+            let rows = b * INFER_ROWS..((b + 1) * INFER_ROWS).min(samples.len());
+            self.hits(&samples[rows.clone()], &labels[rows])
+        });
         hits.iter().sum::<u64>() as f64 / samples.len() as f64
     }
 
@@ -226,7 +289,7 @@ mod tests {
         let mut net = tiny_net(7);
         let x = [0.3, -0.2, 0.9];
         let a = net.infer(&x);
-        let b = net.forward(&x);
+        let b = net.forward(&x, 1);
         assert_eq!(a, b);
     }
 
@@ -258,7 +321,7 @@ mod tests {
         let label = 1;
         let loss = Loss::SoftmaxCrossEntropy;
         net.zero_grads();
-        let _ = net.accumulate_sample(&x, label, loss);
+        let _ = net.accumulate_batch(&x, &[label], loss);
         // Collect analytic gradients.
         let mut analytic = Vec::new();
         net.visit_params_mut(|_, _, _, grads| analytic.extend_from_slice(grads));

@@ -116,7 +116,7 @@ mod tests {
         let mut last = f32::INFINITY;
         for _ in 0..20 {
             net.zero_grads();
-            let l = net.accumulate_sample(&x, 0, Loss::SoftmaxCrossEntropy);
+            let l = net.accumulate_batch(&x, &[0], Loss::SoftmaxCrossEntropy)[0];
             sgd.step(&mut net, 1);
             assert!(l <= last + 1e-4, "loss must not increase: {l} > {last}");
             last = l;
@@ -133,7 +133,7 @@ mod tests {
             let mut l = 0.0;
             for _ in 0..30 {
                 net.zero_grads();
-                l = net.accumulate_sample(&x, 0, Loss::SoftmaxCrossEntropy);
+                l = net.accumulate_batch(&x, &[0], Loss::SoftmaxCrossEntropy)[0];
                 sgd.step(&mut net, 1);
             }
             l

@@ -45,11 +45,16 @@ pub struct EpochStats {
 /// calling `project` after every optimizer step (pass a no-op closure for
 /// unconstrained training).
 ///
+/// Each minibatch is gathered into one row-major buffer and runs as one
+/// [`Network::accumulate_batch`] call; its per-row losses are summed in
+/// row order.
+///
 /// Returns one [`EpochStats`] per epoch.
 ///
 /// # Panics
 ///
-/// Panics if the sample and label counts differ or the dataset is empty.
+/// Panics if the sample and label counts differ, the dataset is empty or
+/// `config.batch_size` is zero.
 pub fn train(
     net: &mut Network,
     sgd: &mut Sgd,
@@ -61,15 +66,24 @@ pub fn train(
 ) -> Vec<EpochStats> {
     assert_eq!(samples.len(), labels.len(), "sample/label count mismatch");
     assert!(!samples.is_empty(), "empty training set");
+    assert!(config.batch_size > 0, "batch size must be positive");
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut stats = Vec::with_capacity(config.epochs);
+    let mut rows = Vec::new();
+    let mut batch_labels = Vec::with_capacity(config.batch_size);
     for _ in 0..config.epochs {
         order.shuffle(rng);
         let mut total = 0.0f64;
         for batch in order.chunks(config.batch_size) {
-            net.zero_grads();
+            rows.clear();
+            batch_labels.clear();
             for &i in batch {
-                total += net.accumulate_sample(&samples[i], labels[i], config.loss) as f64;
+                rows.extend_from_slice(&samples[i]);
+                batch_labels.push(labels[i]);
+            }
+            net.zero_grads();
+            for loss in net.accumulate_batch(&rows, &batch_labels, config.loss) {
+                total += loss as f64;
             }
             sgd.step(net, batch.len());
             project(net);

@@ -256,6 +256,34 @@ impl Pipeline {
                 cfg.quality
             )));
         }
+        // The training loop and `Sgd` assert these; reject them here as
+        // typed errors instead of panicking mid-training.
+        if cfg.batch_size == 0 {
+            return Err(ManError::config("batch_size must be positive"));
+        }
+        if cfg.lr.is_nan() || cfg.lr <= 0.0 {
+            return Err(ManError::config(format!(
+                "learning rate must be positive, got {}",
+                cfg.lr
+            )));
+        }
+        if !(cfg.retrain_lr_factor > 0.0 && cfg.lr * cfg.retrain_lr_factor > 0.0) {
+            return Err(ManError::config(format!(
+                "retrain_lr_factor must give a positive retraining rate, got {} x {}",
+                cfg.lr, cfg.retrain_lr_factor
+            )));
+        }
+        if !(0.0..1.0).contains(&cfg.momentum) {
+            return Err(ManError::config(format!(
+                "momentum must be in [0, 1), got {}",
+                cfg.momentum
+            )));
+        }
+        if let Some(clip) = cfg.clip_rms.filter(|c| c.is_nan() || *c <= 0.0) {
+            return Err(ManError::config(format!(
+                "clip_rms must be positive, got {clip}"
+            )));
+        }
         Ok(cfg)
     }
 

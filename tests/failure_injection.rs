@@ -5,11 +5,12 @@
 use man_repro::man::alphabet::AlphabetSet;
 use man_repro::man::asm::AsmMultiplier;
 use man_repro::man::fixed::{CompileError, FixedNet, LayerAlphabets, QuantSpec};
+use man_repro::man::train::MethodologyConfig;
 use man_repro::man_hw::cell::CellLibrary;
 use man_repro::man_hw::synth::synthesize_adder;
 use man_repro::man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_repro::man_nn::network::Network;
-use man_repro::{CompiledModel, ManError, Pipeline};
+use man_repro::{CompiledModel, ManError, Pipeline, TrainingData};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -66,6 +67,60 @@ fn assignment_length_mismatch_is_a_config_error() {
         .unwrap_err();
     assert!(matches!(err, ManError::Config(_)), "{err}");
     assert!(err.to_string().contains("5"));
+}
+
+/// `train_baseline` on a tiny network with one hyper-parameter
+/// overridden: a bad value must come back as `ManError::Config` naming
+/// the field, before any training panics on it.
+fn assert_config_error(field: &str, set: impl Fn(&mut MethodologyConfig) + 'static) {
+    let images: Vec<Vec<f32>> = (0..6).map(|i| vec![i as f32 / 6.0; 8]).collect();
+    let labels: Vec<usize> = (0..6).map(|i| i % 2).collect();
+    let data = TrainingData::new(images.clone(), labels.clone(), images, labels).expect("valid");
+    let err = Pipeline::from_network(mlp(8))
+        .with_bits(8)
+        .with_data(data)
+        .configure(set)
+        .train_baseline()
+        .unwrap_err();
+    assert!(matches!(err, ManError::Config(_)), "{field}: {err}");
+    assert!(err.to_string().contains(field), "{field}: {err}");
+}
+
+#[test]
+fn zero_batch_size_is_a_config_error() {
+    assert_config_error("batch_size", |cfg| cfg.batch_size = 0);
+}
+
+#[test]
+fn non_positive_learning_rate_is_a_config_error() {
+    assert_config_error("learning rate", |cfg| cfg.lr = 0.0);
+    assert_config_error("learning rate", |cfg| cfg.lr = -0.1);
+    assert_config_error("learning rate", |cfg| cfg.lr = f32::NAN);
+}
+
+#[test]
+fn momentum_outside_unit_interval_is_a_config_error() {
+    assert_config_error("momentum", |cfg| cfg.momentum = 1.0);
+    assert_config_error("momentum", |cfg| cfg.momentum = -0.1);
+    assert_config_error("momentum", |cfg| cfg.momentum = f32::NAN);
+}
+
+#[test]
+fn non_positive_retrain_lr_factor_is_a_config_error() {
+    assert_config_error("retrain_lr_factor", |cfg| cfg.retrain_lr_factor = 0.0);
+    assert_config_error("retrain_lr_factor", |cfg| cfg.retrain_lr_factor = -1.0);
+    // Positive, but the product underflows to a zero rate.
+    assert_config_error("retrain_lr_factor", |cfg| {
+        cfg.lr = 1e-30;
+        cfg.retrain_lr_factor = 1e-30;
+    });
+}
+
+#[test]
+fn non_positive_clip_rms_is_a_config_error() {
+    assert_config_error("clip_rms", |cfg| cfg.clip_rms = Some(0.0));
+    assert_config_error("clip_rms", |cfg| cfg.clip_rms = Some(-1.0));
+    assert_config_error("clip_rms", |cfg| cfg.clip_rms = Some(f32::NAN));
 }
 
 #[test]
