@@ -1,7 +1,6 @@
 //! Findings, the JSON report, and the baseline gate.
 //!
-//! The gate works like the bench regression gates (`BENCH_*.json`): a
-//! checked-in `ANALYZE_BASELINE.json` pins the accepted findings (the
+//! A checked-in `ANALYZE_BASELINE.json` pins the accepted findings (the
 //! target state is an empty list). A run fails when it surfaces a
 //! finding not in the baseline (**new** — fix it or justify it with an
 //! annotation) and also when a baselined finding no longer reproduces

@@ -20,7 +20,7 @@ use man_par::Parallelism;
 use man_repro::Pipeline;
 use serde::Serialize;
 
-pub mod regression;
+pub mod paired;
 
 /// Quick vs. full (paper-scale) execution.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -310,84 +310,38 @@ pub fn print_cost_table(exp: &CostExperiment, metric: &str) {
     }
 }
 
-/// Outcome of a closed-loop load run: every client thread issues its
-/// next request the moment the previous one completes, for a fixed
-/// duration — the standard way to measure a serving stack's saturated
-/// throughput.
-#[derive(Clone, Debug, Serialize)]
-pub struct LoadReport {
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests that returned an error (e.g. `Overloaded` rejections).
-    pub errored: u64,
-    /// Wall-clock seconds measured.
-    pub elapsed_s: f64,
-    /// Completed requests per second.
-    pub throughput_rps: f64,
-}
-
-/// Runs `op(client, iteration) -> Ok/Err` from `clients` threads in a
-/// closed loop for `duration`, and aggregates the counts. `op` must be
-/// cheap to call repeatedly; errors are counted, not fatal.
-pub fn closed_loop<F>(clients: usize, duration: std::time::Duration, op: F) -> LoadReport
+/// Runs `op(client, iteration) -> ok` from `clients` threads in a
+/// closed loop for `duration`: every client issues its next request the
+/// moment the previous one completes, the standard way to measure a
+/// serving stack's saturated throughput. Returns the successful
+/// requests per second; failed ones are not fatal, just not counted.
+pub fn closed_loop<F>(clients: usize, duration: std::time::Duration, op: F) -> f64
 where
     F: Fn(usize, u64) -> bool + Sync,
 {
     use std::time::Instant;
     let start = Instant::now();
-    let (completed, errored) = std::thread::scope(|scope| {
+    let completed: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let op = &op;
                 scope.spawn(move || {
                     let mut done = 0u64;
-                    let mut failed = 0u64;
                     let mut i = 0u64;
                     while start.elapsed() < duration {
-                        if op(c, i) {
-                            done += 1;
-                        } else {
-                            failed += 1;
-                        }
+                        done += u64::from(op(c, i));
                         i += 1;
                     }
-                    (done, failed)
+                    done
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("load client panicked"))
-            .fold((0u64, 0u64), |(a, b), (c, d)| (a + c, b + d))
+            .sum()
     });
-    let elapsed_s = start.elapsed().as_secs_f64();
-    LoadReport {
-        clients,
-        completed,
-        errored,
-        elapsed_s,
-        throughput_rps: completed as f64 / elapsed_s,
-    }
-}
-
-/// Shortest timed window of one throughput sample. One batch of a small
-/// zoo model runs in about a millisecond, where scheduler and clock
-/// noise alone move a single-call rate by tens of percent — more than
-/// the regression gate's tolerance.
-pub const MIN_WINDOW: std::time::Duration = std::time::Duration::from_millis(50);
-
-/// Items per second of `op` (which returns how many items it
-/// processed), calling it back to back until at least [`MIN_WINDOW`]
-/// has elapsed.
-pub fn timed_rate(mut op: impl FnMut() -> usize) -> f64 {
-    let start = std::time::Instant::now();
-    let mut items = 0;
-    while start.elapsed() < MIN_WINDOW {
-        items += op();
-    }
-    items as f64 / start.elapsed().as_secs_f64()
+    completed as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Serializes an experiment result under `target/experiments/`.

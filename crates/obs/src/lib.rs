@@ -17,7 +17,8 @@
 //! relaxed load and a branch, `Counters` adds per-stage histogram
 //! increments, `Spans` additionally records events for the flight
 //! recorder. The <2% overhead contract between `Off` and `Spans` is
-//! measured by the `obs` bench bin and enforced by `regression_gate`.
+//! measured and enforced by the `obs` bench bin, which exits non-zero
+//! when the contract breaks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,18 +29,6 @@ use man_repro::{CompiledModel, InferenceSession, ManError, Parallelism, Predicti
 
 use crate::metrics::ModelMetrics;
 
-/// How a scheduler worker holds inference state between requests.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SessionMode {
-    /// A fresh [`InferenceSession`] per dispatch call — the stateless
-    /// baseline a naive server would implement; nothing is shared
-    /// between calls. Exists for benchmarking and comparison.
-    Cold,
-    /// One session per worker, opened once and kept for every request
-    /// the worker ever serves — the production default.
-    Persistent,
-}
-
 /// Scheduler tuning for one hosted model.
 ///
 /// # Example
@@ -50,7 +38,7 @@ pub enum SessionMode {
 ///
 /// ```
 /// use std::time::Duration;
-/// use man_serve::{BatchConfig, SessionMode};
+/// use man_serve::BatchConfig;
 ///
 /// let config = BatchConfig {
 ///     max_batch: 8,
@@ -58,7 +46,6 @@ pub enum SessionMode {
 ///     ..BatchConfig::default()
 /// };
 /// assert_eq!(config.workers, 1);
-/// assert_eq!(config.session_mode, SessionMode::Persistent);
 /// assert_eq!(config.request_timeout, Duration::from_secs(30));
 /// ```
 #[derive(Clone, Debug)]
@@ -74,11 +61,9 @@ pub struct BatchConfig {
     pub max_wait: Duration,
     /// Bounded queue size; a full queue rejects with `Overloaded`.
     pub queue_capacity: usize,
-    /// Worker threads (each with its own session in the persistent
-    /// modes).
+    /// Worker threads, each with its own session, opened once and kept
+    /// for every request the worker serves.
     pub workers: usize,
-    /// Session reuse policy.
-    pub session_mode: SessionMode,
     /// Intra-batch parallelism: each scheduler worker's session shards
     /// one coalesced micro-batch across this many cores (row-sharded;
     /// bit-identical to sequential). [`Parallelism::Sequential`] — the
@@ -102,7 +87,6 @@ impl Default for BatchConfig {
             max_wait: Duration::ZERO,
             queue_capacity: 256,
             workers: 1,
-            session_mode: SessionMode::Persistent,
             parallelism: Parallelism::Sequential,
             request_timeout: Duration::from_secs(30),
         }
@@ -319,14 +303,6 @@ impl Drop for ModelHost {
     }
 }
 
-/// Builds the session a persistent-mode worker keeps for its lifetime.
-fn worker_session(model: &CompiledModel, cfg: &BatchConfig) -> Option<InferenceSession> {
-    match cfg.session_mode {
-        SessionMode::Cold => None,
-        SessionMode::Persistent => Some(model.session().with_parallelism(cfg.parallelism)),
-    }
-}
-
 /// Concurrent batch streams the scheduler expects around one dispatch:
 /// this worker plus however many sibling workers the backlog can feed —
 /// the [`Parallelism::Auto`] tuner's `streams` input, so a deep queue
@@ -347,7 +323,7 @@ fn worker_loop(
     cfg: &BatchConfig,
     metrics: &ModelMetrics,
 ) {
-    let session = worker_session(model, cfg);
+    let session = model.session().with_parallelism(cfg.parallelism);
     loop {
         // Hold the receiver lock across the blocking wait *and* the batch
         // drain: idle co-workers queue behind it and take over the moment
@@ -394,7 +370,7 @@ fn worker_loop(
         // Sample the backlog *after* draining this batch: what is left
         // is what sibling workers will be batching while we infer.
         let backlog = metrics.queue_depth.load(Ordering::Relaxed);
-        dispatch(batch, session.as_ref(), model, cfg, backlog, metrics);
+        dispatch(batch, &session, cfg, backlog, metrics);
         // Lifecycle flush point: the batch's span events reach the
         // flight-recorder ring before the next blocking wait, so a dump
         // triggered by anyone sees complete request lifecycles.
@@ -458,8 +434,7 @@ fn observe_drain(batch: &[Job], coalesce_start: u64, metrics: &ModelMetrics) {
 /// reply delivery itself synchronizes through each job's reply channel.
 fn dispatch(
     batch: Vec<Job>,
-    session: Option<&InferenceSession>,
-    model: &CompiledModel,
+    session: &InferenceSession,
     cfg: &BatchConfig,
     backlog: usize,
     metrics: &ModelMetrics,
@@ -488,17 +463,6 @@ fn dispatch(
         let resolved = &mut resolved;
         let kernel_window = &mut kernel_window;
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Cold mode: a throwaway session per dispatch call, sharing
-            // nothing beyond this call (deliberately sequential, too — it
-            // is the naive-server baseline).
-            let cold;
-            let session = match session {
-                Some(session) => session,
-                None => {
-                    cold = model.session();
-                    &cold
-                }
-            };
             let kernel_start = if dispatch_start > 0 {
                 man_obs::now_ns().max(1)
             } else {
@@ -606,7 +570,6 @@ mod tests {
         let cfg = BatchConfig::default();
         assert!(cfg.max_batch >= 8);
         assert!(cfg.queue_capacity >= cfg.max_batch);
-        assert_eq!(cfg.session_mode, SessionMode::Persistent);
     }
 
     #[test]

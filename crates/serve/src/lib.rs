@@ -33,7 +33,7 @@
 //!   codes).
 //! * [`metrics`] — per-model counters, octave-bucket latency and
 //!   queue-wait percentiles and the micro-batch size distribution,
-//!   exported through `stats` and `BENCH_serve.json`.
+//!   exported through the `stats` verb.
 //! * [`exporter`] — the unified telemetry export plane: a Prometheus
 //!   text page (`metrics` verb, [`prometheus_page`]) and an optional
 //!   periodic [`MetricsExporter`] thread, unifying model stats,
@@ -89,7 +89,7 @@ pub mod reactor;
 pub mod registry;
 pub mod server;
 
-pub use batcher::{BatchConfig, ModelHost, SessionMode};
+pub use batcher::{BatchConfig, ModelHost};
 pub use cluster::{HashRing, Router, RouterConfig, RouterStats};
 pub use exporter::{prometheus_page, MetricsExporter};
 pub use metrics::{LatencyHistogram, ModelMetrics, ModelStats};

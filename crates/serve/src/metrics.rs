@@ -177,7 +177,7 @@ impl ModelMetrics {
 }
 
 /// A point-in-time stats snapshot for one model — the payload of the
-/// protocol's `stats` response and of `BENCH_serve.json`.
+/// protocol's `stats` response.
 #[derive(Clone, Debug, Serialize)]
 pub struct ModelStats {
     /// Model name.

@@ -20,7 +20,7 @@ use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
 use man_serve::obs::{self, flight, ObsLevel};
-use man_serve::{BatchConfig, Client, ModelRegistry, Server, SessionMode, TcpClient};
+use man_serve::{BatchConfig, Client, ModelRegistry, Server, TcpClient};
 use serde::Value;
 
 const IN_DIM: usize = 24;
@@ -86,7 +86,6 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
         max_wait: Duration::from_micros(200),
         queue_capacity: 2,
         workers: 1,
-        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });

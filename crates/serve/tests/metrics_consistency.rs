@@ -18,7 +18,7 @@ use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
-use man_serve::{BatchConfig, Client, ModelRegistry, ModelStats, SessionMode};
+use man_serve::{BatchConfig, Client, ModelRegistry, ModelStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -83,7 +83,6 @@ fn snapshots_stay_consistent_under_concurrent_hammering() {
         // rejected counter participates in the race too.
         queue_capacity: 4,
         workers: 2,
-        session_mode: SessionMode::Persistent,
         // Effectively no timeouts: at quiescence every accepted request
         // must resolve to completed or rejected.
         request_timeout: Duration::from_secs(60),

@@ -13,8 +13,7 @@ use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, Pipeline};
 use man_serve::{
-    framing, BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, Server, SessionMode,
-    TcpClient,
+    framing, BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, Server, TcpClient,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -49,7 +48,6 @@ fn quick_config() -> BatchConfig {
         max_wait: Duration::from_micros(200),
         queue_capacity: 64,
         workers: 2,
-        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     }

@@ -10,7 +10,7 @@ use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
-use man_serve::{BatchConfig, Client, ModelRegistry, Parallelism, Server, SessionMode, TcpClient};
+use man_serve::{BatchConfig, Client, ModelRegistry, Parallelism, Server, TcpClient};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -44,7 +44,6 @@ fn quick_config() -> BatchConfig {
         max_wait: Duration::from_micros(200),
         queue_capacity: 64,
         workers: 2,
-        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     }
@@ -137,7 +136,6 @@ fn full_queue_rejects_with_overloaded() {
         max_wait: Duration::ZERO,
         queue_capacity: 2,
         workers: 1,
-        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
@@ -265,7 +263,6 @@ fn unload_drains_accepted_requests() {
         max_wait: Duration::from_millis(1),
         queue_capacity: 256,
         workers: 1,
-        session_mode: SessionMode::Persistent,
         request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
@@ -355,22 +352,17 @@ fn tcp_roundtrip_load_predict_stats_unload() {
 }
 
 #[test]
-fn cold_and_persistent_modes_match_the_asm_oracle() {
+fn worker_sessions_match_the_asm_oracle() {
     let model = compiled_model(7, AlphabetSet::a4());
     let expected: Vec<Vec<i64>> = (0..12)
         .map(|i| model.fixed().infer_raw(&probe_input(i)))
         .collect();
-    for mode in [SessionMode::Cold, SessionMode::Persistent] {
-        let registry = ModelRegistry::new(BatchConfig {
-            session_mode: mode,
-            ..quick_config()
-        });
-        registry.install("m", model.clone());
-        let client = Client::new(registry);
-        for (i, want) in expected.iter().enumerate() {
-            let p = client.predict("m", probe_input(i)).expect("serving ok");
-            assert_eq!(&p.scores, want, "{mode:?} probe {i}");
-        }
+    let registry = ModelRegistry::new(quick_config());
+    registry.install("m", model);
+    let client = Client::new(registry);
+    for (i, want) in expected.iter().enumerate() {
+        let p = client.predict("m", probe_input(i)).expect("serving ok");
+        assert_eq!(&p.scores, want, "probe {i}");
     }
 }
 

@@ -256,7 +256,13 @@ fn zoo_models_match_the_asm_oracle() {
                 .compile()
                 .expect("projected weights compile");
             let want = oracle(&model, &ds.test_images);
-            for parallelism in [Parallelism::Sequential, Parallelism::Threads(3)] {
+            for parallelism in [
+                Parallelism::Sequential,
+                Parallelism::Threads(2),
+                Parallelism::Threads(3),
+                Parallelism::Threads(4),
+                Parallelism::Auto,
+            ] {
                 let session = model.session_parallel(parallelism);
                 let got = scores_of(session.infer_batch(&ds.test_images).expect("shapes match"));
                 assert_eq!(got, want, "{} {set} {parallelism:?}", bench.name());
