@@ -366,18 +366,6 @@ fn pool_avg(x: &[i16], base: usize, in_w: usize, max_mag: i64) -> i16 {
     sum.clamp(-max_mag, max_mag) as i16
 }
 
-/// Evaluates `out(o)` for every output of a layer, sharded over
-/// `workers` pool threads when the layer is wide enough to pay for the
-/// handoff. Each output is computed whole on one thread, so the result
-/// does not depend on the split.
-fn layer_outputs(outputs: usize, workers: usize, out: impl Fn(usize) -> i64 + Sync) -> Vec<i64> {
-    if workers > 1 && outputs >= workers * 4 {
-        parallel_map(Parallelism::Threads(workers), outputs, out)
-    } else {
-        (0..outputs).map(out).collect()
-    }
-}
-
 impl FixedNet {
     /// Compiles a float network under a quantization spec and per-layer
     /// alphabet assignment.
@@ -716,14 +704,15 @@ impl FixedNet {
         logits
     }
 
-    /// One layer through the exact-integer datapath, outputs sharded
-    /// over `workers` threads when the layer is wide enough.
-    fn exact_layer(&self, layer: &FixedLayer, x: &[i16], workers: usize) -> Vec<i64> {
+    /// One layer through the exact-integer datapath.
+    fn exact_layer(&self, layer: &FixedLayer, x: &[i16]) -> Vec<i64> {
         let mac = layer.mac();
         match layer {
             FixedLayer::Dense {
                 in_dim, out_dim, ..
-            } => layer_outputs(*out_dim, workers, |o| mac.bias[o] + mac.dot(o * in_dim, x)),
+            } => (0..*out_dim)
+                .map(|o| mac.bias[o] + mac.dot(o * in_dim, x))
+                .collect(),
             FixedLayer::Conv {
                 in_ch,
                 out_ch,
@@ -738,10 +727,12 @@ impl FixedNet {
                 // Every output position's fan-in, gathered once and
                 // shared by all output channels.
                 let cols: Vec<i16> = gather.iter().map(|&i| x[i as usize]).collect();
-                layer_outputs(out_ch * positions, workers, |o| {
-                    let (oc, pos) = (o / positions, o % positions);
-                    mac.bias[oc] + mac.dot(oc * fan, &cols[pos * fan..(pos + 1) * fan])
-                })
+                (0..out_ch * positions)
+                    .map(|o| {
+                        let (oc, pos) = (o / positions, o % positions);
+                        mac.bias[oc] + mac.dot(oc * fan, &cols[pos * fan..(pos + 1) * fan])
+                    })
+                    .collect()
             }
             FixedLayer::Pool {
                 channels,
@@ -751,11 +742,13 @@ impl FixedNet {
             } => {
                 let (oh, ow) = (in_h / 2, in_w / 2);
                 let max_mag = (1i64 << (self.bits - 1)) - 1;
-                layer_outputs(channels * oh * ow, workers, |o| {
-                    let (ch, oy, ox) = (o / (oh * ow), (o % (oh * ow)) / ow, o % ow);
-                    let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                    mac.bias[ch] + mac.dot(ch, &[pool_avg(x, base, *in_w, max_mag)])
-                })
+                (0..channels * oh * ow)
+                    .map(|o| {
+                        let (ch, oy, ox) = (o / (oh * ow), (o % (oh * ow)) / ow, o % ow);
+                        let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
+                        mac.bias[ch] + mac.dot(ch, &[pool_avg(x, base, *in_w, max_mag)])
+                    })
+                    .collect()
             }
         }
     }
@@ -847,32 +840,22 @@ impl FixedNet {
         self.forward(image, |_, layer, x| self.asm_layer(layer, x, None))
     }
 
-    /// One row through the exact-integer datapath, each wide layer's
-    /// outputs sharded over `workers` pool threads.
-    fn exact_row(&self, image: &[f32], workers: usize) -> Vec<i64> {
-        self.forward(image, |_, layer, x| self.exact_layer(layer, x, workers))
-    }
-
     /// Runs `rows` through the exact-integer datapath under `plan`:
     /// `Rows` shards the rows over its workers (each row whole on one
-    /// thread), `Neurons` shards each wide layer's outputs row after row,
-    /// and `Sequential` runs on the caller's thread. Row `i` of the
-    /// result is bit-identical to `infer_raw(rows[i])` for every plan.
+    /// thread) and `Sequential` runs them on the caller's thread. Row
+    /// `i` of the result is bit-identical to `infer_raw(rows[i])` for
+    /// every plan.
     ///
     /// # Panics
     ///
     /// Panics if any row does not hold [`FixedNet::input_len`] values.
     pub fn run<R: AsRef<[f32]> + Sync>(&self, rows: &[R], plan: ShardPlan) -> Vec<Vec<i64>> {
+        let row = |x: &R| self.forward(x.as_ref(), |_, layer, x| self.exact_layer(layer, x));
         match plan {
             ShardPlan::Rows { workers } => {
-                parallel_map(Parallelism::Threads(workers), rows.len(), |i| {
-                    self.exact_row(rows[i].as_ref(), 1)
-                })
+                parallel_map(Parallelism::Threads(workers), rows.len(), |i| row(&rows[i]))
             }
-            plan => rows
-                .iter()
-                .map(|x| self.exact_row(x.as_ref(), plan.workers()))
-                .collect(),
+            ShardPlan::Sequential => rows.iter().map(row).collect(),
         }
     }
 
@@ -1131,35 +1114,6 @@ mod tests {
     }
 
     #[test]
-    fn neuron_sharded_inference_matches_the_oracle() {
-        // A wide hidden layer so the shard threshold (outputs >= 4·workers)
-        // actually engages, several thread counts.
-        let mut rng = SmallRng::seed_from_u64(77);
-        let mut net = Network::new(vec![
-            Layer::Dense(Dense::new(16, 64, &mut rng)),
-            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-            Layer::Dense(Dense::new(64, 10, &mut rng)),
-        ]);
-        let spec = QuantSpec::fit(&net, 8);
-        let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), 2);
-        constrain_net(&mut net, &spec, &alphabets);
-        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-        for i in 0..6 {
-            let x: Vec<f32> = (0..16)
-                .map(|j| ((i * 11 + j * 3) % 13) as f32 / 13.0)
-                .collect();
-            let oracle = fixed.infer_raw(&x);
-            for workers in [1usize, 2, 3, 8] {
-                assert_eq!(
-                    fixed.run(&[&x], ShardPlan::Neurons { workers })[0],
-                    oracle,
-                    "workers={workers}: sharding must not change a bit"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn row_sharded_batch_matches_the_oracle() {
         let mut net = tiny_net(78);
         let spec = QuantSpec::fit(&net, 8);
@@ -1185,7 +1139,7 @@ mod tests {
 
     /// The exact-integer path agrees with the ASM oracle on dense *and*
     /// conv → requant → pool stacks (signed activations into the pool
-    /// layer), sequential and neuron-sharded.
+    /// layer), sequential and row-sharded.
     #[test]
     fn exact_path_matches_the_oracle_on_dense_and_conv() {
         use man_nn::layers::{Conv2d, ScaledAvgPool};
@@ -1219,18 +1173,16 @@ mod tests {
             let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
             constrain_net(&mut net, &spec, &alphabets);
             let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
-            for i in 0..5 {
-                let x: Vec<f32> = (0..in_len)
-                    .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
-                    .collect();
-                let oracle = fixed.infer_raw(&x);
-                for workers in [1usize, 3] {
-                    assert_eq!(
-                        fixed.run(&[&x], ShardPlan::Neurons { workers })[0],
-                        oracle,
-                        "bits={bits} workers={workers}"
-                    );
-                }
+            let rows: Vec<Vec<f32>> = (0..5)
+                .map(|i| {
+                    (0..in_len)
+                        .map(|j| ((i * 17 + j * 7) % 23) as f32 / 23.0)
+                        .collect()
+                })
+                .collect();
+            let oracle: Vec<Vec<i64>> = rows.iter().map(|x| fixed.infer_raw(x)).collect();
+            for plan in [ShardPlan::Sequential, ShardPlan::Rows { workers: 3 }] {
+                assert_eq!(fixed.run(&rows, plan), oracle, "bits={bits} {plan:?}");
             }
         }
     }

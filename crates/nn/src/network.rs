@@ -212,11 +212,10 @@ impl Network {
 
     /// [`Network::accuracy`] with the dataset row-sharded across the
     /// workers of the plan [`man_par::Parallelism::plan`] resolves for
-    /// it. The float engine has no neuron-sharded forward pass, so every
-    /// plan row-shards over its worker count, in blocks of the batched
-    /// forward pass. Each row's forward pass is independent of the rows
-    /// batched with it, so the count — and therefore the returned
-    /// accuracy — is identical to the sequential pass.
+    /// it, in blocks of the batched forward pass. Each row's forward
+    /// pass is independent of the rows batched with it, so the count —
+    /// and therefore the returned accuracy — is identical to the
+    /// sequential pass.
     ///
     /// # Panics
     ///

@@ -29,9 +29,8 @@
 //!
 //! This crate also hosts the one place a batch's sharding is decided:
 //! [`Parallelism::plan`] turns a setting plus the batch's MACs per row,
-//! size and serve queue pressure into a [`ShardPlan`]. Under
-//! [`Parallelism::Auto`] that is a small, unit-tested decision table
-//! with constant thresholds.
+//! size and serve queue pressure into a [`ShardPlan`]: either
+//! `Sequential` or `Rows`, by one unit-tested rule.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +58,7 @@ pub enum Parallelism {
     Threads(usize),
     /// Let the tuner decide: the worker *budget* is one per available
     /// hardware thread ([`std::thread::available_parallelism`]), and
-    /// [`Parallelism::plan`] resolves sharding mode and worker count per
+    /// [`Parallelism::plan`] resolves the shard plan and worker count per
     /// batch.
     Auto,
 }
@@ -90,42 +89,32 @@ impl Parallelism {
     /// Resolves how a batch of `batch` rows, each costing
     /// `macs_per_row` multiply-accumulates, shards under this setting
     /// while `streams` batch streams (≥ 1) compete for the same cores.
-    /// This is the one place a [`ShardPlan`] is decided:
+    /// This is the one place a [`ShardPlan`] is decided, and it is one
+    /// rule: compute a worker budget, then return
+    /// `Rows(min(budget, batch))` when the budget and the batch are both
+    /// ≥ 2, otherwise `Sequential`. A lone row always runs on the caller.
     ///
-    /// * `Sequential` always runs on the caller;
-    /// * `Threads(n)` is static: `Sequential` for `n = 1` or an empty
-    ///   batch, `Neurons(n)` for a lone row, `Rows(min(n, batch))`
-    ///   otherwise. `macs_per_row` and `streams` are ignored;
-    /// * `Auto` consults the decision table below over every available
-    ///   core.
+    /// The budget is 1 for `Sequential` and `n` for `Threads(n)`, which
+    /// ignore `macs_per_row` and `streams`. Under `Auto` it is
+    /// `cores / streams`, or 1 when `macs_per_row × batch` is below
+    /// 50 000 (the handoff would cost more than the work), so `Auto`
+    /// resolves by this table:
     ///
-    /// | # | condition                                             | plan |
-    /// |---|-------------------------------------------------------|------|
-    /// | 1 | worker budget `cores / streams` is 1, or batch is 0   | `Sequential` |
-    /// | 2 | `macs_per_row × batch` < 50 000                       | `Sequential` |
-    /// | 3 | `batch ≥ 2` and `2·batch ≥ budget`                    | `Rows(min(budget, batch))` |
-    /// | 4 | `macs_per_row` ≥ 16 384                               | `Neurons(budget)` |
-    /// | 5 | `batch ≥ 2`                                           | `Rows(min(budget, batch))` |
-    ///
-    /// Row 3 prefers row sharding whenever there are enough rows to keep
-    /// at least half the budget busy — row sharding has no prefill phase
-    /// and perfect per-row locality. Row 4 catches the lone large
-    /// inference (one expensive row, many idle cores). Row 5 is the
-    /// small-rows fallback: a few cheap rows still beat neuron
-    /// sharding's prefill.
+    /// | # | condition                                   | plan |
+    /// |---|---------------------------------------------|------|
+    /// | 1 | `cores / streams` < 2, or batch < 2         | `Sequential` |
+    /// | 2 | `macs_per_row × batch` < 50 000             | `Sequential` |
+    /// | 3 | otherwise                                   | `Rows(min(cores / streams, batch))` |
     ///
     /// Every plan is bit-identical to `Sequential`; the plan only moves
     /// wall-clock time around.
     pub fn plan(self, macs_per_row: u64, batch: usize, streams: usize) -> ShardPlan {
-        match self {
-            Parallelism::Sequential => ShardPlan::Sequential,
-            Parallelism::Threads(n) if n <= 1 || batch == 0 => ShardPlan::Sequential,
-            Parallelism::Threads(n) if batch == 1 => ShardPlan::Neurons { workers: n },
-            Parallelism::Threads(n) => ShardPlan::Rows {
-                workers: n.min(batch),
-            },
-            Parallelism::Auto => auto_plan(macs_per_row, batch, streams, available_cores()),
-        }
+        let budget = match self {
+            Parallelism::Sequential => 1,
+            Parallelism::Threads(n) => n,
+            Parallelism::Auto => auto_budget(macs_per_row, batch, streams, available_cores()),
+        };
+        rows_or_sequential(budget, batch)
     }
 }
 
@@ -156,7 +145,7 @@ pub fn split_budget(parallelism: Parallelism, outer_items: usize) -> (Parallelis
 /// A chunk size that gives each worker a few chunks to pull, so a slow
 /// chunk does not leave the other workers idle (work stealing via the
 /// shared queue), while keeping per-chunk overhead negligible.
-pub fn default_chunk_size(items: usize, workers: usize) -> usize {
+fn default_chunk_size(items: usize, workers: usize) -> usize {
     (items / (workers.max(1) * 4)).max(1)
 }
 
@@ -167,13 +156,8 @@ pub fn default_chunk_size(items: usize, workers: usize) -> usize {
 /// Below this many MACs in the *whole* batch, parallel dispatch
 /// overhead (queue handoff, condvar wake) outweighs the work.
 const MIN_TOTAL_MACS: u64 = 50_000;
-/// A lone row (or a batch too small to row-shard) only neuron-shards its
-/// layers when one inference costs at least this many MACs.
-const NEURON_SHARD_MIN_MACS: u64 = 16_384;
-/// The smallest batch worth row-sharding.
-const ROW_SHARD_MIN_BATCH: usize = 2;
 
-/// How a batch resolved: the sharding mode and worker count
+/// How a batch resolved: the shard plan and worker count
 /// [`Parallelism::plan`] picked. Every variant is bit-identical to
 /// `Sequential`; the plan only moves wall-clock time around.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -186,12 +170,6 @@ pub enum ShardPlan {
         /// Resolved worker count (≥ 2).
         workers: usize,
     },
-    /// Shard each row's large layers across `workers` output-neuron
-    /// ranges (rows run one after another).
-    Neurons {
-        /// Resolved worker count (≥ 2).
-        workers: usize,
-    },
 }
 
 impl ShardPlan {
@@ -199,59 +177,51 @@ impl ShardPlan {
     pub fn workers(self) -> usize {
         match self {
             ShardPlan::Sequential => 1,
-            ShardPlan::Rows { workers } | ShardPlan::Neurons { workers } => workers,
+            ShardPlan::Rows { workers } => workers,
         }
     }
 
-    /// A short label (`"sequential"`, `"rows(4)"`, `"neurons(8)"`) for
-    /// logs and bench reports.
+    /// A short label (`"sequential"`, `"rows(4)"`) for logs and bench
+    /// reports.
     pub fn label(self) -> String {
         match self {
             ShardPlan::Sequential => "sequential".to_owned(),
             ShardPlan::Rows { workers } => format!("rows({workers})"),
-            ShardPlan::Neurons { workers } => format!("neurons({workers})"),
         }
     }
 
-    /// The allocation-free variant label (`"sequential"` / `"rows"` /
-    /// `"neurons"`) — what tracing spans carry (worker count travels as
-    /// the span's numeric argument), and what the telemetry exporter
-    /// uses as the `plan` label.
+    /// The allocation-free variant label (`"sequential"` / `"rows"`) —
+    /// what tracing spans carry (worker count travels as the span's
+    /// numeric argument), and what the telemetry exporter uses as the
+    /// `plan` label.
     pub fn stage_label(self) -> &'static str {
         match self {
             ShardPlan::Sequential => "sequential",
             ShardPlan::Rows { .. } => "rows",
-            ShardPlan::Neurons { .. } => "neurons",
         }
     }
 }
 
-/// The [`Parallelism::Auto`] decision table documented on
-/// [`Parallelism::plan`], over a budget of `cores / streams` workers.
-/// The table's closing default (`Sequential`) cannot be reached with
-/// these constants: a batch that misses rows 2, 4 and 5 is one row of
-/// fewer MACs than row 2 asks for.
-fn auto_plan(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> ShardPlan {
-    let budget = (cores / streams.max(1)).max(1);
-    if budget <= 1 || batch == 0 {
-        return ShardPlan::Sequential;
-    }
+/// The [`Parallelism::Auto`] worker budget documented on
+/// [`Parallelism::plan`]: `cores / streams`, or 1 when the whole batch
+/// is too little work to pay for a handoff.
+fn auto_budget(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> usize {
     if macs_per_row.saturating_mul(batch as u64) < MIN_TOTAL_MACS {
-        return ShardPlan::Sequential;
+        return 1;
     }
-    let rows = ShardPlan::Rows {
-        workers: budget.min(batch),
-    };
-    if batch >= ROW_SHARD_MIN_BATCH && 2 * batch >= budget {
-        return rows;
+    cores / streams.max(1)
+}
+
+/// The single plan rule: `Rows(min(budget, batch))` when the budget
+/// and the batch are both ≥ 2, otherwise `Sequential`.
+fn rows_or_sequential(budget: usize, batch: usize) -> ShardPlan {
+    if budget >= 2 && batch >= 2 {
+        ShardPlan::Rows {
+            workers: budget.min(batch),
+        }
+    } else {
+        ShardPlan::Sequential
     }
-    if macs_per_row >= NEURON_SHARD_MIN_MACS {
-        return ShardPlan::Neurons { workers: budget };
-    }
-    if batch >= ROW_SHARD_MIN_BATCH {
-        return rows;
-    }
-    ShardPlan::Sequential
 }
 
 // ---------------------------------------------------------------------------
@@ -1080,16 +1050,18 @@ mod tests {
 
     // -- The resolve point ---------------------------------------------
 
+    /// [`Parallelism::plan`]'s `Auto` arm on a host of `cores` cores.
+    fn auto_plan(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> ShardPlan {
+        rows_or_sequential(auto_budget(macs_per_row, batch, streams, cores), batch)
+    }
+
     #[test]
     fn threads_plan_is_static() {
         for streams in [1usize, 8] {
             let plan = |p: Parallelism, batch| p.plan(1_000_000, batch, streams);
             assert_eq!(plan(Parallelism::Threads(1), 64), ShardPlan::Sequential);
             assert_eq!(plan(Parallelism::Threads(4), 0), ShardPlan::Sequential);
-            assert_eq!(
-                plan(Parallelism::Threads(4), 1),
-                ShardPlan::Neurons { workers: 4 }
-            );
+            assert_eq!(plan(Parallelism::Threads(4), 1), ShardPlan::Sequential);
             assert_eq!(
                 plan(Parallelism::Threads(4), 2),
                 ShardPlan::Rows { workers: 2 }
@@ -1113,41 +1085,22 @@ mod tests {
         assert_eq!(auto_plan(1_000_000, 64, 1, 1), ShardPlan::Sequential);
         // Row 1 via streams: 8 cores but 8 competing streams.
         assert_eq!(auto_plan(1_000_000, 64, 8, 8), ShardPlan::Sequential);
+        // Row 1: an empty batch, and a lone row however large.
+        assert_eq!(auto_plan(1_000_000, 0, 1, 8), ShardPlan::Sequential);
+        assert_eq!(auto_plan(400_000, 1, 1, 8), ShardPlan::Sequential);
         // Row 2: total work below the floor.
         assert_eq!(auto_plan(100, 64, 1, 8), ShardPlan::Sequential);
-        // Empty batch.
-        assert_eq!(auto_plan(1_000_000, 0, 1, 8), ShardPlan::Sequential);
     }
 
     #[test]
     fn tuner_row_shards_plentiful_batches() {
         // Row 3: 64 rows, 8 cores -> rows across all 8.
         assert_eq!(auto_plan(100_000, 64, 1, 8), ShardPlan::Rows { workers: 8 });
-        // Workers never exceed rows.
+        // Workers never exceed rows, however wide the budget.
         assert_eq!(auto_plan(100_000, 5, 1, 8), ShardPlan::Rows { workers: 5 });
-    }
-
-    #[test]
-    fn tuner_neuron_shards_lone_large_inferences() {
-        // Row 4: one expensive row, 8 idle cores.
-        assert_eq!(
-            auto_plan(400_000, 1, 1, 8),
-            ShardPlan::Neurons { workers: 8 }
-        );
-        // Two expensive rows against 8 cores: still neurons (2*2 < 8).
-        assert_eq!(
-            auto_plan(400_000, 2, 1, 8),
-            ShardPlan::Neurons { workers: 8 }
-        );
-        // Same two rows against 4 cores: rows win (2*2 >= 4).
+        assert_eq!(auto_plan(400_000, 2, 1, 8), ShardPlan::Rows { workers: 2 });
         assert_eq!(auto_plan(400_000, 2, 1, 4), ShardPlan::Rows { workers: 2 });
-    }
-
-    #[test]
-    fn tuner_small_rows_fall_back_to_row_sharding() {
-        // Row 5: 4 cheap rows (below the neuron floor per row, above the
-        // total floor), budget 16: 2*4 < 16 so row 3 misses, neuron floor
-        // misses, rows still beat sequential.
+        // A few cheap rows above the total floor still row-shard.
         assert_eq!(auto_plan(15_000, 4, 1, 16), ShardPlan::Rows { workers: 4 });
     }
 
@@ -1156,7 +1109,7 @@ mod tests {
         // 2 competing streams halve the budget.
         assert_eq!(auto_plan(100_000, 64, 2, 8), ShardPlan::Rows { workers: 4 });
         assert_eq!(ShardPlan::Rows { workers: 2 }.workers(), 2);
-        assert_eq!(ShardPlan::Neurons { workers: 8 }.label(), "neurons(8)");
+        assert_eq!(ShardPlan::Rows { workers: 8 }.label(), "rows(8)");
         assert_eq!(ShardPlan::Sequential.workers(), 1);
     }
 }

@@ -186,7 +186,7 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
     let stats = registry.stats(Some("m")).expect("stats").remove(0);
     for label in dispatch_labels.iter().chain(&kernel_labels) {
         assert!(
-            ["sequential", "rows", "neurons"].contains(&label.as_str()),
+            ["sequential", "rows"].contains(&label.as_str()),
             "unexpected shard-plan label {label:?}"
         );
     }

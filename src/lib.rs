@@ -30,13 +30,13 @@
 //!   builds its micro-batching scheduler on.
 //! * [`Parallelism`] — the deterministic parallel batch engine
 //!   (`man-par`): `session.with_parallelism(Parallelism::Auto)` shards
-//!   batch rows (and lone large inferences, by output neuron) across
-//!   cores with bit-identical results by construction. Threads come
-//!   from one process-wide persistent [`WorkerPool`] of parked workers
-//!   (no per-call spawning). [`Parallelism::plan`] is the one place a
-//!   batch's [`ShardPlan`] is resolved; under `Auto` it picks row- vs
-//!   neuron-sharding and the worker count from compile-time MACs/row,
-//!   batch size and serve queue pressure (DESIGN.md §8–§9).
+//!   batch rows across cores with bit-identical results by
+//!   construction; a lone row runs on the caller. Threads come from one
+//!   process-wide persistent [`WorkerPool`] of parked workers (no
+//!   per-call spawning). [`Parallelism::plan`] is the one place a
+//!   batch's [`ShardPlan`] is resolved; under `Auto` it picks the
+//!   worker count from compile-time MACs/row, batch size and serve
+//!   queue pressure (DESIGN.md §8–§9).
 //! * [`ManError`] — one `Result`-first error taxonomy wrapping the
 //!   member crates' typed errors, including the serving-runtime
 //!   [`ServeError`] variants.

@@ -13,17 +13,16 @@
 //! [`InferenceSession::with_parallelism`] turns the session into the
 //! parallel batch engine: `infer_batch*` shards the rows of a batch
 //! across workers (threads drawn from the process-wide persistent
-//! `man-par` pool), and a lone large inference shards its big layers
-//! across output neurons instead. Both shardings are bit-identical to
-//! the sequential path **by construction**: every output neuron is
-//! computed whole, on one thread, and the merge only reassembles
-//! finished rows/neurons. See `man-par` for the pool itself and
-//! DESIGN.md §8–§9 for the determinism argument.
+//! `man-par` pool), and a lone row runs on the caller's thread. Row
+//! sharding is bit-identical to the sequential path **by
+//! construction**: every row is computed whole, on one thread, and the
+//! merge only reassembles finished rows. See `man-par` for the pool
+//! itself and DESIGN.md §8–§9 for the determinism argument.
 //!
 //! Every batch's sharding is resolved by [`Parallelism::plan`] from the
 //! model's compile-time MACs per inference, the batch size and the serve
-//! scheduler's queue pressure — see [`InferenceSession::plan_for_batch`]
-//! for the resolved plan.
+//! scheduler's queue pressure; [`InferenceSession::stats`] reports the
+//! plan the most recent batch resolved to.
 
 use std::sync::{Arc, Mutex};
 
@@ -113,10 +112,9 @@ impl InferenceSession {
     /// threads come from the process-wide persistent `man-par` pool, so
     /// resizing a session never spawns or kills OS threads.
     /// [`Parallelism::Sequential`] (the default) runs on the caller's
-    /// thread; [`Parallelism::Auto`] lets the tuner resolve sharding
-    /// mode and worker count per batch (see
-    /// [`InferenceSession::plan_for_batch`]). Every setting returns
-    /// bit-identical predictions.
+    /// thread; [`Parallelism::Auto`] lets the tuner resolve the worker
+    /// count per batch (see [`Parallelism::plan`]). Every setting
+    /// returns bit-identical predictions.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -147,29 +145,10 @@ impl InferenceSession {
         }
     }
 
-    /// The parallelism the session was configured with.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The worker budget (under [`Parallelism::Auto`] the per-batch
-    /// resolved count can be lower — see
-    /// [`InferenceSession::plan_for_batch`]).
+    /// The worker budget (the per-batch resolved count can be lower —
+    /// see [`Parallelism::plan`]).
     pub fn workers(&self) -> usize {
         self.parallelism.workers()
-    }
-
-    /// Compile-time MACs one inference of this model costs — the work
-    /// measure the Auto tuner plans with.
-    pub fn macs_per_row(&self) -> u64 {
-        self.macs_per_row
-    }
-
-    /// How a batch of `batch` rows would shard on this session, assuming
-    /// no competing streams — the honest "what did `Auto` resolve to"
-    /// answer the bench reports record (see [`Parallelism::plan`]).
-    pub fn plan_for_batch(&self, batch: usize) -> ShardPlan {
-        self.parallelism.plan(self.macs_per_row, batch, 1)
     }
 
     /// The compiled engine the session serves.
@@ -199,9 +178,9 @@ impl InferenceSession {
         plan
     }
 
-    /// Runs one inference. On a parallel session, large layers are
-    /// sharded across the workers (under [`Parallelism::Auto`], only when
-    /// the tuner decides the row is worth it).
+    /// Runs one inference on the caller's thread, whatever the
+    /// session's [`Parallelism`]: a lone row always resolves to
+    /// [`ShardPlan::Sequential`].
     ///
     /// # Errors
     ///
@@ -219,8 +198,7 @@ impl InferenceSession {
     /// every [`Parallelism`] setting.
     ///
     /// On a parallel session the rows are sharded across the workers; a
-    /// lone row neuron-shards its layers instead, so big lone requests
-    /// still use every core.
+    /// lone row runs on the caller's thread.
     ///
     /// # Errors
     ///

@@ -125,7 +125,8 @@ proptest! {
         prop_assert_eq!(&again, &want);
     }
 
-    /// Single-inference neuron sharding agrees with the oracle.
+    /// A lone row on a threaded session (it resolves to `Sequential`)
+    /// agrees with the oracle.
     #[test]
     fn parallel_single_inference_is_bit_identical(
         seed in any::<u64>(),
@@ -210,9 +211,9 @@ proptest! {
         }
     }
 
-    /// `Parallelism::Auto` — whatever plan the tuner resolves (rows,
-    /// neurons or sequential) — is bit-identical to the oracle, and load
-    /// hints only move the plan.
+    /// `Parallelism::Auto` — whatever plan the tuner resolves (rows or
+    /// sequential) — is bit-identical to the oracle, and load hints only
+    /// move the plan.
     #[test]
     fn auto_tuned_sessions_are_bit_identical(
         seed in any::<u64>(),
@@ -346,6 +347,6 @@ fn session_stats_report_the_resolved_plan() {
     assert_eq!(stats.plan, "rows(2)");
     assert_eq!(session.last_plan().map(|p| p.label()), Some(stats.plan));
     session.infer(&batch[0]).expect("shape ok");
-    assert_eq!(session.stats().plan, "neurons(2)");
+    assert_eq!(session.stats().plan, "sequential");
     assert_eq!(stats.macs_per_row, model.macs_per_inference());
 }
