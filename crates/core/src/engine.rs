@@ -11,10 +11,12 @@
 
 // DETERMINISM: keyed lookup cache only (see `CostModel::cache`);
 // nothing ever iterates it, so hash-order randomization is inert.
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 
 use man_hw::cell::CellLibrary;
+use man_hw::circuit::Circuit;
 use man_hw::components::mac::carry_save_step;
+use man_hw::components::precompute::alpha_bus;
 use man_hw::neuron::{NeuronDatapath, NeuronKind, NeuronSpec};
 use man_hw::power::{measure_stream_energy, EnergyBreakdown, PowerModel};
 use man_hw::synth::{AccStyle, TimingClosureError};
@@ -110,12 +112,7 @@ impl CostModel {
         bits: u32,
         kind: &NeuronKind,
     ) -> Result<&NeuronDatapath, TimingClosureError> {
-        let key = (bits, kind.clone());
-        if !self.cache.contains_key(&key) {
-            let dp = NeuronDatapath::build(NeuronSpec::paper(bits, kind.clone()), &self.lib)?;
-            self.cache.insert(key.clone(), dp);
-        }
-        Ok(&self.cache[&key])
+        cached_datapath(&mut self.cache, &self.lib, bits, kind)
     }
 
     /// Measures the per-MAC and per-neuron energy of one layer from its
@@ -135,83 +132,81 @@ impl CostModel {
         trace: &LayerTrace,
     ) -> Result<LayerEnergy, TimingClosureError> {
         assert!(trace.len() >= 2, "trace too short to measure energy");
-        let dp = self.datapath(bits, kind)?.clone();
-        let clock = dp.spec().clock_ps;
+        let dp = cached_datapath(&mut self.cache, &self.lib, bits, kind)?;
+        let measure = |circuit: &Circuit, columns: &[(&str, &[u64])]| {
+            measure_stream_energy(circuit, &self.lib, &self.power, columns, dp.spec().clock_ps)
+        };
         let acc_bits = dp.spec().acc_bits();
         let mask = (1u64 << acc_bits) - 1;
-        let n = trace.len();
+        let column = |values: &[bool]| -> Vec<u64> { values.iter().map(|&v| v as u64).collect() };
 
         // --- multiplication stage ---
-        let mult_stream: Vec<Vec<(String, u64)>> = (0..n)
-            .map(|i| {
-                let mut v: Vec<(String, u64)> = vec![
-                    ("w_mag".into(), trace.w_mag[i] as u64),
-                    ("w_sign".into(), trace.w_neg[i] as u64),
-                    ("x_sign".into(), trace.x_neg[i] as u64),
-                ];
-                match kind {
-                    NeuronKind::Conventional => {
-                        v.push(("x_mag".into(), trace.x_mag[i] as u64));
-                    }
-                    NeuronKind::Asm(alphabets) => {
-                        for &a in alphabets {
-                            v.push((format!("alpha{a}"), a as u64 * trace.x_mag[i] as u64));
-                        }
-                    }
-                }
-                v
-            })
-            .collect();
-        let e_mult = self.measure(&dp.mult_stage, &mult_stream, clock);
+        let w_mag: Vec<u64> = trace.w_mag.iter().map(|&w| u64::from(w)).collect();
+        let x_mag: Vec<u64> = trace.x_mag.iter().map(|&x| u64::from(x)).collect();
+        let (w_sign, x_sign) = (column(&trace.w_neg), column(&trace.x_neg));
+        // The conventional stage reads `x_mag`; the ASM stage reads every
+        // alphabet's product from the pre-computer bank.
+        let operands: Vec<(&str, Vec<u64>)> = match kind {
+            NeuronKind::Conventional => vec![("x_mag", x_mag.clone())],
+            NeuronKind::Asm(alphabets) => alphabets
+                .iter()
+                .map(|&a| {
+                    (
+                        alpha_bus(a),
+                        x_mag.iter().map(|&x| u64::from(a) * x).collect(),
+                    )
+                })
+                .collect(),
+        };
+        let mut mult_columns = vec![
+            ("w_mag", &w_mag[..]),
+            ("w_sign", &w_sign),
+            ("x_sign", &x_sign),
+        ];
+        mult_columns.extend(operands.iter().map(|(bus, values)| (*bus, &values[..])));
+        let e_mult = measure(&dp.mult_stage, &mult_columns);
 
         // --- accumulate stage ---
         let p_mag: Vec<u64> = trace.product.iter().map(|p| p.unsigned_abs()).collect();
-        let p_sign: Vec<bool> = trace.product.iter().map(|&p| p < 0).collect();
-        let mut resolver_samples: Vec<(u64, u64)> = Vec::new();
-        let acc_stream: Vec<Vec<(String, u64)>> = match dp.acc_style {
-            AccStyle::CarryPropagate => (0..n)
-                .map(|i| {
-                    vec![
-                        ("p_mag".into(), p_mag[i]),
-                        ("p_sign".into(), p_sign[i] as u64),
-                        ("acc".into(), (trace.acc[i] as u64) & mask),
-                    ]
-                })
-                .collect(),
+        let p_sign: Vec<u64> = trace.product.iter().map(|&p| (p < 0) as u64).collect();
+        let mut resolver_s = Vec::new();
+        let mut resolver_c = Vec::new();
+        let e_acc = match dp.acc_style {
+            AccStyle::CarryPropagate => {
+                let acc: Vec<u64> = trace.acc.iter().map(|&a| (a as u64) & mask).collect();
+                measure(
+                    &dp.acc_stage,
+                    &[("p_mag", &p_mag), ("p_sign", &p_sign), ("acc", &acc)],
+                )
+            }
             AccStyle::CarrySave => {
+                let n = trace.len();
+                let (mut acc_s, mut acc_c) = (Vec::with_capacity(n), Vec::with_capacity(n));
                 let (mut s, mut c) = (0u64, 0u64);
-                (0..n)
-                    .map(|i| {
-                        let v = vec![
-                            ("p_mag".into(), p_mag[i]),
-                            ("p_sign".into(), p_sign[i] as u64),
-                            ("acc_s".into(), s),
-                            ("acc_c".into(), c),
-                        ];
-                        let (s2, c2) = carry_save_step(p_mag[i], p_sign[i], s, c, acc_bits);
-                        s = s2;
-                        c = c2;
-                        if i % 16 == 15 {
-                            resolver_samples.push((s, c));
-                        }
-                        v
-                    })
-                    .collect()
+                for i in 0..n {
+                    acc_s.push(s);
+                    acc_c.push(c);
+                    (s, c) = carry_save_step(p_mag[i], p_sign[i] == 1, s, c, acc_bits);
+                    if i % 16 == 15 {
+                        resolver_s.push(s);
+                        resolver_c.push(c);
+                    }
+                }
+                measure(
+                    &dp.acc_stage,
+                    &[
+                        ("p_mag", &p_mag),
+                        ("p_sign", &p_sign),
+                        ("acc_s", &acc_s),
+                        ("acc_c", &acc_c),
+                    ],
+                )
             }
         };
-        let e_acc = self.measure(&dp.acc_stage, &acc_stream, clock);
 
         // --- shared pre-computer bank, amortized over the lanes ---
         let e_pre = match &dp.precompute {
-            Some(bank) => {
-                let stream: Vec<Vec<(String, u64)>> = trace
-                    .x_mag
-                    .iter()
-                    .map(|&x| vec![("x_mag".into(), x as u64)])
-                    .collect();
-                self.measure(bank, &stream, clock)
-                    .scaled(1.0 / dp.spec().lanes as f64)
-            }
+            Some(bank) => measure(bank, &[("x_mag", &x_mag)]).scaled(1.0 / dp.spec().lanes as f64),
             None => EnergyBreakdown::default(),
         };
         let per_mac_fj = e_mult.total_fj() + e_acc.total_fj() + e_pre.total_fj();
@@ -219,40 +214,24 @@ impl CostModel {
         // --- per-neuron: resolve + activation, shared across lanes ---
         let mut per_neuron_fj = 0.0;
         if let Some(resolver) = &dp.resolver {
-            if resolver_samples.len() >= 2 {
-                let stream: Vec<Vec<(String, u64)>> = resolver_samples
-                    .iter()
-                    .map(|&(s, c)| vec![("s".into(), s), ("c".into(), c)])
-                    .collect();
-                per_neuron_fj += self.measure(resolver, &stream, clock).total_fj();
+            if resolver_s.len() >= 2 {
+                per_neuron_fj +=
+                    measure(resolver, &[("s", &resolver_s), ("c", &resolver_c)]).total_fj();
             }
         }
-        let act_stream: Vec<Vec<(String, u64)>> = trace
+        let act_acc: Vec<u64> = trace
             .acc
             .iter()
             .step_by(8)
-            .map(|&a| vec![("acc".into(), (a as u64) & mask)])
+            .map(|&a| (a as u64) & mask)
             .collect();
-        if act_stream.len() >= 2 {
-            per_neuron_fj += self.measure(&dp.activation, &act_stream, clock).total_fj();
+        if act_acc.len() >= 2 {
+            per_neuron_fj += measure(&dp.activation, &[("acc", &act_acc)]).total_fj();
         }
         Ok(LayerEnergy {
             per_mac_fj,
             per_neuron_fj,
         })
-    }
-
-    fn measure(
-        &self,
-        circuit: &man_hw::circuit::Circuit,
-        stream: &[Vec<(String, u64)>],
-        clock_ps: f64,
-    ) -> EnergyBreakdown {
-        let refs: Vec<Vec<(&str, u64)>> = stream
-            .iter()
-            .map(|v| v.iter().map(|(n, x)| (n.as_str(), *x)).collect())
-            .collect();
-        measure_stream_energy(circuit, &self.lib, &self.power, &refs, clock_ps)
     }
 
     /// Evaluates the full per-inference cost of a compiled network under a
@@ -292,12 +271,11 @@ impl CostModel {
             // DETERMINISM: reporting-only energy estimate, summed in a
             // fixed layer order; never feeds the bit-exact datapath.
             energy_fj += macs[i] as f64 * le.per_mac_fj + neurons[i] as f64 * le.per_neuron_fj;
-            let lib = self.lib.clone();
-            let dp = self.datapath(bits, &kinds[i])?;
+            let dp = cached_datapath(&mut self.cache, &self.lib, bits, &kinds[i])?;
             clock_ps = dp.spec().clock_ps;
             cycles += macs[i].div_ceil(dp.spec().lanes as u64);
             // DETERMINISM: reporting-only area estimate in fixed layer order.
-            area_weighted += dp.neuron_area_um2(&lib) * neurons[i] as f64;
+            area_weighted += dp.neuron_area_um2(&self.lib) * neurons[i] as f64;
             neuron_total += neurons[i];
             layers.push(le);
         }
@@ -318,6 +296,25 @@ impl CostModel {
             },
             layers,
         })
+    }
+}
+
+/// The datapath for `(bits, kind)` from `cache`, synthesized with `lib` on
+/// first use. A free function so callers can keep borrowing the model's
+/// other fields alongside the returned datapath.
+fn cached_datapath<'c>(
+    // DETERMINISM: read and written by key only, never iterated.
+    cache: &'c mut HashMap<(u32, NeuronKind), NeuronDatapath>,
+    lib: &CellLibrary,
+    bits: u32,
+    kind: &NeuronKind,
+) -> Result<&'c NeuronDatapath, TimingClosureError> {
+    match cache.entry((bits, kind.clone())) {
+        Entry::Occupied(entry) => Ok(entry.into_mut()),
+        Entry::Vacant(entry) => {
+            let dp = NeuronDatapath::build(NeuronSpec::paper(bits, kind.clone()), lib)?;
+            Ok(entry.insert(dp))
+        }
     }
 }
 

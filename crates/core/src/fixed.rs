@@ -686,7 +686,7 @@ impl FixedNet {
                 OutputStage::Sigmoid => {
                     x = accs
                         .iter()
-                        .map(|&a| activation_unit_fixed(a, 64, acc_frac, &plan) as i16)
+                        .map(|&a| activation_unit_fixed(a, acc_frac, &plan) as i16)
                         .collect();
                 }
                 OutputStage::Requant => {

@@ -272,13 +272,7 @@ pub fn activation_unit(
 }
 
 /// Bit-exact reference of the whole activation unit.
-pub fn activation_unit_fixed(
-    acc_raw: i64,
-    acc_bits: u32,
-    acc_frac: u32,
-    params: &PlanParams,
-) -> u64 {
-    let _ = acc_bits;
+pub fn activation_unit_fixed(acc_raw: i64, acc_frac: u32, params: &PlanParams) -> u64 {
     plan_sigmoid_fixed(range_compress_fixed(acc_raw, acc_frac, params), params)
 }
 

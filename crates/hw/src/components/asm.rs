@@ -14,7 +14,7 @@ use crate::circuit::Circuit;
 use crate::components::adder::{add_bus_wrap, AdderKind};
 use crate::components::logic::sop_decoder;
 use crate::components::mux::mux_tree;
-use crate::components::precompute::validate_alphabets;
+use crate::components::precompute::{alpha_bus, validate_alphabets};
 use crate::components::shifter::barrel_shift_left;
 use crate::netlist::{Builder, Bus};
 
@@ -86,7 +86,7 @@ pub fn asm_mult_stage(bits: u32, alphabets: &[u8], combine: AdderKind) -> Circui
     let w_mag = b.input_bus("w_mag", bits as usize - 1);
     let alphas: Vec<Bus> = alphabets
         .iter()
-        .map(|a| b.input_bus(format!("alpha{a}"), alpha_w))
+        .map(|&a| b.input_bus(alpha_bus(a), alpha_w))
         .collect();
     let w_sign = b.input_bus("w_sign", 1);
     let x_sign = b.input_bus("x_sign", 1);

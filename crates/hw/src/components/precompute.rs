@@ -31,6 +31,20 @@ pub fn validate_alphabets(alphabets: &[u8]) {
     assert_eq!(alphabets[0], 1, "alphabet set must contain 1");
 }
 
+/// The name of the bus carrying alphabet `a`'s product `a · x`: an output
+/// of the pre-computer bank and an input of the ASM multiplication stage.
+///
+/// # Panics
+///
+/// Panics if `a` is not an odd value in `1..=15`.
+pub fn alpha_bus(a: u8) -> &'static str {
+    const NAMES: [&str; 8] = [
+        "alpha1", "alpha3", "alpha5", "alpha7", "alpha9", "alpha11", "alpha13", "alpha15",
+    ];
+    assert!(a % 2 == 1 && a <= 15, "unsupported alphabet {a}");
+    NAMES[usize::from(a / 2)]
+}
+
 /// Builds `a · x` for one odd alphabet `a` (width `x.width() + 4`).
 fn alphabet_product(b: &mut Builder, x: &Bus, a: u8, kind: AdderKind) -> Bus {
     let w = x.width() + 4;
@@ -99,7 +113,7 @@ pub fn precompute_bank(bits: u32, alphabets: &[u8], kind: AdderKind) -> Circuit 
     let x = b.input_bus("x_mag", bits as usize - 1);
     for &a in alphabets {
         let p = alphabet_product(&mut b, &x, a, kind);
-        b.output_bus(format!("alpha{a}"), &p);
+        b.output_bus(alpha_bus(a), &p);
     }
     Circuit::combinational(b.finish()).with_glitch_factor(1.2)
 }

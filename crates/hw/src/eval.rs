@@ -1,12 +1,15 @@
-//! Vector-pair logic simulation with per-gate toggle counting.
+//! Scalar reference logic simulation with per-gate toggle counting.
 //!
-//! This is the activity engine behind the power model: a netlist is driven
-//! with a stream of input vectors (sampled from *real* operand traces of the
-//! neural network), and every output transition of every gate is counted.
-//! Dynamic energy is then `Σ toggles(g) · E_switch(cell(g))`. The simulation
-//! is zero-delay, so glitching inside deep combinational logic is not
-//! captured directly; circuit generators annotate a glitch factor instead
-//! (see [`crate::circuit::Circuit::glitch_factor`]).
+//! [`Evaluator`] drives a netlist one input vector at a time, one `bool`
+//! per net, and counts every transition of every net. It is the readable
+//! reference for the word-parallel simulator behind the power model
+//! ([`crate::power::stream_toggles`], which must reproduce its counts
+//! exactly) and the functional checker the component tests use to compare
+//! a generated circuit with integer arithmetic. Dynamic energy is
+//! `Σ toggles(g) · E_switch(cell(g))`. The simulation is zero-delay, so
+//! glitching inside deep combinational logic is not captured directly;
+//! circuit generators annotate a glitch factor instead (see
+//! [`crate::circuit::Circuit::glitch_factor`]).
 
 use crate::cell::CellLibrary;
 use crate::netlist::{Netlist, NodeOp};
@@ -143,6 +146,13 @@ impl<'a> Evaluator<'a> {
         self.vectors.saturating_sub(1)
     }
 
+    /// Per-net toggle counts so far, indexed like
+    /// [`Netlist::nodes`](crate::netlist::Netlist::nodes) (input nets
+    /// included).
+    pub fn toggles(&self) -> &[u64] {
+        &self.toggles
+    }
+
     /// Total toggle count across all gates.
     pub fn total_toggles(&self) -> u64 {
         self.netlist
@@ -157,13 +167,7 @@ impl<'a> Evaluator<'a> {
     /// Dynamic energy in fJ accumulated over all observed transitions:
     /// `Σ toggles(gate) · switch_fj(cell)`.
     pub fn dynamic_energy_fj(&self, lib: &CellLibrary) -> f64 {
-        self.netlist
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| op.cell().map(|k| (i, k)))
-            .map(|(i, kind)| self.toggles[i] as f64 * lib.params(kind).switch_fj)
-            .sum()
+        crate::power::dynamic_energy_fj(self.netlist, &self.toggles, lib)
     }
 
     /// Resets toggle statistics (signal state is kept).

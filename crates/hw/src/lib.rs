@@ -6,10 +6,10 @@
 //!
 //! * [`cell`] — a 45 nm-class standard-cell library;
 //! * [`netlist`] — structural netlists with a hashing/folding builder;
-//! * [`eval`] — vector-pair logic simulation counting per-gate toggles;
+//! * [`eval`] — scalar reference logic simulation counting per-gate toggles;
 //! * [`timing`] — static timing analysis;
 //! * [`power`] — switching-activity energy estimation over real operand
-//!   streams;
+//!   streams, simulated 64 vectors per word;
 //! * [`components`] — module generators for every datapath block of the
 //!   conventional, ASM and MAN neurons;
 //! * [`synth`] — iso-speed architecture selection and pipelining;

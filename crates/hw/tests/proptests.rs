@@ -1,14 +1,18 @@
 //! Property-based tests for the gate-level substrate: arithmetic blocks
 //! must agree with integer arithmetic for arbitrary operands and widths,
-//! and the cost model must behave monotonically.
+//! the cost model must behave monotonically, and the word-parallel toggle
+//! simulator must count exactly what the scalar reference counts.
 
-use man_hw::cell::CellLibrary;
+use man_hw::cell::{CellKind, CellLibrary};
+use man_hw::circuit::Circuit;
 use man_hw::components::activation::{plan_sigmoid_fixed, PlanParams};
 use man_hw::components::adder::{adder, AdderKind};
 use man_hw::components::mac::{acc_stage, carry_save_step, product_bits};
 use man_hw::components::multiplier::{multiplier, MultiplierKind};
 use man_hw::components::shifter::shifter;
 use man_hw::eval::Evaluator;
+use man_hw::netlist::{Builder, Bus, Net, Netlist, NodeOp};
+use man_hw::power::{measure_stream_energy, stream_toggles, PowerModel};
 use proptest::prelude::*;
 
 fn adder_kind() -> impl Strategy<Value = AdderKind> {
@@ -27,8 +31,169 @@ fn mult_kind() -> impl Strategy<Value = MultiplierKind> {
     ]
 }
 
+/// One gate of a random netlist: a cell selector and three operand picks,
+/// each reduced modulo the number of nets built so far.
+type GateSpec = (u8, u32, u32, u32);
+
+/// A netlist over input buses `x0, x1, …` of the given widths and both
+/// constants, with one gate per spec (inverter, every 2-input cell, or a
+/// mux). The builder's folding may turn a spec into an existing net. Every
+/// gate's net and both constants are outputs, so nothing is pruned.
+fn random_netlist(widths: &[usize], gates: &[GateSpec]) -> Netlist {
+    let mut b = Builder::new("random");
+    let mut nets: Vec<Net> = Vec::new();
+    for (i, &w) in widths.iter().enumerate() {
+        nets.extend_from_slice(b.input_bus(format!("x{i}"), w).nets());
+    }
+    let consts = [b.constant(false), b.constant(true)];
+    nets.extend(consts);
+    let first_gate = nets.len();
+    for &(kind, x, y, z) in gates {
+        let pick = |v: u32| nets[v as usize % nets.len()];
+        let (x, y, z) = (pick(x), pick(y), pick(z));
+        let net = match kind % 8 {
+            0 => b.not(x),
+            1 => b.and(x, y),
+            2 => b.or(x, y),
+            3 => b.nand(x, y),
+            4 => b.nor(x, y),
+            5 => b.xor(x, y),
+            6 => b.xnor(x, y),
+            _ => b.mux(x, y, z),
+        };
+        nets.push(net);
+    }
+    for (i, chunk) in nets[first_gate..].chunks(64).enumerate() {
+        b.output_bus(format!("y{i}"), &Bus::from_nets(chunk.to_vec()));
+    }
+    b.output_bus("k", &Bus::from_nets(consts.to_vec()));
+    b.finish()
+}
+
+/// Pseudo-random full-width values (bits above a bus's width included, so
+/// the simulators must both ignore them).
+fn values(seed: u64, len: usize) -> Vec<u64> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x ^ (x >> 29)
+        })
+        .collect()
+}
+
+/// Drives `netlist` with the column-wise stream through both simulators
+/// and requires identical per-net toggle counts and, for streams of two
+/// or more vectors, bit-identical combinational energy.
+fn assert_matches_reference(netlist: &Netlist, columns: &[(&str, &[u64])], len: usize) {
+    let mut sim = Evaluator::new(netlist);
+    for i in 0..len {
+        let vector: Vec<(&str, u64)> = columns.iter().map(|&(name, v)| (name, v[i])).collect();
+        sim.step(&vector);
+    }
+    assert_eq!(
+        stream_toggles(netlist, columns),
+        sim.toggles(),
+        "toggle counts at stream length {len}"
+    );
+    if !columns.is_empty() && len >= 2 {
+        let lib = CellLibrary::nominal_45nm();
+        let circuit = Circuit::combinational(netlist.clone());
+        let e = measure_stream_energy(&circuit, &lib, &PowerModel::default(), columns, 333.0);
+        let want = sim.dynamic_energy_fj(&lib) / sim.transitions() as f64;
+        assert_eq!(
+            e.comb_fj.to_bits(),
+            want.to_bits(),
+            "energy at length {len}"
+        );
+    }
+}
+
+/// Runs a stream of `len` vectors that drives the buses whose `driven`
+/// flag is set and leaves the rest to hold their value.
+fn check_stream(widths: &[usize], driven: &[bool], gates: &[GateSpec], len: usize, seed: u64) {
+    let netlist = random_netlist(widths, gates);
+    let names: Vec<String> = (0..widths.len()).map(|i| format!("x{i}")).collect();
+    let data: Vec<Vec<u64>> = (0..widths.len())
+        .map(|i| values(seed.wrapping_add(i as u64 * 0x9e37_79b9), len))
+        .collect();
+    let columns: Vec<(&str, &[u64])> = (0..widths.len())
+        .filter(|&i| driven[i])
+        .map(|i| (names[i].as_str(), &data[i][..]))
+        .collect();
+    assert_matches_reference(&netlist, &columns, len);
+}
+
+/// Gate specs that use every cell kind the builder emits, on operands that
+/// do not fold.
+const EVERY_KIND: [GateSpec; 9] = [
+    (0, 0, 0, 0),
+    (1, 0, 1, 0),
+    (2, 1, 2, 0),
+    (3, 2, 3, 0),
+    (4, 3, 4, 0),
+    (5, 4, 5, 0),
+    (6, 5, 6, 0),
+    (7, 6, 7, 8),
+    (7, 9, 10, 11),
+];
+
+#[test]
+fn word_parallel_toggles_match_reference_at_word_boundaries() {
+    let widths = [3, 5, 2];
+    let netlist = random_netlist(&widths, &EVERY_KIND);
+    let kinds = netlist.cell_counts();
+    for kind in [
+        CellKind::Inv,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::Xor2,
+        CellKind::Xnor2,
+        CellKind::Mux2,
+    ] {
+        assert!(kinds.contains_key(&kind), "{kind:?} missing from {kinds:?}");
+    }
+    assert!(netlist
+        .nodes()
+        .iter()
+        .any(|op| matches!(op, NodeOp::Const(_))));
+    for len in [0, 1, 2, 63, 64, 65, 128, 129] {
+        check_stream(&widths, &[true, false, true], &EVERY_KIND, len, 7);
+        check_stream(&widths, &[true, true, true], &EVERY_KIND, len, 8);
+    }
+    let c = adder(8, AdderKind::KoggeStone);
+    for len in [0, 1, 2, 63, 64, 65, 128, 129] {
+        let (a, b) = (values(1, len), values(2, len));
+        assert_matches_reference(c.netlist(), &[("a", &a), ("b", &b)], len);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The word-parallel simulator counts every net's toggles exactly as
+    /// the scalar reference does, on random netlists with every cell kind,
+    /// muxes and constants, streams that cross the 64-vector word
+    /// boundaries, and buses left unassigned.
+    #[test]
+    fn word_parallel_toggles_match_reference(
+        widths in prop::collection::vec(1usize..10, 1..4),
+        driven in any::<u8>(),
+        gates in prop::collection::vec(any::<u64>(), 1..80),
+        len in 0usize..200,
+        seed in any::<u64>(),
+    ) {
+        let driven: Vec<bool> = (0..widths.len()).map(|i| driven >> i & 1 == 1).collect();
+        let gates: Vec<GateSpec> = gates
+            .iter()
+            .map(|&g| (g as u8, (g >> 8) as u32 & 0xfff, (g >> 20) as u32 & 0xfff, (g >> 32) as u32))
+            .collect();
+        check_stream(&widths, &driven, &gates, len, seed);
+    }
 
     /// Every adder architecture computes integer addition at any width.
     #[test]

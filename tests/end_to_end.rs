@@ -294,7 +294,7 @@ fn plan_activation_shared_between_engine_and_hardware() {
         sim.step(&[("acc", (acc as u64) & mask)]);
         assert_eq!(
             sim.output("y"),
-            activation_unit_fixed(acc, acc_bits, acc_frac, &params),
+            activation_unit_fixed(acc, acc_frac, &params),
             "acc={acc}"
         );
     }
