@@ -31,6 +31,7 @@ use man::alphabet::AlphabetSet;
 use man::zoo::Benchmark;
 use man_datasets::GenOptions;
 use man_repro::Pipeline;
+use man_serve::cluster::REPLICAS;
 use man_serve::{
     BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, RequestHandler, Router, RouterConfig,
     Server, TcpClient,
@@ -40,8 +41,6 @@ use serde::Serialize;
 const MODEL: &str = "digits";
 /// Worker processes behind the router.
 const WORKERS: usize = 3;
-/// Replica set size for the model (2 of the 3 workers host it).
-const REPLICAS: usize = 2;
 /// Closed-loop clients per wire mode (the container is small and the
 /// bench runs 5 processes; the router hop, not client count, is the
 /// thing measured).
@@ -208,7 +207,6 @@ fn run_worker() {
         ReactorConfig {
             reactor_threads: 1,
             dispatch_threads: 1,
-            ..ReactorConfig::default()
         },
     )
     .expect("worker server binds");
@@ -313,11 +311,8 @@ fn main() {
     let exe = std::env::current_exe().expect("own binary path");
     let mut workers: Vec<Worker> = (0..WORKERS).map(|_| spawn_worker(&exe)).collect();
     let router = Router::new(RouterConfig {
-        default_replicas: REPLICAS,
         request_timeout: Duration::from_millis(1_500),
         health_interval: Duration::from_millis(100),
-        unhealthy_after: 1,
-        ..RouterConfig::default()
     });
     for w in &workers {
         router.join_node(&w.addr).expect("worker joins the cluster");
@@ -328,7 +323,6 @@ fn main() {
         ReactorConfig {
             reactor_threads: 1,
             dispatch_threads: 2,
-            ..ReactorConfig::default()
         },
     )
     .expect("router front-end binds");

@@ -292,7 +292,6 @@ fn main() {
     let reactor = ReactorConfig {
         reactor_threads: 2,
         dispatch_threads: 2,
-        ..ReactorConfig::default()
     };
     let mut server = Server::bind_with("127.0.0.1:0", Arc::clone(&registry), reactor.clone())
         .expect("reactor server binds");

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use man::alphabet::AlphabetSet;
@@ -44,7 +43,7 @@ use man_bench::closed_loop;
 use man_datasets::GenOptions;
 use man_obs::ObsLevel;
 use man_repro::Pipeline;
-use man_serve::{BatchConfig, Client, ModelRegistry};
+use man_serve::{BatchConfig, ModelRegistry};
 use serde::Serialize;
 
 const MODEL: &str = "digits";
@@ -143,10 +142,9 @@ fn main() -> ExitCode {
     // observability plane.
     let registry = ModelRegistry::new(BatchConfig::default());
     registry.install(MODEL, compiled);
-    let client = Client::new(Arc::clone(&registry));
     let predict = |c: usize, i: u64| {
         let image = &ds.test_images[(c * 7 + i as usize) % ds.test_images.len()];
-        client.predict(MODEL, image.clone()).is_ok()
+        registry.predict(MODEL, image.clone()).is_ok()
     };
 
     // Off and spans run back-to-back inside each round so the

@@ -888,7 +888,7 @@ impl FixedNet {
         if images.is_empty() {
             return 0.0;
         }
-        let plan = parallelism.plan(self.macs_per_inference(), images.len(), 1);
+        let plan = parallelism.plan(self.macs_per_inference(), images.len());
         let correct = self
             .run(images, plan)
             .iter()

@@ -164,7 +164,7 @@ pub fn train_unconstrained(
     images: &[Vec<f32>],
     labels: &[usize],
     cfg: &MethodologyConfig,
-) -> f64 {
+) {
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut sgd = Sgd::new(cfg.lr, cfg.momentum);
     if let Some(clip) = cfg.clip_rms {
@@ -176,7 +176,6 @@ pub fn train_unconstrained(
         ..TrainConfig::default()
     };
     train(net, &mut sgd, images, labels, &tc, &mut rng, |_| {});
-    net.accuracy_par(images, labels, cfg.parallelism)
 }
 
 /// Retrains a copy of `restore` under a constraint projection (Algorithm 2

@@ -43,5 +43,4 @@ pub mod layers;
 pub mod loss;
 pub mod network;
 pub mod optim;
-pub mod tensor;
 pub mod train;

@@ -231,7 +231,7 @@ impl Network {
             return 0.0;
         }
         let workers = parallelism
-            .plan(self.macs_per_inference(), samples.len(), 1)
+            .plan(self.macs_per_inference(), samples.len())
             .workers();
         if workers <= 1 {
             return self.accuracy(samples, labels);

@@ -28,9 +28,9 @@
 //! sound.
 //!
 //! This crate also hosts the one place a batch's sharding is decided:
-//! [`Parallelism::plan`] turns a setting plus the batch's MACs per row,
-//! size and serve queue pressure into a [`ShardPlan`]: either
-//! `Sequential` or `Rows`, by one unit-tested rule.
+//! [`Parallelism::plan`] turns a setting plus the batch's MACs per row
+//! and size into a [`ShardPlan`]: either `Sequential` or `Rows`, by one
+//! unit-tested rule.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,32 +87,30 @@ impl Parallelism {
     }
 
     /// Resolves how a batch of `batch` rows, each costing
-    /// `macs_per_row` multiply-accumulates, shards under this setting
-    /// while `streams` batch streams (≥ 1) compete for the same cores.
+    /// `macs_per_row` multiply-accumulates, shards under this setting.
     /// This is the one place a [`ShardPlan`] is decided, and it is one
     /// rule: compute a worker budget, then return
     /// `Rows(min(budget, batch))` when the budget and the batch are both
     /// ≥ 2, otherwise `Sequential`. A lone row always runs on the caller.
     ///
     /// The budget is 1 for `Sequential` and `n` for `Threads(n)`, which
-    /// ignore `macs_per_row` and `streams`. Under `Auto` it is
-    /// `cores / streams`, or 1 when `macs_per_row × batch` is below
-    /// 50 000 (the handoff would cost more than the work), so `Auto`
-    /// resolves by this table:
+    /// ignore `macs_per_row`. Under `Auto` it is `cores`, or 1 when
+    /// `macs_per_row × batch` is below 50 000 (the handoff would cost
+    /// more than the work), so `Auto` resolves by this table:
     ///
     /// | # | condition                                   | plan |
     /// |---|---------------------------------------------|------|
-    /// | 1 | `cores / streams` < 2, or batch < 2         | `Sequential` |
+    /// | 1 | `cores` < 2, or batch < 2                   | `Sequential` |
     /// | 2 | `macs_per_row × batch` < 50 000             | `Sequential` |
-    /// | 3 | otherwise                                   | `Rows(min(cores / streams, batch))` |
+    /// | 3 | otherwise                                   | `Rows(min(cores, batch))` |
     ///
     /// Every plan is bit-identical to `Sequential`; the plan only moves
     /// wall-clock time around.
-    pub fn plan(self, macs_per_row: u64, batch: usize, streams: usize) -> ShardPlan {
+    pub fn plan(self, macs_per_row: u64, batch: usize) -> ShardPlan {
         let budget = match self {
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n,
-            Parallelism::Auto => auto_budget(macs_per_row, batch, streams, available_cores()),
+            Parallelism::Auto => auto_budget(macs_per_row, batch, available_cores()),
         };
         rows_or_sequential(budget, batch)
     }
@@ -203,13 +201,13 @@ impl ShardPlan {
 }
 
 /// The [`Parallelism::Auto`] worker budget documented on
-/// [`Parallelism::plan`]: `cores / streams`, or 1 when the whole batch
-/// is too little work to pay for a handoff.
-fn auto_budget(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> usize {
+/// [`Parallelism::plan`]: `cores`, or 1 when the whole batch is too
+/// little work to pay for a handoff.
+fn auto_budget(macs_per_row: u64, batch: usize, cores: usize) -> usize {
     if macs_per_row.saturating_mul(batch as u64) < MIN_TOTAL_MACS {
         return 1;
     }
-    cores / streams.max(1)
+    cores
 }
 
 /// The single plan rule: `Rows(min(budget, batch))` when the budget
@@ -1051,30 +1049,28 @@ mod tests {
     // -- The resolve point ---------------------------------------------
 
     /// [`Parallelism::plan`]'s `Auto` arm on a host of `cores` cores.
-    fn auto_plan(macs_per_row: u64, batch: usize, streams: usize, cores: usize) -> ShardPlan {
-        rows_or_sequential(auto_budget(macs_per_row, batch, streams, cores), batch)
+    fn auto_plan(macs_per_row: u64, batch: usize, cores: usize) -> ShardPlan {
+        rows_or_sequential(auto_budget(macs_per_row, batch, cores), batch)
     }
 
     #[test]
     fn threads_plan_is_static() {
-        for streams in [1usize, 8] {
-            let plan = |p: Parallelism, batch| p.plan(1_000_000, batch, streams);
-            assert_eq!(plan(Parallelism::Threads(1), 64), ShardPlan::Sequential);
-            assert_eq!(plan(Parallelism::Threads(4), 0), ShardPlan::Sequential);
-            assert_eq!(plan(Parallelism::Threads(4), 1), ShardPlan::Sequential);
-            assert_eq!(
-                plan(Parallelism::Threads(4), 2),
-                ShardPlan::Rows { workers: 2 }
-            );
-            assert_eq!(
-                plan(Parallelism::Threads(4), 64),
-                ShardPlan::Rows { workers: 4 }
-            );
-            assert_eq!(plan(Parallelism::Sequential, 64), ShardPlan::Sequential);
-        }
+        let plan = |p: Parallelism, batch| p.plan(1_000_000, batch);
+        assert_eq!(plan(Parallelism::Threads(1), 64), ShardPlan::Sequential);
+        assert_eq!(plan(Parallelism::Threads(4), 0), ShardPlan::Sequential);
+        assert_eq!(plan(Parallelism::Threads(4), 1), ShardPlan::Sequential);
+        assert_eq!(
+            plan(Parallelism::Threads(4), 2),
+            ShardPlan::Rows { workers: 2 }
+        );
+        assert_eq!(
+            plan(Parallelism::Threads(4), 64),
+            ShardPlan::Rows { workers: 4 }
+        );
+        assert_eq!(plan(Parallelism::Sequential, 64), ShardPlan::Sequential);
         // Tiny work does not change a static request either.
         assert_eq!(
-            Parallelism::Threads(3).plan(1, 5, 1),
+            Parallelism::Threads(3).plan(1, 5),
             ShardPlan::Rows { workers: 3 }
         );
     }
@@ -1082,32 +1078,28 @@ mod tests {
     #[test]
     fn tuner_stays_sequential_on_one_core_or_tiny_work() {
         // Row 1: no budget.
-        assert_eq!(auto_plan(1_000_000, 64, 1, 1), ShardPlan::Sequential);
-        // Row 1 via streams: 8 cores but 8 competing streams.
-        assert_eq!(auto_plan(1_000_000, 64, 8, 8), ShardPlan::Sequential);
+        assert_eq!(auto_plan(1_000_000, 64, 1), ShardPlan::Sequential);
         // Row 1: an empty batch, and a lone row however large.
-        assert_eq!(auto_plan(1_000_000, 0, 1, 8), ShardPlan::Sequential);
-        assert_eq!(auto_plan(400_000, 1, 1, 8), ShardPlan::Sequential);
+        assert_eq!(auto_plan(1_000_000, 0, 8), ShardPlan::Sequential);
+        assert_eq!(auto_plan(400_000, 1, 8), ShardPlan::Sequential);
         // Row 2: total work below the floor.
-        assert_eq!(auto_plan(100, 64, 1, 8), ShardPlan::Sequential);
+        assert_eq!(auto_plan(100, 64, 8), ShardPlan::Sequential);
     }
 
     #[test]
     fn tuner_row_shards_plentiful_batches() {
         // Row 3: 64 rows, 8 cores -> rows across all 8.
-        assert_eq!(auto_plan(100_000, 64, 1, 8), ShardPlan::Rows { workers: 8 });
+        assert_eq!(auto_plan(100_000, 64, 8), ShardPlan::Rows { workers: 8 });
         // Workers never exceed rows, however wide the budget.
-        assert_eq!(auto_plan(100_000, 5, 1, 8), ShardPlan::Rows { workers: 5 });
-        assert_eq!(auto_plan(400_000, 2, 1, 8), ShardPlan::Rows { workers: 2 });
-        assert_eq!(auto_plan(400_000, 2, 1, 4), ShardPlan::Rows { workers: 2 });
+        assert_eq!(auto_plan(100_000, 5, 8), ShardPlan::Rows { workers: 5 });
+        assert_eq!(auto_plan(400_000, 2, 8), ShardPlan::Rows { workers: 2 });
+        assert_eq!(auto_plan(400_000, 2, 4), ShardPlan::Rows { workers: 2 });
         // A few cheap rows above the total floor still row-shard.
-        assert_eq!(auto_plan(15_000, 4, 1, 16), ShardPlan::Rows { workers: 4 });
+        assert_eq!(auto_plan(15_000, 4, 16), ShardPlan::Rows { workers: 4 });
     }
 
     #[test]
-    fn tuner_respects_stream_pressure() {
-        // 2 competing streams halve the budget.
-        assert_eq!(auto_plan(100_000, 64, 2, 8), ShardPlan::Rows { workers: 4 });
+    fn shard_plan_reports_workers_and_labels() {
         assert_eq!(ShardPlan::Rows { workers: 2 }.workers(), 2);
         assert_eq!(ShardPlan::Rows { workers: 8 }.label(), "rows(8)");
         assert_eq!(ShardPlan::Sequential.workers(), 1);

@@ -3,11 +3,11 @@
 //!
 //! Callers submit single requests; workers coalesce whatever is queued —
 //! up to [`BatchConfig::max_batch`] requests, waiting at most
-//! [`BatchConfig::max_wait`] after the first — into one
-//! `infer_batch_with_load` call. Replies travel back over per-request
-//! oneshot channels. When the queue is full, submission fails
-//! *immediately* with [`man_repro::ServeError::Overloaded`] — explicit
-//! backpressure beats unbounded latency.
+//! [`BatchConfig::max_wait`] after the first — into one `infer_batch`
+//! call. Replies travel back over per-request oneshot channels. When the
+//! queue is full, submission fails *immediately* with
+//! [`man_repro::ServeError::Overloaded`] — explicit backpressure beats
+//! unbounded latency.
 //!
 //! The whole lifecycle is traced through `man-obs` (DESIGN.md §12):
 //! submit records an `accept` span and tags the job with a request id,
@@ -71,10 +71,8 @@ pub struct BatchConfig {
     /// `workers` already covers the machine; raise it instead of
     /// `workers` when per-request latency matters more than stream
     /// throughput. [`Parallelism::Auto`] hands the choice to the
-    /// `man-par` tuner, which folds in the model's MACs per row, the
-    /// coalesced batch size *and* the live queue depth — a deep backlog
-    /// means sibling batches are right behind this one, so it should not
-    /// grab every core.
+    /// `man-par` tuner, which folds in the model's MACs per row and the
+    /// coalesced batch size.
     pub parallelism: Parallelism,
     /// How long a submitter waits for its reply before giving up.
     pub request_timeout: Duration,
@@ -303,20 +301,9 @@ impl Drop for ModelHost {
     }
 }
 
-/// Concurrent batch streams the scheduler expects around one dispatch:
-/// this worker plus however many sibling workers the backlog can feed —
-/// the [`Parallelism::Auto`] tuner's `streams` input, so a deep queue
-/// stops one micro-batch from grabbing every core.
-fn concurrent_streams(cfg: &BatchConfig, queued: usize) -> usize {
-    let feedable = queued.div_ceil(cfg.max_batch.max(1));
-    1 + feedable.min(cfg.workers.max(1) - 1)
-}
-
 /// ORDERING: `queue_depth` is an advisory backlog gauge — the
-/// `fetch_sub` after draining and the `load` feeding the parallelism
-/// tuner are `Relaxed` because the channel recv that delivered the jobs
-/// already ordered them; a stale backlog sample only skews the
-/// batch-size heuristic, never correctness.
+/// `fetch_sub` after draining is `Relaxed` because the channel recv that
+/// delivered the jobs already ordered them.
 fn worker_loop(
     rx: &Mutex<Receiver<Job>>,
     model: &CompiledModel,
@@ -367,10 +354,7 @@ fn worker_loop(
             .fetch_sub(batch.len(), Ordering::Relaxed);
         metrics.observe_batch(batch.len());
         observe_drain(&batch, coalesce_start, metrics);
-        // Sample the backlog *after* draining this batch: what is left
-        // is what sibling workers will be batching while we infer.
-        let backlog = metrics.queue_depth.load(Ordering::Relaxed);
-        dispatch(batch, &session, cfg, backlog, metrics);
+        dispatch(batch, &session, metrics);
         // Lifecycle flush point: the batch's span events reach the
         // flight-recorder ring before the next blocking wait, so a dump
         // triggered by anyone sees complete request lifecycles.
@@ -432,18 +416,11 @@ fn observe_drain(batch: &[Job], coalesce_start: u64, metrics: &ModelMetrics) {
 /// Runs one coalesced batch and distributes the replies. Per-request
 /// outcome counters live with the submitter (see [`ModelHost::submit`]);
 /// reply delivery itself synchronizes through each job's reply channel.
-fn dispatch(
-    batch: Vec<Job>,
-    session: &InferenceSession,
-    cfg: &BatchConfig,
-    backlog: usize,
-    metrics: &ModelMetrics,
-) {
+fn dispatch(batch: Vec<Job>, session: &InferenceSession, metrics: &ModelMetrics) {
     let (inputs, replies): (Vec<Vec<f32>>, Vec<_>) = batch
         .into_iter()
         .map(|j| (j.input, (j.reply, j.req)))
         .unzip();
-    let streams = concurrent_streams(cfg, backlog);
     let dispatch_start = if man_obs::counters_enabled() {
         man_obs::now_ns().max(1)
     } else {
@@ -468,7 +445,7 @@ fn dispatch(
             } else {
                 0
             };
-            let result = session.infer_batch_with_load(&inputs, streams);
+            let result = session.infer_batch(&inputs);
             if kernel_start > 0 {
                 *kernel_window = (kernel_start, man_obs::now_ns().saturating_sub(kernel_start));
             }
@@ -570,28 +547,5 @@ mod tests {
         let cfg = BatchConfig::default();
         assert!(cfg.max_batch >= 8);
         assert!(cfg.queue_capacity >= cfg.max_batch);
-    }
-
-    #[test]
-    fn stream_estimate_tracks_backlog_and_sibling_workers() {
-        let cfg = BatchConfig {
-            max_batch: 8,
-            workers: 4,
-            ..BatchConfig::default()
-        };
-        // Empty backlog: this worker is the only stream.
-        assert_eq!(concurrent_streams(&cfg, 0), 1);
-        // A partial batch queued still feeds one sibling.
-        assert_eq!(concurrent_streams(&cfg, 3), 2);
-        // Two full batches feed two siblings.
-        assert_eq!(concurrent_streams(&cfg, 16), 3);
-        // The estimate never exceeds the scheduler's worker count.
-        assert_eq!(concurrent_streams(&cfg, 10_000), 4);
-        // A single-worker host is always exactly one stream.
-        let solo = BatchConfig {
-            workers: 1,
-            ..BatchConfig::default()
-        };
-        assert_eq!(concurrent_streams(&solo, 10_000), 1);
     }
 }

@@ -25,6 +25,12 @@ use man_repro::Prediction;
 
 use crate::server::{BinaryClient, WireError};
 
+/// Idle MANB connections pooled per backend; extra connections returned
+/// at checkin are closed.
+const POOL_PER_BACKEND: usize = 4;
+/// Consecutive transport failures before a backend is demoted.
+const UNHEALTHY_AFTER: u32 = 1;
+
 /// Wire-error codes that indicate the *transport* (or the peer
 /// process) failed, as opposed to the worker answering with an error.
 fn is_transport(code: &str) -> bool {
@@ -42,15 +48,11 @@ pub struct Backend {
     /// Idle pooled connections (LIFO: the most recently used
     /// connection is the most likely to still be alive).
     pool: Mutex<Vec<BinaryClient>>,
-    /// Pool capacity; extra connections returned at checkin are closed.
-    pool_cap: usize,
     /// Whether routing should prefer this backend. Flipped by the
     /// failure accounting below and by the health checker.
     healthy: AtomicBool,
     /// Transport failures since the last success.
     consecutive_failures: AtomicU32,
-    /// Failures needed to mark the backend unhealthy.
-    unhealthy_after: u32,
     /// Requests the router sent this backend (predict + relayed verbs).
     requests: AtomicU64,
     /// Transport failures observed against this backend.
@@ -84,7 +86,7 @@ impl Backend {
     /// # Errors
     ///
     /// `io` when the address does not resolve.
-    pub fn new(addr: &str, pool_cap: usize, unhealthy_after: u32) -> Result<Self, WireError> {
+    pub fn new(addr: &str) -> Result<Self, WireError> {
         let resolved = addr
             .to_socket_addrs()
             .map_err(|e| WireError {
@@ -100,10 +102,8 @@ impl Backend {
             addr: addr.to_owned(),
             resolved,
             pool: Mutex::new(Vec::new()),
-            pool_cap: pool_cap.max(1),
             healthy: AtomicBool::new(true),
             consecutive_failures: AtomicU32::new(0),
-            unhealthy_after: unhealthy_after.max(1),
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             latency: OctaveHistogram::new(),
@@ -140,7 +140,7 @@ impl Backend {
         // ORDERING: advisory health state; the exact streak count only
         // gates how fast the flag flips, never data visibility.
         let streak = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak >= self.unhealthy_after {
+        if streak >= UNHEALTHY_AFTER {
             // ORDERING: advisory routing hint (see is_healthy).
             self.healthy.store(false, Ordering::Relaxed);
         }
@@ -161,7 +161,7 @@ impl Backend {
     /// Returns a connection to the pool (dropped when at capacity).
     fn checkin(&self, conn: BinaryClient) {
         let mut pool = self.pool.lock().expect("backend pool lock poisoned");
-        if pool.len() < self.pool_cap {
+        if pool.len() < POOL_PER_BACKEND {
             pool.push(conn);
         }
     }

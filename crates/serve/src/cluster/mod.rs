@@ -33,4 +33,4 @@ pub mod router;
 pub use backend::{Backend, BackendStats};
 pub use metrics::cluster_prometheus_page;
 pub use ring::HashRing;
-pub use router::{ModelPlacement, Router, RouterConfig, RouterStats};
+pub use router::{ModelPlacement, Router, RouterConfig, RouterStats, REPLICAS};

@@ -11,23 +11,20 @@
 //!
 //! ## Routing
 //!
-//! Model names shard over a consistent-hash [`HashRing`]; each model
-//! is served by its first `replicas` distinct ring successors (hot
-//! models can pin a larger replica set via
-//! [`RouterConfig::hot_replicas`]). `predict` tries replicas in ring
-//! preference order, healthy first, with a bounded retry budget
-//! ([`RouterConfig::max_attempts`]); transport failures fail over to
-//! the next replica, worker-answered errors pass through verbatim
-//! (`ServeError::Upstream` keeps the worker's stable code). When the
-//! budget burns out: `no_backend`.
+//! Model names shard over a consistent-hash [`HashRing`] of 64 virtual
+//! nodes per worker; each model is served by its first [`REPLICAS`]
+//! distinct ring successors. `predict` tries replicas in ring
+//! preference order, healthy first, with a budget of three attempts;
+//! transport failures fail over to the next replica, worker-answered
+//! errors pass through verbatim (`ServeError::Upstream` keeps the
+//! worker's stable code). When the budget burns out: `no_backend`.
 //!
 //! ## Health and failover
 //!
 //! A checker thread probes every backend each
-//! [`RouterConfig::health_interval`] with the `stats` verb. Transport
-//! failures (from probes *or* real traffic) past
-//! [`RouterConfig::unhealthy_after`] mark a backend unhealthy, which
-//! demotes it in routing preference; the next successful round trip —
+//! [`RouterConfig::health_interval`] with the `stats` verb. A transport
+//! failure (from a probe *or* real traffic) marks a backend unhealthy,
+//! which demotes it in routing preference; the next successful round trip —
 //! usually a probe after the worker returns — restores it. Because
 //! every replica answers bit-identically (the workspace invariant),
 //! failover is invisible to clients beyond latency.
@@ -50,60 +47,41 @@ use std::time::Duration;
 
 use serde::Value;
 
-use man_obs::{flight, Span, Stage};
 use man_repro::{ManError, Prediction, ServeError};
 
 use super::backend::{Backend, BackendStats};
 use super::metrics::{cluster_prometheus_page, RouterCounters};
 use super::ring::HashRing;
-use crate::protocol::{
-    dump_trace_response, error_response, parse_request, predict_response, Request,
-};
+use crate::protocol::{error_response, metrics_response, render, unload_response, Request};
+use crate::reactor::serve_request;
 use crate::server::{RequestHandler, WireError};
 
-/// Tuning for a [`Router`].
+/// Replica-set size: every model is served by this many distinct
+/// workers (fewer while the cluster has fewer nodes).
+pub const REPLICAS: usize = 2;
+/// Virtual nodes per worker on the hash ring.
+const VNODES: usize = 64;
+/// Total route attempts per predict before `no_backend`.
+const MAX_ATTEMPTS: usize = 3;
+
+/// The router's timings: the two settings the cluster drill and tests
+/// tune. Placement, retry and pooling are fixed constants (DESIGN.md
+/// §14).
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Virtual nodes per worker on the hash ring.
-    pub vnodes: usize,
-    /// Replica set size for models without a hot override.
-    pub default_replicas: usize,
-    /// Per-model replica overrides for hot models: `(model, replicas)`.
-    pub hot_replicas: Vec<(String, usize)>,
-    /// Total route attempts per predict before `no_backend`.
-    pub max_attempts: usize,
     /// Connect + read + write deadline for one worker round trip.
     pub request_timeout: Duration,
     /// How often the health checker probes every backend.
     pub health_interval: Duration,
-    /// Consecutive transport failures before a backend is demoted.
-    pub unhealthy_after: u32,
-    /// Idle MANB connections pooled per backend.
-    pub pool_per_backend: usize,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         Self {
-            vnodes: 64,
-            default_replicas: 2,
-            hot_replicas: Vec::new(),
-            max_attempts: 3,
             request_timeout: Duration::from_secs(2),
             health_interval: Duration::from_millis(250),
-            unhealthy_after: 1,
-            pool_per_backend: 4,
         }
     }
-}
-
-/// One model's placement entry in the routing table.
-#[derive(Clone, Debug)]
-struct ModelEntry {
-    /// The artifact path workers load it from (re-sent on rebalance).
-    path: String,
-    /// Replica set size (resolved at load time from the config).
-    replicas: usize,
 }
 
 /// The routing table: swapped atomically (under the write lock) so the
@@ -111,7 +89,23 @@ struct ModelEntry {
 struct RouteTable {
     ring: HashRing,
     nodes: std::collections::BTreeMap<String, Arc<Backend>>,
-    models: std::collections::BTreeMap<String, ModelEntry>,
+    /// Each model's artifact path, which workers load it from (re-sent
+    /// on rebalance).
+    models: std::collections::BTreeMap<String, String>,
+}
+
+impl RouteTable {
+    /// The backends serving `model`, in ring preference order, or
+    /// `None` when the router never loaded it.
+    fn replica_backends(&self, model: &str) -> Option<Vec<Arc<Backend>>> {
+        self.models.contains_key(model).then(|| {
+            self.ring
+                .replicas(model, REPLICAS)
+                .into_iter()
+                .filter_map(|a| self.nodes.get(a).map(Arc::clone))
+                .collect()
+        })
+    }
 }
 
 /// Where a model lives: its name and replica addresses in ring order.
@@ -180,10 +174,6 @@ fn retryable(code: &str) -> bool {
     )
 }
 
-fn render(value: &Value) -> String {
-    serde_json::to_string(value).expect("router responses contain no non-finite floats")
-}
-
 impl Router {
     /// Builds an empty router and starts its health-checker thread.
     /// The checker holds only a `Weak` reference — dropping the last
@@ -192,7 +182,7 @@ impl Router {
     pub fn new(config: RouterConfig) -> Arc<Self> {
         let router = Arc::new(Self {
             table: RwLock::new(RouteTable {
-                ring: HashRing::new(config.vnodes),
+                ring: HashRing::new(VNODES),
                 nodes: std::collections::BTreeMap::new(),
                 models: std::collections::BTreeMap::new(),
             }),
@@ -214,17 +204,6 @@ impl Router {
             .expect("spawning the health-checker thread");
         *router.checker.lock().expect("router checker lock poisoned") = Some(handle);
         router
-    }
-
-    /// The resolved replica-set size for a model name.
-    fn replicas_for(&self, model: &str) -> usize {
-        self.config
-            .hot_replicas
-            .iter()
-            .find(|(m, _)| m == model)
-            .map(|&(_, n)| n)
-            .unwrap_or(self.config.default_replicas)
-            .max(1)
     }
 
     /// Stops the health checker and joins it. Idempotent; called by
@@ -258,14 +237,7 @@ impl Router {
     /// otherwise (table untouched).
     pub fn join_node(&self, node: &str) -> Result<usize, ManError> {
         let _admin = self.admin.lock().expect("router admin lock poisoned");
-        let backend = Arc::new(
-            Backend::new(
-                node,
-                self.config.pool_per_backend,
-                self.config.unhealthy_after,
-            )
-            .map_err(upstream)?,
-        );
+        let backend = Arc::new(Backend::new(node).map_err(upstream)?);
         if !backend.probe(self.config.request_timeout) {
             return Err(ServeError::Upstream {
                 code: "io".into(),
@@ -282,20 +254,20 @@ impl Router {
             next_ring.add(node);
             let mut loads: Vec<(String, String)> = Vec::new();
             let mut drops: Vec<(String, Arc<Backend>)> = Vec::new();
-            for (model, entry) in &table.models {
+            for (model, path) in &table.models {
                 let old: Vec<String> = table
                     .ring
-                    .replicas(model, entry.replicas)
+                    .replicas(model, REPLICAS)
                     .into_iter()
                     .map(str::to_owned)
                     .collect();
                 let new: Vec<String> = next_ring
-                    .replicas(model, entry.replicas)
+                    .replicas(model, REPLICAS)
                     .into_iter()
                     .map(str::to_owned)
                     .collect();
                 if new.iter().any(|a| a == node) {
-                    loads.push((model.clone(), entry.path.clone()));
+                    loads.push((model.clone(), path.clone()));
                 }
                 for shed in old.iter().filter(|a| !new.contains(a)) {
                     if let Some(b) = table.nodes.get(shed) {
@@ -345,10 +317,10 @@ impl Router {
             next_ring.remove(node);
             let mut loads: Vec<(String, String, Arc<Backend>)> = Vec::new();
             let mut hosted: Vec<String> = Vec::new();
-            for (model, entry) in &table.models {
+            for (model, path) in &table.models {
                 let old: Vec<String> = table
                     .ring
-                    .replicas(model, entry.replicas)
+                    .replicas(model, REPLICAS)
                     .into_iter()
                     .map(str::to_owned)
                     .collect();
@@ -356,12 +328,12 @@ impl Router {
                     hosted.push(model.clone());
                 }
                 for gained in next_ring
-                    .replicas(model, entry.replicas)
+                    .replicas(model, REPLICAS)
                     .iter()
                     .filter(|a| !old.iter().any(|o| o == *a))
                 {
                     if let Some(b) = table.nodes.get(*gained) {
-                        loads.push((model.clone(), entry.path.clone(), Arc::clone(b)));
+                        loads.push((model.clone(), path.clone(), Arc::clone(b)));
                     }
                 }
             }
@@ -399,10 +371,9 @@ impl Router {
     /// failure verbatim otherwise.
     pub fn load_model(&self, model: &str, path: &str) -> Result<Value, ManError> {
         let _admin = self.admin.lock().expect("router admin lock poisoned");
-        let n = self.replicas_for(model);
         let targets = {
             let table = self.table.read().expect("router table lock poisoned");
-            let reps = table.ring.replicas(model, n);
+            let reps = table.ring.replicas(model, REPLICAS);
             if reps.is_empty() {
                 return Err(ServeError::NoBackend {
                     model: model.to_owned(),
@@ -433,13 +404,7 @@ impl Router {
         }
         {
             let mut table = self.table.write().expect("router table lock poisoned");
-            table.models.insert(
-                model.to_owned(),
-                ModelEntry {
-                    path: path.to_owned(),
-                    replicas: n,
-                },
-            );
+            table.models.insert(model.to_owned(), path.to_owned());
         }
         // Relay the first worker's response, with the replica count
         // appended (append-only: existing fields stay verbatim).
@@ -458,18 +423,12 @@ impl Router {
     /// `unknown_model` when the router never loaded it.
     pub fn unload_model(&self, model: &str) -> Result<(), ManError> {
         let _admin = self.admin.lock().expect("router admin lock poisoned");
-        let targets = {
-            let table = self.table.read().expect("router table lock poisoned");
-            let Some(entry) = table.models.get(model) else {
-                return Err(ServeError::UnknownModel(model.to_owned()).into());
-            };
-            table
-                .ring
-                .replicas(model, entry.replicas)
-                .into_iter()
-                .filter_map(|a| table.nodes.get(a).map(Arc::clone))
-                .collect::<Vec<_>>()
-        };
+        let targets = self
+            .table
+            .read()
+            .expect("router table lock poisoned")
+            .replica_backends(model)
+            .ok_or_else(|| ServeError::UnknownModel(model.to_owned()))?;
         for backend in &targets {
             let _ = backend.request_ok(&unload_line(model), self.config.request_timeout);
         }
@@ -490,18 +449,12 @@ impl Router {
     /// `no_backend` when the retry budget burns out, or the worker's
     /// own error verbatim.
     pub fn route_predict(&self, model: &str, input: &[f32]) -> Result<Prediction, ManError> {
-        let targets = {
-            let table = self.table.read().expect("router table lock poisoned");
-            let Some(entry) = table.models.get(model) else {
-                return Err(ServeError::UnknownModel(model.to_owned()).into());
-            };
-            table
-                .ring
-                .replicas(model, entry.replicas)
-                .into_iter()
-                .filter_map(|a| table.nodes.get(a).map(Arc::clone))
-                .collect::<Vec<_>>()
-        };
+        let targets = self
+            .table
+            .read()
+            .expect("router table lock poisoned")
+            .replica_backends(model)
+            .ok_or_else(|| ServeError::UnknownModel(model.to_owned()))?;
         if targets.is_empty() {
             self.counters.record_no_backend();
             return Err(ServeError::NoBackend {
@@ -515,10 +468,9 @@ impl Router {
         // resort — the health flag is advisory, the retry loop decides.
         let mut ordered: Vec<(usize, Arc<Backend>)> = targets.into_iter().enumerate().collect();
         ordered.sort_by_key(|(_, b)| !b.is_healthy());
-        let budget = self.config.max_attempts.max(1);
         let mut attempts = 0usize;
         let mut last_retryable: Option<WireError> = None;
-        for (preference, backend) in ordered.iter().cycle().take(budget) {
+        for (preference, backend) in ordered.iter().cycle().take(MAX_ATTEMPTS) {
             attempts += 1;
             if attempts > 1 {
                 self.counters.record_retry();
@@ -550,12 +502,12 @@ impl Router {
         let nodes = table.nodes.values().map(|b| b.stats()).collect();
         let models = table
             .models
-            .iter()
-            .map(|(model, entry)| ModelPlacement {
+            .keys()
+            .map(|model| ModelPlacement {
                 model: model.clone(),
                 replicas: table
                     .ring
-                    .replicas(model, entry.replicas)
+                    .replicas(model, REPLICAS)
                     .into_iter()
                     .map(str::to_owned)
                     .collect(),
@@ -630,16 +582,9 @@ impl Router {
             None => self.backends(),
             Some(m) => {
                 let table = self.table.read().expect("router table lock poisoned");
-                match table.models.get(m) {
-                    None => {
-                        return error_response(&ServeError::UnknownModel(m.to_owned()).into());
-                    }
-                    Some(entry) => table
-                        .ring
-                        .replicas(m, entry.replicas)
-                        .into_iter()
-                        .filter_map(|a| table.nodes.get(a).map(Arc::clone))
-                        .collect(),
+                match table.replica_backends(m) {
+                    Some(targets) => targets,
+                    None => return error_response(&ServeError::UnknownModel(m.to_owned()).into()),
                 }
             }
         };
@@ -679,52 +624,29 @@ impl Router {
 }
 
 impl RequestHandler for Router {
-    /// The router's dispatch: same decode/encode span placement as a
-    /// plain server's [`crate::server::handle_request`], so traces
-    /// compare across tiers.
-    fn handle_line(&self, line: &str) -> String {
-        let parsed = {
-            let _decode = Span::enter(Stage::Decode);
-            parse_request(line)
+    fn handle(&self, request: Request) -> String {
+        let moved_reply = |node: String, moved: usize| {
+            render(&Value::Object(vec![
+                ("ok".into(), Value::Bool(true)),
+                ("node".into(), Value::Str(node)),
+                ("moved".into(), Value::U64(moved as u64)),
+            ]))
         };
-        let _encode = Span::enter(Stage::Encode);
-        match parsed {
-            Err(e) => error_response(&e),
-            Ok(Request::Predict { model, input }) => match self.route_predict(&model, &input) {
-                Ok(p) => predict_response(&model, &p),
-                Err(e) => error_response(&e),
-            },
-            Ok(Request::Load { model, path }) => match self.load_model(&model, &path) {
-                Ok(value) => render(&value),
-                Err(e) => error_response(&e),
-            },
-            Ok(Request::Unload { model }) => match self.unload_model(&model) {
-                Ok(()) => crate::protocol::unload_response(&model),
-                Err(e) => error_response(&e),
-            },
-            Ok(Request::Stats { model }) => self.stats_line(model.as_deref()),
-            Ok(Request::Metrics) => {
-                crate::protocol::metrics_response(&cluster_prometheus_page(self))
+        let reply = match request {
+            Request::Load { model, path } => self.load_model(&model, &path).map(|v| render(&v)),
+            Request::Unload { model } => {
+                self.unload_model(&model).map(|()| unload_response(&model))
             }
-            Ok(Request::DumpTrace) => dump_trace_response(flight::last_dump().as_deref()),
-            Ok(Request::Health) => self.health_line(),
-            Ok(Request::Join { node }) => match self.join_node(&node) {
-                Ok(moved) => render(&Value::Object(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    ("node".into(), Value::Str(node)),
-                    ("moved".into(), Value::U64(moved as u64)),
-                ])),
-                Err(e) => error_response(&e),
-            },
-            Ok(Request::Leave { node }) => match self.leave_node(&node) {
-                Ok(moved) => render(&Value::Object(vec![
-                    ("ok".into(), Value::Bool(true)),
-                    ("node".into(), Value::Str(node)),
-                    ("moved".into(), Value::U64(moved as u64)),
-                ])),
-                Err(e) => error_response(&e),
-            },
-        }
+            Request::Stats { model } => Ok(self.stats_line(model.as_deref())),
+            Request::Metrics => Ok(metrics_response(&cluster_prometheus_page(self))),
+            Request::Health => Ok(self.health_line()),
+            Request::Join { node } => self.join_node(&node).map(|n| moved_reply(node, n)),
+            Request::Leave { node } => self.leave_node(&node).map(|n| moved_reply(node, n)),
+            request @ (Request::Predict { .. } | Request::DumpTrace) => {
+                Ok(serve_request(self, request))
+            }
+        };
+        reply.unwrap_or_else(|e| error_response(&e))
     }
 
     fn handle_predict(&self, model: &str, input: Vec<f32>) -> Result<Prediction, ManError> {

@@ -7,9 +7,9 @@
 //!
 //! ```text
 //!                    ┌────────────────────────────────────────────┐
-//!  TCP (NDJSON) ───▶ │ ModelRegistry ──▶ ModelHost("digits")      │
-//!  in-process ─────▶ │   name routing      bounded queue          │
-//!   Client           │   hot load/reload   micro-batching workers │
+//!  TCP (NDJSON, ───▶ │ ModelRegistry ──▶ ModelHost("digits")      │
+//!   MANB)            │   name routing      bounded queue          │
+//!  in-process ─────▶ │   hot load/reload   micro-batching workers │
 //!                    │   unload/stats      InferenceSession       │
 //!                    └────────────────────────────────────────────┘
 //! ```
@@ -17,12 +17,12 @@
 //! * [`ModelHost`] — the dynamic micro-batching scheduler: a bounded
 //!   MPSC queue and worker threads that coalesce up to
 //!   [`BatchConfig::max_batch`] requests (waiting at most
-//!   [`BatchConfig::max_wait`]) into one `infer_batch_with_load` call, with
+//!   [`BatchConfig::max_wait`]) into one `infer_batch` call, with
 //!   oneshot replies, explicit `Overloaded` backpressure and
 //!   drain-then-join shutdown.
 //! * [`ModelRegistry`] — named models, hot (re)loaded from single-file
-//!   `CompiledModel` artifacts, routed by name; [`Client`] is the
-//!   in-process handle with the same four operations the wire protocol
+//!   `CompiledModel` artifacts, routed by name; in-process callers use
+//!   it directly for the same four operations the wire protocol
 //!   speaks.
 //! * [`Server`] / [`TcpClient`] / [`BinaryClient`] — the TCP front-end
 //!   over `std::net`: a nonblocking poll [`reactor`] that serves 10k+
@@ -55,16 +55,14 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use std::sync::Arc;
-//! use man_serve::{BatchConfig, Client, ModelRegistry, Server};
+//! use man_serve::{BatchConfig, ModelRegistry, Server};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let registry = ModelRegistry::new(BatchConfig::default());
 //! registry.load_file("digits", "digits.man.json")?;
 //!
 //! // In-process serving:
-//! let client = Client::new(Arc::clone(&registry));
-//! let p = client.predict("digits", vec![0.0; 256])?;
+//! let p = registry.predict("digits", vec![0.0; 256])?;
 //! println!("class {}", p.class);
 //!
 //! // Or over TCP:
@@ -95,7 +93,7 @@ pub use exporter::{prometheus_page, MetricsExporter};
 pub use metrics::{LatencyHistogram, ModelMetrics, ModelStats};
 pub use protocol::Request;
 pub use reactor::{FrontendStats, ReactorConfig};
-pub use registry::{Client, ModelInfo, ModelRegistry};
+pub use registry::{ModelInfo, ModelRegistry};
 pub use server::{BinaryClient, RequestHandler, Server, TcpClient, WireError};
 
 // The observability plane itself (levels, span stages, flight

@@ -226,7 +226,7 @@ pub fn intern_code(code: &str) -> &'static str {
         .unwrap_or("internal")
 }
 
-fn render(value: &Value) -> String {
+pub(crate) fn render(value: &Value) -> String {
     serde_json::to_string(value).expect("response values contain no non-finite floats")
 }
 

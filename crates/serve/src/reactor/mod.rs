@@ -35,12 +35,20 @@
 //! byte of a connection selects NDJSON (anything but `b'M'`) or the
 //! length-prefixed binary framing (`"MANB"` handshake, [`crate::framing`]).
 //!
+//! Every request is parsed in one place, `serve_job`: it opens the
+//! `decode`/`encode` spans, answers parse errors, `predict` and
+//! `dump_trace` itself, and hands every other verb to the
+//! [`RequestHandler`], so a plain model server and the cluster router
+//! render those answers byte-identically.
+//!
+//! Only the thread counts are configurable ([`ReactorConfig`]); the
+//! caps, high-water marks and timings are constants (DESIGN.md §13).
+//!
 //! Shutdown preserves the drain-then-join contract: reactors stop
-//! accepting and reading, wait (bounded by
-//! [`ReactorConfig::shutdown_grace`]) for in-flight dispatches to come
-//! back and outbound buffers to flush, then close every socket; the
-//! dispatch workers drain the queue and exit when the last reactor
-//! drops its sender.
+//! accepting and reading, wait (bounded by a 5 s grace period) for
+//! in-flight dispatches to come back and outbound buffers to flush,
+//! then close every socket; the dispatch workers drain the queue and
+//! exit when the last reactor drops its sender.
 
 pub mod poll;
 
@@ -53,13 +61,16 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use man_obs::{Span, Stage};
+use man_obs::{flight, Span, Stage};
 
 use crate::framing::{self, FrameStatus, HANDSHAKE_LEN, TAG_REQ_JSON, TAG_REQ_PREDICT};
-use crate::protocol::{error_response, raw_error_response};
+use crate::protocol::{
+    dump_trace_response, error_response, parse_request, predict_response, raw_error_response,
+    Request,
+};
 use crate::server::RequestHandler;
 
-/// Tuning for the reactor front-end. The defaults serve tens of
+/// The reactor front-end's thread counts. The defaults serve tens of
 /// thousands of mostly-idle connections on three threads (one reactor,
 /// two dispatch workers).
 #[derive(Clone, Debug)]
@@ -72,46 +83,6 @@ pub struct ReactorConfig {
     /// bounds front-end request concurrency the way
     /// `BatchConfig::workers` bounds scheduler concurrency.
     pub dispatch_threads: usize,
-    /// Connection-slab capacity across all reactors; connections beyond
-    /// it are accepted and immediately closed (counted in
-    /// [`FrontendStats::rejected_conns`]).
-    pub max_connections: usize,
-    /// Pending parsed requests awaiting a dispatch worker; a full queue
-    /// answers `overloaded` without blocking the event loop.
-    pub dispatch_queue: usize,
-    /// Stop polling a connection for readability while its outbound
-    /// buffer holds at least this many unflushed bytes — the writable
-    /// backpressure that protects the server from clients that send
-    /// but never read.
-    pub write_high_water: usize,
-    /// Stop polling for readability while this many inbound bytes sit
-    /// unparsed (a pipelining client that outruns dispatch buffers at
-    /// most this much per connection).
-    pub read_high_water: usize,
-    /// Longest NDJSON request line; a longer one without a newline is a
-    /// protocol violation (`bad_request`) and closes the connection.
-    /// (Binary frames are capped by [`framing::MAX_FRAME_LEN`].)
-    pub max_line_len: usize,
-    /// Poll timeout: the upper bound on how stale a shutdown flag or
-    /// cross-thread wake can go unnoticed.
-    pub poll_tick: Duration,
-    /// How long a connection stays in the *hot* poll set after its last
-    /// event. `poll(2)` costs one kernel visit per entry per call, so
-    /// the reactor polls only hot connections on the fast path and
-    /// sweeps the full slab on [`ReactorConfig::cold_scan_interval`] —
-    /// that keeps active-request latency independent of how many idle
-    /// connections the slab holds (the two-tier scheme of DESIGN.md
-    /// §13).
-    pub hot_window: Duration,
-    /// How often the full slab (cold connections included) joins the
-    /// poll set. Bounds how long a long-idle connection's new request
-    /// (or hangup) can sit unnoticed; the cost is one full O(slab)
-    /// scan per interval, only while hot traffic exists — a fully idle
-    /// reactor blocks on the full set and pays nothing.
-    pub cold_scan_interval: Duration,
-    /// How long shutdown waits for in-flight requests to answer and
-    /// outbound buffers to drain before closing sockets anyway.
-    pub shutdown_grace: Duration,
 }
 
 impl Default for ReactorConfig {
@@ -119,18 +90,48 @@ impl Default for ReactorConfig {
         Self {
             reactor_threads: 1,
             dispatch_threads: 2,
-            max_connections: 65_536,
-            dispatch_queue: 1024,
-            write_high_water: 256 * 1024,
-            read_high_water: 1024 * 1024,
-            max_line_len: framing::MAX_FRAME_LEN as usize,
-            poll_tick: Duration::from_millis(50),
-            hot_window: Duration::from_millis(100),
-            cold_scan_interval: Duration::from_millis(10),
-            shutdown_grace: Duration::from_secs(5),
         }
     }
 }
+
+/// Connection-slab capacity across all reactors; connections beyond it
+/// are accepted and immediately closed (counted in
+/// [`FrontendStats::rejected_conns`]).
+const MAX_CONNECTIONS: usize = 65_536;
+/// Pending parsed requests awaiting a dispatch worker; a full queue
+/// answers `overloaded` without blocking the event loop.
+const DISPATCH_QUEUE: usize = 1024;
+/// Stop polling a connection for readability while its outbound buffer
+/// holds at least this many unflushed bytes — the writable backpressure
+/// that protects the server from clients that send but never read.
+const WRITE_HIGH_WATER: usize = 256 * 1024;
+/// Stop polling for readability while this many inbound bytes sit
+/// unparsed (a pipelining client that outruns dispatch buffers at most
+/// this much per connection).
+const READ_HIGH_WATER: usize = 1024 * 1024;
+/// Longest NDJSON request line — the binary frame cap; a longer one
+/// without a newline is a protocol violation (`bad_request`) and closes
+/// the connection.
+const MAX_LINE_LEN: usize = framing::MAX_FRAME_LEN as usize;
+/// Poll timeout: the upper bound on how stale a shutdown flag or
+/// cross-thread wake can go unnoticed.
+const POLL_TICK: Duration = Duration::from_millis(50);
+/// How long a connection stays in the *hot* poll set after its last
+/// event. `poll(2)` costs one kernel visit per entry per call, so the
+/// reactor polls only hot connections on the fast path and sweeps the
+/// full slab every [`COLD_SCAN_INTERVAL`] — that keeps active-request
+/// latency independent of how many idle connections the slab holds
+/// (the two-tier scheme of DESIGN.md §13).
+const HOT_WINDOW: Duration = Duration::from_millis(100);
+/// How often the full slab (cold connections included) joins the poll
+/// set. Bounds how long a long-idle connection's new request (or
+/// hangup) can sit unnoticed; the cost is one full O(slab) scan per
+/// interval, only while hot traffic exists — a fully idle reactor
+/// blocks on the full set and pays nothing.
+const COLD_SCAN_INTERVAL: Duration = Duration::from_millis(10);
+/// How long shutdown waits for in-flight requests to answer and
+/// outbound buffers to drain before closing sockets anyway.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// A point-in-time view of the front-end — what the serving example and
 /// CI smoke print, and what the `conn` bench records next to its latency
@@ -296,6 +297,10 @@ struct Conn {
     inflight: bool,
     /// Inbound bytes not yet parsed into a request.
     rbuf: Vec<u8>,
+    /// Length of the `rbuf` prefix known to hold no newline (NDJSON
+    /// only): newline searches resume here, so a long line arriving in
+    /// many reads is scanned once, not once per read.
+    line_scan: usize,
     /// Outbound bytes; `wpos..` is unwritten.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -309,23 +314,46 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, gen: u64, hot_window: Duration) -> Self {
+    fn new(stream: TcpStream, gen: u64) -> Self {
         Self {
             stream,
             gen,
             wire: Wire::Sniff,
             inflight: false,
             rbuf: Vec::new(),
+            line_scan: 0,
             wbuf: Vec::new(),
             wpos: 0,
             read_closed: false,
             kill: false,
-            hot_until: Instant::now() + hot_window,
+            hot_until: Instant::now() + HOT_WINDOW,
         }
     }
 
     fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// The index of the first buffered newline, searching only past
+    /// `line_scan` and advancing it over the newline-free prefix.
+    fn find_newline(&mut self) -> Option<usize> {
+        let unscanned = &self.rbuf[self.line_scan..];
+        // `contains` on bytes is a memchr, and most searches of a long
+        // line find nothing; `position` then only walks up to the
+        // newline it is known to find.
+        if !unscanned.contains(&b'\n') {
+            self.line_scan = self.rbuf.len();
+            return None;
+        }
+        self.line_scan += unscanned.iter().position(|&b| b == b'\n')?;
+        Some(self.line_scan)
+    }
+
+    /// Removes the first `n` inbound bytes (a parsed request or the
+    /// handshake); the rest has not been searched for a newline yet.
+    fn consume(&mut self, n: usize) {
+        self.rbuf.drain(..n);
+        self.line_scan = 0;
     }
 
     /// Whether this connection must be in the fast-path poll set: any
@@ -342,31 +370,27 @@ const SLOT_LISTENER: usize = usize::MAX - 1;
 
 /// Whether the reactor should keep reading this connection.
 ///
-/// Below `read_high_water`: always. At or above it: only while the
+/// Below [`READ_HIGH_WATER`]: always. At or above it: only while the
 /// buffered bytes are a single *incomplete* request. Read backpressure
 /// throttles pipelined complete-but-unparsed requests; it must never
 /// park a legal large request mid-arrival, or a frame/line bigger than
 /// the high-water mark (but within its protocol cap) would wedge the
 /// connection forever — unparseable, unanswerable, never closed. The
 /// in-progress request is instead bounded by its own cap
-/// (`max_line_len` / [`framing::MAX_FRAME_LEN`]), whose violations
+/// ([`MAX_LINE_LEN`] / [`framing::MAX_FRAME_LEN`]), whose violations
 /// `advance` answers with their stable codes.
-fn wants_read(config: &ReactorConfig, conn: &Conn) -> bool {
-    if conn.inflight
-        || conn.read_closed
-        || conn.kill
-        || conn.pending_write() >= config.write_high_water
-    {
+fn wants_read(conn: &mut Conn) -> bool {
+    if conn.inflight || conn.read_closed || conn.kill || conn.pending_write() >= WRITE_HIGH_WATER {
         return false;
     }
-    if conn.rbuf.len() < config.read_high_water {
+    if conn.rbuf.len() < READ_HIGH_WATER {
         return true;
     }
     match conn.wire {
         // No newline buffered = one incomplete line: read on until the
-        // line completes, or one byte past `max_line_len` lets `advance`
+        // line completes, or one byte past `MAX_LINE_LEN` lets `advance`
         // fire the documented `bad_request` violation.
-        Wire::Ndjson => !conn.rbuf.contains(&b'\n') && conn.rbuf.len() <= config.max_line_len,
+        Wire::Ndjson => conn.find_newline().is_none() && conn.rbuf.len() <= MAX_LINE_LEN,
         // An incomplete frame is bounded by its own length prefix
         // (≤ MAX_FRAME_LEN — anything larger is a violation `advance`
         // already answered); a complete frame waiting on dispatch is
@@ -382,7 +406,6 @@ fn wants_read(config: &ReactorConfig, conn: &Conn) -> bool {
 /// One event-loop thread's state.
 struct ReactorThread {
     id: usize,
-    config: ReactorConfig,
     shutdown: Arc<AtomicBool>,
     shared: Arc<ReactorShared>,
     /// Every reactor's mailbox (for round-robin dealing); `peers[id]`
@@ -406,12 +429,12 @@ impl ReactorThread {
         let mut slots: Vec<usize> = Vec::new();
         let mut drain_deadline: Option<Instant> = None;
         let mut next_full_scan = Instant::now();
-        let tick = self.config.poll_tick.as_millis().clamp(1, 1_000) as i32;
+        let tick = POLL_TICK.as_millis() as i32;
         loop {
             let now = Instant::now();
             let shutting = self.shutdown.load(Ordering::SeqCst);
             if shutting && drain_deadline.is_none() {
-                drain_deadline = Some(now + self.config.shutdown_grace);
+                drain_deadline = Some(now + SHUTDOWN_GRACE);
             }
             pollfds.clear();
             slots.clear();
@@ -431,13 +454,13 @@ impl ReactorThread {
             // hangups. During shutdown every pass is a full sweep.
             let full_scan = shutting || now >= next_full_scan;
             let before_conns = pollfds.len();
-            for (i, conn) in self.slab.iter().enumerate() {
+            for (i, conn) in self.slab.iter_mut().enumerate() {
                 let Some(conn) = conn else { continue };
                 if !full_scan && !conn.hot(now) {
                     continue;
                 }
                 let mut events = 0i16;
-                if !shutting && wants_read(&self.config, conn) {
+                if !shutting && wants_read(conn) {
                     events |= poll::POLLIN;
                 }
                 if conn.pending_write() > 0 {
@@ -454,18 +477,18 @@ impl ReactorThread {
                 // loop over every connection and block on the whole
                 // slab (a blocked poll costs nothing until an event).
                 if !full_scan {
-                    for (i, conn) in self.slab.iter().enumerate() {
+                    for (i, conn) in self.slab.iter_mut().enumerate() {
                         let Some(conn) = conn else { continue };
                         if conn.hot(now) {
                             continue; // already included above
                         }
-                        if wants_read(&self.config, conn) {
+                        if wants_read(conn) {
                             pollfds.push(poll::PollFd::new(conn.stream.as_raw_fd(), poll::POLLIN));
                             slots.push(i);
                         }
                     }
                 }
-                next_full_scan = now + self.config.cold_scan_interval;
+                next_full_scan = now + COLD_SCAN_INTERVAL;
                 tick
             } else {
                 // Hot-only set: wake no later than the next full sweep.
@@ -476,7 +499,7 @@ impl ReactorThread {
                 // EINVAL and friends: unrecoverable for an event loop;
                 // a tick's sleep stops a hot spin while shutdown is
                 // still observable.
-                std::thread::sleep(self.config.poll_tick);
+                std::thread::sleep(POLL_TICK);
             }
             self.drain_waker();
             self.install_injected();
@@ -484,7 +507,7 @@ impl ReactorThread {
                 self.accept_batch();
             }
             self.apply_completions();
-            let bump = Instant::now() + self.config.hot_window;
+            let bump = Instant::now() + HOT_WINDOW;
             for (fd, &slot) in pollfds.iter().zip(slots.iter()) {
                 if slot == SLOT_WAKER || slot == SLOT_LISTENER || fd.revents == 0 {
                     continue;
@@ -584,12 +607,7 @@ impl ReactorThread {
     }
 
     fn install(&mut self, stream: TcpStream) {
-        if self.open
-            >= self
-                .config
-                .max_connections
-                .div_ceil(self.peers.len())
-                .max(1)
+        if self.open >= MAX_CONNECTIONS.div_ceil(self.peers.len())
             || stream.set_nonblocking(true).is_err()
         {
             // At capacity (this reactor's share of the slab) or a
@@ -601,7 +619,7 @@ impl ReactorThread {
         }
         let _ = stream.set_nodelay(true);
         self.next_gen += 1;
-        let conn = Conn::new(stream, self.next_gen, self.config.hot_window);
+        let conn = Conn::new(stream, self.next_gen);
         match self.free.pop() {
             Some(slot) => self.slab[slot] = Some(conn),
             None => self.slab.push(Some(conn)),
@@ -638,7 +656,7 @@ impl ReactorThread {
             conn.wbuf.extend_from_slice(&completion.bytes);
             // The client likely answers a response with its next
             // request: keep the connection on the fast path.
-            conn.hot_until = Instant::now() + self.config.hot_window;
+            conn.hot_until = Instant::now() + HOT_WINDOW;
             // The reply may unblock the next pipelined request sitting
             // in `rbuf`; `advance` parses it and flushes the socket.
             self.advance(completion.slot);
@@ -652,7 +670,7 @@ impl ReactorThread {
                 return;
             };
             loop {
-                if !wants_read(&self.config, conn) {
+                if !wants_read(conn) {
                     break; // backpressure: parse before reading more
                 }
                 match conn.stream.read(&mut buf) {
@@ -706,7 +724,7 @@ impl ReactorThread {
                     }
                     let mut hello = [0u8; HANDSHAKE_LEN];
                     hello.copy_from_slice(&conn.rbuf[..HANDSHAKE_LEN]);
-                    conn.rbuf.drain(..HANDSHAKE_LEN);
+                    conn.consume(HANDSHAKE_LEN);
                     match framing::negotiate(&hello) {
                         Some(version) => {
                             conn.wbuf.extend_from_slice(&framing::handshake(version));
@@ -722,10 +740,12 @@ impl ReactorThread {
                         }
                     }
                 }
-                Wire::Ndjson => match conn.rbuf.iter().position(|&b| b == b'\n') {
+                Wire::Ndjson => match conn.find_newline() {
                     Some(pos) => {
-                        let line_bytes: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                        let Ok(line) = std::str::from_utf8(&line_bytes[..pos]) else {
+                        let line =
+                            std::str::from_utf8(&conn.rbuf[..pos]).map(|l| l.trim().to_owned());
+                        conn.consume(pos + 1);
+                        let Ok(line) = line else {
                             // A stable `bad_request`, then close — never
                             // a lossy decode that parses mangled bytes.
                             let mut reply = raw_error_response(
@@ -738,19 +758,17 @@ impl ReactorThread {
                             conn.kill = true;
                             break;
                         };
-                        let line = line.trim().to_owned();
                         if line.is_empty() {
                             continue; // blank keep-alive line
                         }
                         self.submit(slot, JobKind::Line(line));
                     }
                     None => {
-                        if conn.rbuf.len() > self.config.max_line_len {
+                        if conn.rbuf.len() > MAX_LINE_LEN {
                             let mut reply = raw_error_response(
                                 "bad_request",
                                 &format!(
-                                    "request line exceeds {} bytes without a newline",
-                                    self.config.max_line_len
+                                    "request line exceeds {MAX_LINE_LEN} bytes without a newline"
                                 ),
                             )
                             .into_bytes();
@@ -764,7 +782,7 @@ impl ReactorThread {
                 Wire::Binary => match framing::split_frame(&conn.rbuf) {
                     FrameStatus::Incomplete => break,
                     FrameStatus::Complete(payload) => {
-                        conn.rbuf.drain(..4 + payload.len());
+                        conn.consume(4 + payload.len());
                         self.submit(slot, JobKind::Frame(payload));
                     }
                     FrameStatus::Violation(why) => {
@@ -856,21 +874,54 @@ impl ReactorThread {
     }
 }
 
+/// Serves one JSON request line (the NDJSON grammar, also carried inside
+/// binary `TAG_REQ_JSON` frames) and renders the response line, without
+/// a trailing newline.
+///
+/// Tracing: the `decode` span covers request parsing, the `encode` span
+/// covers dispatch *and* response rendering (request ids are assigned
+/// deeper, by `ModelHost::submit`, so both carry request id 0).
+fn serve_line(handler: &dyn RequestHandler, line: &str) -> String {
+    let parsed = {
+        let _decode = Span::enter(Stage::Decode);
+        parse_request(line)
+    };
+    let _encode = Span::enter(Stage::Encode);
+    match parsed {
+        Ok(request) => serve_request(handler, request),
+        Err(e) => error_response(&e),
+    }
+}
+
+/// Renders the answer to one parsed request: `predict` and `dump_trace`
+/// are answered here, the same way for every handler; every other verb
+/// goes to [`RequestHandler::handle`].
+pub(crate) fn serve_request(handler: &dyn RequestHandler, request: Request) -> String {
+    match request {
+        Request::Predict { model, input } => match handler.handle_predict(&model, input) {
+            Ok(prediction) => predict_response(&model, &prediction),
+            Err(e) => error_response(&e),
+        },
+        Request::DumpTrace => dump_trace_response(flight::last_dump().as_deref()),
+        other => handler.handle(other),
+    }
+}
+
 /// Serves one dispatch job against the handler and renders the wire
 /// bytes for its connection's mode. JSON requests (both wire modes) go
-/// through [`RequestHandler::handle_line`], so the decode/encode span
-/// taxonomy and every error code are identical across framings; the
-/// compact predict path mirrors the same spans around its binary codec.
+/// through [`serve_line`], so the decode/encode span taxonomy and every
+/// error code are identical across framings; the compact predict path
+/// mirrors the same spans around its binary codec.
 fn serve_job(handler: &dyn RequestHandler, kind: &JobKind) -> Vec<u8> {
     match kind {
         JobKind::Line(line) => {
-            let mut bytes = handler.handle_line(line).into_bytes();
+            let mut bytes = serve_line(handler, line).into_bytes();
             bytes.push(b'\n');
             bytes
         }
         JobKind::Frame(payload) => match payload.first() {
             Some(&TAG_REQ_JSON) => match std::str::from_utf8(&payload[1..]) {
-                Ok(line) => framing::frame_json_response(&handler.handle_line(line)),
+                Ok(line) => framing::frame_json_response(&serve_line(handler, line)),
                 // Frame boundaries stay synchronized, so (unlike a
                 // mangled NDJSON line) the connection can live on.
                 Err(_) => framing::frame_json_response(&raw_error_response(
@@ -958,7 +1009,7 @@ impl ReactorFrontend {
         let dispatch_threads = config.dispatch_threads.max(1);
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(FrontendCounters::default());
-        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel(config.dispatch_queue.max(1));
+        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel(DISPATCH_QUEUE);
         let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
 
         let mut shareds = Vec::with_capacity(reactor_threads);
@@ -980,7 +1031,6 @@ impl ReactorFrontend {
         for (id, waker_rx) in waker_rxs.into_iter().enumerate() {
             let thread = ReactorThread {
                 id,
-                config: config.clone(),
                 shutdown: Arc::clone(&shutdown),
                 shared: Arc::clone(&shareds[id]),
                 peers: shareds.clone(),

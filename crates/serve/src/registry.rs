@@ -1,5 +1,7 @@
-//! The model registry: named [`ModelHost`]s, hot load/reload/unload, and
-//! the in-process [`Client`] handle.
+//! The model registry: named [`ModelHost`]s and hot load/reload/unload.
+//! In-process callers use the registry directly; it answers the same
+//! `predict` / `load` / `unload` / `stats` operations the wire protocol
+//! speaks.
 //!
 //! Routing is name-based: a `predict` resolves its model under a short
 //! read lock, clones the host's `Arc`, and submits outside the lock — so
@@ -43,6 +45,41 @@ fn info_of(name: &str, model: &CompiledModel) -> ModelInfo {
 }
 
 /// A concurrent registry of named, scheduler-backed models.
+///
+/// # Example
+///
+/// Compile a tiny network onto the MAN lattice, install it, and serve
+/// it in-process:
+///
+/// ```
+/// use man::alphabet::AlphabetSet;
+/// use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
+/// use man_nn::network::Network;
+/// use man_serve::{BatchConfig, ModelRegistry};
+/// use man_repro::Pipeline;
+/// use rand::rngs::SmallRng;
+/// use rand::SeedableRng;
+///
+/// # fn main() -> Result<(), man_serve::ManError> {
+/// let mut rng = SmallRng::seed_from_u64(7);
+/// let net = Network::new(vec![
+///     Layer::Dense(Dense::new(8, 4, &mut rng)),
+///     Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+/// ]);
+/// let model = Pipeline::from_network(net)
+///     .with_bits(8)
+///     .with_alphabets(vec![AlphabetSet::a2()])
+///     .constrain()?
+///     .compile()?;
+///
+/// let registry = ModelRegistry::new(BatchConfig::default());
+/// registry.install("tiny", model);
+///
+/// let p = registry.predict("tiny", vec![0.5; 8])?;
+/// assert!(p.class < 4, "4 output neurons -> class in 0..4");
+/// registry.shutdown();
+/// # Ok(()) }
+/// ```
 pub struct ModelRegistry {
     // BTreeMap, not HashMap: iteration order is the name order, so
     // `names()` and `stats(None)` are byte-deterministic without a
@@ -213,98 +250,5 @@ impl ModelRegistry {
         for host in drained.into_values() {
             host.stop();
         }
-    }
-}
-
-/// An in-process client handle: the same operations the TCP front-end
-/// exposes (`predict` / `load` / `unload` / `stats`), minus the socket —
-/// what tests and benches use to drive the scheduler directly.
-///
-/// # Example
-///
-/// Compile a tiny network onto the MAN lattice, install it, and serve
-/// it in-process:
-///
-/// ```
-/// use std::sync::Arc;
-/// use man::alphabet::AlphabetSet;
-/// use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
-/// use man_nn::network::Network;
-/// use man_serve::{BatchConfig, Client, ModelRegistry};
-/// use man_repro::Pipeline;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), man_serve::ManError> {
-/// let mut rng = SmallRng::seed_from_u64(7);
-/// let net = Network::new(vec![
-///     Layer::Dense(Dense::new(8, 4, &mut rng)),
-///     Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-/// ]);
-/// let model = Pipeline::from_network(net)
-///     .with_bits(8)
-///     .with_alphabets(vec![AlphabetSet::a2()])
-///     .constrain()?
-///     .compile()?;
-///
-/// let registry = ModelRegistry::new(BatchConfig::default());
-/// registry.install("tiny", model);
-///
-/// let client = Client::new(Arc::clone(&registry));
-/// let p = client.predict("tiny", vec![0.5; 8])?;
-/// assert!(p.class < 4, "4 output neurons -> class in 0..4");
-/// registry.shutdown();
-/// # Ok(()) }
-/// ```
-#[derive(Clone)]
-pub struct Client {
-    registry: Arc<ModelRegistry>,
-}
-
-impl Client {
-    /// A client over a shared registry.
-    pub fn new(registry: Arc<ModelRegistry>) -> Self {
-        Self { registry }
-    }
-
-    /// The registry behind this client.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
-    /// One prediction.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::predict`].
-    pub fn predict(&self, model: &str, input: Vec<f32>) -> Result<Prediction, ManError> {
-        self.registry.predict(model, input)
-    }
-
-    /// Loads (or hot-reloads) an artifact from disk.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::load_file`].
-    pub fn load(&self, model: &str, path: impl AsRef<Path>) -> Result<ModelInfo, ManError> {
-        self.registry.load_file(model, path)
-    }
-
-    /// Evicts a model.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::unload`].
-    pub fn unload(&self, model: &str) -> Result<(), ManError> {
-        self.registry.unload(model)
-    }
-
-    /// Stats snapshots.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModelRegistry::stats`].
-    pub fn stats(&self, model: Option<&str>) -> Result<Vec<ModelStats>, ManError> {
-        self.registry.stats(model)
     }
 }

@@ -6,11 +6,11 @@
 //! scheduler, and both NDJSON and the length-prefixed binary framing
 //! are negotiated per connection.
 //!
-//! Every request is served through the same [`RequestHandler`] seam
-//! ([`handle_request`] for a plain model server), so responses are
-//! byte-identical across wire modes. [`TcpClient`] (NDJSON) and
-//! [`BinaryClient`] (binary framing) are the matching blocking clients
-//! used by the bench load generators, CI smoke run, and tests.
+//! Every request is parsed once, by the reactor, and served through the
+//! same [`RequestHandler`] seam, so responses are byte-identical across
+//! wire modes. [`TcpClient`] (NDJSON) and [`BinaryClient`] (binary
+//! framing) are the matching blocking clients used by the bench load
+//! generators, CI smoke run, and tests.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -19,37 +19,39 @@ use std::time::Duration;
 
 use serde::Value;
 
-use man_obs::{flight, Span, Stage};
-
 use man_repro::{ManError, Prediction};
 
 use crate::exporter::prometheus_page;
 use crate::framing;
 use crate::protocol::{
-    dump_trace_response, error_response, health_response, load_response, metrics_response,
-    parse_request, predict_response, raw_error_response, stats_response, unload_response, Request,
+    error_response, health_response, load_response, metrics_response, raw_error_response,
+    stats_response, unload_response, Request,
 };
-use crate::reactor::{FrontendStats, ReactorConfig, ReactorFrontend};
+use crate::reactor::{serve_request, FrontendStats, ReactorConfig, ReactorFrontend};
 use crate::registry::ModelRegistry;
 
 /// The dispatch seam the front-end serves requests through.
 ///
-/// Everything above the socket — wire-mode sniffing, framing,
-/// backpressure, the dispatch pool — is identical whether the process
-/// is a plain model server or a cluster router; only what happens to a
-/// *parsed* request differs. A [`ModelRegistry`] serves requests
-/// locally (scheduler + sessions); a [`crate::cluster::Router`] routes
-/// them to worker processes over the binary framing. The reactor is
-/// generic over this trait, so the router inherits NDJSON + binary
+/// Everything above the socket — wire-mode sniffing, framing, request
+/// parsing, backpressure, the dispatch pool — is identical whether the
+/// process is a plain model server or a cluster router; only what
+/// happens to a *parsed* request differs. A [`ModelRegistry`] serves
+/// requests locally (scheduler + sessions); a [`crate::cluster::Router`]
+/// routes them to worker processes over the binary framing. The reactor
+/// is generic over this trait, so the router inherits NDJSON + binary
 /// serving, the reactor's slab, and every backpressure valve for free.
+///
+/// The reactor answers parse errors, `predict` (through
+/// [`RequestHandler::handle_predict`]) and `dump_trace` itself; every
+/// other verb reaches [`RequestHandler::handle`].
 pub trait RequestHandler: Send + Sync + 'static {
-    /// Serves one JSON request line (the NDJSON grammar — also carried
-    /// inside binary `TAG_REQ_JSON` frames) and renders the response
-    /// line, without a trailing newline.
-    fn handle_line(&self, line: &str) -> String;
+    /// Serves one parsed request and renders the response line, without
+    /// a trailing newline. A `predict` or `dump_trace` passed here is
+    /// answered exactly as the front-end answers it.
+    fn handle(&self, request: Request) -> String;
 
-    /// Serves one compact binary predict (the reactor's JSON-free fast
-    /// path).
+    /// Serves one predict — the JSON verb and the compact binary
+    /// encoding alike.
     ///
     /// # Errors
     ///
@@ -59,53 +61,28 @@ pub trait RequestHandler: Send + Sync + 'static {
 }
 
 impl RequestHandler for ModelRegistry {
-    fn handle_line(&self, line: &str) -> String {
-        handle_request(self, line)
+    fn handle(&self, request: Request) -> String {
+        let reply = match request {
+            Request::Load { model, path } => {
+                self.load_file(&model, &path).map(|i| load_response(&i))
+            }
+            Request::Unload { model } => self.unload(&model).map(|()| unload_response(&model)),
+            Request::Stats { model } => self.stats(model.as_deref()).map(|s| stats_response(&s)),
+            Request::Metrics => Ok(metrics_response(&prometheus_page(self))),
+            Request::Health => Ok(health_response(&self.names())),
+            Request::Join { .. } | Request::Leave { .. } => Ok(raw_error_response(
+                "bad_request",
+                "join/leave are cluster-router verbs; this server is a plain node",
+            )),
+            request @ (Request::Predict { .. } | Request::DumpTrace) => {
+                Ok(serve_request(self, request))
+            }
+        };
+        reply.unwrap_or_else(|e| error_response(&e))
     }
 
     fn handle_predict(&self, model: &str, input: Vec<f32>) -> Result<Prediction, ManError> {
         self.predict(model, input)
-    }
-}
-
-/// Serves one already-parsed request line against a registry and renders
-/// the response line. This is the single dispatch point shared by every
-/// connection — and a convenient seam for tests.
-///
-/// Tracing: the `decode` span covers request parsing, the `encode` span
-/// covers dispatch *and* response rendering (request ids are assigned
-/// deeper, by `ModelHost::submit`, so both carry request id 0).
-pub fn handle_request(registry: &ModelRegistry, line: &str) -> String {
-    let parsed = {
-        let _decode = Span::enter(Stage::Decode);
-        parse_request(line)
-    };
-    let _encode = Span::enter(Stage::Encode);
-    match parsed {
-        Err(e) => error_response(&e),
-        Ok(Request::Predict { model, input }) => match registry.predict(&model, input) {
-            Ok(p) => predict_response(&model, &p),
-            Err(e) => error_response(&e),
-        },
-        Ok(Request::Load { model, path }) => match registry.load_file(&model, &path) {
-            Ok(info) => load_response(&info),
-            Err(e) => error_response(&e),
-        },
-        Ok(Request::Unload { model }) => match registry.unload(&model) {
-            Ok(()) => unload_response(&model),
-            Err(e) => error_response(&e),
-        },
-        Ok(Request::Stats { model }) => match registry.stats(model.as_deref()) {
-            Ok(stats) => stats_response(&stats),
-            Err(e) => error_response(&e),
-        },
-        Ok(Request::Metrics) => metrics_response(&prometheus_page(registry)),
-        Ok(Request::DumpTrace) => dump_trace_response(flight::last_dump().as_deref()),
-        Ok(Request::Health) => health_response(&registry.names()),
-        Ok(Request::Join { .. } | Request::Leave { .. }) => raw_error_response(
-            "bad_request",
-            "join/leave are cluster-router verbs; this server is a plain node",
-        ),
     }
 }
 

@@ -72,7 +72,6 @@ fn fast_config() -> RouterConfig {
     RouterConfig {
         request_timeout: Duration::from_millis(1500),
         health_interval: Duration::from_millis(100),
-        ..RouterConfig::default()
     }
 }
 
@@ -262,7 +261,6 @@ fn worker_kill_failover_is_bit_identical_with_zero_errors() {
     let config = RouterConfig {
         request_timeout: Duration::from_millis(800),
         health_interval: Duration::from_millis(100),
-        ..RouterConfig::default()
     };
     let (mut workers, router) = spawn_cluster(3, config);
     router.load_model("digits", &path).expect("load fans out");

@@ -20,7 +20,7 @@ use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
 use man_serve::obs::{self, flight, ObsLevel};
-use man_serve::{BatchConfig, Client, ModelRegistry, Server, TcpClient};
+use man_serve::{BatchConfig, ModelRegistry, Server, TcpClient};
 use serde::Value;
 
 const IN_DIM: usize = 24;
@@ -90,12 +90,11 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
         ..BatchConfig::default()
     });
     registry.install("m", compiled_model(3));
-    let client = Client::new(Arc::clone(&registry));
 
     // Phase A: uncontended predicts, so complete request lifecycles sit
     // in the ring when the dump freezes its 1s window.
     for i in 0..32 {
-        client
+        registry
             .predict("m", probe_input(i))
             .expect("uncontended predicts succeed");
     }
@@ -104,11 +103,11 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
     let saw_overload = Arc::new(AtomicBool::new(false));
     let threads: Vec<_> = (0..12)
         .map(|t| {
-            let client = client.clone();
+            let registry = Arc::clone(&registry);
             let saw_overload = Arc::clone(&saw_overload);
             std::thread::spawn(move || {
                 for i in 0..40 {
-                    match client.predict("m", probe_input(t * 40 + i)) {
+                    match registry.predict("m", probe_input(t * 40 + i)) {
                         Ok(_) => {}
                         Err(ManError::Serve(ServeError::Overloaded { .. })) => {
                             saw_overload.store(true, Ordering::Relaxed);

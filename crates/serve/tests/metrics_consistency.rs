@@ -18,7 +18,7 @@ use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
-use man_serve::{BatchConfig, Client, ModelRegistry, ModelStats};
+use man_serve::{BatchConfig, ModelRegistry, ModelStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -89,18 +89,17 @@ fn snapshots_stay_consistent_under_concurrent_hammering() {
         ..BatchConfig::default()
     });
     registry.install("m", compiled_model(7));
-    let client = Client::new(Arc::clone(&registry));
 
     let ok_total = Arc::new(AtomicU64::new(0));
     let rejected_total = Arc::new(AtomicU64::new(0));
     let writers: Vec<_> = (0..8)
         .map(|t| {
-            let client = client.clone();
+            let registry = Arc::clone(&registry);
             let ok_total = Arc::clone(&ok_total);
             let rejected_total = Arc::clone(&rejected_total);
             std::thread::spawn(move || {
                 for i in 0..150 {
-                    match client.predict("m", probe_input(t * 150 + i)) {
+                    match registry.predict("m", probe_input(t * 150 + i)) {
                         Ok(_) => {
                             ok_total.fetch_add(1, Ordering::Relaxed);
                         }

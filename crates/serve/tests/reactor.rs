@@ -5,16 +5,15 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, Pipeline};
-use man_serve::{
-    framing, BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, Server, TcpClient,
-};
+use man_serve::{framing, BatchConfig, BinaryClient, ModelRegistry, Server, TcpClient};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -374,33 +373,117 @@ fn large_requests_beyond_read_high_water_are_served() {
     registry.shutdown();
 }
 
+/// Writes a newline-less line just past the 16 MiB line cap and returns
+/// everything the server sends back before it closes. The line is only
+/// 64 bytes over, so the server consumes every byte (no reset racing
+/// the reply) before tripping the violation.
+fn stream_over_long_line(addr: std::net::SocketAddr) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let blob = vec![b'{'; framing::MAX_FRAME_LEN as usize + 64];
+    stream.write_all(&blob).expect("write blob");
+    read_until_close(&mut stream)
+}
+
 #[test]
 fn over_long_ndjson_line_gets_bad_request_past_high_water() {
-    // The max_line_len violation sits *above* read_high_water: the
+    // The line cap sits *above* the 1 MiB read high-water mark: the
     // reactor must keep reading past the mark for the documented
     // bad_request to be reachable at all.
     let registry = ModelRegistry::new(quick_config());
-    let max_line_len = 16 * 1024;
-    let server = Server::bind_with(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        ReactorConfig {
-            read_high_water: 4 * 1024,
-            max_line_len,
-            ..ReactorConfig::default()
-        },
-    )
-    .expect("reactor server binds");
-
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    // Newline-less and just past the cap, so the server consumes every
-    // byte (no reset racing the reply) before tripping the violation.
-    let blob = vec![b'{'; max_line_len + 64];
-    stream.write_all(&blob).expect("write blob");
-    let reply = read_until_close(&mut stream);
+    let server = reactor_server(Arc::clone(&registry));
+    let reply = stream_over_long_line(server.local_addr());
     assert!(
         reply.contains(r#""error":"bad_request""#),
         "expected bad_request, got: {reply:?}"
+    );
+    registry.shutdown();
+}
+
+#[test]
+fn over_long_line_does_not_stall_concurrent_predicts() {
+    // Each newline search covers only the bytes read since the last
+    // one, so a 16 MiB line arriving 16 KiB at a time costs the event
+    // loop linear, not quadratic, work — and a predict on another
+    // connection of the same reactor is answered meanwhile.
+    let registry = ModelRegistry::new(quick_config());
+    registry.install("m", compiled_model(16, AlphabetSet::a1()));
+    let mut server = reactor_server(Arc::clone(&registry));
+    let addr = server.local_addr();
+    let mut client = TcpClient::connect(addr).expect("connect");
+    client
+        .predict("m", &probe_input(0))
+        .expect("warm-up predict");
+
+    let done = Arc::new(AtomicBool::new(false));
+    let streamer = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let reply = stream_over_long_line(addr);
+            done.store(true, Ordering::SeqCst);
+            reply
+        })
+    };
+    let mut worst = Duration::ZERO;
+    let mut predicts = 0;
+    loop {
+        let start = Instant::now();
+        client
+            .predict("m", &probe_input(predicts))
+            .expect("predict served while the long line streams");
+        worst = worst.max(start.elapsed());
+        predicts += 1;
+        if done.load(Ordering::SeqCst) {
+            break;
+        }
+    }
+    let reply = streamer.join().expect("streamer thread panicked");
+    assert!(
+        reply.contains(r#""error":"bad_request""#),
+        "expected bad_request, got: {reply:?}"
+    );
+    assert!(
+        worst < Duration::from_millis(250),
+        "worst concurrent predict took {worst:?} over {predicts} predicts"
+    );
+    server.shutdown();
+    registry.shutdown();
+}
+
+#[test]
+fn byte_at_a_time_line_then_pipelined_request_are_both_answered() {
+    // The newline search resumes where the last one stopped; a drained
+    // line must restart it at the front of what is left, or the
+    // request pipelined behind it is never found.
+    let registry = ModelRegistry::new(quick_config());
+    registry.install("m", compiled_model(17, AlphabetSet::a1()));
+    let server = reactor_server(Arc::clone(&registry));
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    for &byte in br#"{"op":"stats","model":"m"}"# {
+        stream.write_all(&[byte]).expect("one-byte write");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    stream
+        .write_all(b"\n{\"op\":\"health\"}\n")
+        .expect("newline plus pipelined request");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let all = read_until_close(&mut stream);
+    let lines: Vec<&str> = all.lines().collect();
+    assert_eq!(lines.len(), 2, "both requests answered: {all:?}");
+    assert!(
+        lines[0].contains(r#""ok":true"#) && lines[0].contains(r#""model":"m""#),
+        "stats reply: {}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains(r#""role":"node""#),
+        "health reply: {}",
+        lines[1]
     );
     registry.shutdown();
 }

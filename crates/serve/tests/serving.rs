@@ -10,7 +10,7 @@ use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
-use man_serve::{BatchConfig, Client, ModelRegistry, Parallelism, Server, TcpClient};
+use man_serve::{BatchConfig, ModelRegistry, Parallelism, Server, TcpClient};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -60,11 +60,10 @@ fn hammering_clients_get_bit_identical_predictions() {
 
     let registry = ModelRegistry::new(quick_config());
     registry.install("m", model);
-    let client = Client::new(Arc::clone(&registry));
 
     let threads: Vec<_> = (0..6)
         .map(|t| {
-            let client = client.clone();
+            let registry = Arc::clone(&registry);
             let expected = expected.clone();
             std::thread::spawn(move || {
                 // Each thread replays every probe several times, out of
@@ -72,7 +71,7 @@ fn hammering_clients_get_bit_identical_predictions() {
                 for round in 0..4 {
                     for i in 0..expected.len() {
                         let i = (i + t * 11 + round * 17) % expected.len();
-                        let p = client
+                        let p = registry
                             .predict("m", probe_input(i))
                             .expect("serving must not fail under load");
                         assert_eq!(
@@ -102,26 +101,25 @@ fn hammering_clients_get_bit_identical_predictions() {
 fn shape_mismatch_is_rejected_before_queueing() {
     let registry = ModelRegistry::new(quick_config());
     registry.install("m", compiled_model(2, AlphabetSet::a1()));
-    let client = Client::new(registry);
-    match client.predict("m", vec![0.5; IN_DIM + 3]) {
+    match registry.predict("m", vec![0.5; IN_DIM + 3]) {
         Err(ManError::Shape { expected, got }) => {
             assert_eq!((expected, got), (IN_DIM, IN_DIM + 3));
         }
         other => panic!("expected ManError::Shape, got {other:?}"),
     }
-    let stats = client.stats(Some("m")).expect("stats");
+    let stats = registry.stats(Some("m")).expect("stats");
     assert_eq!(stats[0].errors, 1);
     assert_eq!(stats[0].accepted, 0, "bad shapes never enter the queue");
 }
 
 #[test]
 fn unknown_model_is_a_typed_error() {
-    let client = Client::new(ModelRegistry::with_defaults());
-    match client.predict("ghost", vec![0.0; 4]) {
+    let registry = ModelRegistry::with_defaults();
+    match registry.predict("ghost", vec![0.0; 4]) {
         Err(ManError::Serve(ServeError::UnknownModel(name))) => assert_eq!(name, "ghost"),
         other => panic!("expected UnknownModel, got {other:?}"),
     }
-    match client.unload("ghost") {
+    match registry.unload("ghost") {
         Err(ManError::Serve(ServeError::UnknownModel(_))) => {}
         other => panic!("expected UnknownModel, got {other:?}"),
     }
@@ -140,18 +138,17 @@ fn full_queue_rejects_with_overloaded() {
         ..BatchConfig::default()
     });
     registry.install("m", compiled_model(3, AlphabetSet::a1()));
-    let client = Client::new(Arc::clone(&registry));
 
     // Saturate from many threads; with 12 concurrent submitters and a
     // 2-slot queue, at least a few must hit the Overloaded path.
     let saw_overload = Arc::new(AtomicBool::new(false));
     let threads: Vec<_> = (0..12)
         .map(|t| {
-            let client = client.clone();
+            let registry = Arc::clone(&registry);
             let saw_overload = Arc::clone(&saw_overload);
             std::thread::spawn(move || {
                 for i in 0..40 {
-                    match client.predict("m", probe_input(t * 40 + i)) {
+                    match registry.predict("m", probe_input(t * 40 + i)) {
                         Ok(_) => {}
                         Err(ManError::Serve(ServeError::Overloaded { capacity, .. })) => {
                             assert_eq!(capacity, 2);
@@ -203,12 +200,11 @@ fn reload_under_load_never_drops_or_corrupts_requests() {
 
     let registry = ModelRegistry::new(quick_config());
     registry.install("m", before.clone());
-    let client = Client::new(Arc::clone(&registry));
     let stop = Arc::new(AtomicBool::new(false));
 
     let hammers: Vec<_> = (0..4)
         .map(|t| {
-            let client = client.clone();
+            let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
             let probes = probes.clone();
             let expect_before = expect_before.clone();
@@ -218,7 +214,7 @@ fn reload_under_load_never_drops_or_corrupts_requests() {
                 let mut i = t;
                 while !stop.load(Ordering::Relaxed) {
                     i = (i + 1) % probes.len();
-                    match client.predict("m", probes[i].clone()) {
+                    match registry.predict("m", probes[i].clone()) {
                         Ok(p) => {
                             assert!(
                                 p.scores == expect_before[i] || p.scores == expect_after[i],
@@ -267,11 +263,10 @@ fn unload_drains_accepted_requests() {
         ..BatchConfig::default()
     });
     registry.install("m", compiled_model(5, AlphabetSet::a2()));
-    let client = Client::new(Arc::clone(&registry));
     let submitters: Vec<_> = (0..32)
         .map(|i| {
-            let client = client.clone();
-            std::thread::spawn(move || client.predict("m", probe_input(i)))
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || registry.predict("m", probe_input(i)))
         })
         .collect();
     std::thread::sleep(Duration::from_millis(5));
@@ -359,9 +354,8 @@ fn worker_sessions_match_the_asm_oracle() {
         .collect();
     let registry = ModelRegistry::new(quick_config());
     registry.install("m", model);
-    let client = Client::new(registry);
     for (i, want) in expected.iter().enumerate() {
-        let p = client.predict("m", probe_input(i)).expect("serving ok");
+        let p = registry.predict("m", probe_input(i)).expect("serving ok");
         assert_eq!(&p.scores, want, "probe {i}");
     }
 }
@@ -380,18 +374,17 @@ fn intra_batch_parallelism_is_bit_identical_and_exposed_in_config() {
         });
         assert_eq!(registry.config().parallelism, parallelism);
         registry.install("m", model.clone());
-        let client = Client::new(Arc::clone(&registry));
         // Hammer from several threads so micro-batches actually form and
         // get row-sharded inside the worker sessions.
         std::thread::scope(|scope| {
             for t in 0..4 {
-                let client = client.clone();
+                let registry = &registry;
                 let expected = &expected;
                 scope.spawn(move || {
                     for round in 0..3 {
                         for i in 0..expected.len() {
                             let i = (i + t * 5 + round * 7) % expected.len();
-                            let p = client.predict("m", probe_input(i)).expect("serving ok");
+                            let p = registry.predict("m", probe_input(i)).expect("serving ok");
                             assert_eq!(
                                 p.scores,
                                 expected[i],
@@ -415,7 +408,6 @@ fn stats_snapshot_is_consistent_with_routing() {
     let registry = ModelRegistry::new(quick_config());
     registry.install("stable", compiled_model(20, AlphabetSet::a1()));
     registry.install("flapper", compiled_model(21, AlphabetSet::a1()));
-    let client = Client::new(Arc::clone(&registry));
 
     let stop = Arc::new(AtomicBool::new(false));
     let flapper_model = compiled_model(21, AlphabetSet::a1());
@@ -432,7 +424,7 @@ fn stats_snapshot_is_consistent_with_routing() {
     for _ in 0..200 {
         // Every snapshot set is a consistent routing snapshot: "stable"
         // is always present, nothing else but "flapper" ever appears.
-        let stats = client.stats(None).expect("stats never fails");
+        let stats = registry.stats(None).expect("stats never fails");
         let names: Vec<&str> = stats.iter().map(|s| s.model.as_str()).collect();
         assert!(names.contains(&"stable"), "names = {names:?}");
         assert!(
@@ -441,7 +433,7 @@ fn stats_snapshot_is_consistent_with_routing() {
         );
         // Per-model stats under churn either succeed or report
         // UnknownModel; no panic, no stale-host snapshot.
-        match client.stats(Some("flapper")) {
+        match registry.stats(Some("flapper")) {
             Ok(s) => assert_eq!(s[0].model, "flapper"),
             Err(ManError::Serve(ServeError::UnknownModel(n))) => assert_eq!(n, "flapper"),
             Err(other) => panic!("unexpected stats error: {other:?}"),
@@ -453,11 +445,11 @@ fn stats_snapshot_is_consistent_with_routing() {
     // Sequenced happens-before: once unload returns, stats must not know
     // the model any more.
     registry.unload("flapper").expect("final unload");
-    match client.stats(Some("flapper")) {
+    match registry.stats(Some("flapper")) {
         Err(ManError::Serve(ServeError::UnknownModel(_))) => {}
         other => panic!("stats after unload must be UnknownModel, got {other:?}"),
     }
-    let names: Vec<String> = client
+    let names: Vec<String> = registry
         .stats(None)
         .expect("stats")
         .into_iter()

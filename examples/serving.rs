@@ -1,7 +1,7 @@
 //! Serving quickstart: compile a model, save the one-file artifact, and
-//! serve it under concurrent traffic with `man-serve` — first through
-//! the in-process [`man_serve::Client`], then over the TCP front-end's
-//! newline-delimited JSON protocol.
+//! serve it under concurrent traffic with `man-serve` — first in-process
+//! through the [`man_serve::ModelRegistry`], then over the TCP
+//! front-end's newline-delimited JSON protocol.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -14,7 +14,7 @@ use man_repro::man_datasets::GenOptions;
 use man_repro::man_par::available_cores;
 use man_repro::{ManError, Parallelism, Pipeline};
 use man_serve::obs::{self, ObsLevel};
-use man_serve::{BatchConfig, Client, ModelRegistry, Server, TcpClient};
+use man_serve::{BatchConfig, ModelRegistry, Server, TcpClient};
 
 fn main() -> Result<(), ManError> {
     // Full span tracing for the demo: every stage of every request
@@ -63,14 +63,13 @@ fn main() -> Result<(), ManError> {
     // ---- In-process serving: many threads, one model. The scheduler
     // coalesces concurrent requests into batches; predictions stay
     // bit-identical to sequential inference.
-    let client = Client::new(Arc::clone(&registry));
     std::thread::scope(|scope| {
         for t in 0..4 {
-            let client = client.clone();
+            let registry = &registry;
             let images = &ds.test_images;
             scope.spawn(move || {
                 for (i, image) in images.iter().enumerate() {
-                    let p = client
+                    let p = registry
                         .predict("digits", image.clone())
                         .expect("serving a dataset image");
                     if t == 0 && i < 3 {
@@ -80,7 +79,7 @@ fn main() -> Result<(), ManError> {
             });
         }
     });
-    for s in client.stats(Some("digits"))? {
+    for s in registry.stats(Some("digits"))? {
         println!(
             "stats: {} completed, {} batches (mean size {:.2}), p50 {} us, p99 {} us, plan {}",
             s.completed, s.batches, s.mean_batch, s.p50_us, s.p99_us, s.plan
@@ -152,17 +151,15 @@ fn main() -> Result<(), ManError> {
         ..BatchConfig::default()
     });
     tiny.install("digits", compiled);
-    let tiny_client = Client::new(Arc::clone(&tiny));
     let overloaded: usize = std::thread::scope(|scope| {
         (0..4)
             .map(|t| {
-                let client = tiny_client.clone();
+                let tiny = &tiny;
                 let images = &ds.test_images;
                 scope.spawn(move || {
                     (0..images.len())
                         .filter(|&i| {
-                            client
-                                .predict("digits", images[(i + t) % images.len()].clone())
+                            tiny.predict("digits", images[(i + t) % images.len()].clone())
                                 .is_err()
                         })
                         .count()

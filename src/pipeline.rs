@@ -234,11 +234,6 @@ impl Pipeline {
     }
 
     fn resolve_cfg(&self, bits: u32) -> Result<MethodologyConfig, ManError> {
-        if self.candidates.is_empty() {
-            return Err(ManError::config(
-                "candidate alphabet list must not be empty",
-            ));
-        }
         let mut cfg = MethodologyConfig::paper(bits);
         cfg.candidates = self.candidates.clone();
         if let Source::Benchmark(b) = &self.source {
@@ -249,6 +244,11 @@ impl Pipeline {
         }
         for f in &self.overrides {
             f(&mut cfg);
+        }
+        if cfg.candidates.is_empty() {
+            return Err(ManError::config(
+                "candidate alphabet list must not be empty",
+            ));
         }
         if !(cfg.quality > 0.0 && cfg.quality <= 1.0) {
             return Err(ManError::config(format!(
@@ -368,12 +368,9 @@ impl Pipeline {
     /// an assignment whose length does not match the network).
     pub fn constrain(self) -> Result<TrainedModel, ManError> {
         let bits = self.resolve_bits()?;
-        let cfg = self.resolve_cfg(bits)?;
+        let mut cfg = self.resolve_cfg(bits)?;
         let Pipeline {
-            source,
-            assignment,
-            mut candidates,
-            ..
+            source, assignment, ..
         } = self;
         let network = match source {
             Source::Benchmark(b) => b.build_network(cfg.seed),
@@ -391,7 +388,7 @@ impl Pipeline {
                 }
                 a
             }
-            None => LayerAlphabets::uniform(candidates.swap_remove(0), layers),
+            None => LayerAlphabets::uniform(cfg.candidates.swap_remove(0), layers),
         };
         let mut constrained = network;
         // Algorithm 1 across the network: the same projector retraining

@@ -11,7 +11,7 @@
 //! # Parallel execution
 //!
 //! [`InferenceSession::with_parallelism`] turns the session into the
-//! parallel batch engine: `infer_batch*` shards the rows of a batch
+//! parallel batch engine: `infer_batch` shards the rows of a batch
 //! across workers (threads drawn from the process-wide persistent
 //! `man-par` pool), and a lone row runs on the caller's thread. Row
 //! sharding is bit-identical to the sequential path **by
@@ -20,9 +20,9 @@
 //! itself and DESIGN.md §8–§9 for the determinism argument.
 //!
 //! Every batch's sharding is resolved by [`Parallelism::plan`] from the
-//! model's compile-time MACs per inference, the batch size and the serve
-//! scheduler's queue pressure; [`InferenceSession::stats`] reports the
-//! plan the most recent batch resolved to.
+//! model's compile-time MACs per inference and the batch size;
+//! [`InferenceSession::stats`] reports the plan the most recent batch
+//! resolved to.
 
 use std::sync::{Arc, Mutex};
 
@@ -169,8 +169,8 @@ impl InferenceSession {
 
     /// Resolves and remembers (for [`InferenceSession::stats`]) the plan
     /// of a batch of `batch` rows.
-    fn resolve(&self, batch: usize, streams: usize) -> ShardPlan {
-        let plan = self.parallelism.plan(self.macs_per_row, batch, streams);
+    fn resolve(&self, batch: usize) -> ShardPlan {
+        let plan = self.parallelism.plan(self.macs_per_row, batch);
         *self
             .last_plan
             .lock()
@@ -188,7 +188,7 @@ impl InferenceSession {
     /// `self.fixed().input_len()` values.
     pub fn infer(&self, input: &[f32]) -> Result<Prediction, ManError> {
         self.check_shape(input)?;
-        let plan = self.resolve(1, 1);
+        let plan = self.resolve(1);
         let scores = self.fixed.run(&[input], plan).swap_remove(0);
         Ok(Prediction::new(scores))
     }
@@ -205,28 +205,10 @@ impl InferenceSession {
     /// Returns [`ManError::Shape`] on the first wrong-length input; the
     /// whole batch is validated before any inference runs.
     pub fn infer_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Prediction>, ManError> {
-        self.infer_batch_with_load(inputs, 1)
-    }
-
-    /// [`InferenceSession::infer_batch`] with a load hint: `streams` is
-    /// the number of concurrent batch streams competing for the same
-    /// cores (≥ 1). The serve scheduler derives it from its queue depth
-    /// so a deep backlog does not let one micro-batch grab every core;
-    /// it only influences the [`Parallelism::Auto`] plan and never the
-    /// predicted bits.
-    ///
-    /// # Errors
-    ///
-    /// As [`InferenceSession::infer_batch`].
-    pub fn infer_batch_with_load(
-        &self,
-        inputs: &[Vec<f32>],
-        streams: usize,
-    ) -> Result<Vec<Prediction>, ManError> {
         for input in inputs {
             self.check_shape(input)?;
         }
-        let plan = self.resolve(inputs.len(), streams);
+        let plan = self.resolve(inputs.len());
         // The kernel-execute stage of the obs taxonomy (DESIGN.md §12):
         // one span per batch, labeled with the resolved plan, arg =
         // batch size. A no-op branch when the plane is off.

@@ -191,8 +191,7 @@ fn concurrent_serving_is_bit_identical_to_sequential_inference() {
     // N client threads hammering one model through the micro-batching
     // scheduler receive exactly the scores a sequential session
     // produces, whatever the interleaving and batch composition.
-    use man_serve::{Client, ModelRegistry};
-    use std::sync::Arc;
+    use man_serve::ModelRegistry;
 
     let ds = Benchmark::Faces.dataset(&small_opts(11));
     let compiled = Pipeline::for_benchmark(Benchmark::Faces)
@@ -213,16 +212,15 @@ fn concurrent_serving_is_bit_identical_to_sequential_inference() {
 
     let registry = ModelRegistry::with_defaults();
     registry.install("faces", compiled);
-    let client = Client::new(Arc::clone(&registry));
     std::thread::scope(|scope| {
         for t in 0..6usize {
-            let client = client.clone();
+            let registry = &registry;
             let sequential = &sequential;
             scope.spawn(move || {
                 for round in 0..3 {
                     for i in 0..probes.len() {
                         let i = (i + t * 5 + round * 13) % probes.len();
-                        let p = client
+                        let p = registry
                             .predict("faces", probes[i].clone())
                             .expect("serving must not fail");
                         assert_eq!(

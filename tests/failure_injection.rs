@@ -92,6 +92,14 @@ fn zero_batch_size_is_a_config_error() {
 }
 
 #[test]
+fn candidates_emptied_by_an_override_are_a_config_error() {
+    // The list is checked after the overrides run, so an override
+    // cannot empty it past validation and leave selection nothing to
+    // pick from.
+    assert_config_error("candidate", |cfg| cfg.candidates.clear());
+}
+
+#[test]
 fn non_positive_learning_rate_is_a_config_error() {
     assert_config_error("learning rate", |cfg| cfg.lr = 0.0);
     assert_config_error("learning rate", |cfg| cfg.lr = -0.1);
