@@ -107,7 +107,7 @@ impl QuantSpec {
         let layer_formats = net
             .layers()
             .iter()
-            .filter_map(|l| weights_of(l).map(|w| fit_format(bits, w)))
+            .filter_map(|l| parts_of(l).map(|(_, w, _)| fit_format(bits, w)))
             .collect();
         Self {
             bits,
@@ -131,31 +131,38 @@ impl QuantSpec {
     }
 }
 
-/// The flat input index of every (output position, fan-in slot) of a
-/// valid convolution, positions row-major and slots in the scalar
-/// fan-in order `(c, ky, kx)` — shared by every output channel.
-fn conv_gather(in_ch: usize, k: usize, in_h: usize, in_w: usize) -> Vec<u32> {
-    let (oh, ow) = (in_h - k + 1, in_w - k + 1);
-    let mut gather = Vec::with_capacity(oh * ow * in_ch * k * k);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for c in 0..in_ch {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        gather.push((c * in_h * in_w + (oy + ky) * in_w + (ox + kx)) as u32);
-                    }
-                }
-            }
-        }
-    }
-    gather
-}
-
-fn weights_of(layer: &Layer) -> Option<&[f32]> {
+/// A parameterized layer's geometry with its float weights and biases;
+/// `None` for an activation.
+fn parts_of(layer: &Layer) -> Option<(Shape, &[f32], &[f32])> {
     match layer {
-        Layer::Dense(d) => Some(d.weights()),
-        Layer::Conv2d(c) => Some(c.weights()),
-        Layer::ScaledAvgPool(p) => Some(p.weights()),
+        Layer::Dense(d) => Some((
+            Shape::Dense {
+                in_dim: d.in_dim,
+                out_dim: d.out_dim,
+            },
+            d.weights(),
+            d.bias(),
+        )),
+        Layer::Conv2d(c) => Some((
+            Shape::Conv {
+                in_ch: c.in_channels,
+                out_ch: c.out_channels,
+                k: c.kernel,
+                in_h: c.in_h,
+                in_w: c.in_w,
+            },
+            c.weights(),
+            c.bias(),
+        )),
+        Layer::ScaledAvgPool(p) => Some((
+            Shape::Pool {
+                channels: p.channels,
+                in_h: p.in_h,
+                in_w: p.in_w,
+            },
+            p.weights(),
+            p.bias(),
+        )),
         Layer::Activation(_) => None,
     }
 }
@@ -181,6 +188,18 @@ pub enum CompileError {
         /// Sets provided.
         got: usize,
     },
+    /// The quantization spec does not fit the network: a word length the
+    /// datapath cannot build, a format count other than the
+    /// parameterized-layer count, or a format of another word length.
+    InvalidSpec(String),
+    /// A layer's dimensions are degenerate, disagree with its weight or
+    /// bias count, or do not chain onto the previous layer's output.
+    InvalidGeometry {
+        /// Network layer index (activations counted).
+        layer: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -197,6 +216,10 @@ impl fmt::Display for CompileError {
                 f,
                 "alphabet assignment covers {got} layers but the network has {expected}"
             ),
+            CompileError::InvalidSpec(msg) => write!(f, "invalid quantization spec: {msg}"),
+            CompileError::InvalidGeometry { layer, reason } => {
+                write!(f, "layer {layer} has an invalid geometry: {reason}")
+            }
         }
     }
 }
@@ -222,7 +245,7 @@ struct MacParams {
     /// Sign-folded weights (`-mag` when the sign bit is set), one
     /// row-major slab: the fan-in run of output `o` (dense), output
     /// channel `oc` (conv) or channel `ch` (pool) starts at
-    /// `o · fan_in`.
+    /// `o ·` [`Shape::stride`], and a conv row's padding holds zeros.
     weights: Vec<i16>,
     /// The ASM control word of every weight magnitude this layer holds,
     /// indexed by magnitude (`None` for magnitudes no weight uses) —
@@ -243,9 +266,13 @@ impl MacParams {
     /// products summed in `i32` runs of at most `chunk`, each run folded
     /// into the `i64` result. Integer addition is associative, so the
     /// grouping cannot change the value — only the bound on `chunk`
-    /// keeps every partial sum in range.
+    /// keeps every partial sum in range. A fan-in that fits one run
+    /// skips the splitting.
     fn dot(&self, w0: usize, x: &[i16]) -> i64 {
         let w = &self.weights[w0..w0 + x.len()];
+        if x.len() <= self.chunk {
+            return i64::from(dot_run(w, x));
+        }
         w.chunks(self.chunk)
             .zip(x.chunks(self.chunk))
             .map(|(w, x)| i64::from(dot_run(w, x)))
@@ -277,25 +304,20 @@ impl MacParams {
     }
 }
 
-#[derive(Clone, Debug)]
-enum FixedLayer {
+/// The geometry a parameterized layer's weights are laid over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
     Dense {
         in_dim: usize,
         out_dim: usize,
-        mac: MacParams,
     },
+    /// Valid, stride-1 convolution over channels-first `[C, H, W]` input.
     Conv {
         in_ch: usize,
         out_ch: usize,
         k: usize,
         in_h: usize,
         in_w: usize,
-        /// Flat input index per (output position, fan-in slot), in the
-        /// fan-in order `(c, ky, kx)` that is also each output channel's
-        /// weight order. It depends only on layer geometry, so it is
-        /// built once at compile time.
-        gather: Vec<u32>,
-        mac: MacParams,
     },
     /// LeNet trainable pooling: 2×2 average, one multiplicative weight and
     /// bias per channel (the weight goes through the ASM like any other).
@@ -303,18 +325,121 @@ enum FixedLayer {
         channels: usize,
         in_h: usize,
         in_w: usize,
-        mac: MacParams,
     },
 }
 
-impl FixedLayer {
-    fn mac(&self) -> &MacParams {
-        match self {
-            FixedLayer::Dense { mac, .. }
-            | FixedLayer::Conv { mac, .. }
-            | FixedLayer::Pool { mac, .. } => mac,
+/// What one layer's shape costs per inference.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Geometry {
+    /// Input activations read.
+    in_len: usize,
+    /// Outputs produced.
+    out_len: usize,
+    /// Multiply-accumulates.
+    macs: usize,
+    /// Neuron outputs (activation-unit uses).
+    neurons: usize,
+}
+
+impl Shape {
+    /// The layer's per-inference geometry, or why it has none: a zero
+    /// dimension, a kernel larger than its input, odd pool sides, or a
+    /// size that overflows `usize`. Nothing geometry-sized exists before
+    /// this has been checked.
+    fn geometry(&self) -> Result<Geometry, String> {
+        let mul = |a: usize, b: usize| a.checked_mul(b).ok_or("its size overflows");
+        match *self {
+            Shape::Dense { in_dim, out_dim } => {
+                if in_dim == 0 || out_dim == 0 {
+                    return Err(format!("dense {in_dim} → {out_dim} has a zero width"));
+                }
+                Ok(Geometry {
+                    in_len: in_dim,
+                    out_len: out_dim,
+                    macs: mul(in_dim, out_dim)?,
+                    neurons: out_dim,
+                })
+            }
+            Shape::Conv {
+                in_ch,
+                out_ch,
+                k,
+                in_h,
+                in_w,
+            } => {
+                if in_ch == 0 || out_ch == 0 {
+                    return Err(format!("conv {in_ch} → {out_ch} channels has a zero count"));
+                }
+                if k == 0 || k > in_h || k > in_w {
+                    return Err(format!("kernel {k} does not fit a {in_h}×{in_w} input"));
+                }
+                let out_len = mul(out_ch, mul(in_h - k + 1, in_w - k + 1)?)?;
+                Ok(Geometry {
+                    in_len: mul(in_ch, mul(in_h, in_w)?)?,
+                    out_len,
+                    macs: mul(out_len, mul(in_ch, mul(k, k)?)?)?,
+                    neurons: out_len,
+                })
+            }
+            Shape::Pool {
+                channels,
+                in_h,
+                in_w,
+            } => {
+                if channels == 0 || in_h == 0 || in_w == 0 || in_h % 2 != 0 || in_w % 2 != 0 {
+                    return Err(format!(
+                        "2×2 pool over {channels} channels of {in_h}×{in_w} needs nonzero, even sides"
+                    ));
+                }
+                let out_len = mul(channels, mul(in_h, in_w)?)? / 4;
+                Ok(Geometry {
+                    in_len: out_len * 4,
+                    out_len,
+                    macs: out_len,
+                    neurons: out_len,
+                })
+            }
         }
     }
+
+    /// Weight rows (dense outputs, conv output channels, pool channels),
+    /// each with one bias.
+    fn rows(&self) -> usize {
+        match *self {
+            Shape::Dense { out_dim, .. } => out_dim,
+            Shape::Conv { out_ch, .. } => out_ch,
+            Shape::Pool { channels, .. } => channels,
+        }
+    }
+
+    /// Weights per row: the fan-in, `(c, ky, kx)`-ordered for a conv.
+    /// Call only on a shape whose [`Shape::geometry`] is `Ok`.
+    fn fan_in(&self) -> usize {
+        match *self {
+            Shape::Dense { in_dim, .. } => in_dim,
+            Shape::Conv { in_ch, k, .. } => in_ch * k * k,
+            Shape::Pool { .. } => 1,
+        }
+    }
+
+    /// Distance between consecutive rows of the compiled weight slab. A
+    /// conv row is zero-padded to whole 16-lane blocks so that every
+    /// position's dot runs without a scalar tail; the padding adds only
+    /// zero products.
+    fn stride(&self) -> usize {
+        match self {
+            Shape::Conv { .. } => self.fan_in().div_ceil(16) * 16,
+            _ => self.fan_in(),
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+struct FixedLayer {
+    shape: Shape,
+    /// `shape`'s geometry, checked by compile.
+    geometry: Geometry,
+    mac: MacParams,
 }
 
 /// A compiled fixed-point network.
@@ -337,7 +462,8 @@ pub struct FixedNet {
 /// `Σ w·x` of one run no longer than its layer's `chunk`, so no partial
 /// sum leaves `i32`. Sixteen independent lane sums give the compiler a
 /// vectorizable loop; which lane a product lands in cannot change the
-/// total.
+/// total. Conv rows are padded to whole blocks of 16 (see
+/// [`Shape::stride`]), so their runs leave no scalar tail.
 fn dot_run(w: &[i16], x: &[i16]) -> i32 {
     let body = w.len() / 16 * 16;
     let mut lanes = [0i32; 16];
@@ -354,16 +480,78 @@ fn dot_run(w: &[i16], x: &[i16]) -> i32 {
     lanes.iter().sum::<i32>() + tail
 }
 
-/// Signed average of a 2×2 window (truncating arithmetic shift, as the
-/// hardware adder tree plus wiring would produce), saturated to the
-/// activation word.
-fn pool_avg(x: &[i16], base: usize, in_w: usize, max_mag: i64) -> i16 {
-    let sum = [base, base + 1, base + in_w, base + in_w + 1]
-        .iter()
-        .map(|&i| i64::from(x[i]))
-        .sum::<i64>()
-        >> 2;
-    sum.clamp(-max_mag, max_mag) as i16
+/// `w`'s rows of `fan` weights laid out `stride` apart, zero-filled
+/// between.
+fn pad_rows(w: Vec<i16>, fan: usize, stride: usize) -> Vec<i16> {
+    if stride == fan {
+        return w;
+    }
+    let mut out = vec![0; w.len() / fan * stride];
+    for (dst, src) in out.chunks_exact_mut(stride).zip(w.chunks_exact(fan)) {
+        dst[..fan].copy_from_slice(src);
+    }
+    out
+}
+
+/// The input offset of each `(c, ky)` run of `k` consecutive inputs that
+/// output position `pos` (row-major) of a valid convolution reads, in the
+/// fan-in order `(c, ky, kx)` its weights are stored in. Both datapaths
+/// walk a conv fan-in through this one definition.
+fn conv_runs(
+    in_ch: usize,
+    k: usize,
+    in_h: usize,
+    in_w: usize,
+    pos: usize,
+) -> impl Iterator<Item = usize> {
+    let ow = in_w - k + 1;
+    let corner = pos / ow * in_w + pos % ow;
+    (0..in_ch).flat_map(move |c| (0..k).map(move |ky| c * in_h * in_w + ky * in_w + corner))
+}
+
+/// Fills `cols` (zeroed, one row of `stride` per output position) with
+/// each position's fan-in of a `(in_ch, k, in_h, in_w)` convolution over
+/// `x`, copied `(c, ky)` run by run.
+fn im2col(
+    x: &[i16],
+    cols: &mut [i16],
+    stride: usize,
+    (in_ch, k, in_h, in_w): (usize, usize, usize, usize),
+) {
+    for (pos, col) in cols.chunks_exact_mut(stride).enumerate() {
+        for (run, src) in col
+            .chunks_exact_mut(k)
+            .zip(conv_runs(in_ch, k, in_h, in_w, pos))
+        {
+            run.copy_from_slice(&x[src..src + k]);
+        }
+    }
+}
+
+/// Calls `f(ch, avg)` for every 2×2 pool window, channel by channel and
+/// row-major within a channel: `avg` is the window's signed average
+/// (truncating arithmetic shift, as the hardware adder tree plus wiring
+/// would produce), saturated to the `bits`-wide activation word.
+fn for_each_pool_avg(
+    x: &[i16],
+    in_h: usize,
+    in_w: usize,
+    bits: u32,
+    mut f: impl FnMut(usize, i16),
+) {
+    let max_mag = (1i32 << (bits - 1)) - 1;
+    for (ch, plane) in x.chunks_exact(in_h * in_w).enumerate() {
+        for rows in plane.chunks_exact(2 * in_w) {
+            let (top, bottom) = rows.split_at(in_w);
+            for (t, b) in top.chunks_exact(2).zip(bottom.chunks_exact(2)) {
+                let sum = [t[0], t[1], b[0], b[1]]
+                    .iter()
+                    .map(|&v| i32::from(v))
+                    .sum::<i32>();
+                f(ch, (sum >> 2).clamp(-max_mag, max_mag) as i16);
+            }
+        }
+    }
 }
 
 impl FixedNet {
@@ -374,10 +562,16 @@ impl FixedNet {
     /// [`crate::constrain::constrain_slice`] or use the full alphabet set
     /// for a conventional baseline).
     ///
+    /// The network may come from an untrusted artifact, so its shapes
+    /// are checked before anything is sized by them: the spec's word
+    /// length and format count, every layer's dimensions, weight and
+    /// bias counts, and that each layer's input length is the previous
+    /// layer's output length.
+    ///
     /// # Errors
     ///
-    /// Returns a [`CompileError`] on architecture or representability
-    /// violations.
+    /// Returns a [`CompileError`] on spec, geometry, architecture or
+    /// representability violations.
     pub fn compile(
         net: &Network,
         spec: &QuantSpec,
@@ -386,8 +580,13 @@ impl FixedNet {
         let param_layers = net
             .layers()
             .iter()
-            .filter(|l| weights_of(l).is_some())
+            .filter(|l| parts_of(l).is_some())
             .count();
+        if param_layers == 0 {
+            return Err(CompileError::UnsupportedArchitecture(
+                "the network has no parameterized layer".into(),
+            ));
+        }
         if alphabets.len() != param_layers {
             return Err(CompileError::LayerCountMismatch {
                 expected: param_layers,
@@ -395,17 +594,59 @@ impl FixedNet {
             });
         }
         let bits = spec.bits();
+        // The ASM quartet scheme is defined for 3- to 16-bit words.
+        if !(3..=16).contains(&bits) {
+            return Err(CompileError::InvalidSpec(format!(
+                "word length {bits} is outside 3..=16"
+            )));
+        }
+        if spec.layer_formats().len() != param_layers {
+            return Err(CompileError::InvalidSpec(format!(
+                "{} layer formats for {param_layers} parameterized layers",
+                spec.layer_formats().len()
+            )));
+        }
+        if let Some(f) = spec
+            .layer_formats()
+            .iter()
+            .find(|f| f.bits() != bits || f.frac() >= bits)
+        {
+            return Err(CompileError::InvalidSpec(format!(
+                "a {}-bit format with {} fraction bits does not fit {bits}-bit words",
+                f.bits(),
+                f.frac()
+            )));
+        }
         let mut layers = Vec::new();
+        let mut prev_out = None;
         let mut pi = 0usize; // parameterized-layer index
         let all = net.layers();
         let mut i = 0usize;
         while i < all.len() {
             let layer = &all[i];
-            if weights_of(layer).is_none() {
+            let Some((shape, weights, bias_f)) = parts_of(layer) else {
                 return Err(CompileError::UnsupportedArchitecture(format!(
                     "layer {i} is a bare activation; activations must follow a parameterized layer"
                 )));
+            };
+            let invalid = |reason: String| CompileError::InvalidGeometry { layer: i, reason };
+            let geometry = shape.geometry().map_err(invalid)?;
+            let want = shape.rows() * shape.fan_in();
+            if weights.len() != want || bias_f.len() != shape.rows() {
+                return Err(invalid(format!(
+                    "{} weights and {} biases where its shape needs {want} and {}",
+                    weights.len(),
+                    bias_f.len(),
+                    shape.rows()
+                )));
             }
+            if let Some(prev) = prev_out.filter(|&p| p != geometry.in_len) {
+                return Err(invalid(format!(
+                    "it reads {} inputs but the layer before yields {prev}",
+                    geometry.in_len
+                )));
+            }
+            prev_out = Some(geometry.out_len);
             // Determine the output stage: a following sigmoid, or logits if
             // this is the last layer.
             let output = match all.get(i + 1) {
@@ -445,35 +686,12 @@ impl FixedNet {
                 .expect("length verified against param_layers above")
                 .clone();
             let format = spec.layer_formats()[pi];
-            let (weights, bias_f) = match layer {
-                Layer::Dense(d) => (d.weights(), d.bias()),
-                Layer::Conv2d(c) => (c.weights(), c.bias()),
-                Layer::ScaledAvgPool(p) => (p.weights(), p.bias()),
-                Layer::Activation(_) => unreachable!(),
-            };
-            let mac = Self::compile_mac(weights, bias_f, bits, format, set, spec, pi, output)?;
-            layers.push(match layer {
-                Layer::Dense(d) => FixedLayer::Dense {
-                    in_dim: d.in_dim,
-                    out_dim: d.out_dim,
-                    mac,
-                },
-                Layer::Conv2d(c) => FixedLayer::Conv {
-                    in_ch: c.in_channels,
-                    out_ch: c.out_channels,
-                    k: c.kernel,
-                    in_h: c.in_h,
-                    in_w: c.in_w,
-                    gather: conv_gather(c.in_channels, c.kernel, c.in_h, c.in_w),
-                    mac,
-                },
-                Layer::ScaledAvgPool(p) => FixedLayer::Pool {
-                    channels: p.channels,
-                    in_h: p.in_h,
-                    in_w: p.in_w,
-                    mac,
-                },
-                Layer::Activation(_) => unreachable!(),
+            let mut mac = Self::compile_mac(weights, bias_f, bits, format, set, spec, pi, output)?;
+            mac.weights = pad_rows(mac.weights, shape.fan_in(), shape.stride());
+            layers.push(FixedLayer {
+                shape,
+                geometry,
+                mac,
             });
             pi += 1;
             i += 1;
@@ -562,49 +780,13 @@ impl FixedNet {
 
     /// Flat input length the network expects (pixels per image).
     pub fn input_len(&self) -> usize {
-        match &self.layers[0] {
-            FixedLayer::Dense { in_dim, .. } => *in_dim,
-            FixedLayer::Conv {
-                in_ch, in_h, in_w, ..
-            } => in_ch * in_h * in_w,
-            FixedLayer::Pool {
-                channels,
-                in_h,
-                in_w,
-                ..
-            } => channels * in_h * in_w,
-        }
+        self.layers[0].geometry.in_len
     }
 
     /// Multiply-accumulate operations per inference, per layer — the cycle
     /// model's input (4 MACs per cycle on the 4-lane unit).
     pub fn macs_per_layer(&self) -> Vec<u64> {
-        self.layers
-            .iter()
-            .map(|l| match l {
-                FixedLayer::Dense {
-                    in_dim, out_dim, ..
-                } => (in_dim * out_dim) as u64,
-                FixedLayer::Conv {
-                    in_ch,
-                    out_ch,
-                    k,
-                    in_h,
-                    in_w,
-                    ..
-                } => {
-                    let oh = in_h - k + 1;
-                    let ow = in_w - k + 1;
-                    (in_ch * out_ch * k * k * oh * ow) as u64
-                }
-                FixedLayer::Pool {
-                    channels,
-                    in_h,
-                    in_w,
-                    ..
-                } => ((channels * in_h * in_w) / 4) as u64,
-            })
-            .collect()
+        self.layers.iter().map(|l| l.geometry.macs as u64).collect()
     }
 
     /// Multiply-accumulate operations one whole inference costs (the
@@ -619,22 +801,7 @@ impl FixedNet {
     pub fn neurons_per_layer(&self) -> Vec<u64> {
         self.layers
             .iter()
-            .map(|l| match l {
-                FixedLayer::Dense { out_dim, .. } => *out_dim as u64,
-                FixedLayer::Conv {
-                    out_ch,
-                    k,
-                    in_h,
-                    in_w,
-                    ..
-                } => (out_ch * (in_h - k + 1) * (in_w - k + 1)) as u64,
-                FixedLayer::Pool {
-                    channels,
-                    in_h,
-                    in_w,
-                    ..
-                } => ((channels * in_h * in_w) / 4) as u64,
-            })
+            .map(|l| l.geometry.neurons as u64)
             .collect()
     }
 
@@ -680,7 +847,7 @@ impl FixedNet {
         let mut logits = Vec::new();
         for (li, layer) in self.layers.iter().enumerate() {
             let accs = layer_accs(li, layer, &x);
-            let mac = layer.mac();
+            let mac = &layer.mac;
             let acc_frac = self.act_frac + mac.w_format.frac();
             match mac.output {
                 OutputStage::Sigmoid => {
@@ -706,49 +873,40 @@ impl FixedNet {
 
     /// One layer through the exact-integer datapath.
     fn exact_layer(&self, layer: &FixedLayer, x: &[i16]) -> Vec<i64> {
-        let mac = layer.mac();
-        match layer {
-            FixedLayer::Dense {
-                in_dim, out_dim, ..
-            } => (0..*out_dim)
+        let mac = &layer.mac;
+        match layer.shape {
+            Shape::Dense { in_dim, out_dim } => (0..out_dim)
                 .map(|o| mac.bias[o] + mac.dot(o * in_dim, x))
                 .collect(),
-            FixedLayer::Conv {
+            Shape::Conv {
                 in_ch,
                 out_ch,
                 k,
                 in_h,
                 in_w,
-                gather,
-                ..
             } => {
+                // Every output position's fan-in, in one zero-padded row
+                // per position shared by all output channels.
+                let stride = layer.shape.stride();
                 let positions = (in_h - k + 1) * (in_w - k + 1);
-                let fan = in_ch * k * k;
-                // Every output position's fan-in, gathered once and
-                // shared by all output channels.
-                let cols: Vec<i16> = gather.iter().map(|&i| x[i as usize]).collect();
-                (0..out_ch * positions)
-                    .map(|o| {
-                        let (oc, pos) = (o / positions, o % positions);
-                        mac.bias[oc] + mac.dot(oc * fan, &cols[pos * fan..(pos + 1) * fan])
-                    })
-                    .collect()
+                let mut cols = vec![0i16; positions * stride];
+                im2col(x, &mut cols, stride, (in_ch, k, in_h, in_w));
+                let mut accs = Vec::with_capacity(out_ch * positions);
+                for oc in 0..out_ch {
+                    let bias = mac.bias[oc];
+                    accs.extend(
+                        cols.chunks_exact(stride)
+                            .map(|col| bias + mac.dot(oc * stride, col)),
+                    );
+                }
+                accs
             }
-            FixedLayer::Pool {
-                channels,
-                in_h,
-                in_w,
-                ..
-            } => {
-                let (oh, ow) = (in_h / 2, in_w / 2);
-                let max_mag = (1i64 << (self.bits - 1)) - 1;
-                (0..channels * oh * ow)
-                    .map(|o| {
-                        let (ch, oy, ox) = (o / (oh * ow), (o % (oh * ow)) / ow, o % ow);
-                        let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                        mac.bias[ch] + mac.dot(ch, &[pool_avg(x, base, *in_w, max_mag)])
-                    })
-                    .collect()
+            Shape::Pool { in_h, in_w, .. } => {
+                let mut accs = Vec::with_capacity(x.len() / 4);
+                for_each_pool_avg(x, in_h, in_w, self.bits, |ch, avg| {
+                    accs.push(mac.bias[ch] + i64::from(mac.weights[ch]) * i64::from(avg));
+                });
+                accs
             }
         }
     }
@@ -765,20 +923,18 @@ impl FixedNet {
         x: &[i16],
         mut trace: Option<&mut LayerTrace>,
     ) -> Vec<i64> {
-        let mac = layer.mac();
+        let mac = &layer.mac;
         let width = mac.asm.alphabet().len();
         let bank_of = |v: i16| mac.asm.precompute(u32::from(v.unsigned_abs()));
-        let banks: Vec<u64> = match layer {
-            FixedLayer::Pool { .. } => Vec::new(),
+        let banks: Vec<u64> = match layer.shape {
+            Shape::Pool { .. } => Vec::new(),
             _ => x.iter().flat_map(|&v| bank_of(v)).collect(),
         };
         let bank = |i: usize| &banks[i * width..(i + 1) * width];
         let mut accs = Vec::new();
-        match layer {
-            FixedLayer::Dense {
-                in_dim, out_dim, ..
-            } => {
-                for o in 0..*out_dim {
+        match layer.shape {
+            Shape::Dense { in_dim, out_dim } => {
+                for o in 0..out_dim {
                     let mut acc = mac.bias[o];
                     for (i, &xi) in x.iter().enumerate() {
                         mac.asm_step(&mut acc, o * in_dim + i, xi, bank(i), &mut trace);
@@ -786,43 +942,34 @@ impl FixedNet {
                     accs.push(acc);
                 }
             }
-            FixedLayer::Conv {
+            Shape::Conv {
                 in_ch,
                 out_ch,
                 k,
                 in_h,
                 in_w,
-                gather,
-                ..
             } => {
+                let stride = layer.shape.stride();
                 let positions = (in_h - k + 1) * (in_w - k + 1);
-                let fan = in_ch * k * k;
-                for o in 0..out_ch * positions {
-                    let (oc, pos) = (o / positions, o % positions);
-                    let mut acc = mac.bias[oc];
-                    for (j, &xi) in gather[pos * fan..(pos + 1) * fan].iter().enumerate() {
-                        let xi = xi as usize;
-                        mac.asm_step(&mut acc, oc * fan + j, x[xi], bank(xi), &mut trace);
+                for oc in 0..out_ch {
+                    for pos in 0..positions {
+                        let mut acc = mac.bias[oc];
+                        for (run, src) in conv_runs(in_ch, k, in_h, in_w, pos).enumerate() {
+                            for kx in 0..k {
+                                let (wi, xi) = (oc * stride + run * k + kx, src + kx);
+                                mac.asm_step(&mut acc, wi, x[xi], bank(xi), &mut trace);
+                            }
+                        }
+                        accs.push(acc);
                     }
-                    accs.push(acc);
                 }
             }
-            FixedLayer::Pool {
-                channels,
-                in_h,
-                in_w,
-                ..
-            } => {
-                let (oh, ow) = (in_h / 2, in_w / 2);
-                let max_mag = (1i64 << (self.bits - 1)) - 1;
-                for o in 0..channels * oh * ow {
-                    let (ch, oy, ox) = (o / (oh * ow), (o % (oh * ow)) / ow, o % ow);
-                    let base = ch * in_h * in_w + 2 * oy * in_w + 2 * ox;
-                    let avg = pool_avg(x, base, *in_w, max_mag);
+            Shape::Pool { in_h, in_w, .. } => {
+                for_each_pool_avg(x, in_h, in_w, self.bits, |ch, avg| {
                     let mut acc = mac.bias[ch];
                     mac.asm_step(&mut acc, ch, avg, &bank_of(avg), &mut trace);
                     accs.push(acc);
-                }
+                });
             }
         }
         accs
@@ -1187,6 +1334,49 @@ mod tests {
         }
     }
 
+    /// A convolution's fixed-point logits are its float outputs at the
+    /// accumulator fraction, up to 16-bit rounding — which pins the
+    /// `(c, ky, kx)` fan-in order both datapaths share.
+    #[test]
+    fn conv_logits_track_the_float_convolution() {
+        use man_nn::layers::Conv2d;
+        let mut rng = SmallRng::seed_from_u64(17);
+        let net = Network::new(vec![Layer::Conv2d(Conv2d::new(2, 3, 3, 6, 8, &mut rng))]);
+        let spec = QuantSpec::fit(&net, 16);
+        let fixed =
+            FixedNet::compile(&net, &spec, &LayerAlphabets::uniform(AlphabetSet::a8(), 1)).unwrap();
+        let x: Vec<f32> = (0..2 * 6 * 8)
+            .map(|i| (i * 37 % 101) as f32 / 101.0)
+            .collect();
+        let scale = (1u64 << (fixed.act_frac + spec.layer_formats()[0].frac())) as f64;
+        let want = net.infer(&x);
+        let got = &fixed.run(&[&x], ShardPlan::Sequential)[0];
+        assert_eq!(got.len(), 3 * 4 * 6);
+        for (g, w) in got.iter().zip(&want) {
+            assert!(
+                (*g as f64 / scale - f64::from(*w)).abs() < 1e-3,
+                "{g} vs {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn compile_rejects_layers_that_do_not_chain() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let net = Network::new(vec![
+            Layer::Dense(Dense::new(16, 8, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+            Layer::Dense(Dense::new(9, 3, &mut rng)),
+        ]);
+        let spec = QuantSpec::fit(&net, 8);
+        let alphabets = LayerAlphabets::uniform(AlphabetSet::a8(), 2);
+        let err = FixedNet::compile(&net, &spec, &alphabets).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "layer 2 has an invalid geometry: it reads 9 inputs but the layer before yields 8"
+        );
+    }
+
     /// A one-layer logits network with every weight and bias set by
     /// hand under an explicit weight format.
     fn hand_set_net(bits: u32, w_frac: u32, weights: &[f32]) -> (FixedNet, QuantSpec) {
@@ -1213,7 +1403,7 @@ mod tests {
         for bits in [4u32, 8, 12, 16] {
             let (fixed, _) = hand_set_net(bits, bits - 1, &[-1.0, 0.5]);
             let max_mag = (1i64 << (bits - 1)) - 1;
-            let w = &fixed.layers[0].mac().weights;
+            let w = &fixed.layers[0].mac.weights;
             assert_eq!(i64::from(w[0]), -max_mag, "bits={bits}");
             let x = [0.75f32, 1.0];
             let xq: Vec<i64> = fixed
@@ -1239,7 +1429,7 @@ mod tests {
         let bits = 16;
         let w_max = 32_767.0 / 32_768.0;
         let (fixed, _) = hand_set_net(bits, bits - 1, &[w_max; 9]);
-        let mac = fixed.layers[0].mac();
+        let mac = &fixed.layers[0].mac;
         assert_eq!(mac.chunk, 2);
         assert!(mac.chunk < mac.weights.len());
         let x = vec![1.0f32; 9];

@@ -6,6 +6,7 @@ use man_repro::man::alphabet::AlphabetSet;
 use man_repro::man::asm::AsmMultiplier;
 use man_repro::man::fixed::{CompileError, FixedNet, LayerAlphabets, QuantSpec};
 use man_repro::man::train::MethodologyConfig;
+use man_repro::man::zoo::Benchmark;
 use man_repro::man_hw::cell::CellLibrary;
 use man_repro::man_hw::synth::synthesize_adder;
 use man_repro::man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
@@ -267,4 +268,115 @@ fn extreme_inputs_saturate_gracefully() {
         }
         other => panic!("expected ManError::Shape, got {other:?}"),
     }
+}
+
+/// A zoo model's artifact at its default word length under the full
+/// alphabet (which needs no training to compile).
+fn zoo_artifact(bench: Benchmark) -> String {
+    Pipeline::for_benchmark(bench)
+        .with_bits(bench.default_bits())
+        .with_alphabets(vec![AlphabetSet::a8()])
+        .constrain()
+        .expect("projection-only pipeline")
+        .compile()
+        .expect("untampered model compiles")
+        .to_json()
+        .expect("serializes")
+}
+
+/// Loading `json` with the first `from` replaced by `to` fails with a
+/// compile error (no panic, no abort), which is returned.
+fn tampered_load_error(json: &str, from: &str, to: &str) -> CompileError {
+    let tampered = json.replacen(from, to, 1);
+    assert_ne!(tampered, json, "the tamper of {from} must hit");
+    match CompiledModel::from_json(&tampered) {
+        Err(ManError::Compile(e)) => e,
+        Err(other) => panic!("{from} → {to}: expected a compile error, got {other}"),
+        Ok(_) => panic!("{from} → {to}: the tampered artifact loaded"),
+    }
+}
+
+fn assert_geometry_error(e: &CompileError, layer: usize, needle: &str) {
+    match e {
+        CompileError::InvalidGeometry { layer: l, reason } => {
+            assert_eq!(*l, layer, "{e}");
+            assert!(reason.contains(needle), "{e}");
+        }
+        other => panic!("expected an invalid geometry, got {other}"),
+    }
+}
+
+#[test]
+fn tampered_dense_input_width_is_a_compile_error() {
+    let json = zoo_artifact(Benchmark::DigitsMlp);
+    let e = tampered_load_error(&json, "\"in_dim\":1024", "\"in_dim\":2000");
+    assert_geometry_error(&e, 0, "102400 weights");
+}
+
+#[test]
+fn tampered_dense_output_width_is_a_compile_error() {
+    let json = zoo_artifact(Benchmark::DigitsMlp);
+    let e = tampered_load_error(&json, "\"out_dim\":100", "\"out_dim\":50");
+    assert_geometry_error(&e, 0, "where its shape needs 51200");
+}
+
+#[test]
+fn truncated_layer_formats_are_a_compile_error() {
+    let json = zoo_artifact(Benchmark::DigitsMlp);
+    let list = "\"layer_formats\":[";
+    let start = json.find(list).expect("spec present") + list.len();
+    let first = json[start..].find('}').expect("a format") + start + 1;
+    let end = json[start..].find(']').expect("list end") + start;
+    let full = &json[start..end];
+    let e = tampered_load_error(&json, full, &json[start..first]);
+    assert!(matches!(e, CompileError::InvalidSpec(_)), "{e}");
+    assert!(e.to_string().contains("1 layer formats for 2"), "{e}");
+}
+
+#[test]
+fn kernel_larger_than_its_input_is_a_compile_error() {
+    let json = zoo_artifact(Benchmark::DigitsCnn);
+    let e = tampered_load_error(&json, "\"kernel\":5", "\"kernel\":40");
+    assert_geometry_error(&e, 0, "kernel 40 does not fit a 32×32 input");
+}
+
+#[test]
+fn zero_kernel_is_a_compile_error() {
+    let json = zoo_artifact(Benchmark::DigitsCnn);
+    let e = tampered_load_error(&json, "\"kernel\":5", "\"kernel\":0");
+    assert_geometry_error(&e, 0, "kernel 0");
+}
+
+#[test]
+fn odd_pool_input_is_a_compile_error() {
+    let json = zoo_artifact(Benchmark::DigitsCnn);
+    let e = tampered_load_error(&json, "\"in_h\":28", "\"in_h\":27");
+    assert_geometry_error(&e, 1, "even sides");
+}
+
+#[test]
+fn tampered_word_length_and_formats_are_compile_errors() {
+    let json = zoo_artifact(Benchmark::DigitsMlp);
+    // Every `bits` field agrees, so only compile stands between a 40-bit
+    // word and the quartet scheme's 16-bit limit.
+    match CompiledModel::from_json(&json.replace("\"bits\":8", "\"bits\":40")) {
+        Err(ManError::Compile(CompileError::InvalidSpec(msg))) => {
+            assert!(msg.contains("word length 40"), "{msg}");
+        }
+        other => panic!("expected an invalid spec, got {:?}", other.err()),
+    }
+    let e = tampered_load_error(&json, "\"frac\":7}", "\"frac\":9}");
+    assert!(matches!(e, CompileError::InvalidSpec(_)), "{e}");
+}
+
+#[test]
+fn empty_network_is_a_compile_error() {
+    let net: Network = serde_json::from_str(r#"{"layers":[]}"#).expect("parses");
+    let spec = QuantSpec::fit(&net, 8);
+    let err =
+        FixedNet::compile(&net, &spec, &LayerAlphabets::uniform(AlphabetSet::a1(), 0)).unwrap_err();
+    assert!(
+        matches!(err, CompileError::UnsupportedArchitecture(_)),
+        "{err}"
+    );
 }
