@@ -27,7 +27,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    pub fn new(lint: &str, file: &str, line: usize, message: String) -> Self {
+    pub(crate) fn new(lint: &str, file: &str, line: usize, message: String) -> Self {
         Self {
             lint: lint.to_string(),
             file: file.to_string(),

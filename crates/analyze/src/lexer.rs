@@ -24,7 +24,7 @@
 /// What a token is. Comments are tokens too — the annotation lints
 /// (`// SAFETY:`, `// ORDERING:`, `// DETERMINISM:`) read them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// A plain identifier or keyword (`fn`, `unsafe`, `HashMap`, ...).
     Ident,
     /// A raw identifier (`r#fn`); `text` holds the part after `r#`.
@@ -58,31 +58,31 @@ pub enum TokenKind {
 
 /// One lexed token with its anchor position.
 #[derive(Clone, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// Classification.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// 1-based line of the token's first character.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column (in chars) of the token's first character.
-    pub col: usize,
+    pub(crate) col: usize,
     /// The token text (see the kind docs for what is included).
-    pub text: String,
+    pub(crate) text: String,
 }
 
 impl Token {
     /// `true` for the comment kinds.
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
 
     /// `true` when this is punctuation `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.as_bytes().first() == Some(&(c as u8))
     }
 
     /// `true` when this is an identifier with exactly this text (raw
     /// identifiers compare by their unprefixed name).
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         matches!(self.kind, TokenKind::Ident | TokenKind::RawIdent) && self.text == s
     }
 }
@@ -146,7 +146,7 @@ fn is_ident_continue(c: char) -> bool {
 /// included). The lexer never fails: unterminated literals are closed at
 /// end of file, and any byte it cannot classify becomes punctuation —
 /// a linter must keep going where a compiler would stop.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
     let mut out = Vec::new();
     while let Some(c) = cur.peek(0) {

@@ -24,9 +24,9 @@
 //! require a baseline refresh (`analyze --write-baseline`).
 
 pub mod findings;
-pub mod lexer;
+mod lexer;
 pub mod lints;
-pub mod model;
+mod model;
 
 use findings::Finding;
 use model::SourceFile;
@@ -37,13 +37,13 @@ use std::path::{Path, PathBuf};
 pub struct Config {
     /// Files where the determinism lints apply (bit-identity-critical
     /// modules per DESIGN.md §8/§10).
-    pub determinism_scope: Vec<&'static str>,
+    pub(crate) determinism_scope: Vec<&'static str>,
     /// Files allowed to carry a scoped `#[allow(unsafe_code)]` (each
     /// must still justify every `unsafe` with `// SAFETY:`).
-    pub allow_unsafe_files: Vec<&'static str>,
+    pub(crate) allow_unsafe_files: Vec<&'static str>,
     /// The blessed env-read sites: `(file, callee ident)` — the
     /// `MAN_OBS` level seeding may read the environment.
-    pub env_read_allowed: Vec<(&'static str, &'static str)>,
+    pub(crate) env_read_allowed: Vec<(&'static str, &'static str)>,
 }
 
 impl Default for Config {
@@ -84,7 +84,6 @@ impl Default for Config {
 
 /// A parsed workspace: every non-vendor source file, lexed and modeled.
 pub struct Workspace {
-    pub root: PathBuf,
     pub files: Vec<SourceFile>,
 }
 
@@ -126,10 +125,7 @@ impl Workspace {
                 .replace('\\', "/");
             files.push(SourceFile::parse(rel, &text));
         }
-        Ok(Self {
-            root: root.to_path_buf(),
-            files,
-        })
+        Ok(Self { files })
     }
 
     /// Builds a workspace directly from `(rel_path, source)` pairs —
@@ -137,7 +133,6 @@ impl Workspace {
     /// the filesystem layout.
     pub fn from_sources(sources: &[(&str, &str)]) -> Self {
         Self {
-            root: PathBuf::new(),
             files: sources
                 .iter()
                 .map(|(rel, text)| SourceFile::parse(rel.to_string(), text))

@@ -16,7 +16,7 @@
 use crate::findings::Finding;
 use crate::{Config, Workspace};
 
-pub const LINT: &str = "atomics";
+pub(crate) const LINT: &str = "atomics";
 
 pub fn run(ws: &Workspace, _config: &Config) -> Vec<Finding> {
     let mut out = Vec::new();

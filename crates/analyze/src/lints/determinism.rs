@@ -23,7 +23,7 @@ use crate::findings::Finding;
 use crate::lexer::TokenKind;
 use crate::{Config, Workspace};
 
-pub const LINT: &str = "determinism";
+pub(crate) const LINT: &str = "determinism";
 
 const MARKER: &[&str] = &["DETERMINISM:"];
 

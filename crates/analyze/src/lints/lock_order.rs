@@ -42,7 +42,7 @@ use crate::model::SourceFile;
 use crate::{Config, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
 
-pub const LINT: &str = "lock-order";
+pub(crate) const LINT: &str = "lock-order";
 
 /// Method names that are never resolved to workspace functions.
 /// `wait` collides with `Condvar::wait(guard)`; the rest are std-trait

@@ -16,7 +16,7 @@
 use crate::findings::Finding;
 use crate::{Config, Workspace};
 
-pub const LINT: &str = "unsafe";
+pub(crate) const LINT: &str = "unsafe";
 
 pub fn run(ws: &Workspace, config: &Config) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -22,7 +22,7 @@ use crate::lexer::{lex, Token, TokenKind};
 
 /// Classification of a single source line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LineKind {
+pub(crate) enum LineKind {
     /// Nothing but whitespace.
     Blank,
     /// Only comment content (including interior lines of a block
@@ -37,28 +37,28 @@ pub enum LineKind {
 
 /// A function found by the brace tracker.
 #[derive(Clone, Debug)]
-pub struct FnSpan {
+pub(crate) struct FnSpan {
     /// The declared name (raw idents unprefixed).
-    pub name: String,
+    pub(crate) name: String,
     /// 1-based line of the `fn` keyword.
-    pub decl_line: usize,
+    pub(crate) decl_line: usize,
     /// Token index of the `fn` keyword.
-    pub sig_start_tok: usize,
+    pub(crate) sig_start_tok: usize,
     /// Token index of the `{` opening the body (== `sig_end`), or the
     /// token count when the fn has no body (trait method ending in `;`).
-    pub body_open_tok: usize,
+    pub(crate) body_open_tok: usize,
     /// Token index of the matching `}` (exclusive bound for body
     /// tokens); equals `body_open_tok` when there is no body.
-    pub body_close_tok: usize,
+    pub(crate) body_close_tok: usize,
     /// 1-based line range of the body, inclusive.
-    pub body_lines: (usize, usize),
+    pub(crate) body_lines: (usize, usize),
     /// Whether this fn sits inside `#[cfg(test)]` / is `#[test]`.
-    pub is_test: bool,
+    pub(crate) is_test: bool,
 }
 
 impl FnSpan {
     /// Whether this function has a body containing `line`.
-    pub fn body_contains(&self, line: usize) -> bool {
+    pub(crate) fn body_contains(&self, line: usize) -> bool {
         self.body_open_tok < self.body_close_tok
             && line >= self.body_lines.0
             && line <= self.body_lines.1
@@ -68,29 +68,26 @@ impl FnSpan {
 /// A lexed + structured source file.
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
-    pub rel_path: String,
-    /// The raw lines (for error excerpts).
-    pub lines: Vec<String>,
+    pub(crate) rel_path: String,
     /// The full token stream, comments included.
-    pub tokens: Vec<Token>,
+    pub(crate) tokens: Vec<Token>,
     /// Per-line classification, index 0 == line 1.
-    pub line_kinds: Vec<LineKind>,
+    pub(crate) line_kinds: Vec<LineKind>,
     /// Functions in declaration order.
-    pub fns: Vec<FnSpan>,
+    pub(crate) fns: Vec<FnSpan>,
     /// Line ranges (inclusive) of `#[cfg(test)] mod` bodies.
-    pub test_ranges: Vec<(usize, usize)>,
+    pub(crate) test_ranges: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
     /// Lexes and structures one file.
-    pub fn parse(rel_path: String, text: &str) -> Self {
+    pub(crate) fn parse(rel_path: String, text: &str) -> Self {
         let tokens = lex(text);
         let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
         let line_kinds = classify_lines(&lines, &tokens);
         let (fns, test_ranges) = find_fns(&tokens);
         Self {
             rel_path,
-            lines,
             tokens,
             line_kinds,
             fns,
@@ -101,7 +98,7 @@ impl SourceFile {
     /// The crate this file belongs to, derived from its workspace
     /// path: `crates/<dir>/src/...` → the dir name, `src/...` → the
     /// facade crate.
-    pub fn crate_name(&self) -> &str {
+    pub(crate) fn crate_name(&self) -> &str {
         let mut parts = self.rel_path.split('/');
         match parts.next() {
             Some("crates") => parts.next().unwrap_or("unknown"),
@@ -112,7 +109,7 @@ impl SourceFile {
 
     /// Whether `line` falls inside test code (a `#[cfg(test)]` module
     /// or a `#[test]` function).
-    pub fn in_test_code(&self, line: usize) -> bool {
+    pub(crate) fn in_test_code(&self, line: usize) -> bool {
         self.test_ranges
             .iter()
             .any(|&(lo, hi)| line >= lo && line <= hi)
@@ -120,7 +117,7 @@ impl SourceFile {
     }
 
     /// The innermost function whose body contains `line`.
-    pub fn enclosing_fn(&self, line: usize) -> Option<&FnSpan> {
+    pub(crate) fn enclosing_fn(&self, line: usize) -> Option<&FnSpan> {
         self.fns
             .iter()
             .filter(|f| f.body_contains(line))
@@ -162,7 +159,7 @@ impl SourceFile {
     /// the head of the enclosing function (its decl line, the block
     /// above it, or a `# Safety`-style doc section — doc comments are
     /// comment tokens too).
-    pub fn has_marker(&self, line: usize, markers: &[&str]) -> bool {
+    pub(crate) fn has_marker(&self, line: usize, markers: &[&str]) -> bool {
         let hit = |text: &str| markers.iter().any(|m| text.contains(m));
         if hit(&self.comment_text_on(line)) || hit(&self.block_above(line)) {
             return true;
@@ -176,7 +173,7 @@ impl SourceFile {
     }
 
     /// Iterator over non-comment tokens with their indices.
-    pub fn code_tokens(&self) -> impl Iterator<Item = (usize, &Token)> {
+    pub(crate) fn code_tokens(&self) -> impl Iterator<Item = (usize, &Token)> {
         self.tokens
             .iter()
             .enumerate()

@@ -88,7 +88,7 @@ pub fn parallelism_from_args() -> Parallelism {
 
 /// The alphabet sweep of the paper's tables, largest first (as Tables II
 /// and III list them): `{1,3,5,7}`, `{1,3}`, `{1}`.
-pub fn table_alphabets() -> Vec<AlphabetSet> {
+pub(crate) fn table_alphabets() -> Vec<AlphabetSet> {
     vec![AlphabetSet::a4(), AlphabetSet::a2(), AlphabetSet::a1()]
 }
 
@@ -110,11 +110,11 @@ pub fn apply_mode(cfg: &mut MethodologyConfig, mode: RunMode, benchmark: Benchma
 #[derive(Clone, Debug, Serialize)]
 pub struct AccuracyRow {
     /// Configuration (e.g. "conventional NN" or "2 {1,3}").
-    pub config: String,
+    pub(crate) config: String,
     /// Test accuracy in percent.
     pub accuracy_pct: f64,
     /// Accuracy loss vs. the conventional NN, percentage points.
-    pub loss_pct: f64,
+    pub(crate) loss_pct: f64,
 }
 
 /// A full accuracy experiment on one benchmark at one word length.
@@ -123,16 +123,16 @@ pub struct AccuracyExperiment {
     /// Benchmark name.
     pub benchmark: String,
     /// Word length.
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Float accuracy after unconstrained training (for reference).
-    pub float_pct: f64,
+    pub(crate) float_pct: f64,
     /// Rows: conventional first, then each alphabet set.
     pub rows: Vec<AccuracyRow>,
 }
 
 /// Trains the benchmark once (pipeline baseline stage), measures the
 /// conventional fixed-point accuracy `J`, then constrained-retrains and
-/// measures each alphabet set in [`table_alphabets`] order — the
+/// measures each alphabet set in `table_alphabets` order — the
 /// procedure behind Tables II/III and Fig. 7.
 ///
 /// The alphabet-set retrains are independent restarts from the same
@@ -210,11 +210,11 @@ pub fn print_accuracy_table(exp: &AccuracyExperiment) {
 #[derive(Clone, Debug, Serialize)]
 pub struct CostExperiment {
     /// Benchmark name.
-    pub benchmark: String,
+    pub(crate) benchmark: String,
     /// Word length.
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Conventional first, then each alphabet set (Tables order).
-    pub reports: Vec<CostReport>,
+    pub(crate) reports: Vec<CostReport>,
 }
 
 /// Runs the engine cost model on a benchmark: trains briefly, projects

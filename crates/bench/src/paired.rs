@@ -31,7 +31,7 @@ pub const PAIRS: usize = 3;
 #[derive(Debug, Deserialize)]
 pub struct Spec {
     /// The command that runs the benchmark, from a checkout's root.
-    pub command: Vec<String>,
+    pub(crate) command: Vec<String>,
     /// Measured seconds of one run.
     pub run_seconds: f64,
     /// The workloads, in run order.
@@ -51,11 +51,11 @@ pub struct WorkloadSpec {
 #[derive(Debug, Deserialize)]
 pub struct MetricSpec {
     /// Metric name in the result line.
-    pub name: String,
+    pub(crate) name: String,
     /// `"lower"` or `"higher"`.
-    pub better: String,
+    pub(crate) better: String,
     /// Largest tolerated relative worsening of the median (0.1 = 10%).
-    pub bound: f64,
+    pub(crate) bound: f64,
 }
 
 impl Spec {
@@ -84,7 +84,7 @@ impl Spec {
     }
 
     /// The arguments appended to `command` for one untraced run.
-    pub fn run_args(&self, workload: &str) -> Vec<String> {
+    pub(crate) fn run_args(&self, workload: &str) -> Vec<String> {
         let seconds = self.run_seconds;
         format!("--workload {workload} --seed 1 --seconds {seconds} --trace 0")
             .split_whitespace()
@@ -97,13 +97,13 @@ impl Spec {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Every op's answer checked out and every metric was measured.
-    pub correct: bool,
+    pub(crate) correct: bool,
     /// Ops attempted.
-    pub attempted: u64,
+    pub(crate) attempted: u64,
     /// Ops whose answer or call failed.
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Measured metric values by name.
-    pub metrics: BTreeMap<String, f64>,
+    pub(crate) metrics: BTreeMap<String, f64>,
 }
 
 #[derive(Deserialize)]
@@ -119,7 +119,7 @@ impl RunResult {
     /// Parses the last line of a run's standard output; `None` when it
     /// is not a result object. A negative value is the benchmark's mark
     /// for a metric it could not measure, and is left out.
-    pub fn parse(stdout: &str) -> Option<RunResult> {
+    pub(crate) fn parse(stdout: &str) -> Option<RunResult> {
         let line: Line = serde_json::from_str(stdout.lines().last()?).ok()?;
         let mut metrics = BTreeMap::new();
         for (name, metric) in line.metrics.as_object()? {
@@ -286,7 +286,7 @@ pub fn judge(
 
 /// One run of `workload` from the checkout at `root`; `None` when the
 /// run exits unsuccessfully or prints no result line.
-pub fn run_once(spec: &Spec, root: &Path, workload: &str) -> Option<RunResult> {
+pub(crate) fn run_once(spec: &Spec, root: &Path, workload: &str) -> Option<RunResult> {
     let out = Command::new(&spec.command[0])
         .args(&spec.command[1..])
         .args(spec.run_args(workload))

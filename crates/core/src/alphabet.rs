@@ -83,24 +83,14 @@ impl AlphabetSet {
     }
 
     /// Number of alphabets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Never true (construction requires 1).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// `true` if this is the MAN set `{1}`.
-    pub fn is_man(&self) -> bool {
-        self.members == [1]
     }
 
     /// The `(alphabet index, shift)` pair generating quartet value `v`
     /// within a `width`-bit quartet, or `None` if unsupported.
     /// `v = 0` is always supported (zero term).
-    pub fn controls(&self, v: u32, width: u32) -> Option<(usize, u32)> {
+    pub(crate) fn controls(&self, v: u32, width: u32) -> Option<(usize, u32)> {
         debug_assert!(width <= 4 && v < (1 << width));
         if v == 0 {
             return Some((0, 0));
@@ -204,7 +194,5 @@ mod tests {
     fn labels_match_paper_tables() {
         assert_eq!(AlphabetSet::a2().label(), "2 {1,3}");
         assert_eq!(AlphabetSet::a1().label(), "1 {1}");
-        assert!(AlphabetSet::a1().is_man());
-        assert!(!AlphabetSet::a2().is_man());
     }
 }

@@ -21,7 +21,7 @@ pub struct UnsupportedQuartetError {
     /// Which quartet (0 = LSB).
     pub index: usize,
     /// The full weight magnitude.
-    pub magnitude: u32,
+    pub(crate) magnitude: u32,
 }
 
 impl fmt::Display for UnsupportedQuartetError {
@@ -73,11 +73,6 @@ impl AsmMultiplier {
             scheme: QuartetScheme::for_bits(bits),
             alphabet,
         }
-    }
-
-    /// The quartet layout.
-    pub fn scheme(&self) -> &QuartetScheme {
-        &self.scheme
     }
 
     /// The alphabet set.
@@ -152,21 +147,6 @@ impl AsmMultiplier {
         }
         acc
     }
-
-    /// Signed multiply of two's-complement raws (sign-magnitude datapath,
-    /// as in hardware).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnsupportedQuartetError`] for unconstrained weights.
-    pub fn multiply_signed(&self, w_raw: i32, x_raw: i32) -> Result<i64, UnsupportedQuartetError> {
-        let bits = self.scheme.bits();
-        let (w_neg, w_mag) = man_fixed::bits::sign_magnitude(w_raw, bits);
-        let (x_neg, x_mag) = man_fixed::bits::sign_magnitude(x_raw, bits);
-        let bank = self.precompute(x_mag);
-        let mag = self.multiply(w_mag, &bank)?;
-        Ok(man_fixed::bits::apply_sign(mag, w_neg ^ x_neg))
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +154,7 @@ mod tests {
     use super::*;
 
     fn supported_mags(asm: &AsmMultiplier) -> Vec<u32> {
-        (0..=asm.scheme().max_magnitude())
+        (0..=asm.scheme.max_magnitude())
             .filter(|&m| asm.decode(m).is_ok())
             .collect()
     }
@@ -235,14 +215,6 @@ mod tests {
         let asm1 = AsmMultiplier::new(8, AlphabetSet::a1());
         let bank1 = asm1.precompute(33);
         assert_eq!(asm1.multiply(66, &bank1).unwrap(), 66 * 33);
-    }
-
-    #[test]
-    fn signed_multiplication_handles_all_sign_combinations() {
-        let asm = AsmMultiplier::new(8, AlphabetSet::a2());
-        for (w, x) in [(48i32, 65i32), (-48, 65), (48, -65), (-48, -65), (0, -5)] {
-            assert_eq!(asm.multiply_signed(w, x).unwrap(), w as i64 * x as i64);
-        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ pub fn project_greedy(bits: u32, alphabet: &AlphabetSet, mag: u32) -> u32 {
 /// Projecting a weight is then one quantization
 /// ([`QFormat::quantize`]) and one lookup.
 #[derive(Clone, Debug)]
-pub struct ProjectionTable {
+pub(crate) struct ProjectionTable {
     format: QFormat,
     projected: Vec<f32>,
 }
@@ -184,7 +184,7 @@ impl ProjectionTable {
     /// # Panics
     ///
     /// Panics if `format` and `lattice` differ in word length.
-    pub fn new(format: QFormat, lattice: &WeightLattice) -> Self {
+    pub(crate) fn new(format: QFormat, lattice: &WeightLattice) -> Self {
         assert_eq!(format.bits(), lattice.bits, "format/lattice word length");
         let projected = (format.min_raw()..=format.max_raw())
             .map(|raw| {
@@ -199,13 +199,13 @@ impl ProjectionTable {
 
     /// Projects one float weight.
     #[inline]
-    pub fn project(&self, v: f32) -> f32 {
+    pub(crate) fn project(&self, v: f32) -> f32 {
         let raw = self.format.quantize(v as f64).raw();
         self.projected[(raw - self.format.min_raw()) as usize]
     }
 
     /// Projects every value of a tensor in place.
-    pub fn apply(&self, values: &mut [f32]) {
+    pub(crate) fn apply(&self, values: &mut [f32]) {
         for v in values.iter_mut() {
             *v = self.project(*v);
         }
@@ -215,7 +215,7 @@ impl ProjectionTable {
 /// Projects a trained float weight tensor onto the constrained fixed-point
 /// lattice: quantize into `format`, split sign/magnitude, project the
 /// magnitude, and write back the dequantized value — through a
-/// [`ProjectionTable`] built for the call.
+/// `ProjectionTable` built for the call.
 ///
 /// This is the transform applied after every optimizer step during
 /// constrained retraining, and to the final weights before compiling the

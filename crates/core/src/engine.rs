@@ -86,7 +86,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// A cost model over the given library.
-    pub fn new(lib: CellLibrary) -> Self {
+    pub(crate) fn new(lib: CellLibrary) -> Self {
         Self {
             lib,
             power: PowerModel::default(),
@@ -94,11 +94,6 @@ impl CostModel {
             // DETERMINISM: keyed-only cache, never iterated.
             cache: HashMap::new(),
         }
-    }
-
-    /// The library in use.
-    pub fn library(&self) -> &CellLibrary {
-        &self.lib
     }
 
     /// Synthesizes (or returns the cached) datapath for a word length and

@@ -126,7 +126,7 @@ impl QuantSpec {
     }
 
     /// Activation fraction: activations are unsigned `Q0.(bits-1)`.
-    pub fn act_frac(&self) -> u32 {
+    pub(crate) fn act_frac(&self) -> u32 {
         self.bits - 1
     }
 }
@@ -445,8 +445,8 @@ struct FixedLayer {
 /// A compiled fixed-point network.
 ///
 /// It runs two datapaths over the same compiled weights. The serving
-/// path ([`FixedNet::run`], and through it [`FixedNet::predict`] and the
-/// accuracy evaluators) is a plain exact-integer dot product per neuron.
+/// path ([`FixedNet::run`], and through it the accuracy evaluators) is a
+/// plain exact-integer dot product per neuron.
 /// The reference path ([`FixedNet::infer_raw`] and
 /// [`FixedNet::sample_traces`]) simulates the paper's ASM select, shift
 /// and add. Every compiled weight decodes under its layer's alphabet and
@@ -769,7 +769,7 @@ impl FixedNet {
     }
 
     /// Word length.
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         self.bits
     }
 
@@ -785,12 +785,12 @@ impl FixedNet {
 
     /// Multiply-accumulate operations per inference, per layer — the cycle
     /// model's input (4 MACs per cycle on the 4-lane unit).
-    pub fn macs_per_layer(&self) -> Vec<u64> {
+    pub(crate) fn macs_per_layer(&self) -> Vec<u64> {
         self.layers.iter().map(|l| l.geometry.macs as u64).collect()
     }
 
     /// Multiply-accumulate operations one whole inference costs (the
-    /// per-layer [`FixedNet::macs_per_layer`] summed) — recorded at
+    /// per-layer `FixedNet::macs_per_layer` summed) — recorded at
     /// compile time and fed to the `man-par` Auto tuner as the work
     /// measure per batch row.
     pub fn macs_per_inference(&self) -> u64 {
@@ -798,7 +798,7 @@ impl FixedNet {
     }
 
     /// Neuron outputs per inference, per layer (activation-unit uses).
-    pub fn neurons_per_layer(&self) -> Vec<u64> {
+    pub(crate) fn neurons_per_layer(&self) -> Vec<u64> {
         self.layers
             .iter()
             .map(|l| l.geometry.neurons as u64)
@@ -1006,13 +1006,8 @@ impl FixedNet {
         }
     }
 
-    /// Predicted class (exact argmax over the raw integer logits).
-    pub fn predict(&self, image: &[f32]) -> usize {
-        argmax_raw(&self.run(&[image], ShardPlan::Sequential)[0])
-    }
-
-    /// Classification accuracy over a test set (the same count as
-    /// per-image [`FixedNet::predict`] calls).
+    /// Classification accuracy over a test set: the exact argmax of each
+    /// image's raw integer logits against its label.
     pub fn accuracy(&self, images: &[Vec<f32>], labels: &[usize]) -> f64 {
         self.accuracy_par(images, labels, Parallelism::Sequential)
     }
@@ -1100,7 +1095,7 @@ pub struct LayerTrace {
     /// Signed products.
     pub product: Vec<i64>,
     /// Accumulator value *before* adding the product.
-    pub acc: Vec<i64>,
+    pub(crate) acc: Vec<i64>,
 }
 
 impl LayerTrace {
@@ -1129,7 +1124,7 @@ impl LayerTrace {
     }
 
     /// `true` once the trace holds `limit` MACs.
-    pub fn full(&self) -> bool {
+    pub(crate) fn full(&self) -> bool {
         self.w_mag.len() >= self.limit
     }
 
@@ -1219,7 +1214,7 @@ mod tests {
             let x: Vec<f32> = (0..16)
                 .map(|j| ((i * 7 + j * 3) % 10) as f32 / 10.0)
                 .collect();
-            if fixed.predict(&x) == net.predict(&x) {
+            if argmax_raw(&fixed.infer_raw(&x)) == net.predict(&x) {
                 agree += 1;
             }
         }

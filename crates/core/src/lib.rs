@@ -50,13 +50,3 @@ pub mod fixed;
 pub mod quartet;
 pub mod train;
 pub mod zoo;
-
-/// The deterministic parallel execution layer (re-export of `man-par`):
-/// [`par::Parallelism`] and the chunked scoped worker pool behind every
-/// parallel code path in this workspace.
-pub use man_par as par;
-
-pub use alphabet::AlphabetSet;
-pub use asm::AsmMultiplier;
-pub use fixed::{FixedNet, LayerAlphabets, QuantSpec};
-pub use man_par::Parallelism;

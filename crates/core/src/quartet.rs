@@ -33,24 +33,9 @@ impl QuartetScheme {
         Self { bits, widths }
     }
 
-    /// Weight word length (including sign).
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Magnitude width (`bits - 1`).
-    pub fn magnitude_bits(&self) -> u32 {
-        self.bits - 1
-    }
-
     /// Group widths, LSB first (e.g. `[4, 3]` for 8-bit weights).
-    pub fn widths(&self) -> &[u32] {
+    pub(crate) fn widths(&self) -> &[u32] {
         &self.widths
-    }
-
-    /// Number of quartets.
-    pub fn count(&self) -> usize {
-        self.widths.len()
     }
 
     /// Splits a magnitude into quartet values, LSB first.

@@ -8,6 +8,15 @@
 //!    starting from the smallest alphabet set.
 //! 4. Accept the first set whose retrained fixed-point accuracy `K`
 //!    satisfies `K ≥ J·Q`; otherwise grow the alphabet set and repeat.
+//!
+//! This module holds the steps' building blocks: the hyper-parameters
+//! ([`MethodologyConfig`]), unconstrained training
+//! ([`train_unconstrained`]), the Algorithm-1 projector
+//! ([`ConstraintProjector`]) and constrained retraining
+//! ([`constrained_retrain`]). The one orchestration of all four steps is
+//! the facade crate's `Pipeline` (`man-repro`): `train_baseline()` runs
+//! steps 1-2 and `train()` adds steps 3-4, keeping the best-`K` attempt
+//! when no set meets the bar.
 
 use man_nn::layers::ParamKind;
 use man_nn::network::Network;
@@ -20,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::alphabet::AlphabetSet;
 use crate::constrain::{ProjectionTable, WeightLattice};
-use crate::fixed::{FixedNet, LayerAlphabets, QuantSpec};
+use crate::fixed::{LayerAlphabets, QuantSpec};
 
 /// Hyper-parameters of the methodology.
 #[derive(Clone, Debug)]
@@ -79,7 +88,7 @@ impl MethodologyConfig {
 }
 
 /// The projector that imposes Algorithm 1 on every weight update: one
-/// [`ProjectionTable`] per parameterized layer, so projecting a weight is
+/// `ProjectionTable` per parameterized layer, so projecting a weight is
 /// a quantization and a lookup.
 #[derive(Clone, Debug)]
 pub struct ConstraintProjector {
@@ -138,26 +147,6 @@ pub struct Attempt {
     pub accepted: bool,
 }
 
-/// Output of the full methodology.
-#[derive(Clone, Debug)]
-pub struct MethodologyOutcome {
-    /// Float accuracy after unconstrained training.
-    pub float_accuracy: f64,
-    /// Conventional fixed-point accuracy `J` (quantized, exact multiplier).
-    pub conventional_accuracy: f64,
-    /// The frozen quantization spec.
-    pub spec: QuantSpec,
-    /// The unconstrained trained network (the restore point).
-    pub restore_point: Network,
-    /// Every attempted alphabet set, in order.
-    pub attempts: Vec<Attempt>,
-    /// Retrained networks, parallel to `attempts`.
-    pub retrained: Vec<Network>,
-    /// Index into `attempts` of the accepted configuration, if any met the
-    /// quality constraint.
-    pub selected: Option<usize>,
-}
-
 /// Trains `net` unconstrained (Algorithm 2 step 1).
 pub fn train_unconstrained(
     net: &mut Network,
@@ -211,108 +200,10 @@ pub fn constrained_retrain(
     net
 }
 
-/// Runs the complete Algorithm 2 on a pre-built float network.
-///
-/// `train_data` drives both training phases; `test_data` measures `J` and
-/// `K` (the paper's TrData / TsData).
-///
-/// The facade crate's `Pipeline` (`man-repro`) is the canonical staged
-/// orchestration of this loop; it differs in one policy: when no
-/// candidate meets the quality constraint its `select()` keeps the
-/// best-`K` attempt, whereas this function reports `selected: None`
-/// without choosing a model.
-///
-/// # Example
-///
-/// ```no_run
-/// use man::train::{run_methodology, MethodologyConfig};
-/// use man::zoo::Benchmark;
-/// use man_datasets::GenOptions;
-///
-/// let ds = Benchmark::Faces.dataset(&GenOptions::default());
-/// let cfg = MethodologyConfig::paper(8);
-/// let outcome = run_methodology(
-///     Benchmark::Faces.build_network(cfg.seed),
-///     &ds.train_images, &ds.train_labels,
-///     &ds.test_images, &ds.test_labels,
-///     &cfg,
-/// );
-/// if let Some(i) = outcome.selected {
-///     println!("smallest acceptable set: {}", outcome.attempts[i].label);
-/// }
-/// ```
-///
-/// # Panics
-///
-/// Panics if `cfg.candidates` is empty or `cfg.quality` is not in
-/// `(0, 1]`.
-pub fn run_methodology(
-    mut net: Network,
-    train_images: &[Vec<f32>],
-    train_labels: &[usize],
-    test_images: &[Vec<f32>],
-    test_labels: &[usize],
-    cfg: &MethodologyConfig,
-) -> MethodologyOutcome {
-    assert!(
-        !cfg.candidates.is_empty(),
-        "need at least one candidate set"
-    );
-    assert!(
-        cfg.quality > 0.0 && cfg.quality <= 1.0,
-        "quality constraint must be in (0, 1]"
-    );
-    // Step 1: unconstrained training to near saturation.
-    train_unconstrained(&mut net, train_images, train_labels, cfg);
-    let float_accuracy = net.accuracy_par(test_images, test_labels, cfg.parallelism);
-    // Step 2: quantized conventional accuracy J + restore point.
-    let spec = QuantSpec::fit(&net, cfg.bits);
-    let layers = spec.layer_formats().len();
-    let conventional = FixedNet::compile(
-        &net,
-        &spec,
-        &LayerAlphabets::uniform(AlphabetSet::a8(), layers),
-    )
-    .expect("full alphabet always compiles");
-    let j = conventional.accuracy_par(test_images, test_labels, cfg.parallelism);
-    // Steps 3-4: constrained retraining with growing alphabet sets.
-    let mut attempts = Vec::new();
-    let mut retrained = Vec::new();
-    let mut selected = None;
-    for (idx, set) in cfg.candidates.iter().enumerate() {
-        let alphabets = LayerAlphabets::uniform(set.clone(), layers);
-        let candidate =
-            constrained_retrain(&net, &spec, &alphabets, train_images, train_labels, cfg);
-        let fixed = FixedNet::compile(&candidate, &spec, &alphabets)
-            .expect("projected weights always compile");
-        let k = fixed.accuracy_par(test_images, test_labels, cfg.parallelism);
-        let accepted = k >= j * cfg.quality;
-        attempts.push(Attempt {
-            label: set.label(),
-            accuracy: k,
-            loss_pp: (j - k) * 100.0,
-            accepted,
-        });
-        retrained.push(candidate);
-        if accepted && selected.is_none() {
-            selected = Some(idx);
-            break; // Algorithm 2: "end the training".
-        }
-    }
-    MethodologyOutcome {
-        float_accuracy,
-        conventional_accuracy: j,
-        spec,
-        restore_point: net,
-        attempts,
-        retrained,
-        selected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixed::FixedNet;
     use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
     use rand::Rng;
 
@@ -365,29 +256,6 @@ mod tests {
             v
         };
         assert_eq!(collect(&mut constrained), collect(&mut twice));
-    }
-
-    #[test]
-    fn methodology_runs_end_to_end() {
-        let (xs, ys) = toy_problem(300, 5);
-        let outcome = run_methodology(toy_net(2), &xs, &ys, &xs, &ys, &quick_cfg());
-        assert!(
-            outcome.conventional_accuracy > 0.8,
-            "baseline too weak: {}",
-            outcome.conventional_accuracy
-        );
-        assert!(!outcome.attempts.is_empty());
-        // The toy task is easy: some candidate should meet Q = 0.99.
-        let best = outcome
-            .attempts
-            .iter()
-            .map(|a| a.accuracy)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best >= outcome.conventional_accuracy * 0.95,
-            "retraining should roughly recover the baseline (J={}, best K={best})",
-            outcome.conventional_accuracy
-        );
     }
 
     #[test]

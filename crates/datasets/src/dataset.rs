@@ -4,8 +4,6 @@
 /// 32×32 grayscale vectors with pixels in `[0, 1)`.
 #[derive(Clone, Debug)]
 pub struct Dataset {
-    /// Human-readable name (e.g. "digits (MNIST-like)").
-    pub name: String,
     /// Number of classes.
     pub classes: usize,
     /// Training images.
@@ -25,7 +23,7 @@ impl Dataset {
     ///
     /// Panics with a descriptive message on any inconsistency — generators
     /// call this before returning.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert_eq!(self.train_images.len(), self.train_labels.len());
         assert_eq!(self.test_images.len(), self.test_labels.len());
         assert!(self.classes >= 2, "need at least two classes");
@@ -47,11 +45,6 @@ impl Dataset {
     /// Number of training samples.
     pub fn train_len(&self) -> usize {
         self.train_images.len()
-    }
-
-    /// Number of test samples.
-    pub fn test_len(&self) -> usize {
-        self.test_images.len()
     }
 }
 

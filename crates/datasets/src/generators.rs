@@ -18,7 +18,6 @@ fn center() -> (f32, f32) {
 }
 
 fn split(
-    name: &str,
     classes: usize,
     opts: &GenOptions,
     mut render: impl FnMut(usize, &mut SmallRng) -> Vec<f32>,
@@ -37,7 +36,6 @@ fn split(
     let (train_images, train_labels) = gen_set(opts.train, &mut rng);
     let (test_images, test_labels) = gen_set(opts.test, &mut rng);
     let ds = Dataset {
-        name: name.to_owned(),
         classes,
         train_images,
         train_labels,
@@ -59,7 +57,7 @@ pub fn digits(opts: &GenOptions) -> Dataset {
         thickness: (0.42, 0.68),
         ink: (0.75, 1.0),
     };
-    split("digits (MNIST-like)", 10, opts, |label, rng| {
+    split(10, opts, |label, rng| {
         let mut canvas = vec![0.0f32; IMG_PIXELS];
         let d = random_deform(&ranges, rng);
         draw_glyph(&mut canvas, &glyph::bitmap(label), &d, center());
@@ -73,7 +71,7 @@ pub fn digits(opts: &GenOptions) -> Dataset {
 /// ellipse, eyes, mouth), class 0 = structured non-faces including
 /// near-miss distractors. Two classes, as in Table II.
 pub fn faces(opts: &GenOptions) -> Dataset {
-    split("faces (YUV-Faces-like)", 2, opts, |label, rng| {
+    split(2, opts, |label, rng| {
         let mut canvas = vec![0.0f32; IMG_PIXELS];
         draw_gradient(
             &mut canvas,
@@ -159,7 +157,7 @@ pub fn svhn_like(opts: &GenOptions) -> Dataset {
         thickness: (0.4, 0.72),
         ink: (0.5, 0.95),
     };
-    split("house numbers (SVHN-like)", 10, opts, |label, rng| {
+    split(10, opts, |label, rng| {
         let mut canvas = vec![0.0f32; IMG_PIXELS];
         draw_gradient(
             &mut canvas,
@@ -203,7 +201,7 @@ pub fn tich_like(opts: &GenOptions) -> Dataset {
         thickness: (0.38, 0.75),
         ink: (0.55, 1.0),
     };
-    split("characters (TICH-like)", 36, opts, |label, rng| {
+    split(36, opts, |label, rng| {
         let mut canvas = vec![0.0f32; IMG_PIXELS];
         let d = random_deform(&ranges, rng);
         draw_glyph(&mut canvas, &glyph::bitmap(label), &d, center());
@@ -211,18 +209,6 @@ pub fn tich_like(opts: &GenOptions) -> Dataset {
         finalize(&mut canvas);
         canvas
     })
-}
-
-/// Looks a generator up by its short name
-/// (`digits | faces | svhn | tich`).
-pub fn by_name(name: &str, opts: &GenOptions) -> Option<Dataset> {
-    match name {
-        "digits" => Some(digits(opts)),
-        "faces" => Some(faces(opts)),
-        "svhn" => Some(svhn_like(opts)),
-        "tich" => Some(tich_like(opts)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -239,12 +225,11 @@ mod tests {
 
     #[test]
     fn all_generators_produce_valid_datasets() {
-        for name in ["digits", "faces", "svhn", "tich"] {
-            let ds = by_name(name, &quick()).unwrap();
-            assert_eq!(ds.train_len(), 72, "{name}");
-            assert_eq!(ds.test_len(), 36, "{name}");
+        for generate in [digits, faces, svhn_like, tich_like] {
+            let ds = generate(&quick());
+            assert_eq!(ds.train_len(), 72);
+            assert_eq!(ds.test_images.len(), 36);
         }
-        assert!(by_name("imagenet", &quick()).is_none());
     }
 
     #[test]

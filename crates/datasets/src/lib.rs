@@ -21,9 +21,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dataset;
+mod dataset;
 pub mod generators;
-pub mod glyph;
-pub mod render;
+mod glyph;
+mod render;
 
 pub use dataset::{Dataset, GenOptions};

@@ -8,25 +8,25 @@ use crate::glyph::{GLYPH_H, GLYPH_W};
 
 /// Canvas side length; every benchmark uses 32×32 = 1024 inputs, which is
 /// the input dimension implied by the paper's Table IV synapse counts.
-pub const IMG_SIDE: usize = 32;
+pub(crate) const IMG_SIDE: usize = 32;
 /// Pixels per image.
-pub const IMG_PIXELS: usize = IMG_SIDE * IMG_SIDE;
+pub(crate) const IMG_PIXELS: usize = IMG_SIDE * IMG_SIDE;
 
 /// Geometric + photometric deformation of one rendered sample.
 #[derive(Clone, Debug)]
-pub struct Deform {
+pub(crate) struct Deform {
     /// Rotation in radians.
-    pub rotation: f32,
+    pub(crate) rotation: f32,
     /// Isotropic scale (1.0 fills most of the canvas).
-    pub scale: f32,
+    pub(crate) scale: f32,
     /// Horizontal shear factor.
-    pub shear: f32,
+    pub(crate) shear: f32,
     /// Translation in pixels.
-    pub shift: (f32, f32),
+    pub(crate) shift: (f32, f32),
     /// Stroke half-width in glyph cells (0.5 = nominal).
-    pub thickness: f32,
+    pub(crate) thickness: f32,
     /// Ink intensity in `[0, 1]`.
-    pub ink: f32,
+    pub(crate) ink: f32,
 }
 
 impl Default for Deform {
@@ -44,23 +44,23 @@ impl Default for Deform {
 
 /// Ranges from which [`random_deform`] draws.
 #[derive(Clone, Debug)]
-pub struct DeformRanges {
+pub(crate) struct DeformRanges {
     /// Max |rotation| in radians.
-    pub rotation: f32,
+    pub(crate) rotation: f32,
     /// Scale range.
-    pub scale: (f32, f32),
+    pub(crate) scale: (f32, f32),
     /// Max |shear|.
-    pub shear: f32,
+    pub(crate) shear: f32,
     /// Max |shift| in pixels (each axis).
-    pub shift: f32,
+    pub(crate) shift: f32,
     /// Stroke half-width range.
-    pub thickness: (f32, f32),
+    pub(crate) thickness: (f32, f32),
     /// Ink intensity range.
-    pub ink: (f32, f32),
+    pub(crate) ink: (f32, f32),
 }
 
 /// Samples a deformation uniformly from the ranges.
-pub fn random_deform(ranges: &DeformRanges, rng: &mut impl Rng) -> Deform {
+pub(crate) fn random_deform(ranges: &DeformRanges, rng: &mut impl Rng) -> Deform {
     Deform {
         rotation: rng.gen_range(-ranges.rotation..=ranges.rotation),
         scale: rng.gen_range(ranges.scale.0..=ranges.scale.1),
@@ -80,7 +80,7 @@ pub fn random_deform(ranges: &DeformRanges, rng: &mut impl Rng) -> Deform {
 /// canvas at `scale = 1.0`, then rotated/sheared/shifted. Each output pixel
 /// is supersampled 2×2; a subsample is inked when it lies within
 /// `thickness` (in cell units) of a set cell's center region.
-pub fn draw_glyph(
+pub(crate) fn draw_glyph(
     canvas: &mut [f32],
     bitmap: &[[bool; GLYPH_W]; GLYPH_H],
     deform: &Deform,
@@ -138,7 +138,7 @@ pub fn draw_glyph(
 
 /// Fills a canvas with a linear gradient (background clutter for the
 /// SVHN-like set).
-pub fn draw_gradient(canvas: &mut [f32], level: f32, slope: (f32, f32)) {
+pub(crate) fn draw_gradient(canvas: &mut [f32], level: f32, slope: (f32, f32)) {
     for py in 0..IMG_SIDE {
         for px in 0..IMG_SIDE {
             let v = level
@@ -150,7 +150,7 @@ pub fn draw_gradient(canvas: &mut [f32], level: f32, slope: (f32, f32)) {
 }
 
 /// Draws a filled ellipse (for the face generator), additively.
-pub fn draw_ellipse(canvas: &mut [f32], center: (f32, f32), radii: (f32, f32), ink: f32) {
+pub(crate) fn draw_ellipse(canvas: &mut [f32], center: (f32, f32), radii: (f32, f32), ink: f32) {
     for py in 0..IMG_SIDE {
         for px in 0..IMG_SIDE {
             let dx = (px as f32 + 0.5 - center.0) / radii.0;
@@ -165,7 +165,7 @@ pub fn draw_ellipse(canvas: &mut [f32], center: (f32, f32), radii: (f32, f32), i
 
 /// Adds zero-mean Gaussian noise (Box–Muller) of standard deviation
 /// `sigma`, clamping to `[0, 1]`.
-pub fn add_noise(canvas: &mut [f32], sigma: f32, rng: &mut impl Rng) {
+pub(crate) fn add_noise(canvas: &mut [f32], sigma: f32, rng: &mut impl Rng) {
     let mut spare: Option<f32> = None;
     for p in canvas.iter_mut() {
         let n = match spare.take() {
@@ -185,7 +185,7 @@ pub fn add_noise(canvas: &mut [f32], sigma: f32, rng: &mut impl Rng) {
 
 /// Clamps every pixel strictly below 1.0 so images quantize into the
 /// unsigned `Q0.(bits-1)` activation format without saturating.
-pub fn finalize(canvas: &mut [f32]) {
+pub(crate) fn finalize(canvas: &mut [f32]) {
     for p in canvas.iter_mut() {
         *p = p.clamp(0.0, 0.996);
     }

@@ -122,20 +122,6 @@ pub fn join_groups(groups: &[u32], widths: &[u32]) -> u32 {
     value as u32
 }
 
-/// Hamming distance between two words — the number of toggling bits, used by
-/// the switching-activity power model.
-///
-/// # Example
-///
-/// ```
-/// use man_fixed::bits::hamming;
-///
-/// assert_eq!(hamming(0b1010, 0b0110), 2);
-/// ```
-pub fn hamming(a: u64, b: u64) -> u32 {
-    (a ^ b).count_ones()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,11 +173,5 @@ mod tests {
     #[should_panic(expected = "overflows")]
     fn join_rejects_overflowing_group() {
         let _ = join_groups(&[16, 0], &[4, 4]);
-    }
-
-    #[test]
-    fn hamming_counts_toggles() {
-        assert_eq!(hamming(0, u64::MAX), 64);
-        assert_eq!(hamming(0xff, 0xff), 0);
     }
 }

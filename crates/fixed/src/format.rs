@@ -54,7 +54,7 @@ impl QFormat {
     }
 
     /// Number of integer (non-sign, non-fractional) bits.
-    pub const fn int_bits(&self) -> u32 {
+    pub(crate) const fn int_bits(&self) -> u32 {
         self.bits - 1 - self.frac
     }
 
@@ -93,11 +93,6 @@ impl QFormat {
         raw >= self.min_raw() as i64 && raw <= self.max_raw() as i64
     }
 
-    /// Clamps `raw` into the representable range.
-    pub fn saturate_raw(&self, raw: i64) -> i32 {
-        raw.clamp(self.min_raw() as i64, self.max_raw() as i64) as i32
-    }
-
     /// Quantizes a real value: scale by `2^frac`, round half to even, and
     /// saturate into range (see [`crate::quantize::round_to_range`]).
     ///
@@ -120,11 +115,6 @@ impl QFormat {
         } else {
             Err(RawOutOfRangeError { raw, format: *self })
         }
-    }
-
-    /// Builds a value from a raw word, saturating into range.
-    pub fn from_raw_saturating(&self, raw: i64) -> Fx {
-        Fx::from_parts(self.saturate_raw(raw), *self)
     }
 
     /// Chooses the format with `bits` total bits and the largest fraction
@@ -171,9 +161,9 @@ impl fmt::Display for QFormat {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawOutOfRangeError {
     /// The offending raw word.
-    pub raw: i64,
+    pub(crate) raw: i64,
     /// The format it was checked against.
-    pub format: QFormat,
+    pub(crate) format: QFormat,
 }
 
 impl fmt::Display for RawOutOfRangeError {

@@ -6,7 +6,7 @@
 //! plain `f32` slices so the neural-network substrate does not need to know
 //! about fixed-point types.
 
-use crate::{Fx, QFormat};
+use crate::QFormat;
 
 /// `1.5 · 2^52`: adding it to any `|x| < 2^51` leaves a sum whose unit in
 /// the last place is 1, so the addition itself rounds `x` to an integer
@@ -50,7 +50,7 @@ pub fn round_to_range(x: f64, lo: i32, hi: i32) -> i32 {
 }
 
 /// Largest absolute value in a slice (0.0 for an empty slice; NaNs ignored).
-pub fn max_abs(values: &[f32]) -> f64 {
+pub(crate) fn max_abs(values: &[f32]) -> f64 {
     values
         .iter()
         .filter(|v| !v.is_nan())
@@ -72,45 +72,6 @@ pub fn fit_format(bits: u32, values: &[f32]) -> QFormat {
     QFormat::fitting(bits, max_abs(values))
 }
 
-/// Quantizes a slice into `format`.
-pub fn quantize_slice(format: QFormat, values: &[f32]) -> Vec<Fx> {
-    values.iter().map(|&v| format.quantize(v as f64)).collect()
-}
-
-/// Dequantizes a slice back to `f32`.
-pub fn dequantize_slice(values: &[Fx]) -> Vec<f32> {
-    values.iter().map(|v| v.to_f64() as f32).collect()
-}
-
-/// Quantizes a slice and immediately dequantizes it — the "fake quantization"
-/// transform used during constrained retraining, where the forward pass must
-/// see exactly the fixed-point weights while the optimizer keeps float
-/// shadows.
-pub fn fake_quantize_slice(format: QFormat, values: &mut [f32]) {
-    for v in values.iter_mut() {
-        *v = format.quantize(*v as f64).to_f64() as f32;
-    }
-}
-
-/// Root-mean-square quantization error of representing `values` in `format`.
-///
-/// Useful for choosing word lengths and for regression tests: the error of a
-/// well-fitted format is bounded by `resolution / sqrt(12)` for smooth data.
-pub fn rms_error(format: QFormat, values: &[f32]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = values
-        .iter()
-        .map(|&v| {
-            let q = format.quantize(v as f64).to_f64();
-            let e = v as f64 - q;
-            e * e
-        })
-        .sum();
-    (sum / values.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,34 +80,5 @@ mod tests {
     fn max_abs_ignores_nan() {
         assert_eq!(max_abs(&[1.0, -3.0, f32::NAN]), 3.0);
         assert_eq!(max_abs(&[]), 0.0);
-    }
-
-    #[test]
-    fn quantize_roundtrip_error_bounded() {
-        let fmt = QFormat::new(8, 6);
-        let values = [0.1f32, -0.73, 1.2, -1.99, 0.0];
-        let q = quantize_slice(fmt, &values);
-        let d = dequantize_slice(&q);
-        for (v, r) in values.iter().zip(&d) {
-            assert!((v - r).abs() as f64 <= fmt.resolution() / 2.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn fake_quantize_is_idempotent() {
-        let fmt = QFormat::new(8, 5);
-        let mut values = vec![0.3f32, -0.77, 1.5, 2.9];
-        fake_quantize_slice(fmt, &mut values);
-        let once = values.clone();
-        fake_quantize_slice(fmt, &mut values);
-        assert_eq!(once, values);
-    }
-
-    #[test]
-    fn rms_error_shrinks_with_more_bits() {
-        let values: Vec<f32> = (0..256).map(|i| (i as f32 / 256.0).sin()).collect();
-        let e8 = rms_error(QFormat::new(8, 7), &values);
-        let e12 = rms_error(QFormat::new(12, 11), &values);
-        assert!(e12 < e8 / 8.0, "e8={e8} e12={e12}");
     }
 }

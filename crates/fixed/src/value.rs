@@ -8,8 +8,7 @@ use crate::format::QFormat;
 /// A scalar fixed-point value: a raw two's-complement word paired with its
 /// [`QFormat`].
 ///
-/// Arithmetic between two `Fx` values requires identical formats; mixed-format
-/// arithmetic in the inference engine goes through [`Accum`], which carries
+/// Arithmetic in the inference engine goes through [`Accum`], which carries
 /// the widened raw product explicitly.
 ///
 /// # Example
@@ -18,9 +17,9 @@ use crate::format::QFormat;
 /// use man_fixed::QFormat;
 ///
 /// let fmt = QFormat::new(8, 6);
-/// let a = fmt.quantize(0.5);
-/// let b = fmt.quantize(0.25);
-/// assert_eq!(a.saturating_add(b).to_f64(), 0.75);
+/// let a = fmt.quantize(0.75);
+/// assert_eq!(a.raw(), 48);
+/// assert_eq!(a.to_f64(), 0.75);
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Fx {
@@ -34,59 +33,14 @@ impl Fx {
         Self { raw, format }
     }
 
-    /// The zero value in `format`.
-    pub fn zero(format: QFormat) -> Self {
-        Self { raw: 0, format }
-    }
-
     /// The raw two's-complement word.
     pub const fn raw(&self) -> i32 {
         self.raw
     }
 
-    /// The format this value is expressed in.
-    pub const fn format(&self) -> QFormat {
-        self.format
-    }
-
     /// The real value `raw / 2^frac`.
     pub fn to_f64(&self) -> f64 {
         self.raw as f64 / self.format.scale()
-    }
-
-    /// Saturating addition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands have different formats.
-    pub fn saturating_add(self, rhs: Fx) -> Fx {
-        assert_eq!(self.format, rhs.format, "format mismatch in add");
-        self.format
-            .from_raw_saturating(self.raw as i64 + rhs.raw as i64)
-    }
-
-    /// Saturating subtraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands have different formats.
-    pub fn saturating_sub(self, rhs: Fx) -> Fx {
-        assert_eq!(self.format, rhs.format, "format mismatch in sub");
-        self.format
-            .from_raw_saturating(self.raw as i64 - rhs.raw as i64)
-    }
-
-    /// Saturating negation (`-min_raw` saturates to `max_raw`).
-    pub fn saturating_neg(self) -> Fx {
-        self.format.from_raw_saturating(-(self.raw as i64))
-    }
-
-    /// Saturating absolute value (`|min_raw|` saturates to `max_raw`).
-    ///
-    /// The paper's ASM datapath multiplies the *absolute* weight value and
-    /// reapplies the sign, so the most negative word is never needed.
-    pub fn saturating_abs(self) -> Fx {
-        self.format.from_raw_saturating((self.raw as i64).abs())
     }
 
     /// Full-precision product: the raw words multiply exactly into an
@@ -96,21 +50,6 @@ impl Fx {
             raw: self.raw as i64 * rhs.raw as i64,
             frac: self.format.frac() + rhs.format.frac(),
         }
-    }
-
-    /// Re-expresses this value in another format, rounding half to even and
-    /// saturating.
-    pub fn rescale(self, format: QFormat) -> Fx {
-        Accum {
-            raw: self.raw as i64,
-            frac: self.format.frac(),
-        }
-        .to_fx(format)
-    }
-
-    /// `true` if the value is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.raw == 0
     }
 }
 
@@ -165,8 +104,7 @@ fn shift_round_ties_even(raw: i64, shift: u32) -> i64 {
 /// fraction.
 ///
 /// Mirrors the accumulator in a digital neuron: products from
-/// [`Fx::wide_mul`] are summed exactly, then [`Accum::to_fx`] models the
-/// final requantization before the activation function.
+/// [`Fx::wide_mul`] are summed exactly.
 ///
 /// # Example
 ///
@@ -237,13 +175,6 @@ impl Accum {
     pub fn to_f64(&self) -> f64 {
         self.raw as f64 / (1u64 << self.frac) as f64
     }
-
-    /// Requantizes into `format`, rounding half to even and saturating —
-    /// the hardware step between accumulator and activation input.
-    pub fn to_fx(self, format: QFormat) -> Fx {
-        let aligned = self.align(format.frac());
-        format.from_raw_saturating(aligned.raw)
-    }
 }
 
 impl fmt::Display for Accum {
@@ -264,31 +195,6 @@ mod tests {
 
     fn fmt8() -> QFormat {
         QFormat::new(8, 6)
-    }
-
-    #[test]
-    fn add_saturates_at_extremes() {
-        let max = fmt8().from_raw(127).unwrap();
-        assert_eq!(max.saturating_add(max).raw(), 127);
-        let min = fmt8().from_raw(-128).unwrap();
-        assert_eq!(min.saturating_add(min).raw(), -128);
-    }
-
-    #[test]
-    fn neg_and_abs_saturate_min_raw() {
-        let min = fmt8().from_raw(-128).unwrap();
-        assert_eq!(min.saturating_neg().raw(), 127);
-        assert_eq!(min.saturating_abs().raw(), 127);
-        let v = fmt8().from_raw(-5).unwrap();
-        assert_eq!(v.saturating_abs().raw(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "format mismatch")]
-    fn add_rejects_mixed_formats() {
-        let a = QFormat::new(8, 6).quantize(0.1);
-        let b = QFormat::new(8, 5).quantize(0.1);
-        let _ = a.saturating_add(b);
     }
 
     #[test]
@@ -323,26 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn to_fx_saturates() {
-        let acc = Accum::from_raw(1 << 20, 6);
-        assert_eq!(acc.to_fx(fmt8()).raw(), 127);
-        let acc = Accum::from_raw(-(1 << 20), 6);
-        assert_eq!(acc.to_fx(fmt8()).raw(), -128);
-    }
-
-    #[test]
     fn ordering_only_within_format() {
         let a = fmt8().quantize(0.25);
         let b = fmt8().quantize(0.5);
         assert!(a < b);
         let c = QFormat::new(12, 6).quantize(0.5);
         assert_eq!(a.partial_cmp(&c), None);
-    }
-
-    #[test]
-    fn rescale_preserves_value_when_widening() {
-        let a = fmt8().quantize(0.75);
-        let wide = a.rescale(QFormat::new(12, 9));
-        assert_eq!(wide.to_f64(), 0.75);
     }
 }

@@ -38,33 +38,17 @@ pub enum CellKind {
     Dff,
 }
 
-impl CellKind {
-    /// All library cells, in a stable order.
-    pub const ALL: [CellKind; 10] = [
-        CellKind::Inv,
-        CellKind::Buf,
-        CellKind::And2,
-        CellKind::Or2,
-        CellKind::Nand2,
-        CellKind::Nor2,
-        CellKind::Xor2,
-        CellKind::Xnor2,
-        CellKind::Mux2,
-        CellKind::Dff,
-    ];
-}
-
 /// Electrical/physical characteristics of one cell.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellParams {
     /// Cell area in µm².
     pub area_um2: f64,
     /// Worst-case propagation delay in ps (input to output).
-    pub delay_ps: f64,
+    pub(crate) delay_ps: f64,
     /// Energy per output transition in fJ (internal + average output load).
     pub switch_fj: f64,
     /// Leakage power in nW.
-    pub leakage_nw: f64,
+    pub(crate) leakage_nw: f64,
 }
 
 /// A complete cell library.
@@ -83,11 +67,11 @@ pub struct CellLibrary {
     cells: [CellParams; 10],
     /// Extra energy a flip-flop consumes every clock cycle from the clock
     /// pin toggling, independent of data activity (fJ/cycle).
-    pub dff_clock_fj: f64,
+    pub(crate) dff_clock_fj: f64,
     /// DFF setup time in ps (subtracted from the usable clock period).
-    pub dff_setup_ps: f64,
+    pub(crate) dff_setup_ps: f64,
     /// DFF clock-to-Q delay in ps.
-    pub dff_clk_q_ps: f64,
+    pub(crate) dff_clk_q_ps: f64,
 }
 
 impl CellLibrary {
@@ -166,10 +150,24 @@ impl Default for CellLibrary {
 mod tests {
     use super::*;
 
+    /// All library cells, in a stable order.
+    const ALL: [CellKind; 10] = [
+        CellKind::Inv,
+        CellKind::Buf,
+        CellKind::And2,
+        CellKind::Or2,
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::Xor2,
+        CellKind::Xnor2,
+        CellKind::Mux2,
+        CellKind::Dff,
+    ];
+
     #[test]
     fn nominal_library_is_populated() {
         let lib = CellLibrary::nominal_45nm();
-        for kind in CellKind::ALL {
+        for kind in ALL {
             let p = lib.params(kind);
             assert!(p.area_um2 > 0.0, "{kind:?} has no area");
             assert!(p.switch_fj > 0.0, "{kind:?} has no switching energy");

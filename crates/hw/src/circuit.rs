@@ -42,7 +42,7 @@ impl Circuit {
     }
 
     /// Adds architectural register bits (e.g. an accumulator register).
-    pub fn with_regs(mut self, regs: u32) -> Self {
+    pub(crate) fn with_regs(mut self, regs: u32) -> Self {
         self.regs += regs;
         self
     }
@@ -57,7 +57,7 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `f < 1.0`.
-    pub fn with_glitch_factor(mut self, f: f64) -> Self {
+    pub(crate) fn with_glitch_factor(mut self, f: f64) -> Self {
         assert!(f >= 1.0, "glitch factor must be >= 1.0");
         self.glitch_factor = f;
         self
@@ -67,7 +67,7 @@ impl Circuit {
     /// bits at the (approximately balanced) cut boundaries.
     ///
     /// `cut_width` is the bus width registered at each boundary.
-    pub fn pipelined(mut self, stages: u32, cut_width: u32) -> Self {
+    pub(crate) fn pipelined(mut self, stages: u32, cut_width: u32) -> Self {
         assert!(stages >= 1, "pipeline stages must be >= 1");
         self.pipeline_stages = stages;
         self.regs += (stages - 1) * cut_width;
@@ -85,7 +85,7 @@ impl Circuit {
     }
 
     /// Register bit count (architectural + pipeline).
-    pub fn regs(&self) -> u32 {
+    pub(crate) fn regs(&self) -> u32 {
         self.regs
     }
 
@@ -95,7 +95,7 @@ impl Circuit {
     }
 
     /// Glitch factor used by the power model.
-    pub fn glitch_factor(&self) -> f64 {
+    pub(crate) fn glitch_factor(&self) -> f64 {
         self.glitch_factor
     }
 
@@ -111,7 +111,7 @@ impl Circuit {
     }
 
     /// Total leakage power in nW, including registers.
-    pub fn leakage_nw(&self, lib: &CellLibrary) -> f64 {
+    pub(crate) fn leakage_nw(&self, lib: &CellLibrary) -> f64 {
         let comb: f64 = self
             .netlist
             .cell_counts()
@@ -134,7 +134,7 @@ impl Circuit {
     /// Worst per-cycle path: combinational delay divided across pipeline
     /// stages (balanced-cut approximation), plus flop clock-to-Q and setup
     /// when the block is registered.
-    pub fn cycle_delay_ps(&self, lib: &CellLibrary) -> f64 {
+    pub(crate) fn cycle_delay_ps(&self, lib: &CellLibrary) -> f64 {
         let comb = self.comb_delay_ps(lib) / self.pipeline_stages as f64;
         if self.regs > 0 || self.pipeline_stages > 1 {
             comb + lib.dff_clk_q_ps + lib.dff_setup_ps
@@ -144,7 +144,7 @@ impl Circuit {
     }
 
     /// Whether the block meets a clock period (in ps).
-    pub fn meets_clock(&self, lib: &CellLibrary, clock_ps: f64) -> bool {
+    pub(crate) fn meets_clock(&self, lib: &CellLibrary, clock_ps: f64) -> bool {
         self.cycle_delay_ps(lib) <= clock_ps
     }
 }

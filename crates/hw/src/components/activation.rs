@@ -13,8 +13,8 @@
 //!
 //! with `y(-x) = 1 - y(x)`. [`plan_sigmoid_fixed`] is the bit-exact
 //! reference implementation shared by the functional inference engine, and
-//! [`plan_sigmoid`] is the gate-level twin (they are property-tested against
-//! each other).
+//! the PLAN logic of [`activation_unit`] is its gate-level twin (they are
+//! tested exhaustively against each other).
 
 use crate::circuit::Circuit;
 use crate::components::adder::{add_bus_wrap, sub_bus, AdderKind};
@@ -38,7 +38,7 @@ pub struct PlanParams {
 
 impl PlanParams {
     /// Output fractional bits (`Q0.out_bits`: the whole word is fraction).
-    pub fn out_frac(&self) -> u32 {
+    pub(crate) fn out_frac(&self) -> u32 {
         self.out_bits
     }
 
@@ -48,7 +48,7 @@ impl PlanParams {
     ///
     /// Panics if the segment thresholds or constants are not representable:
     /// requires `5 <= out_bits <= in_frac` and `in_bits > in_frac + 3`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.out_bits >= 5, "PLAN needs at least 5 output bits");
         assert!(
             self.in_frac >= self.out_frac(),
@@ -74,7 +74,7 @@ impl PlanParams {
 ///
 /// # Panics
 ///
-/// Panics if `params` is invalid (see [`PlanParams::validate`]).
+/// Panics if `params` is invalid (see `PlanParams::validate`).
 pub fn plan_sigmoid_fixed(x_raw: i64, params: &PlanParams) -> u64 {
     params.validate();
     let neg = x_raw < 0;
@@ -102,28 +102,8 @@ pub fn plan_sigmoid_fixed(x_raw: i64, params: &PlanParams) -> u64 {
     }
 }
 
-/// The gate-level PLAN unit: input bus `x` (`in_bits`, two's complement),
-/// output bus `y` (`out_bits`, unsigned). `kind` selects the adder
-/// architecture of the carry chains (absolute value, comparators and the
-/// negative-side subtractor) so synthesis can trade area for speed.
-///
-/// # Panics
-///
-/// Panics if `params` is invalid.
-pub fn plan_sigmoid(params: &PlanParams, kind: AdderKind) -> Circuit {
-    params.validate();
-    let mut b = Builder::new(format!(
-        "plan_sigmoid_{}q{}_to_q{}_{kind:?}",
-        params.in_bits, params.in_frac, params.out_bits
-    ));
-    let x = b.input_bus("x", params.in_bits as usize);
-    let y = plan_sigmoid_body(&mut b, &x, params, kind);
-    b.output_bus("y", &y);
-    Circuit::combinational(b.finish()).with_glitch_factor(1.1)
-}
-
 /// Emits the PLAN logic for an already-available input bus and returns the
-/// output bus (used by both [`plan_sigmoid`] and [`activation_unit`]).
+/// output bus.
 fn plan_sigmoid_body(b: &mut Builder, x: &Bus, params: &PlanParams, kind: AdderKind) -> Bus {
     let sign = x.net(params.in_bits as usize - 1);
     // |x| = (x XOR sign) + sign over the full width; for the most negative
@@ -197,7 +177,7 @@ fn plan_sigmoid_body(b: &mut Builder, x: &Bus, params: &PlanParams, kind: AdderK
 ///
 /// Panics if `acc_frac < params.in_frac` (the compressor only drops
 /// precision, never manufactures it).
-pub fn range_compress_fixed(acc_raw: i64, acc_frac: u32, params: &PlanParams) -> i64 {
+pub(crate) fn range_compress_fixed(acc_raw: i64, acc_frac: u32, params: &PlanParams) -> i64 {
     assert!(
         acc_frac >= params.in_frac,
         "compressor cannot add precision"
@@ -215,8 +195,8 @@ pub fn range_compress_fixed(acc_raw: i64, acc_frac: u32, params: &PlanParams) ->
 ///
 /// # Panics
 ///
-/// Panics if the parameters are inconsistent (see [`PlanParams::validate`]
-/// and [`range_compress_fixed`]).
+/// Panics if the parameters are inconsistent (see `PlanParams::validate`
+/// and `range_compress_fixed`).
 pub fn activation_unit(
     acc_bits: u32,
     acc_frac: u32,
@@ -276,30 +256,30 @@ pub fn activation_unit_fixed(acc_raw: i64, acc_frac: u32, params: &PlanParams) -
     plan_sigmoid_fixed(range_compress_fixed(acc_raw, acc_frac, params), params)
 }
 
-/// Convenience: the real-valued PLAN sigmoid (for training-side use and
-/// tests).
-pub fn plan_sigmoid_f64(x: f64) -> f64 {
-    let mag = x.abs();
-    let y = if mag < 1.0 {
-        0.25 * mag + 0.5
-    } else if mag < 2.375 {
-        0.125 * mag + 0.625
-    } else if mag < 5.0 {
-        0.03125 * mag + 0.84375
-    } else {
-        1.0
-    };
-    if x < 0.0 {
-        1.0 - y
-    } else {
-        y
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::Evaluator;
+
+    /// The gate-level PLAN unit: input bus `x` (`in_bits`, two's complement),
+    /// output bus `y` (`out_bits`, unsigned). `kind` selects the adder
+    /// architecture of the carry chains (absolute value, comparators and the
+    /// negative-side subtractor) so synthesis can trade area for speed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` is invalid.
+    fn plan_sigmoid(params: &PlanParams, kind: AdderKind) -> Circuit {
+        params.validate();
+        let mut b = Builder::new(format!(
+            "plan_sigmoid_{}q{}_to_q{}_{kind:?}",
+            params.in_bits, params.in_frac, params.out_bits
+        ));
+        let x = b.input_bus("x", params.in_bits as usize);
+        let y = plan_sigmoid_body(&mut b, &x, params, kind);
+        b.output_bus("y", &y);
+        Circuit::combinational(b.finish()).with_glitch_factor(1.1)
+    }
 
     fn params() -> PlanParams {
         PlanParams {
@@ -359,16 +339,6 @@ mod tests {
         assert_eq!(plan_sigmoid_fixed(big, &p), (1 << p.out_bits) - 1);
         // Negative saturation: 1.0 - (1 - 2^-out) = one LSB above zero.
         assert_eq!(plan_sigmoid_fixed(-big, &p), 1);
-    }
-
-    #[test]
-    fn f64_plan_is_monotone() {
-        let mut prev = -1.0;
-        for i in -100..=100 {
-            let y = plan_sigmoid_f64(i as f64 * 0.07);
-            assert!(y >= prev);
-            prev = y;
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum AdderKind {
 
 impl AdderKind {
     /// All kinds from cheapest to fastest (the synthesis search order).
-    pub const CHEAPEST_FIRST: [AdderKind; 3] = [
+    pub(crate) const CHEAPEST_FIRST: [AdderKind; 3] = [
         AdderKind::Ripple,
         AdderKind::CarrySelect,
         AdderKind::KoggeStone,
@@ -31,7 +31,7 @@ impl AdderKind {
 }
 
 /// One full adder: returns `(sum, carry)`.
-pub fn full_adder(b: &mut Builder, x: Net, y: Net, cin: Net) -> (Net, Net) {
+pub(crate) fn full_adder(b: &mut Builder, x: Net, y: Net, cin: Net) -> (Net, Net) {
     let t = b.xor(x, y);
     let sum = b.xor(t, cin);
     let g1 = b.and(x, y);
@@ -119,7 +119,7 @@ fn equalize(b: &mut Builder, a: &Bus, bb: &Bus) -> (Bus, Bus) {
 
 /// Adds two buses (zero-extended to equal width) with an explicit carry-in;
 /// the result is one bit wider than the widest operand.
-pub fn add_bus_cin(b: &mut Builder, a: &Bus, bb: &Bus, cin: Net, kind: AdderKind) -> Bus {
+pub(crate) fn add_bus_cin(b: &mut Builder, a: &Bus, bb: &Bus, cin: Net, kind: AdderKind) -> Bus {
     let (a, bb) = equalize(b, a, bb);
     let (mut sums, carry) = match kind {
         AdderKind::Ripple => ripple_with_cin(b, &a, &bb, cin),
@@ -131,7 +131,7 @@ pub fn add_bus_cin(b: &mut Builder, a: &Bus, bb: &Bus, cin: Net, kind: AdderKind
 }
 
 /// Adds two buses; result is one bit wider than the widest operand.
-pub fn add_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
+pub(crate) fn add_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
     let zero = b.constant(false);
     add_bus_cin(b, a, bb, zero, kind)
 }
@@ -139,7 +139,7 @@ pub fn add_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
 /// Two's-complement wrapping add of equal-width views (carry-out dropped).
 /// Operands are zero-extended to the widest width first, so for signed
 /// arithmetic the caller must sign-extend explicitly.
-pub fn add_bus_wrap(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
+pub(crate) fn add_bus_wrap(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
     let w = a.width().max(bb.width());
     let sum = add_bus(b, a, bb, kind);
     sum.slice(0..w)
@@ -149,7 +149,7 @@ pub fn add_bus_wrap(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus 
 /// `a + !b + 1`. Callers must guarantee the true difference is
 /// representable (the ASM pre-computer uses it only for `8I - I` style
 /// identities where it always is).
-pub fn sub_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
+pub(crate) fn sub_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: AdderKind) -> Bus {
     let (a, bb) = equalize(b, a, bb);
     let inv = Bus::from_nets((0..bb.width()).map(|i| b.not(bb.net(i))).collect());
     let one = b.constant(true);

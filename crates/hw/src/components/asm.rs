@@ -20,7 +20,7 @@ use crate::netlist::{Builder, Bus};
 
 /// Widths of the quartet groups for a weight magnitude of `bits - 1` bits,
 /// LSB group first (e.g. 8-bit weights → `[4, 3]`, 12-bit → `[4, 4, 3]`).
-pub fn quartet_widths(bits: u32) -> Vec<u32> {
+pub(crate) fn quartet_widths(bits: u32) -> Vec<u32> {
     assert!(bits >= 3, "need at least a sign and a 2-bit magnitude");
     let mut rem = bits - 1;
     let mut widths = Vec::new();
@@ -35,7 +35,7 @@ pub fn quartet_widths(bits: u32) -> Vec<u32> {
 /// For a quartet value `v`, the `(alphabet index, shift)` pair that produces
 /// it with the given alphabet set, or `None` if the value is unsupported.
 /// `v = 0` is supported by every set (the term is masked to zero).
-pub fn quartet_controls(alphabets: &[u8], v: u32) -> Option<(usize, u32)> {
+pub(crate) fn quartet_controls(alphabets: &[u8], v: u32) -> Option<(usize, u32)> {
     if v == 0 {
         return Some((0, 0));
     }

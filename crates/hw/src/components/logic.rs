@@ -11,7 +11,7 @@ use crate::netlist::{Builder, Bus, Net};
 
 /// Balanced OR tree over arbitrarily many nets. Returns constant 0 for an
 /// empty list.
-pub fn or_tree(b: &mut Builder, nets: &[Net]) -> Net {
+pub(crate) fn or_tree(b: &mut Builder, nets: &[Net]) -> Net {
     match nets {
         [] => b.constant(false),
         [single] => *single,
@@ -26,7 +26,7 @@ pub fn or_tree(b: &mut Builder, nets: &[Net]) -> Net {
 
 /// Balanced AND tree over arbitrarily many nets. Returns constant 1 for an
 /// empty list.
-pub fn and_tree(b: &mut Builder, nets: &[Net]) -> Net {
+pub(crate) fn and_tree(b: &mut Builder, nets: &[Net]) -> Net {
     match nets {
         [] => b.constant(true),
         [single] => *single,
@@ -39,14 +39,8 @@ pub fn and_tree(b: &mut Builder, nets: &[Net]) -> Net {
     }
 }
 
-/// `1` when every bit of `bus` is zero.
-pub fn is_zero(b: &mut Builder, bus: &Bus) -> Net {
-    let any = or_tree(b, bus.nets());
-    b.not(any)
-}
-
 /// The minterm `bus == value` (an AND of true/complemented literals).
-pub fn equals_const(b: &mut Builder, bus: &Bus, value: u64) -> Net {
+pub(crate) fn equals_const(b: &mut Builder, bus: &Bus, value: u64) -> Net {
     let literals: Vec<Net> = (0..bus.width())
         .map(|i| {
             if (value >> i) & 1 == 1 {
@@ -61,7 +55,7 @@ pub fn equals_const(b: &mut Builder, bus: &Bus, value: u64) -> Net {
 
 /// `1` when the unsigned value on `bus` is ≥ `k` (borrow-chain comparator
 /// whose carry chain uses the given adder architecture).
-pub fn ge_const(
+pub(crate) fn ge_const(
     b: &mut Builder,
     bus: &Bus,
     k: u64,
@@ -84,7 +78,7 @@ pub fn ge_const(
 ///
 /// Panics if `table.len() != 2^input.width()` or any entry overflows
 /// `out_width` bits.
-pub fn sop_decoder(b: &mut Builder, input: &Bus, table: &[u64], out_width: usize) -> Bus {
+pub(crate) fn sop_decoder(b: &mut Builder, input: &Bus, table: &[u64], out_width: usize) -> Bus {
     assert_eq!(
         table.len(),
         1usize << input.width(),
@@ -117,20 +111,6 @@ pub fn sop_decoder(b: &mut Builder, input: &Bus, table: &[u64], out_width: usize
 mod tests {
     use super::*;
     use crate::eval::Evaluator;
-
-    #[test]
-    fn zero_detect() {
-        let mut b = Builder::new("zd");
-        let x = b.input_bus("x", 4);
-        let z = is_zero(&mut b, &x);
-        b.output_bus("z", &Bus::from_nets(vec![z]));
-        let nl = b.finish();
-        let mut sim = Evaluator::new(&nl);
-        for v in 0..16u64 {
-            sim.step(&[("x", v)]);
-            assert_eq!(sim.output("z"), (v == 0) as u64);
-        }
-    }
 
     #[test]
     fn ge_const_compares() {

@@ -25,7 +25,7 @@ pub fn product_bits(bits: u32) -> u32 {
 
 /// Accumulator width for a `bits`-wide neuron summing up to `max_fan_in`
 /// products without overflow (one sign bit plus fan-in growth).
-pub fn accumulator_bits(bits: u32, max_fan_in: u32) -> u32 {
+pub(crate) fn accumulator_bits(bits: u32, max_fan_in: u32) -> u32 {
     let growth = 32 - (max_fan_in - 1).leading_zeros();
     product_bits(bits) + 1 + growth
 }
@@ -34,7 +34,7 @@ pub fn accumulator_bits(bits: u32, max_fan_in: u32) -> u32 {
 ///
 /// Inputs: `w_mag`, `x_mag` (`bits-1` each), `w_sign`, `x_sign` (1 each).
 /// Outputs: `p_mag` (`2·(bits-1)`), `p_sign` (1).
-pub fn conventional_mult_stage(bits: u32, kind: MultiplierKind) -> Circuit {
+pub(crate) fn conventional_mult_stage(bits: u32, kind: MultiplierKind) -> Circuit {
     assert!((3..=16).contains(&bits), "neuron width must be in 3..=16");
     let w = bits as usize - 1;
     let mut b = Builder::new(format!("mult_stage{bits}_{kind:?}"));
@@ -95,7 +95,7 @@ pub fn acc_stage(bits: u32, acc_bits: u32, kind: AdderKind) -> Circuit {
 /// bits.
 ///
 /// Invariant: `acc_s_next + acc_c_next ≡ acc_s + acc_c ± p (mod 2^acc_bits)`.
-pub fn acc_stage_carry_save(bits: u32, acc_bits: u32) -> Circuit {
+pub(crate) fn acc_stage_carry_save(bits: u32, acc_bits: u32) -> Circuit {
     let pw = product_bits(bits) as usize;
     assert!(acc_bits as usize > pw, "accumulator narrower than product");
     let mut b = Builder::new(format!("acc_stage{bits}_{acc_bits}_CarrySave"));
@@ -124,7 +124,7 @@ pub fn acc_stage_carry_save(bits: u32, acc_bits: u32) -> Circuit {
 
 /// Resolves a carry-save pair into a plain accumulator word:
 /// `acc = s + c` (wrapping). Feed-forward, so it may be pipelined.
-pub fn resolve_adder(acc_bits: u32, kind: AdderKind) -> Circuit {
+pub(crate) fn resolve_adder(acc_bits: u32, kind: AdderKind) -> Circuit {
     let mut b = Builder::new(format!("resolve{acc_bits}_{kind:?}"));
     let s = b.input_bus("s", acc_bits as usize);
     let c = b.input_bus("c", acc_bits as usize);

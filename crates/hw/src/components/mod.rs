@@ -1,15 +1,14 @@
 //! Datapath module generators ("a library of RTL blocks"): adders,
-//! multipliers, shifters, muxes, random logic, sign handling, the ASM
+//! multipliers, shifters, muxes, random logic, the ASM
 //! select/shift/combine stage, the alphabet pre-computer bank, MAC stages
 //! and the PLAN activation unit.
 
 pub mod activation;
 pub mod adder;
 pub mod asm;
-pub mod logic;
+pub(crate) mod logic;
 pub mod mac;
 pub mod multiplier;
-pub mod mux;
-pub mod negate;
+pub(crate) mod mux;
 pub mod precompute;
 pub mod shifter;

@@ -1,9 +1,7 @@
 //! Unsigned multiplier module generators: shift-add array and Wallace tree.
 //!
 //! These implement the *conventional* neuron's multiplier that the ASM
-//! replaces. Both operate on magnitudes; the sign path (XOR of operand signs
-//! plus conditional negate) is shared with the ASM datapath and lives in
-//! [`crate::components::negate`].
+//! replaces. Like the ASM datapath, both operate on magnitudes.
 
 use crate::circuit::Circuit;
 use crate::components::adder::{add_bus, full_adder, AdderKind};
@@ -21,7 +19,7 @@ pub enum MultiplierKind {
 
 impl MultiplierKind {
     /// Search order for synthesis, cheapest first.
-    pub const CHEAPEST_FIRST: [MultiplierKind; 3] = [
+    pub(crate) const CHEAPEST_FIRST: [MultiplierKind; 3] = [
         MultiplierKind::Array,
         MultiplierKind::Wallace(AdderKind::Ripple),
         MultiplierKind::Wallace(AdderKind::KoggeStone),
@@ -90,7 +88,7 @@ pub(crate) fn reduce_columns(b: &mut Builder, mut cols: Vec<Vec<Net>>) -> (Bus, 
 }
 
 /// Multiplies two buses, returning a `a.width() + b.width()` wide product.
-pub fn mul_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: MultiplierKind) -> Bus {
+pub(crate) fn mul_bus(b: &mut Builder, a: &Bus, bb: &Bus, kind: MultiplierKind) -> Bus {
     let out_w = a.width() + bb.width();
     match kind {
         MultiplierKind::Array => {

@@ -12,7 +12,7 @@ use crate::netlist::{Builder, Bus};
 ///
 /// Panics if `options` is empty, the widths differ, or `sel` is too narrow
 /// to address every option.
-pub fn mux_tree(b: &mut Builder, sel: &Bus, options: &[Bus]) -> Bus {
+pub(crate) fn mux_tree(b: &mut Builder, sel: &Bus, options: &[Bus]) -> Bus {
     assert!(!options.is_empty(), "mux tree needs at least one option");
     let width = options[0].width();
     assert!(

@@ -18,7 +18,7 @@ use crate::netlist::{Builder, Bus};
 ///
 /// Panics (with a descriptive message) if the list is not a valid alphabet
 /// set.
-pub fn validate_alphabets(alphabets: &[u8]) {
+pub(crate) fn validate_alphabets(alphabets: &[u8]) {
     assert!(!alphabets.is_empty(), "alphabet set must not be empty");
     assert!(
         alphabets.windows(2).all(|w| w[0] < w[1]),
@@ -106,7 +106,7 @@ fn alphabet_product(b: &mut Builder, x: &Bus, a: u8, kind: AdderKind) -> Bus {
 ///
 /// Panics if `bits < 3` or the alphabet set is invalid (see
 /// [`validate_alphabets`]).
-pub fn precompute_bank(bits: u32, alphabets: &[u8], kind: AdderKind) -> Circuit {
+pub(crate) fn precompute_bank(bits: u32, alphabets: &[u8], kind: AdderKind) -> Circuit {
     assert!((3..=16).contains(&bits), "neuron width must be in 3..=16");
     validate_alphabets(alphabets);
     let mut b = Builder::new(format!("precompute{bits}_{}a", alphabets.len()));

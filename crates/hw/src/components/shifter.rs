@@ -11,7 +11,7 @@ use crate::netlist::{Builder, Bus};
 /// Shifts `data` left by the binary amount on `shift` (LSB-first), producing
 /// an `out_width`-wide bus. Vacated low bits fill with zero; bits shifted
 /// beyond `out_width` are dropped.
-pub fn barrel_shift_left(b: &mut Builder, data: &Bus, shift: &Bus, out_width: usize) -> Bus {
+pub(crate) fn barrel_shift_left(b: &mut Builder, data: &Bus, shift: &Bus, out_width: usize) -> Bus {
     let mut current = b.resize_bus(data, out_width);
     for stage in 0..shift.width() {
         let amount = 1usize << stage;

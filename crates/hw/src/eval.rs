@@ -9,7 +9,7 @@
 //! `Σ toggles(g) · E_switch(cell(g))`. The simulation is zero-delay, so
 //! glitching inside deep combinational logic is not captured directly;
 //! circuit generators annotate a glitch factor instead (see
-//! [`crate::circuit::Circuit::glitch_factor`]).
+//! `crate::circuit::Circuit::glitch_factor`).
 
 use crate::cell::CellLibrary;
 use crate::netlist::{Netlist, NodeOp};
@@ -136,11 +136,6 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Number of vectors applied so far.
-    pub fn vectors(&self) -> u64 {
-        self.vectors
-    }
-
     /// Number of *transitions* observed so far (vectors beyond the first).
     pub fn transitions(&self) -> u64 {
         self.vectors.saturating_sub(1)
@@ -153,27 +148,10 @@ impl<'a> Evaluator<'a> {
         &self.toggles
     }
 
-    /// Total toggle count across all gates.
-    pub fn total_toggles(&self) -> u64 {
-        self.netlist
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.cell().is_some())
-            .map(|(i, _)| self.toggles[i])
-            .sum()
-    }
-
     /// Dynamic energy in fJ accumulated over all observed transitions:
     /// `Σ toggles(gate) · switch_fj(cell)`.
     pub fn dynamic_energy_fj(&self, lib: &CellLibrary) -> f64 {
         crate::power::dynamic_energy_fj(self.netlist, &self.toggles, lib)
-    }
-
-    /// Resets toggle statistics (signal state is kept).
-    pub fn reset_stats(&mut self) {
-        self.toggles.fill(0);
-        self.vectors = if self.vectors > 0 { 1 } else { 0 };
     }
 }
 
@@ -181,6 +159,17 @@ impl<'a> Evaluator<'a> {
 mod tests {
     use super::*;
     use crate::netlist::{Builder, Bus};
+
+    /// Total toggle count across all gates.
+    fn total_toggles(sim: &Evaluator) -> u64 {
+        sim.netlist
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| op.cell().is_some())
+            .map(|(i, _)| sim.toggles[i])
+            .sum()
+    }
 
     fn xor_netlist() -> Netlist {
         let mut b = Builder::new("xor");
@@ -205,11 +194,11 @@ mod tests {
         let nl = xor_netlist();
         let mut sim = Evaluator::new(&nl);
         sim.step(&[("x", 0b01)]); // baseline, no toggles counted
-        assert_eq!(sim.total_toggles(), 0);
+        assert_eq!(total_toggles(&sim), 0);
         sim.step(&[("x", 0b10)]); // output stays 1: no gate toggle
-        assert_eq!(sim.total_toggles(), 0);
+        assert_eq!(total_toggles(&sim), 0);
         sim.step(&[("x", 0b11)]); // output 1 -> 0
-        assert_eq!(sim.total_toggles(), 1);
+        assert_eq!(total_toggles(&sim), 1);
     }
 
     #[test]
@@ -219,7 +208,7 @@ mod tests {
         for _ in 0..10 {
             sim.step(&[("x", 0b11)]);
         }
-        assert_eq!(sim.total_toggles(), 0);
+        assert_eq!(total_toggles(&sim), 0);
         assert_eq!(sim.dynamic_energy_fj(&CellLibrary::nominal_45nm()), 0.0);
     }
 

@@ -7,7 +7,7 @@
 //! * [`cell`] — a 45 nm-class standard-cell library;
 //! * [`netlist`] — structural netlists with a hashing/folding builder;
 //! * [`eval`] — scalar reference logic simulation counting per-gate toggles;
-//! * [`timing`] — static timing analysis;
+//! * `timing` — static timing analysis;
 //! * [`power`] — switching-activity energy estimation over real operand
 //!   streams, simulated 64 vectors per word;
 //! * [`components`] — module generators for every datapath block of the
@@ -39,4 +39,4 @@ pub mod netlist;
 pub mod neuron;
 pub mod power;
 pub mod synth;
-pub mod timing;
+mod timing;

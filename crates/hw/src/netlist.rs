@@ -21,7 +21,7 @@ pub struct Net(u32);
 
 impl Net {
     /// The node index this net is driven by.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -37,7 +37,7 @@ impl Bus {
     }
 
     /// Width in bits.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.0.len()
     }
 
@@ -60,7 +60,7 @@ impl Bus {
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bus {
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Bus {
         Bus(self.0[range].to_vec())
     }
 }
@@ -89,7 +89,7 @@ pub enum NodeOp {
 
 impl NodeOp {
     /// The library cell implementing this node, if it is a gate.
-    pub fn cell(&self) -> Option<CellKind> {
+    pub(crate) fn cell(&self) -> Option<CellKind> {
         match self {
             NodeOp::Input | NodeOp::Const(_) => None,
             NodeOp::Unary(k, _) | NodeOp::Binary(k, _, _) => Some(*k),
@@ -109,7 +109,7 @@ pub struct Netlist {
 
 impl Netlist {
     /// Netlist name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -134,18 +134,13 @@ impl Netlist {
         map
     }
 
-    /// Named input buses.
-    pub fn inputs(&self) -> &[(String, Vec<Net>)] {
-        &self.inputs
-    }
-
     /// Named output buses.
-    pub fn outputs(&self) -> &[(String, Vec<Net>)] {
+    pub(crate) fn outputs(&self) -> &[(String, Vec<Net>)] {
         &self.outputs
     }
 
     /// Finds an input bus by name.
-    pub fn input(&self, name: &str) -> Option<&[Net]> {
+    pub(crate) fn input(&self, name: &str) -> Option<&[Net]> {
         self.inputs
             .iter()
             .find(|(n, _)| n == name)
@@ -153,7 +148,7 @@ impl Netlist {
     }
 
     /// Finds an output bus by name.
-    pub fn output(&self, name: &str) -> Option<&[Net]> {
+    pub(crate) fn output(&self, name: &str) -> Option<&[Net]> {
         self.outputs
             .iter()
             .find(|(n, _)| n == name)
@@ -272,7 +267,7 @@ impl Builder {
     }
 
     /// A bus wired to the constant `value` (LSB first).
-    pub fn const_bus(&mut self, value: u64, width: usize) -> Bus {
+    pub(crate) fn const_bus(&mut self, value: u64, width: usize) -> Bus {
         Bus((0..width)
             .map(|i| self.constant((value >> i) & 1 == 1))
             .collect())
@@ -396,7 +391,7 @@ impl Builder {
     /// # Panics
     ///
     /// Panics if the bus widths differ.
-    pub fn mux_bus(&mut self, sel: Net, a: &Bus, b: &Bus) -> Bus {
+    pub(crate) fn mux_bus(&mut self, sel: Net, a: &Bus, b: &Bus) -> Bus {
         assert_eq!(a.width(), b.width(), "mux_bus width mismatch");
         Bus((0..a.width())
             .map(|i| self.mux(sel, a.net(i), b.net(i)))
@@ -404,7 +399,7 @@ impl Builder {
     }
 
     /// Zero-extends (or truncates) a bus to `width`.
-    pub fn resize_bus(&mut self, bus: &Bus, width: usize) -> Bus {
+    pub(crate) fn resize_bus(&mut self, bus: &Bus, width: usize) -> Bus {
         let zero = self.constant(false);
         Bus((0..width)
             .map(|i| if i < bus.width() { bus.net(i) } else { zero })
@@ -413,7 +408,7 @@ impl Builder {
 
     /// Shifts a bus left by a constant `k`, growing it to `width` bits
     /// (pure wiring: zero bits shift in, high bits beyond `width` drop).
-    pub fn shift_left_const(&mut self, bus: &Bus, k: usize, width: usize) -> Bus {
+    pub(crate) fn shift_left_const(&mut self, bus: &Bus, k: usize, width: usize) -> Bus {
         let zero = self.constant(false);
         Bus((0..width)
             .map(|i| {
@@ -427,7 +422,7 @@ impl Builder {
     }
 
     /// Bitwise AND of a whole bus with one enable net.
-    pub fn mask_bus(&mut self, bus: &Bus, enable: Net) -> Bus {
+    pub(crate) fn mask_bus(&mut self, bus: &Bus, enable: Net) -> Bus {
         Bus((0..bus.width())
             .map(|i| self.and(bus.net(i), enable))
             .collect())

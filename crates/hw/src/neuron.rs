@@ -35,31 +35,26 @@ impl NeuronKind {
             ),
         }
     }
-
-    /// `true` for the 1-alphabet `{1}` multiplier-less neuron.
-    pub fn is_man(&self) -> bool {
-        matches!(self, NeuronKind::Asm(a) if a.as_slice() == [1])
-    }
 }
 
 /// Parameters of a neuron datapath build.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NeuronSpec {
     /// Word length of inputs and weights (8 or 12 in the paper).
-    pub bits: u32,
+    pub(crate) bits: u32,
     /// Multiplier choice.
-    pub kind: NeuronKind,
+    pub(crate) kind: NeuronKind,
     /// Lanes sharing one pre-computer bank (the paper uses 4).
     pub lanes: u32,
     /// Largest layer fan-in the accumulator must absorb without overflow.
-    pub max_fan_in: u32,
+    pub(crate) max_fan_in: u32,
     /// Clock period in ps (333 for 3 GHz @ 8-bit, 400 for 2.5 GHz @ 12-bit).
     pub clock_ps: f64,
     /// Fractional bits of the accumulator word (drives the activation
     /// unit's range compressor).
-    pub acc_frac: u32,
+    pub(crate) acc_frac: u32,
     /// Fixed-point interface of the PLAN core inside the activation unit.
-    pub activation: PlanParams,
+    pub(crate) activation: PlanParams,
 }
 
 impl NeuronSpec {
@@ -179,7 +174,7 @@ impl NeuronDatapath {
     /// Area of one processing unit: shared blocks (pre-computer bank,
     /// resolve adder, activation) plus `lanes` × (multiplier stage +
     /// accumulator), in µm².
-    pub fn unit_area_um2(&self, lib: &CellLibrary) -> f64 {
+    pub(crate) fn unit_area_um2(&self, lib: &CellLibrary) -> f64 {
         let shared = self.precompute.as_ref().map_or(0.0, |c| c.area_um2(lib))
             + self.resolver.as_ref().map_or(0.0, |c| c.area_um2(lib))
             + self.activation.area_um2(lib);
@@ -275,7 +270,5 @@ mod tests {
         assert_eq!(NeuronKind::Conventional.label(), "conventional");
         assert_eq!(NeuronKind::Asm(vec![1]).label(), "MAN {1}");
         assert_eq!(NeuronKind::Asm(vec![1, 3]).label(), "ASM {1,3}");
-        assert!(NeuronKind::Asm(vec![1]).is_man());
-        assert!(!NeuronKind::Asm(vec![1, 3]).is_man());
     }
 }

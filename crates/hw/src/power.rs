@@ -36,24 +36,15 @@ pub struct EnergyBreakdown {
     /// Combinational switching energy, glitch-adjusted (fJ/op).
     pub comb_fj: f64,
     /// Register energy: clock tree + data switching (fJ/op).
-    pub reg_fj: f64,
+    pub(crate) reg_fj: f64,
     /// Leakage energy over one cycle (fJ/op).
-    pub leakage_fj: f64,
+    pub(crate) leakage_fj: f64,
 }
 
 impl EnergyBreakdown {
     /// Total energy per operation in fJ.
     pub fn total_fj(&self) -> f64 {
         self.comb_fj + self.reg_fj + self.leakage_fj
-    }
-
-    /// Adds another breakdown (e.g. to combine datapath components).
-    pub fn combined(self, other: EnergyBreakdown) -> EnergyBreakdown {
-        EnergyBreakdown {
-            comb_fj: self.comb_fj + other.comb_fj,
-            reg_fj: self.reg_fj + other.reg_fj,
-            leakage_fj: self.leakage_fj + other.leakage_fj,
-        }
     }
 
     /// Scales the energy (e.g. to amortize a shared block over N lanes).
@@ -64,12 +55,6 @@ impl EnergyBreakdown {
             leakage_fj: self.leakage_fj * factor,
         }
     }
-
-    /// Average power in mW at a clock period of `clock_ps`, assuming one
-    /// operation per cycle (fJ / ps = mW).
-    pub fn power_mw(&self, clock_ps: f64) -> f64 {
-        self.total_fj() / clock_ps
-    }
 }
 
 /// Power-model knobs.
@@ -77,7 +62,7 @@ impl EnergyBreakdown {
 pub struct PowerModel {
     /// Fraction of register bits whose data input toggles per cycle
     /// (used for the data-dependent part of register energy).
-    pub reg_data_activity: f64,
+    pub(crate) reg_data_activity: f64,
 }
 
 impl Default for PowerModel {
@@ -312,7 +297,7 @@ fn transpose64(m: &mut [u64; 64]) {
 
 /// Per-cycle register energy: every flop's clock pin toggles each cycle;
 /// a `reg_data_activity` fraction of flops also switch their output.
-pub fn register_energy_fj(circuit: &Circuit, lib: &CellLibrary, model: &PowerModel) -> f64 {
+pub(crate) fn register_energy_fj(circuit: &Circuit, lib: &CellLibrary, model: &PowerModel) -> f64 {
     let dff = lib.params(CellKind::Dff);
     circuit.regs() as f64 * (lib.dff_clock_fj + model.reg_data_activity * dff.switch_fj)
 }
@@ -353,15 +338,13 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_combines_and_scales() {
+    fn breakdown_scales() {
         let a = EnergyBreakdown {
             comb_fj: 1.0,
             reg_fj: 2.0,
             leakage_fj: 3.0,
         };
-        let b = a.combined(a);
-        assert_eq!(b.total_fj(), 12.0);
+        assert_eq!(a.total_fj(), 6.0);
         assert_eq!(a.scaled(0.5).total_fj(), 3.0);
-        assert!((a.power_mw(6.0) - 1.0).abs() < 1e-12);
     }
 }

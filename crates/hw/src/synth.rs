@@ -34,7 +34,7 @@ pub enum AccStyle {
 
 /// Maximum pipeline depth the synthesizer will insert into a feed-forward
 /// block.
-pub const MAX_PIPELINE_STAGES: u32 = 4;
+pub(crate) const MAX_PIPELINE_STAGES: u32 = 4;
 
 /// Error returned when no architecture meets the clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,7 +156,7 @@ pub fn synthesize_adder(
 /// # Errors
 ///
 /// Returns [`TimingClosureError`] if no architecture meets the clock.
-pub fn synthesize_conventional_mult(
+pub(crate) fn synthesize_conventional_mult(
     bits: u32,
     lib: &CellLibrary,
     clock_ps: f64,
@@ -179,7 +179,7 @@ pub fn synthesize_conventional_mult(
 ///
 /// Returns [`TimingClosureError`] if no combine-adder choice meets the
 /// clock.
-pub fn synthesize_asm_mult(
+pub(crate) fn synthesize_asm_mult(
     bits: u32,
     alphabets: &[u8],
     lib: &CellLibrary,
@@ -205,7 +205,7 @@ pub fn synthesize_asm_mult(
 /// # Errors
 ///
 /// Returns [`TimingClosureError`] if even the carry-save loop misses timing.
-pub fn synthesize_acc(
+pub(crate) fn synthesize_acc(
     bits: u32,
     acc_bits: u32,
     lib: &CellLibrary,
@@ -239,7 +239,7 @@ pub fn synthesize_acc(
 /// # Errors
 ///
 /// Returns [`TimingClosureError`] if no architecture meets the clock.
-pub fn synthesize_resolver(
+pub(crate) fn synthesize_resolver(
     acc_bits: u32,
     lib: &CellLibrary,
     clock_ps: f64,
@@ -262,7 +262,7 @@ pub fn synthesize_resolver(
 /// # Errors
 ///
 /// Returns [`TimingClosureError`] if no adder choice meets the clock.
-pub fn synthesize_precompute(
+pub(crate) fn synthesize_precompute(
     bits: u32,
     alphabets: &[u8],
     lib: &CellLibrary,
@@ -287,7 +287,7 @@ pub fn synthesize_precompute(
 ///
 /// Returns [`TimingClosureError`] if the unit cannot be pipelined into the
 /// clock.
-pub fn synthesize_activation(
+pub(crate) fn synthesize_activation(
     acc_bits: u32,
     acc_frac: u32,
     params: &PlanParams,

@@ -8,27 +8,9 @@
 use crate::cell::CellLibrary;
 use crate::netlist::{Netlist, NodeOp};
 
-/// Per-node arrival times and the overall critical path.
-#[derive(Clone, Debug)]
-pub struct TimingReport {
-    arrivals: Vec<f64>,
-    critical_ps: f64,
-}
-
-impl TimingReport {
-    /// The worst arrival time at any node, in ps.
-    pub fn critical_ps(&self) -> f64 {
-        self.critical_ps
-    }
-
-    /// Arrival time of a specific node.
-    pub fn arrival_ps(&self, node: usize) -> f64 {
-        self.arrivals[node]
-    }
-}
-
-/// Computes arrival times for every node and the critical (longest) path.
-pub fn analyze(netlist: &Netlist, lib: &CellLibrary) -> TimingReport {
+/// Longest combinational path through `netlist` in ps: arrival times
+/// propagate forward through the (topologically sorted) node table.
+pub(crate) fn critical_path_ps(netlist: &Netlist, lib: &CellLibrary) -> f64 {
     let nodes = netlist.nodes();
     let mut arrivals = vec![0.0f64; nodes.len()];
     let mut critical = 0.0f64;
@@ -51,15 +33,7 @@ pub fn analyze(netlist: &Netlist, lib: &CellLibrary) -> TimingReport {
             critical = arr;
         }
     }
-    TimingReport {
-        arrivals,
-        critical_ps: critical,
-    }
-}
-
-/// Longest combinational path in ps (convenience wrapper over [`analyze`]).
-pub fn critical_path_ps(netlist: &Netlist, lib: &CellLibrary) -> f64 {
-    analyze(netlist, lib).critical_ps()
+    critical
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the function.
-    pub fn eval(&self, x: f32) -> f32 {
+    pub(crate) fn eval(&self, x: f32) -> f32 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Tanh => x.tanh(),
@@ -52,7 +52,7 @@ impl Activation {
     }
 
     /// Derivative expressed through the *output* value `y = eval(x)`.
-    pub fn derivative_from_output(&self, y: f32) -> f32 {
+    pub(crate) fn derivative_from_output(&self, y: f32) -> f32 {
         match self {
             Activation::Sigmoid => y * (1.0 - y),
             Activation::Tanh => 1.0 - y * y,
@@ -109,16 +109,6 @@ impl Dense {
     /// The bias vector.
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    /// Overwrites the biases (e.g. sigmoid-centering initialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the output width.
-    pub fn set_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.bias.len(), "bias length mismatch");
-        self.bias.copy_from_slice(bias);
     }
 
     /// `y = W·x + b` for each of `rows` rows. Rows are transposed into
@@ -243,12 +233,12 @@ impl Conv2d {
     }
 
     /// Output height.
-    pub fn out_h(&self) -> usize {
+    pub(crate) fn out_h(&self) -> usize {
         self.in_h - self.kernel + 1
     }
 
     /// Output width.
-    pub fn out_w(&self) -> usize {
+    pub(crate) fn out_w(&self) -> usize {
         self.in_w - self.kernel + 1
     }
 
@@ -260,16 +250,6 @@ impl Conv2d {
     /// Per-output-channel biases.
     pub fn bias(&self) -> &[f32] {
         &self.bias
-    }
-
-    /// Overwrites the biases (e.g. sigmoid-centering initialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the output channel count.
-    pub fn set_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.bias.len(), "bias length mismatch");
-        self.bias.copy_from_slice(bias);
     }
 
     fn input_len(&self) -> usize {
@@ -410,25 +390,13 @@ impl ScaledAvgPool {
         &self.bias
     }
 
-    /// Overwrites coefficients and biases (sigmoid-centering init).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ from the channel count.
-    pub fn set_params(&mut self, weights: &[f32], bias: &[f32]) {
-        assert_eq!(weights.len(), self.weights.len(), "weight length mismatch");
-        assert_eq!(bias.len(), self.bias.len(), "bias length mismatch");
-        self.weights.copy_from_slice(weights);
-        self.bias.copy_from_slice(bias);
-    }
-
     /// Output height.
-    pub fn out_h(&self) -> usize {
+    pub(crate) fn out_h(&self) -> usize {
         self.in_h / 2
     }
 
     /// Output width.
-    pub fn out_w(&self) -> usize {
+    pub(crate) fn out_w(&self) -> usize {
         self.in_w / 2
     }
 
@@ -533,8 +501,8 @@ impl ActivationLayer {
 /// One network layer.
 ///
 /// Every pass takes `rows` rows as one row-major buffer:
-/// [`Layer::infer`] is the immutable inference pass, [`Layer::forward`]
-/// the training pass that also caches what [`Layer::backward`] consumes.
+/// `Layer::infer` is the immutable inference pass, `Layer::forward`
+/// the training pass that also caches what `Layer::backward` consumes.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Layer {
     /// Fully connected.
@@ -554,7 +522,7 @@ impl Layer {
     /// # Panics
     ///
     /// Panics if `x` does not hold `rows` rows of the layer's input width.
-    pub fn infer(&self, x: &[f32], rows: usize) -> Vec<f32> {
+    pub(crate) fn infer(&self, x: &[f32], rows: usize) -> Vec<f32> {
         match self {
             Layer::Dense(l) => l.infer(x, rows),
             Layer::Conv2d(l) => l.infer(x, rows),
@@ -570,7 +538,7 @@ impl Layer {
     /// # Panics
     ///
     /// Panics if `x` does not hold `rows` rows of the layer's input width.
-    pub fn forward(&mut self, x: Vec<f32>, rows: usize) -> Vec<f32> {
+    pub(crate) fn forward(&mut self, x: Vec<f32>, rows: usize) -> Vec<f32> {
         match self {
             Layer::Dense(l) => {
                 let y = l.infer(&x, rows);
@@ -600,7 +568,7 @@ impl Layer {
     /// returns the gradient w.r.t. the layer input — or an empty vector
     /// when `input_grad` is false (the first layer's input gradient is
     /// never used).
-    pub fn backward(&mut self, g: Vec<f32>, rows: usize, input_grad: bool) -> Vec<f32> {
+    pub(crate) fn backward(&mut self, g: Vec<f32>, rows: usize, input_grad: bool) -> Vec<f32> {
         match self {
             Layer::Dense(l) => l.backward(&g, rows, input_grad),
             Layer::Conv2d(l) => l.backward(&g, rows, input_grad),
@@ -619,7 +587,7 @@ impl Layer {
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grads(&mut self) {
+    pub(crate) fn zero_grads(&mut self) {
         let (gw, gb) = match self {
             Layer::Dense(l) => (&mut l.grad_w, &mut l.grad_b),
             Layer::Conv2d(l) => (&mut l.grad_w, &mut l.grad_b),
@@ -642,7 +610,10 @@ impl Layer {
     }
 
     /// Visits `(kind, values, grads)` for every parameter tensor.
-    pub fn visit_params_mut(&mut self, f: &mut impl FnMut(ParamKind, &mut [f32], &mut [f32])) {
+    pub(crate) fn visit_params_mut(
+        &mut self,
+        f: &mut impl FnMut(ParamKind, &mut [f32], &mut [f32]),
+    ) {
         match self {
             Layer::Dense(l) => {
                 f(ParamKind::Weights, &mut l.weights, &mut l.grad_w);

@@ -53,12 +53,6 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layer stack (used by the constraint
-    /// projector).
-    pub fn layers_mut(&mut self) -> &mut [Layer] {
-        &mut self.layers
-    }
-
     /// Total trainable parameter count (the paper's "synapses").
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(Layer::param_count).sum()
@@ -82,7 +76,7 @@ impl Network {
     /// Multiply-accumulate operations one inference costs — the float
     /// twin of the fixed engine's compile-time MAC count, and the work
     /// measure [`Network::accuracy_par`] hands the `man-par` Auto tuner.
-    pub fn macs_per_inference(&self) -> u64 {
+    pub(crate) fn macs_per_inference(&self) -> u64 {
         self.layers
             .iter()
             .map(|l| match l {
@@ -112,7 +106,7 @@ impl Network {
     }
 
     /// Training forward pass over a minibatch of `rows` rows held
-    /// row-major in `x`; caches activations for [`Network::backward`].
+    /// row-major in `x`; caches activations for `Network::backward`.
     ///
     /// # Panics
     ///
@@ -128,7 +122,7 @@ impl Network {
     /// Backpropagates the loss gradients `[rows][out]` of the last
     /// [`Network::forward`], adding each row's parameter gradients in row
     /// order.
-    pub fn backward(&mut self, grad_out: Vec<f32>, rows: usize) {
+    pub(crate) fn backward(&mut self, grad_out: Vec<f32>, rows: usize) {
         let mut g = grad_out;
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             g = layer.backward(g, rows, i > 0);
@@ -257,7 +251,7 @@ impl Network {
 }
 
 /// Index of the largest element (first on ties).
-pub fn argmax(v: &[f32]) -> usize {
+pub(crate) fn argmax(v: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in v.iter().enumerate().skip(1) {
         if x > v[best] {

@@ -7,16 +7,16 @@ use crate::network::Network;
 #[derive(Clone, Debug)]
 pub struct Sgd {
     /// Current learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     /// Momentum coefficient in `[0, 1)`.
-    pub momentum: f32,
+    pub(crate) momentum: f32,
     /// Optional per-tensor RMS gradient clip: before each update, a
     /// tensor's gradient is rescaled so its root-mean-square element does
     /// not exceed this value. Weight-sharing layers (convolutions, the
     /// LeNet pooling coefficients) accumulate gradients over hundreds of
     /// spatial positions; without clipping their few parameters blow
     /// through the sigmoid's active region in the first epoch.
-    pub clip_rms: Option<f32>,
+    pub(crate) clip_rms: Option<f32>,
     velocities: Vec<Vec<f32>>,
 }
 
@@ -54,7 +54,7 @@ impl Sgd {
     /// # Panics
     ///
     /// Panics if `batch_size == 0`.
-    pub fn step(&mut self, net: &mut Network, batch_size: usize) {
+    pub(crate) fn step(&mut self, net: &mut Network, batch_size: usize) {
         assert!(batch_size > 0, "batch size must be positive");
         let scale = 1.0 / batch_size as f32;
         let (lr, momentum, clip_rms) = (self.lr, self.momentum, self.clip_rms);
@@ -84,14 +84,8 @@ impl Sgd {
     }
 
     /// Multiplies the learning rate by `factor` (step decay).
-    pub fn decay_lr(&mut self, factor: f32) {
+    pub(crate) fn decay_lr(&mut self, factor: f32) {
         self.lr *= factor;
-    }
-
-    /// Clears momentum state (used when retraining restarts from a restore
-    /// point, per Algorithm 2 step 4).
-    pub fn reset(&mut self) {
-        self.velocities.clear();
     }
 }
 

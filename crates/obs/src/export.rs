@@ -11,7 +11,7 @@ use crate::hist::{HistogramSnapshot, OCTAVE_BUCKETS};
 
 /// Escapes a label value per the exposition format: backslash, double
 /// quote, and newline.
-pub fn escape_label(value: &str) -> String {
+pub(crate) fn escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn empty_histogram_renders_only_inf() {
         let mut page = PromText::new();
-        page.histogram_us("m", &[], &HistogramSnapshot::empty());
+        page.histogram_us("m", &[], &OctaveHistogram::new().snapshot());
         let text = page.finish();
         assert!(text.contains("m_bucket{le=\"+Inf\"} 0"));
         assert!(text.contains("m_count 0"));

@@ -2,12 +2,12 @@
 //! events, and triggered JSON dumps for post-mortems.
 //!
 //! Thread-local collector buffers ([`crate::flush`] / full-buffer
-//! drains) land here. The ring holds the last [`RING_CAPACITY`]
+//! drains) land here. The ring holds the last `RING_CAPACITY`
 //! events and overwrites the oldest on overflow — recording never
 //! blocks on a reader and never grows without bound. When something
 //! goes wrong (`Overloaded`, a request timeout, a contained worker
 //! panic) the serving tier calls [`trigger_dump`], which freezes the
-//! last [`DUMP_WINDOW_MS`] of events into a JSON document retrievable
+//! last `DUMP_WINDOW_MS` of events into a JSON document retrievable
 //! over the wire via the `dump_trace` protocol verb.
 
 use std::collections::VecDeque;
@@ -21,10 +21,10 @@ use crate::{now_ns, spans_enabled, SpanEvent};
 /// Capacity of the event ring. At serving rates of ~10k spans/s this
 /// is roughly the last second of activity — sized to comfortably
 /// cover [`DUMP_WINDOW_MS`].
-pub const RING_CAPACITY: usize = 8192;
+pub(crate) const RING_CAPACITY: usize = 8192;
 
 /// How far back a triggered dump reaches, in milliseconds.
-pub const DUMP_WINDOW_MS: u64 = 1000;
+pub(crate) const DUMP_WINDOW_MS: u64 = 1000;
 
 /// Minimum spacing between two triggered dumps, in nanoseconds: an
 /// overload storm rejects thousands of requests per second, and one
@@ -43,7 +43,7 @@ fn last_dump_slot() -> &'static Mutex<Option<String>> {
 
 /// Appends a drained collector batch to the ring, evicting the oldest
 /// events past [`RING_CAPACITY`] (the overwrite semantics of §12).
-pub fn extend(events: &[SpanEvent]) {
+pub(crate) fn extend(events: &[SpanEvent]) {
     if events.is_empty() {
         return;
     }
@@ -91,7 +91,7 @@ pub fn clear() {
 /// none), `at_us` (process-monotonic trigger time), `window_ms`, and
 /// an `events` array of `{stage, req, start_us, dur_us, label, arg,
 /// thread}` objects in ring (arrival) order.
-pub fn render_dump(reason: &str, req: u64, window_ns: u64) -> String {
+pub(crate) fn render_dump(reason: &str, req: u64, window_ns: u64) -> String {
     let events = snapshot_recent(window_ns);
     let rows: Vec<Value> = events
         .iter()
@@ -119,7 +119,7 @@ pub fn render_dump(reason: &str, req: u64, window_ns: u64) -> String {
 
 static LAST_TRIGGER_NS: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// Freezes the last [`DUMP_WINDOW_MS`] of events into the retained
+/// Freezes the last `DUMP_WINDOW_MS` of events into the retained
 /// dump, anchored to `reason` and `req`. Rate-limited (at most one
 /// dump per 100ms) and a no-op below [`crate::ObsLevel::Spans`] —
 /// there are no events to dump. Returns whether a dump was taken.
@@ -145,7 +145,7 @@ pub fn trigger_dump(reason: &str, req: u64) -> bool {
 }
 
 /// The most recent triggered dump, if any (a JSON document from
-/// [`render_dump`]).
+/// `render_dump`).
 pub fn last_dump() -> Option<String> {
     last_dump_slot()
         .lock()

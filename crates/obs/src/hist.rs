@@ -38,7 +38,7 @@ impl OctaveHistogram {
     ///
     /// ORDERING: monotonic statistics counters; readers tolerate torn
     /// cross-counter views (see `snapshot`), so Relaxed is sufficient.
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         let bucket = (value.max(1).ilog2() as usize).min(OCTAVE_BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -74,7 +74,7 @@ impl Default for OctaveHistogram {
 #[derive(Clone, Debug)]
 pub struct HistogramSnapshot {
     /// Per-octave sample counts (`buckets[i]` covers `[2^i, 2^(i+1))`).
-    pub buckets: [u64; OCTAVE_BUCKETS],
+    pub(crate) buckets: [u64; OCTAVE_BUCKETS],
     /// Total samples recorded.
     pub count: u64,
     /// Sum of all recorded sample values.
@@ -82,15 +82,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// A zeroed snapshot.
-    pub fn empty() -> Self {
-        Self {
-            buckets: [0; OCTAVE_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
     /// Whether any sample has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
@@ -121,15 +112,6 @@ impl HistogramSnapshot {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Merges another snapshot into this one (bucket-wise sum).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -188,18 +170,5 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_bucketwise() {
-        let a = OctaveHistogram::new();
-        let b = OctaveHistogram::new();
-        a.record(100);
-        b.record(100);
-        b.record(1_000_000);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count, 3);
-        assert_eq!(m.sum, 100 + 100 + 1_000_000);
     }
 }

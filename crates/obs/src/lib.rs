@@ -10,7 +10,7 @@
 //! 2. **Flight recorder** — a bounded ring of recent [`SpanEvent`]s
 //!    with triggered JSON dumps on incidents (overload, timeout,
 //!    worker panic). See [`flight`].
-//! 3. **Export plane** — per-stage octave histograms ([`hist`])
+//! 3. **Export plane** — per-stage octave histograms (`hist`)
 //!    rendered as Prometheus text exposition ([`export`]).
 //!
 //! Everything is gated by a runtime [`ObsLevel`]: `Off` is a single
@@ -25,7 +25,7 @@
 
 pub mod export;
 pub mod flight;
-pub mod hist;
+mod hist;
 
 pub use hist::{HistogramSnapshot, OctaveHistogram, OCTAVE_BUCKETS};
 
@@ -142,7 +142,7 @@ pub fn counters_enabled() -> bool {
 
 /// Whether span events are recorded for the flight recorder.
 #[inline]
-pub fn spans_enabled() -> bool {
+pub(crate) fn spans_enabled() -> bool {
     level() == ObsLevel::Spans
 }
 
@@ -187,11 +187,11 @@ pub enum Stage {
 }
 
 /// Number of [`Stage`] variants.
-pub const STAGE_COUNT: usize = 13;
+pub(crate) const STAGE_COUNT: usize = 13;
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; STAGE_COUNT] = [
+    pub(crate) const ALL: [Stage; STAGE_COUNT] = [
         Stage::Accept,
         Stage::Decode,
         Stage::QueueWait,
@@ -242,11 +242,11 @@ pub struct SpanEvent {
     /// Duration in nanoseconds (0 for incident markers).
     pub dur_ns: u64,
     /// Static annotation (e.g. the shard-plan label); `""` when unused.
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Numeric annotation (worker count, batch size, ...); 0 unused.
-    pub arg: u64,
+    pub(crate) arg: u64,
     /// Recording thread (process-unique small integer).
-    pub thread: u32,
+    pub(crate) thread: u32,
 }
 
 /// Nanoseconds since the process-wide monotonic epoch (the first call
@@ -275,7 +275,7 @@ fn stage_hists() -> &'static [OctaveHistogram; STAGE_COUNT] {
 }
 
 /// Snapshots every per-stage latency histogram (microsecond samples),
-/// in [`Stage::ALL`] order.
+/// in `Stage::ALL` order.
 pub fn stage_snapshot() -> Vec<(Stage, HistogramSnapshot)> {
     Stage::ALL
         .iter()
@@ -288,7 +288,7 @@ pub fn stage_snapshot() -> Vec<(Stage, HistogramSnapshot)> {
 /// (one ring-mutex acquisition per `THREAD_BUFFER_EVENTS` events)
 /// against how much history a quiet thread can sit on before a
 /// lifecycle flush pushes it out.
-pub const THREAD_BUFFER_EVENTS: usize = 256;
+pub(crate) const THREAD_BUFFER_EVENTS: usize = 256;
 
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
@@ -467,12 +467,6 @@ impl Span {
             start_ns,
         }
     }
-
-    /// Overrides the numeric argument after entry (for values only
-    /// known once the work ran, e.g. a drained batch size).
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
 }
 
 impl Drop for Span {
@@ -543,10 +537,7 @@ mod tests {
         let _guard = test_level_lock();
         set_level(ObsLevel::Spans);
         let before = stage_hists()[Stage::Decode as usize].snapshot().count;
-        {
-            let mut s = Span::labeled(Stage::Decode, 42, "test", 0);
-            s.set_arg(7);
-        }
+        drop(Span::labeled(Stage::Decode, 42, "test", 7));
         flush();
         let after = stage_hists()[Stage::Decode as usize].snapshot().count;
         assert_eq!(after, before + 1);

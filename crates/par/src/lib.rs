@@ -243,37 +243,37 @@ type ErasedSlot = Box<dyn FnOnce() + Send + 'static>;
 #[derive(Debug, Default)]
 pub struct PoolStats {
     /// Times a worker parked on the condvar with nothing to do.
-    pub parks: AtomicU64,
+    pub(crate) parks: AtomicU64,
     /// Worker slots executed by pool worker threads.
-    pub worker_slots: AtomicU64,
+    pub(crate) worker_slots: AtomicU64,
     /// Worker slots the submitter ran inline (its reserved slot).
-    pub inline_slots: AtomicU64,
+    pub(crate) inline_slots: AtomicU64,
     /// Still-queued slots a submitter stole back from the pool.
-    pub steals: AtomicU64,
+    pub(crate) steals: AtomicU64,
     /// Chunks handed out and completed across all jobs.
-    pub chunks: AtomicU64,
+    pub(crate) chunks: AtomicU64,
     /// Nanoseconds pool workers spent executing slots.
-    pub busy_ns: AtomicU64,
+    pub(crate) busy_ns: AtomicU64,
     /// Nanoseconds pool workers spent parked waiting for work.
-    pub park_ns: AtomicU64,
+    pub(crate) park_ns: AtomicU64,
 }
 
 /// A plain copy of [`PoolStats`] at one instant.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolSnapshot {
-    /// See [`PoolStats::parks`].
+    /// Times a worker parked on the condvar with nothing to do.
     pub parks: u64,
-    /// See [`PoolStats::worker_slots`].
+    /// Worker slots executed by pool worker threads.
     pub worker_slots: u64,
-    /// See [`PoolStats::inline_slots`].
+    /// Worker slots the submitter ran inline (its reserved slot).
     pub inline_slots: u64,
-    /// See [`PoolStats::steals`].
+    /// Still-queued slots a submitter stole back from the pool.
     pub steals: u64,
-    /// See [`PoolStats::chunks`].
+    /// Chunks handed out and completed across all jobs.
     pub chunks: u64,
-    /// See [`PoolStats::busy_ns`].
+    /// Nanoseconds pool workers spent executing slots.
     pub busy_ns: u64,
-    /// See [`PoolStats::park_ns`].
+    /// Nanoseconds pool workers spent parked waiting for work.
     pub park_ns: u64,
 }
 

@@ -105,12 +105,11 @@ struct Job {
 
 /// A model plus its scheduler: queue, worker pool, metrics.
 ///
-/// Dropping (or [`ModelHost::stop`]-ping) the host closes the queue;
+/// Dropping (or `ModelHost::stop`-ping) the host closes the queue;
 /// workers then drain every already-queued request before exiting, so
 /// shutdown never silently drops accepted work.
 pub struct ModelHost {
     name: String,
-    model: Arc<CompiledModel>,
     config: BatchConfig,
     input_len: usize,
     metrics: Arc<ModelMetrics>,
@@ -122,7 +121,11 @@ pub struct ModelHost {
 
 impl ModelHost {
     /// Starts a scheduler for `model`.
-    pub fn start(name: impl Into<String>, model: CompiledModel, config: BatchConfig) -> Arc<Self> {
+    pub(crate) fn start(
+        name: impl Into<String>,
+        model: CompiledModel,
+        config: BatchConfig,
+    ) -> Arc<Self> {
         let name = name.into();
         let model = Arc::new(model);
         let metrics = Arc::new(ModelMetrics::new(config.max_batch));
@@ -145,7 +148,6 @@ impl ModelHost {
         Arc::new(Self {
             name,
             input_len: model.fixed().input_len(),
-            model,
             config,
             metrics,
             queue: Mutex::new(Some(tx)),
@@ -154,22 +156,12 @@ impl ModelHost {
     }
 
     /// The model name this host serves.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
-    /// The hosted model.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
-    }
-
-    /// The scheduler configuration.
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
-    }
-
     /// Live metrics handle.
-    pub fn metrics(&self) -> &Arc<ModelMetrics> {
+    pub(crate) fn metrics(&self) -> &Arc<ModelMetrics> {
         &self.metrics
     }
 
@@ -190,7 +182,7 @@ impl ModelHost {
     /// gauge: it is pre-incremented before `try_send` (and decremented
     /// on rejection) so it never under-reports the backlog the workers
     /// are about to see.
-    pub fn submit(&self, input: Vec<f32>) -> Result<Prediction, ManError> {
+    pub(crate) fn submit(&self, input: Vec<f32>) -> Result<Prediction, ManError> {
         if input.len() != self.input_len {
             // ORDERING: monotonic statistics counter; reporting only.
             self.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +275,7 @@ impl ModelHost {
 
     /// Graceful shutdown: closes the queue, lets the workers drain every
     /// already-accepted request, and joins them. Idempotent.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         drop(self.queue.lock().expect("queue lock poisoned").take());
         let handles: Vec<_> = {
             let mut workers = self.workers.lock().expect("workers lock poisoned");

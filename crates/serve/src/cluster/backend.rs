@@ -40,7 +40,7 @@ fn is_transport(code: &str) -> bool {
 /// A worker node: address, pooled MANB connections, health state and
 /// router-side metrics. Shared (`Arc`) between the routing table, the
 /// health checker and every in-flight request.
-pub struct Backend {
+pub(crate) struct Backend {
     /// The worker's `host:port` name — the ring identity.
     addr: String,
     /// The resolved socket address connections dial.
@@ -86,7 +86,7 @@ impl Backend {
     /// # Errors
     ///
     /// `io` when the address does not resolve.
-    pub fn new(addr: &str) -> Result<Self, WireError> {
+    pub(crate) fn new(addr: &str) -> Result<Self, WireError> {
         let resolved = addr
             .to_socket_addrs()
             .map_err(|e| WireError {
@@ -111,12 +111,12 @@ impl Backend {
     }
 
     /// The worker's `host:port` name.
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.addr
     }
 
     /// Whether routing currently prefers this backend.
-    pub fn is_healthy(&self) -> bool {
+    pub(crate) fn is_healthy(&self) -> bool {
         // ORDERING: advisory routing hint — a stale read costs at most
         // one extra failover attempt; the retry loop is the mechanism.
         self.healthy.load(Ordering::Relaxed)
@@ -167,7 +167,7 @@ impl Backend {
     }
 
     /// Closes every idle pooled connection (drain on `leave`).
-    pub fn drain_pool(&self) {
+    pub(crate) fn drain_pool(&self) {
         let mut pool = self.pool.lock().expect("backend pool lock poisoned");
         pool.clear();
     }
@@ -219,7 +219,7 @@ impl Backend {
     ///
     /// Transport errors (connection dropped, failure recorded) or the
     /// worker's own error verbatim.
-    pub fn predict(
+    pub(crate) fn predict(
         &self,
         model: &str,
         input: &[f32],
@@ -234,20 +234,24 @@ impl Backend {
     /// # Errors
     ///
     /// As [`Backend::predict`].
-    pub fn request_ok(&self, line: &str, timeout: Duration) -> Result<serde::Value, WireError> {
+    pub(crate) fn request_ok(
+        &self,
+        line: &str,
+        timeout: Duration,
+    ) -> Result<serde::Value, WireError> {
         self.round_trip(timeout, |conn| conn.request_ok(line))
     }
 
     /// One health probe (the `stats` verb, as the cheapest
     /// full-round-trip request a worker serves). Success restores the
     /// healthy flag; failure feeds the same accounting as real traffic.
-    pub fn probe(&self, timeout: Duration) -> bool {
+    pub(crate) fn probe(&self, timeout: Duration) -> bool {
         self.round_trip(timeout, |conn| conn.request_ok(r#"{"op":"stats"}"#))
             .is_ok()
     }
 
     /// A point-in-time stats snapshot.
-    pub fn stats(&self) -> BackendStats {
+    pub(crate) fn stats(&self) -> BackendStats {
         let snap = self.latency.snapshot();
         BackendStats {
             node: self.addr.clone(),
@@ -262,7 +266,7 @@ impl Backend {
     }
 
     /// The latency histogram snapshot (for the Prometheus page).
-    pub fn latency_snapshot(&self) -> man_obs::HistogramSnapshot {
+    pub(crate) fn latency_snapshot(&self) -> man_obs::HistogramSnapshot {
         self.latency.snapshot()
     }
 }

@@ -55,7 +55,7 @@ impl RouterCounters {
 
 /// Renders the router's Prometheus text page: routing counters,
 /// per-backend health/traffic/latency, and placement gauges.
-pub fn cluster_prometheus_page(router: &Router) -> String {
+pub(crate) fn cluster_prometheus_page(router: &Router) -> String {
     let stats = router.stats();
     let mut page = PromText::new();
 

@@ -19,18 +19,16 @@
 //!   health-check-driven failover invisible to clients: a retry on a
 //!   different replica returns the *same bytes*.
 //!
-//! Placement is a consistent-hash [`HashRing`] ([`ring`]) with
-//! per-model replica sets; [`backend`] holds the per-worker connection
-//! pool + health state; [`router`] the routing table, bounded-retry
-//! failover and drain-then-join rebalance; [`metrics`] the
+//! Placement is a consistent-hash [`HashRing`] (`ring`) with
+//! per-model replica sets; `backend` holds the per-worker connection
+//! pool + health state; `router` the routing table, bounded-retry
+//! failover and drain-then-join rebalance; `metrics` the
 //! `man_cluster_*` Prometheus plane.
 
-pub mod backend;
-pub mod metrics;
-pub mod ring;
-pub mod router;
+pub(crate) mod backend;
+pub(crate) mod metrics;
+pub(crate) mod ring;
+pub(crate) mod router;
 
-pub use backend::{Backend, BackendStats};
-pub use metrics::cluster_prometheus_page;
 pub use ring::HashRing;
 pub use router::{ModelPlacement, Router, RouterConfig, RouterStats, REPLICAS};

@@ -28,7 +28,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// entirely; the finalizer spreads them. Tiny, seedless,
 /// deterministic, and good enough dispersion for placement (this is
 /// sharding, not security).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -68,29 +68,9 @@ impl HashRing {
         }
     }
 
-    /// Virtual nodes per physical node.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
-    /// The node names, sorted.
-    pub fn nodes(&self) -> &[String] {
-        &self.nodes
-    }
-
     /// Whether `node` is on the ring.
-    pub fn contains(&self, node: &str) -> bool {
+    pub(crate) fn contains(&self, node: &str) -> bool {
         self.nodes.iter().any(|n| n == node)
-    }
-
-    /// Number of physical nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the ring has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Adds a node (idempotent) and rebuilds the ring points.
@@ -155,11 +135,6 @@ impl HashRing {
         }
         out
     }
-
-    /// The key's primary node (first replica), if any node exists.
-    pub fn primary(&self, key: &str) -> Option<&str> {
-        self.replicas(key, 1).first().copied()
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +197,8 @@ mod tests {
         let mut counts = [0usize; 3];
         for i in 0..300 {
             let key = format!("m{i}");
-            let primary = r.primary(&key).unwrap();
-            let idx = r.nodes().iter().position(|n| n == primary).unwrap();
+            let primary = r.replicas(&key, 1)[0];
+            let idx = r.nodes.iter().position(|n| n == primary).unwrap();
             counts[idx] += 1;
         }
         // With 64 vnodes each node should own a non-trivial share.

@@ -421,7 +421,7 @@ impl Router {
     /// # Errors
     ///
     /// `unknown_model` when the router never loaded it.
-    pub fn unload_model(&self, model: &str) -> Result<(), ManError> {
+    pub(crate) fn unload_model(&self, model: &str) -> Result<(), ManError> {
         let _admin = self.admin.lock().expect("router admin lock poisoned");
         let targets = self
             .table

@@ -5,14 +5,9 @@
 //! span histograms `man-obs` collects.
 //!
 //! The page is served on demand through the `metrics` protocol verb
-//! ([`prometheus_page`]) and, optionally, pushed on a schedule by the
-//! [`MetricsExporter`] thread — a textfile-collector-style sink for
-//! hosts without a scraper.
+//! ([`prometheus_page`]).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::Ordering;
 
 use man_obs::export::PromText;
 
@@ -21,7 +16,7 @@ use crate::registry::ModelRegistry;
 /// Renders the full Prometheus text page (exposition format 0.0.4) for
 /// a registry: model series first (name order), then pool utilization,
 /// then the per-stage span histograms.
-pub fn prometheus_page(registry: &ModelRegistry) -> String {
+pub(crate) fn prometheus_page(registry: &ModelRegistry) -> String {
     let mut page = PromText::new();
 
     let handles = registry.metrics_handles();
@@ -170,75 +165,10 @@ pub fn prometheus_page(registry: &ModelRegistry) -> String {
     page.finish()
 }
 
-/// A periodic export thread: renders [`prometheus_page`] every
-/// `interval` and hands the text to `sink` (write it to a node-exporter
-/// textfile, push it, log it — the exporter does not care). The sink
-/// also runs once immediately at start, so a short-lived process still
-/// exports at least one page.
-pub struct MetricsExporter {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsExporter {
-    /// Starts the export loop.
-    pub fn start(
-        registry: Arc<ModelRegistry>,
-        interval: Duration,
-        mut sink: impl FnMut(String) + Send + 'static,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("man-serve/exporter".into())
-            .spawn(move || {
-                // Tick in short slices so stop() is observed promptly
-                // even with a long interval.
-                let tick = interval
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1));
-                loop {
-                    sink(prometheus_page(&registry));
-                    let mut waited = Duration::ZERO;
-                    while waited < interval {
-                        if thread_stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        std::thread::sleep(tick);
-                        waited += tick;
-                    }
-                    if thread_stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-            })
-            .expect("spawning the metrics exporter thread");
-        Self {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops and joins the export thread. Idempotent; also run by drop.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsExporter {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batcher::BatchConfig;
-    use std::sync::Mutex;
 
     #[test]
     fn empty_registry_page_still_renders_pool_and_level() {
@@ -253,27 +183,5 @@ mod tests {
             "{page}"
         );
         assert!(page.contains("# TYPE man_obs_level gauge"), "{page}");
-    }
-
-    #[test]
-    fn periodic_exporter_delivers_pages_and_stops() {
-        let registry = ModelRegistry::new(BatchConfig::default());
-        let pages: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink_pages = Arc::clone(&pages);
-        let mut exporter =
-            MetricsExporter::start(registry, Duration::from_millis(5), move |page| {
-                sink_pages.lock().expect("sink lock").push(page)
-            });
-        // The first page is exported immediately; wait for at least one
-        // more tick, then stop.
-        std::thread::sleep(Duration::from_millis(30));
-        exporter.stop();
-        let exported = pages.lock().expect("sink lock");
-        assert!(
-            exported.len() >= 2,
-            "expected >=2 pages, got {}",
-            exported.len()
-        );
-        assert!(exported[0].contains("man_obs_level"));
     }
 }

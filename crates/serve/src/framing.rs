@@ -4,7 +4,7 @@
 //! See `PROTOCOL.md` for the normative spec. In short:
 //!
 //! * A binary client opens with an 8-byte handshake: the magic
-//!   [`MAGIC`] (`"MANB"`), its highest supported version byte, and
+//!   `MAGIC` (`"MANB"`), its highest supported version byte, and
 //!   three reserved zero bytes. The server answers with the same magic
 //!   and the version it selected (`min(client, server)`, today always
 //!   [`VERSION`]); the connection then speaks length-prefixed frames in
@@ -14,7 +14,7 @@
 //! * A frame is a `u32` little-endian payload length followed by the
 //!   payload; the payload's first byte is a tag. Requests:
 //!   [`TAG_REQ_JSON`] (the NDJSON grammar, minus the newline) and
-//!   [`TAG_REQ_PREDICT`] (the compact predict encoding). Responses:
+//!   `TAG_REQ_PREDICT` (the compact predict encoding). Responses:
 //!   [`TAG_RESP_JSON`] (every non-predict response *and* every error)
 //!   and [`TAG_RESP_PREDICT`] (class + raw `i64` scores).
 //! * Frames longer than [`MAX_FRAME_LEN`] are rejected with the stable
@@ -30,7 +30,7 @@
 use man_repro::Prediction;
 
 /// The 4-byte magic a binary client leads with (`"MANB"`).
-pub const MAGIC: [u8; 4] = *b"MANB";
+pub(crate) const MAGIC: [u8; 4] = *b"MANB";
 /// The framing version this server speaks.
 pub const VERSION: u8 = 1;
 /// Handshake length in bytes (magic + version + 3 reserved zeros).
@@ -42,7 +42,7 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Request payload tag: UTF-8 JSON body in the NDJSON grammar.
 pub const TAG_REQ_JSON: u8 = 0x00;
 /// Request payload tag: compact predict body.
-pub const TAG_REQ_PREDICT: u8 = 0x01;
+pub(crate) const TAG_REQ_PREDICT: u8 = 0x01;
 /// Response payload tag: UTF-8 JSON body (all non-predict responses
 /// and all errors — error codes stay stable across both wire modes).
 pub const TAG_RESP_JSON: u8 = 0x80;
@@ -80,7 +80,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 
 /// Wraps a JSON response line (without trailing newline) in a
 /// [`TAG_RESP_JSON`] frame.
-pub fn frame_json_response(json: &str) -> Vec<u8> {
+pub(crate) fn frame_json_response(json: &str) -> Vec<u8> {
     let mut payload = Vec::with_capacity(1 + json.len());
     payload.push(TAG_RESP_JSON);
     payload.extend_from_slice(json.as_bytes());
@@ -117,12 +117,12 @@ pub fn frame_predict_response(prediction: &Prediction) -> Vec<u8> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PredictRequest {
     /// Registry model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Flat input vector.
-    pub input: Vec<f32>,
+    pub(crate) input: Vec<f32>,
 }
 
-/// Decodes the body of a [`TAG_REQ_PREDICT`] payload (everything after
+/// Decodes the body of a `TAG_REQ_PREDICT` payload (everything after
 /// the tag byte). Returns a human-readable description of the first
 /// malformation on failure.
 pub fn decode_predict_request(body: &[u8]) -> Result<PredictRequest, String> {
@@ -188,7 +188,7 @@ pub fn decode_predict_response(body: &[u8]) -> Result<(usize, Vec<i64>), String>
 
 /// What [`split_frame`] found at the head of an inbound byte buffer.
 #[derive(Clone, Debug, PartialEq)]
-pub enum FrameStatus {
+pub(crate) enum FrameStatus {
     /// Not enough bytes yet for the length prefix or the full payload.
     Incomplete,
     /// A complete payload; the caller should consume `4 + payload.len()`
@@ -202,7 +202,7 @@ pub enum FrameStatus {
 
 /// Inspects the head of `buf` for one complete frame without consuming
 /// anything.
-pub fn split_frame(buf: &[u8]) -> FrameStatus {
+pub(crate) fn split_frame(buf: &[u8]) -> FrameStatus {
     if buf.len() < 4 {
         return FrameStatus::Incomplete;
     }

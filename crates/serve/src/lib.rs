@@ -25,7 +25,7 @@
 //!   it directly for the same four operations the wire protocol
 //!   speaks.
 //! * [`Server`] / [`TcpClient`] / [`BinaryClient`] — the TCP front-end
-//!   over `std::net`: a nonblocking poll [`reactor`] that serves 10k+
+//!   over `std::net`: a nonblocking poll `reactor` that serves 10k+
 //!   mostly-idle connections on a handful of threads, with
 //!   newline-delimited JSON and a compact length-prefixed binary
 //!   [`framing`] negotiated per connection on the same port (see
@@ -34,10 +34,9 @@
 //! * [`metrics`] — per-model counters, octave-bucket latency and
 //!   queue-wait percentiles and the micro-batch size distribution,
 //!   exported through the `stats` verb.
-//! * [`exporter`] — the unified telemetry export plane: a Prometheus
-//!   text page (`metrics` verb, [`prometheus_page`]) and an optional
-//!   periodic [`MetricsExporter`] thread, unifying model stats,
-//!   `man-par` pool utilization and the `man-obs` per-stage span
+//! * `exporter` — the unified telemetry export plane: one Prometheus
+//!   text page, served on demand by the `metrics` verb, unifying model
+//!   stats, `man-par` pool utilization and the `man-obs` per-stage span
 //!   histograms; the `dump_trace` verb retrieves flight-recorder
 //!   dumps.
 //! * [`cluster`] — the multi-process tier: a [`Router`] that serves
@@ -77,21 +76,19 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
+mod batcher;
 pub mod cluster;
-pub mod exporter;
+mod exporter;
 pub mod framing;
 pub mod metrics;
 pub mod protocol;
-pub mod reactor;
+mod reactor;
 pub mod registry;
-pub mod server;
+mod server;
 
 pub use batcher::{BatchConfig, ModelHost};
 pub use cluster::{HashRing, Router, RouterConfig, RouterStats};
-pub use exporter::{prometheus_page, MetricsExporter};
 pub use metrics::{LatencyHistogram, ModelMetrics, ModelStats};
-pub use protocol::Request;
 pub use reactor::{FrontendStats, ReactorConfig};
 pub use registry::{ModelInfo, ModelRegistry};
 pub use server::{BinaryClient, RequestHandler, Server, TcpClient, WireError};

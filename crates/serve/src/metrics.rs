@@ -35,28 +35,28 @@ pub struct ModelMetrics {
     /// queue — including ones the full queue then rejected. Incremented
     /// *before* the queue handoff, so at every instant
     /// `accepted >= completed + rejected + timed_out`.
-    pub accepted: AtomicU64,
+    pub(crate) accepted: AtomicU64,
     /// Requests whose prediction came back to the submitter in time.
-    pub completed: AtomicU64,
+    pub(crate) completed: AtomicU64,
     /// Requests rejected at submit (queue full).
-    pub rejected: AtomicU64,
+    pub(crate) rejected: AtomicU64,
     /// Requests whose submitter gave up at `request_timeout` (the
     /// scheduler still ran the batch; the late reply goes nowhere).
-    pub timed_out: AtomicU64,
+    pub(crate) timed_out: AtomicU64,
     /// Requests answered with an error: shape mismatches at submit,
     /// plus worker-side failures delivered back in time.
-    pub errors: AtomicU64,
+    pub(crate) errors: AtomicU64,
     /// `infer_batch` calls issued by the scheduler.
-    pub batches: AtomicU64,
+    pub(crate) batches: AtomicU64,
     /// One counter per batch size `1..=max_batch` (index `size - 1`).
     batch_sizes: Vec<AtomicU64>,
     /// End-to-end latency (enqueue to reply) of delivered replies.
-    pub latency: LatencyHistogram,
+    pub(crate) latency: LatencyHistogram,
     /// Time each request sat queued before a scheduler drained it —
     /// the backpressure-onset signal the end-to-end percentiles hide.
-    pub queue_wait: LatencyHistogram,
+    pub(crate) queue_wait: LatencyHistogram,
     /// Requests currently queued (approximate).
-    pub queue_depth: AtomicUsize,
+    pub(crate) queue_depth: AtomicUsize,
     /// The sharding plan the most recent dispatch resolved to, kept in
     /// its cheap `Copy` form (one store per batch) and rendered only by
     /// `stats`.
@@ -65,7 +65,7 @@ pub struct ModelMetrics {
 
 impl ModelMetrics {
     /// Fresh counters for a scheduler with the given `max_batch`.
-    pub fn new(max_batch: usize) -> Self {
+    pub(crate) fn new(max_batch: usize) -> Self {
         Self {
             accepted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -85,7 +85,7 @@ impl ModelMetrics {
     ///
     /// ORDERING: monotonic statistics counters read only for reporting;
     /// Relaxed suffices (no memory is published through them).
-    pub fn observe_batch(&self, size: usize) {
+    pub(crate) fn observe_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         if size >= 1 {
             let idx = (size - 1).min(self.batch_sizes.len() - 1);
@@ -96,7 +96,7 @@ impl ModelMetrics {
     /// Records the plan a dispatch resolved to — one `Copy` store under
     /// a short lock, cheap enough for every batch, so operators always
     /// see what the tuner actually chose last.
-    pub fn observe_plan(&self, plan: ShardPlan) {
+    pub(crate) fn observe_plan(&self, plan: ShardPlan) {
         *self
             .plan
             .lock()
@@ -106,7 +106,7 @@ impl ModelMetrics {
     /// The most recent resolved plan, rendered (`None` before the first
     /// dispatch) — what the Prometheus exporter labels
     /// `man_serve_model_info` with.
-    pub fn resolved_plan(&self) -> Option<String> {
+    pub(crate) fn resolved_plan(&self) -> Option<String> {
         self.plan
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -126,7 +126,7 @@ impl ModelMetrics {
     /// ORDERING: the Relaxed loads here read independent monotonic
     /// statistics counters (histograms, batch sizes, queue depth); no
     /// cross-counter consistency is promised for them.
-    pub fn snapshot(&self, model: &str) -> ModelStats {
+    pub(crate) fn snapshot(&self, model: &str) -> ModelStats {
         let latency = self.latency.snapshot();
         let queue_wait = self.queue_wait.snapshot();
         let batch_histogram: Vec<u64> = self
@@ -203,23 +203,23 @@ pub struct ModelStats {
     /// Requests queued at snapshot time (approximate).
     pub queue_depth: u64,
     /// Mean end-to-end latency.
-    pub mean_latency_us: f64,
+    pub(crate) mean_latency_us: f64,
     /// Median end-to-end latency (octave-bucket estimate).
     pub p50_us: u64,
     /// 95th-percentile latency (octave-bucket estimate).
-    pub p95_us: u64,
+    pub(crate) p95_us: u64,
     /// 99th-percentile latency (octave-bucket estimate).
     pub p99_us: u64,
     /// Mean time a request sat queued before a scheduler drained it.
-    pub mean_queue_us: f64,
+    pub(crate) mean_queue_us: f64,
     /// Median queue wait (octave-bucket estimate).
-    pub queue_p50_us: u64,
+    pub(crate) queue_p50_us: u64,
     /// 95th-percentile queue wait (octave-bucket estimate).
-    pub queue_p95_us: u64,
+    pub(crate) queue_p95_us: u64,
     /// 99th-percentile queue wait (octave-bucket estimate) — rising
     /// queue percentiles with flat execution percentiles is the
     /// backpressure-onset signature.
-    pub queue_p99_us: u64,
+    pub(crate) queue_p99_us: u64,
     /// The sharding plan the most recent dispatch resolved to (e.g.
     /// `"rows(4)"`); `"unresolved"` before the first batch.
     pub plan: String,

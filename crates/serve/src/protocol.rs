@@ -202,7 +202,7 @@ pub fn error_code(e: &ManError) -> &'static str {
 /// Every stable wire code a server can emit (`PROTOCOL.md`'s error
 /// table). The cluster router uses this to intern upstream codes and
 /// to decide which errors are worth a failover retry.
-pub const STABLE_CODES: &[&str] = &[
+pub(crate) const STABLE_CODES: &[&str] = &[
     "overloaded",
     "unknown_model",
     "unavailable",
@@ -218,7 +218,7 @@ pub const STABLE_CODES: &[&str] = &[
 
 /// Interns a dynamic code string against [`STABLE_CODES`]; anything
 /// off-table maps to `internal`.
-pub fn intern_code(code: &str) -> &'static str {
+pub(crate) fn intern_code(code: &str) -> &'static str {
     STABLE_CODES
         .iter()
         .find(|&&c| c == code)
@@ -234,7 +234,7 @@ pub(crate) fn render(value: &Value) -> String {
 /// for front-end conditions that never reach the registry (a too-large
 /// binary frame, a full dispatch queue, shutdown). Registry errors go
 /// through [`error_response`] so the code mapping stays in one place.
-pub fn raw_error_response(code: &str, message: &str) -> String {
+pub(crate) fn raw_error_response(code: &str, message: &str) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(false)),
         ("error".into(), Value::Str(code.into())),
@@ -243,7 +243,7 @@ pub fn raw_error_response(code: &str, message: &str) -> String {
 }
 
 /// Renders an error response line.
-pub fn error_response(e: &ManError) -> String {
+pub(crate) fn error_response(e: &ManError) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(false)),
         ("error".into(), Value::Str(error_code(e).into())),
@@ -262,7 +262,7 @@ pub fn predict_response(model: &str, prediction: &Prediction) -> String {
 }
 
 /// Renders a successful `load` response line.
-pub fn load_response(info: &ModelInfo) -> String {
+pub(crate) fn load_response(info: &ModelInfo) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(true)),
         ("model".into(), Value::Str(info.model.clone())),
@@ -274,7 +274,7 @@ pub fn load_response(info: &ModelInfo) -> String {
 }
 
 /// Renders a successful `unload` response line.
-pub fn unload_response(model: &str) -> String {
+pub(crate) fn unload_response(model: &str) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(true)),
         ("model".into(), Value::Str(model.into())),
@@ -282,7 +282,7 @@ pub fn unload_response(model: &str) -> String {
 }
 
 /// Renders a successful `stats` response line.
-pub fn stats_response(stats: &[ModelStats]) -> String {
+pub(crate) fn stats_response(stats: &[ModelStats]) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(true)),
         ("models".into(), stats.to_value()),
@@ -293,7 +293,7 @@ pub fn stats_response(stats: &[ModelStats]) -> String {
 /// page travels as a JSON string (the NDJSON framing cannot carry raw
 /// multi-line text), with its content type alongside so a gateway can
 /// re-expose it verbatim.
-pub fn metrics_response(page: &str) -> String {
+pub(crate) fn metrics_response(page: &str) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(true)),
         (
@@ -307,7 +307,7 @@ pub fn metrics_response(page: &str) -> String {
 /// Renders a plain server's `health` response line: liveness plus the
 /// loaded model names (a router renders its own richer variant — see
 /// `crate::cluster`).
-pub fn health_response(models: &[String]) -> String {
+pub(crate) fn health_response(models: &[String]) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(true)),
         ("role".into(), Value::Str("node".into())),
@@ -322,7 +322,7 @@ pub fn health_response(models: &[String]) -> String {
 /// recorder's most recent dump embedded as a JSON object, or
 /// `"dump":null` when nothing has been triggered (or the obs level is
 /// below `Spans`).
-pub fn dump_trace_response(dump: Option<&str>) -> String {
+pub(crate) fn dump_trace_response(dump: Option<&str>) -> String {
     let embedded = dump
         .and_then(|d| serde_json::from_str(d).ok())
         .unwrap_or(Value::Null);

@@ -50,7 +50,7 @@
 //! then close every socket; the dispatch workers drain the queue and
 //! exit when the last reactor drops its sender.
 
-pub mod poll;
+pub(crate) mod poll;
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -163,12 +163,12 @@ pub struct FrontendStats {
 /// never synchronize data).
 #[derive(Default)]
 struct FrontendCounters {
-    pub accepted: AtomicU64,
-    pub open: AtomicUsize,
-    pub high_water: AtomicUsize,
-    pub rejected: AtomicU64,
-    pub ndjson: AtomicU64,
-    pub binary: AtomicU64,
+    pub(crate) accepted: AtomicU64,
+    pub(crate) open: AtomicUsize,
+    pub(crate) high_water: AtomicUsize,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) ndjson: AtomicU64,
+    pub(crate) binary: AtomicU64,
 }
 
 impl FrontendCounters {
@@ -878,19 +878,25 @@ impl ReactorThread {
 /// binary `TAG_REQ_JSON` frames) and renders the response line, without
 /// a trailing newline.
 ///
-/// Tracing: the `decode` span covers request parsing, the `encode` span
-/// covers dispatch *and* response rendering (request ids are assigned
+/// Tracing: the `decode` span covers request parsing and the `encode`
+/// span only the rendering of a predict or error response, so neither
+/// overlaps queue-wait, dispatch or the kernel (request ids are assigned
 /// deeper, by `ModelHost::submit`, so both carry request id 0).
 fn serve_line(handler: &dyn RequestHandler, line: &str) -> String {
     let parsed = {
         let _decode = Span::enter(Stage::Decode);
         parse_request(line)
     };
-    let _encode = Span::enter(Stage::Encode);
     match parsed {
         Ok(request) => serve_request(handler, request),
-        Err(e) => error_response(&e),
+        Err(e) => encode(|| error_response(&e)),
     }
+}
+
+/// Runs one response renderer inside the `encode` span.
+fn encode<T>(render: impl FnOnce() -> T) -> T {
+    let _encode = Span::enter(Stage::Encode);
+    render()
 }
 
 /// Renders the answer to one parsed request: `predict` and `dump_trace`
@@ -899,8 +905,8 @@ fn serve_line(handler: &dyn RequestHandler, line: &str) -> String {
 pub(crate) fn serve_request(handler: &dyn RequestHandler, request: Request) -> String {
     match request {
         Request::Predict { model, input } => match handler.handle_predict(&model, input) {
-            Ok(prediction) => predict_response(&model, &prediction),
-            Err(e) => error_response(&e),
+            Ok(prediction) => encode(|| predict_response(&model, &prediction)),
+            Err(e) => encode(|| error_response(&e)),
         },
         Request::DumpTrace => dump_trace_response(flight::last_dump().as_deref()),
         other => handler.handle(other),
@@ -935,13 +941,10 @@ fn serve_job(handler: &dyn RequestHandler, kind: &JobKind) -> Vec<u8> {
                     framing::decode_predict_request(&payload[1..])
                 };
                 match decoded {
-                    Ok(request) => {
-                        let _encode = Span::enter(Stage::Encode);
-                        match handler.handle_predict(&request.model, request.input) {
-                            Ok(prediction) => framing::frame_predict_response(&prediction),
-                            Err(e) => framing::frame_json_response(&error_response(&e)),
-                        }
-                    }
+                    Ok(request) => match handler.handle_predict(&request.model, request.input) {
+                        Ok(prediction) => encode(|| framing::frame_predict_response(&prediction)),
+                        Err(e) => encode(|| framing::frame_json_response(&error_response(&e))),
+                    },
                     Err(why) => framing::frame_json_response(&raw_error_response(
                         "bad_request",
                         &format!("malformed predict frame: {why}"),

@@ -19,35 +19,35 @@ use std::os::fd::RawFd;
 
 /// `POLLIN`: the descriptor has bytes to read (or a peer hangup to
 /// observe — Linux also flags readability on EOF).
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// `POLLOUT`: a write would accept at least one byte.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// `POLLERR`: error condition (revents only; always polled).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// `POLLHUP`: peer hung up (revents only; always polled).
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// `POLLNVAL`: the fd is not open (revents only; a slab bookkeeping
 /// bug if it ever appears — the reactor closes such slots defensively).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One entry of a `poll(2)` set — layout-compatible with the C
 /// `struct pollfd` on every unix libc (three naturally-aligned
 /// integers; `repr(C)` pins field order).
 #[repr(C)]
 #[derive(Clone, Copy, Debug)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     /// The raw descriptor (from `AsRawFd`; the owner keeps it open
     /// across the call).
-    pub fd: RawFd,
+    pub(crate) fd: RawFd,
     /// Requested readiness: a bitset of [`POLLIN`] / [`POLLOUT`].
-    pub events: i16,
+    pub(crate) events: i16,
     /// Kernel-reported readiness, filled in by [`poll_fds`].
-    pub revents: i16,
+    pub(crate) revents: i16,
 }
 
 impl PollFd {
     /// An entry asking for `events` readiness on `fd`.
-    pub fn new(fd: RawFd, events: i16) -> Self {
+    pub(crate) fn new(fd: RawFd, events: i16) -> Self {
         Self {
             fd,
             events,
@@ -57,7 +57,7 @@ impl PollFd {
 
     /// Whether the kernel flagged any of `mask` (or an error/hangup
     /// condition, which `poll` reports regardless of `events`).
-    pub fn ready(&self, mask: i16) -> bool {
+    pub(crate) fn ready(&self, mask: i16) -> bool {
         self.revents & (mask | POLLERR | POLLHUP | POLLNVAL) != 0
     }
 }
@@ -82,7 +82,7 @@ extern "C" {
 /// The raw OS error (`EINTR` is mapped to `Ok(0)` — the reactor treats
 /// an interrupted wait exactly like an idle tick).
 #[allow(unsafe_code)]
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     // SAFETY: the single unsafe expression of this crate. `fds` is a
     // live, exclusively-borrowed slice of `repr(C)` `PollFd` entries
     // whose layout matches the C `struct pollfd`, so the pointer/len

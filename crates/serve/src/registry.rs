@@ -29,7 +29,7 @@ pub struct ModelInfo {
     /// Values each input must hold.
     pub input_len: usize,
     /// Parameterized layers.
-    pub layers: usize,
+    pub(crate) layers: usize,
     /// Alphabet assignment label (e.g. `"1 {1}"`).
     pub alphabets: String,
 }
@@ -176,7 +176,7 @@ impl ModelRegistry {
     ///
     /// [`ServeError::UnknownModel`], [`ManError::Shape`],
     /// [`ServeError::Overloaded`], [`ServeError::Timeout`] — the full
-    /// backpressure-aware contract of [`ModelHost::submit`].
+    /// backpressure-aware contract of `ModelHost::submit`.
     pub fn predict(&self, model: &str, input: Vec<f32>) -> Result<Prediction, ManError> {
         self.host(model)?.submit(input)
     }
@@ -189,16 +189,6 @@ impl ModelRegistry {
             .keys()
             .cloned()
             .collect()
-    }
-
-    /// Metadata for one loaded model.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownModel`] if nothing is loaded under `name`.
-    pub fn info(&self, model: &str) -> Result<ModelInfo, ManError> {
-        let host = self.host(model)?;
-        Ok(info_of(host.name(), host.model()))
     }
 
     /// Stats snapshots: every model, or just `model` when given.
@@ -235,7 +225,7 @@ impl ModelRegistry {
     /// what the telemetry exporter walks to render raw histograms
     /// (the [`ModelRegistry::stats`] snapshot only carries derived
     /// percentiles).
-    pub fn metrics_handles(&self) -> Vec<(String, Arc<crate::metrics::ModelMetrics>)> {
+    pub(crate) fn metrics_handles(&self) -> Vec<(String, Arc<crate::metrics::ModelMetrics>)> {
         self.hosts
             .read()
             .expect("registry lock poisoned")

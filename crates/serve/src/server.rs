@@ -384,7 +384,7 @@ impl TcpClient {
 /// [`BinaryClient::connect`] performs the `MANB` handshake; after it,
 /// `predict` travels in the compact fixed-layout encoding (no JSON on
 /// the hot path) while every other verb rides JSON-in-a-frame through
-/// [`BinaryClient::request`]. Error responses arrive as the same JSON
+/// `BinaryClient::request`. Error responses arrive as the same JSON
 /// envelopes NDJSON clients see, so error codes are stable across wire
 /// modes.
 pub struct BinaryClient {
@@ -413,7 +413,7 @@ impl BinaryClient {
     ///
     /// As [`BinaryClient::connect`], plus `io` when any deadline
     /// expires.
-    pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, WireError> {
+    pub(crate) fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, WireError> {
         let stream = TcpStream::connect_timeout(addr, timeout).map_err(|e| WireError::io(&e))?;
         stream
             .set_read_timeout(Some(timeout))
@@ -468,7 +468,7 @@ impl BinaryClient {
     ///
     /// `io` on transport failure, `bad_response` on an unparseable or
     /// unexpected reply.
-    pub fn request(&mut self, line: &str) -> Result<Value, WireError> {
+    pub(crate) fn request(&mut self, line: &str) -> Result<Value, WireError> {
         let mut payload = Vec::with_capacity(1 + line.len());
         payload.push(framing::TAG_REQ_JSON);
         payload.extend_from_slice(line.as_bytes());
@@ -494,7 +494,7 @@ impl BinaryClient {
     /// # Errors
     ///
     /// The server's error code/message when `ok` is `false`, plus the
-    /// transport failures of [`BinaryClient::request`].
+    /// transport failures of `BinaryClient::request`.
     pub fn request_ok(&mut self, line: &str) -> Result<Value, WireError> {
         check_ok(self.request(line)?)
     }
@@ -504,7 +504,7 @@ impl BinaryClient {
     ///
     /// # Errors
     ///
-    /// As [`BinaryClient::request`], plus any server-reported error
+    /// As `BinaryClient::request`, plus any server-reported error
     /// (which arrives as a JSON error frame carrying the same stable
     /// codes).
     pub fn predict(&mut self, model: &str, input: &[f32]) -> Result<(usize, Vec<i64>), WireError> {

@@ -3,27 +3,30 @@
 //! rejecting request, and covers the whole request lifecycle —
 //! queue-wait, coalesce, dispatch and kernel (both with the resolved
 //! shard-plan label) — for a single request id. Also round-trips the `dump_trace` and `metrics`
-//! protocol verbs over loopback TCP.
+//! protocol verbs over loopback TCP, and checks that a served predict's
+//! `encode` span starts only after its kernel has finished.
 //!
-//! The obs level is process-global state, so everything lives in one
-//! `#[test]` — parallel test threads must not flip the level under
-//! each other.
+//! The obs level and the flight-recorder ring are process-global state,
+//! so each `#[test]` holds [`OBS`] for its whole run — parallel test
+//! threads must not flip the level or clear the ring under each other.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
 use man_repro::{CompiledModel, ManError, Pipeline, ServeError};
-use man_serve::obs::{self, flight, ObsLevel};
-use man_serve::{BatchConfig, ModelRegistry, Server, TcpClient};
+use man_serve::obs::{self, flight, ObsLevel, Stage};
+use man_serve::{BatchConfig, BinaryClient, ModelRegistry, Server, TcpClient};
 use serde::Value;
 
 const IN_DIM: usize = 24;
+
+static OBS: Mutex<()> = Mutex::new(());
 
 fn compiled_model(seed: u64) -> CompiledModel {
     let mut rng = {
@@ -74,6 +77,7 @@ fn u64_field(obj: &[(String, Value)], key: &str) -> u64 {
 
 #[test]
 fn forced_overload_dumps_a_full_request_lifecycle() {
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
     obs::set_level(ObsLevel::Spans);
     flight::clear();
 
@@ -217,4 +221,62 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
     );
     server.shutdown();
     registry.shutdown();
+}
+
+#[test]
+fn encode_span_starts_after_the_kernel_ends() {
+    let _obs = OBS.lock().unwrap_or_else(PoisonError::into_inner);
+    obs::set_level(ObsLevel::Spans);
+    flight::clear();
+
+    let registry = ModelRegistry::new(BatchConfig::default());
+    registry.install("m", compiled_model(5));
+    let mut server = Server::bind("127.0.0.1:0", Arc::clone(&registry)).expect("loopback bind");
+    let mut ndjson = TcpClient::connect(server.local_addr()).expect("loopback connect");
+    ndjson
+        .predict("m", &probe_input(1))
+        .expect("NDJSON predict");
+    let mut manb = BinaryClient::connect(server.local_addr()).expect("MANB handshake");
+    manb.predict("m", &probe_input(2)).expect("MANB predict");
+    obs::flush();
+
+    // One predict in flight at a time: the i-th encode span belongs to
+    // the i-th request's kernel. The scheduler flushes a batch's events
+    // after it delivers the replies, so wait for both kernels to land.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (kernels, encodes) = loop {
+        let events = flight::snapshot_recent(u64::MAX);
+        let of = |stage: Stage| {
+            let mut v: Vec<_> = events
+                .iter()
+                .filter(|e| e.stage == stage && (stage != Stage::Kernel || e.req != 0))
+                .map(|e| (e.start_ns, e.start_ns + e.dur_ns))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let (kernels, encodes) = (of(Stage::Kernel), of(Stage::Encode));
+        if kernels.len() >= 2 || Instant::now() > deadline {
+            break (kernels, encodes);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    server.shutdown();
+    registry.shutdown();
+    obs::set_level(ObsLevel::Off);
+
+    assert_eq!(
+        kernels.len(),
+        2,
+        "one kernel event per predict: {kernels:?}"
+    );
+    assert_eq!(encodes.len(), 2, "one encode span per predict: {encodes:?}");
+    for (wire, (kernel, encode)) in ["NDJSON", "MANB"].iter().zip(kernels.iter().zip(&encodes)) {
+        assert!(
+            encode.0 >= kernel.1,
+            "{wire} encode span starts at {} ns, before its kernel ends at {} ns",
+            encode.0,
+            kernel.1
+        );
+    }
 }

@@ -35,9 +35,9 @@ use crate::error::ManError;
 use crate::session::InferenceSession;
 
 /// The artifact format tag.
-pub const ARTIFACT_FORMAT: &str = "man-compiled-model";
+pub(crate) const ARTIFACT_FORMAT: &str = "man-compiled-model";
 /// The current artifact version.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub(crate) const ARTIFACT_VERSION: u32 = 1;
 
 #[derive(Serialize, Deserialize)]
 struct Artifact {
@@ -90,11 +90,6 @@ impl CompiledModel {
     /// The engine behind a shared handle — what sessions hold.
     pub(crate) fn fixed_shared(&self) -> Arc<FixedNet> {
         Arc::clone(&self.fixed)
-    }
-
-    /// The constrained float network the model was compiled from.
-    pub fn network(&self) -> &Network {
-        &self.network
     }
 
     /// The frozen quantization spec.
@@ -265,37 +260,13 @@ impl CompiledModel {
             ));
         }
         let report = model.network_cost(&self.fixed, &kinds, &traces, label)?;
-        Ok(CostedModel {
-            model: self,
-            report,
-        })
+        Ok(CostedModel { report })
     }
 }
 
-/// Stage 3: a compiled model plus its measured hardware cost.
+/// Stage 3: a compiled model's measured hardware cost.
 #[derive(Clone, Debug)]
 pub struct CostedModel {
-    model: CompiledModel,
     /// Cycles, energy, power and area per inference.
     pub report: CostReport,
-}
-
-impl CostedModel {
-    /// The underlying compiled model.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
-    }
-
-    /// Compile-time MACs per inference (see
-    /// [`CompiledModel::macs_per_inference`]) — alongside the measured
-    /// cycles in [`CostedModel::report`], the static half of the cost
-    /// picture the Auto tuner plans with.
-    pub fn macs_per_inference(&self) -> u64 {
-        self.model.macs_per_inference()
-    }
-
-    /// Unwraps back into the compiled model, dropping the report.
-    pub fn into_model(self) -> CompiledModel {
-        self.model
-    }
 }

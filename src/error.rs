@@ -121,12 +121,12 @@ pub enum ManError {
 
 impl ManError {
     /// Convenience constructor for configuration errors.
-    pub fn config(msg: impl Into<String>) -> Self {
+    pub(crate) fn config(msg: impl Into<String>) -> Self {
         ManError::Config(msg.into())
     }
 
     /// Convenience constructor for artifact errors.
-    pub fn artifact(msg: impl Into<String>) -> Self {
+    pub(crate) fn artifact(msg: impl Into<String>) -> Self {
         ManError::Artifact(msg.into())
     }
 }

@@ -75,10 +75,10 @@ pub use man_hw;
 pub use man_nn;
 pub use man_par;
 
-pub mod artifact;
-pub mod error;
-pub mod pipeline;
-pub mod session;
+mod artifact;
+mod error;
+mod pipeline;
+mod session;
 
 pub use artifact::{CompiledModel, CostedModel};
 pub use error::{ManError, ServeError};

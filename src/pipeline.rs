@@ -39,13 +39,13 @@ use crate::error::ManError;
 #[derive(Clone, Debug)]
 pub struct TrainingData {
     /// Training images (flat pixel vectors).
-    pub train_images: Vec<Vec<f32>>,
+    pub(crate) train_images: Vec<Vec<f32>>,
     /// Training labels.
-    pub train_labels: Vec<usize>,
+    pub(crate) train_labels: Vec<usize>,
     /// Held-out test images.
-    pub test_images: Vec<Vec<f32>>,
+    pub(crate) test_images: Vec<Vec<f32>>,
     /// Held-out test labels.
-    pub test_labels: Vec<usize>,
+    pub(crate) test_labels: Vec<usize>,
 }
 
 impl TrainingData {
@@ -197,7 +197,7 @@ impl Pipeline {
 
     /// Sets the worker budget for the methodology's evaluation work:
     /// every accuracy measurement shards its test rows, and
-    /// [`BaselineModel::select`] retrains candidate alphabet sets
+    /// [`Pipeline::train`] retrains candidate alphabet sets
     /// concurrently. All of it drains the process-wide persistent
     /// `man-par` pool (no threads spawned per evaluation), and
     /// [`Parallelism::Auto`] routes each evaluation through the
@@ -343,8 +343,12 @@ impl Pipeline {
         })
     }
 
-    /// Runs the complete Algorithm 2:
-    /// [`Pipeline::train_baseline`] followed by [`BaselineModel::select`].
+    /// Runs the complete Algorithm 2: [`Pipeline::train_baseline`], then
+    /// constrained retraining over the candidate sets, smallest first. The
+    /// first set whose accuracy `K` satisfies `K >= J * quality` is kept;
+    /// if none does, the best-`K` one is kept and
+    /// [`TrainedModel::accepted`] reports `false`. Parallel and
+    /// sequential runs report the same attempts and keep the same model.
     ///
     /// # Errors
     ///
@@ -432,16 +436,6 @@ impl BaselineModel {
         &self.spec
     }
 
-    /// The resolved methodology hyper-parameters.
-    pub fn config(&self) -> &MethodologyConfig {
-        &self.cfg
-    }
-
-    /// The train/test split in use.
-    pub fn data(&self) -> &TrainingData {
-        &self.data
-    }
-
     /// Constrained-retrains one explicit per-layer assignment from the
     /// restore point (Algorithm 2 step 3 for a single configuration) and
     /// measures its fixed-point accuracy `K`.
@@ -459,7 +453,7 @@ impl BaselineModel {
     /// [`BaselineModel::retrain`] with an explicit worker budget for the
     /// accuracy evaluation (`K`). Results are identical for every
     /// setting; this exists so an *outer* stage that already fans
-    /// candidates out across the cores — [`BaselineModel::select`], the
+    /// candidates out across the cores — [`Pipeline::train`], the
     /// bench sweeps — can run each candidate's inner evaluation
     /// sequentially instead of oversubscribing the machine with
     /// `workers × workers` threads.
@@ -528,7 +522,7 @@ impl BaselineModel {
     /// # Errors
     ///
     /// Propagates retraining/compile failures as [`ManError`].
-    pub fn select(self) -> Result<TrainedModel, ManError> {
+    pub(crate) fn select(self) -> Result<TrainedModel, ManError> {
         let candidates = self.cfg.candidates.clone();
         let layers = self.spec.layer_formats().len();
         let workers = self.cfg.parallelism.workers().min(candidates.len());
@@ -631,11 +625,6 @@ impl TrainedModel {
     /// The constrained float network.
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    /// The frozen quantization spec.
-    pub fn spec(&self) -> &QuantSpec {
-        &self.spec
     }
 
     /// The per-layer alphabet assignment the model is constrained to.

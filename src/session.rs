@@ -97,7 +97,7 @@ pub struct SessionStats {
 impl InferenceSession {
     /// Opens a session over a compiled model. The compiled engine is
     /// shared, not copied — opening many sessions is cheap.
-    pub fn new(model: &CompiledModel) -> Self {
+    pub(crate) fn new(model: &CompiledModel) -> Self {
         let fixed = model.fixed_shared();
         let macs_per_row = fixed.macs_per_inference();
         Self {
@@ -147,13 +147,8 @@ impl InferenceSession {
 
     /// The worker budget (the per-batch resolved count can be lower —
     /// see [`Parallelism::plan`]).
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.parallelism.workers()
-    }
-
-    /// The compiled engine the session serves.
-    pub fn fixed(&self) -> &FixedNet {
-        &self.fixed
     }
 
     fn check_shape(&self, input: &[f32]) -> Result<(), ManError> {

@@ -297,3 +297,104 @@ fn plan_activation_shared_between_engine_and_hardware() {
         );
     }
 }
+
+/// A four-class toy task (which input pair sums largest) and a small
+/// sigmoid MLP for it, at 6 bits and one retraining epoch so that no
+/// alphabet set recovers the conventional accuracy: the baseline `J` is
+/// 0.92, and `{1}`, `{1,3}`, `{1,3,5,7}` retrain to 0.90, 0.88, 0.91.
+fn toy_pipeline(candidates: Vec<AlphabetSet>, quality: f64) -> Pipeline {
+    use man_repro::man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
+    use man_repro::man_nn::network::Network;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = SmallRng::seed_from_u64(5);
+    let (mut images, mut labels) = (Vec::new(), Vec::new());
+    for _ in 0..300 {
+        let x: Vec<f32> = (0..8).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let sums: Vec<f32> = x.chunks(2).map(|c| c[0] + c[1]).collect();
+        labels.push((0..4).max_by(|&a, &b| sums[a].total_cmp(&sums[b])).unwrap());
+        images.push(x);
+    }
+    let data = man_repro::TrainingData::new(
+        images[..200].to_vec(),
+        labels[..200].to_vec(),
+        images[200..].to_vec(),
+        labels[200..].to_vec(),
+    )
+    .expect("both splits are non-empty");
+    let net = Network::new(vec![
+        Layer::Dense(Dense::new(8, 12, &mut rng)),
+        Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+        Layer::Dense(Dense::new(12, 4, &mut rng)),
+    ]);
+    Pipeline::from_network(net)
+        .with_parallelism(man_repro::Parallelism::Sequential)
+        .with_bits(6)
+        .with_data(data)
+        .with_alphabets(candidates)
+        .configure(move |cfg| {
+            cfg.initial_epochs = 20;
+            cfg.retrain_epochs = 1;
+            cfg.quality = quality;
+        })
+}
+
+#[test]
+fn select_keeps_the_first_accepted_set_or_else_the_best_k() {
+    let params = |trained: &man_repro::TrainedModel| {
+        let mut net = trained.network().clone();
+        let mut bits = Vec::new();
+        net.visit_params_mut(|_, _, values, _| bits.extend(values.iter().map(|v| v.to_bits())));
+        bits
+    };
+    let attempts = |trained: &man_repro::TrainedModel| {
+        let a = &trained.attempts;
+        a.iter()
+            .map(|a| {
+                (
+                    a.label.clone(),
+                    a.accuracy.to_bits(),
+                    a.loss_pp.to_bits(),
+                    a.accepted,
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+
+    // K >= 0.975 J rejects {1,3} and accepts {1}: the search stops there
+    // and never retrains {1,3,5,7}.
+    let order = vec![AlphabetSet::a2(), AlphabetSet::a1(), AlphabetSet::a4()];
+    let first = toy_pipeline(order.clone(), 0.975).train().expect("trains");
+    assert_eq!(first.attempts.len(), 2, "{:?}", first.attempts);
+    assert!(!first.attempts[0].accepted && first.attempts[1].accepted);
+    assert_eq!(first.selected, Some(1));
+    assert!(first.accepted());
+    assert_eq!(first.alphabets().label(), AlphabetSet::a1().label());
+
+    // No set meets K >= J: every candidate is tried and the best-K one kept.
+    let sets = vec![AlphabetSet::a1(), AlphabetSet::a2(), AlphabetSet::a4()];
+    let none = toy_pipeline(sets.clone(), 1.0).train().expect("trains");
+    assert_eq!(none.attempts.len(), 3, "{:?}", none.attempts);
+    assert!(none.attempts.iter().all(|a| !a.accepted));
+    assert_eq!(none.selected, None);
+    assert!(!none.accepted());
+    let best = none.attempts.iter().map(|a| a.accuracy).fold(0.0, f64::max);
+    let kept = none
+        .attempts
+        .iter()
+        .find(|a| a.label == none.alphabets().label());
+    assert_eq!(kept.map(|a| a.accuracy), Some(best), "{:?}", none.attempts);
+
+    // Speculative parallel retraining reports and keeps exactly what the
+    // sequential search does.
+    for (candidates, quality, sequential) in [(order, 0.975, &first), (sets, 1.0, &none)] {
+        let parallel = toy_pipeline(candidates, quality)
+            .with_parallelism(man_repro::Parallelism::Threads(2))
+            .train()
+            .expect("trains");
+        assert_eq!(attempts(&parallel), attempts(sequential));
+        assert_eq!(parallel.selected, sequential.selected);
+        assert_eq!(params(&parallel), params(sequential));
+    }
+}
