@@ -1214,7 +1214,7 @@ mod tests {
             let x: Vec<f32> = (0..16)
                 .map(|j| ((i * 7 + j * 3) % 10) as f32 / 10.0)
                 .collect();
-            if argmax_raw(&fixed.infer_raw(&x)) == net.predict(&x) {
+            if argmax_raw(&fixed.run(&[&x], ShardPlan::Sequential)[0]) == net.predict(&x) {
                 agree += 1;
             }
         }

@@ -34,8 +34,6 @@ use crate::fixed::{LayerAlphabets, QuantSpec};
 /// Hyper-parameters of the methodology.
 #[derive(Clone, Debug)]
 pub struct MethodologyConfig {
-    /// Weight/input word length (8 or 12).
-    pub bits: u32,
     /// Epochs for the initial unconstrained training.
     pub initial_epochs: usize,
     /// Epochs for each constrained retraining attempt.
@@ -68,10 +66,10 @@ pub struct MethodologyConfig {
 }
 
 impl MethodologyConfig {
-    /// Paper-shaped defaults for a given word length.
-    pub fn paper(bits: u32) -> Self {
+    /// Paper-shaped defaults. The word length is not a methodology
+    /// setting: `Pipeline::with_bits` chooses it.
+    pub fn paper() -> Self {
         Self {
-            bits,
             initial_epochs: 14,
             retrain_epochs: 6,
             lr: 0.15,
@@ -233,7 +231,7 @@ mod tests {
         MethodologyConfig {
             initial_epochs: 20,
             retrain_epochs: 8,
-            ..MethodologyConfig::paper(8)
+            ..MethodologyConfig::paper()
         }
     }
 

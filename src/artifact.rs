@@ -217,7 +217,7 @@ impl CompiledModel {
     /// exercise every layer, and [`ManError::TimingClosure`] if a
     /// datapath cannot close timing at the iso-speed clock.
     pub fn cost(
-        self,
+        &self,
         model: &mut CostModel,
         sample_images: &[Vec<f32>],
     ) -> Result<CostedModel, ManError> {
@@ -235,7 +235,7 @@ impl CompiledModel {
     ///
     /// As [`CompiledModel::cost`].
     pub fn cost_conventional(
-        self,
+        &self,
         model: &mut CostModel,
         sample_images: &[Vec<f32>],
     ) -> Result<CostedModel, ManError> {
@@ -244,7 +244,7 @@ impl CompiledModel {
     }
 
     fn cost_as(
-        self,
+        &self,
         model: &mut CostModel,
         sample_images: &[Vec<f32>],
         kinds: Vec<NeuronKind>,

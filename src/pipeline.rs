@@ -233,8 +233,8 @@ impl Pipeline {
         Ok(bits)
     }
 
-    fn resolve_cfg(&self, bits: u32) -> Result<MethodologyConfig, ManError> {
-        let mut cfg = MethodologyConfig::paper(bits);
+    fn resolve_cfg(&self) -> Result<MethodologyConfig, ManError> {
+        let mut cfg = MethodologyConfig::paper();
         cfg.candidates = self.candidates.clone();
         if let Source::Benchmark(b) = &self.source {
             b.tune(&mut cfg);
@@ -305,7 +305,7 @@ impl Pipeline {
             ));
         }
         let bits = self.resolve_bits()?;
-        let cfg = self.resolve_cfg(bits)?;
+        let cfg = self.resolve_cfg()?;
         // The stage owns `self`: move the source and data out instead of
         // cloning (a paper-scale split is tens of megabytes).
         let Pipeline { source, data, .. } = self;
@@ -372,7 +372,7 @@ impl Pipeline {
     /// an assignment whose length does not match the network).
     pub fn constrain(self) -> Result<TrainedModel, ManError> {
         let bits = self.resolve_bits()?;
-        let mut cfg = self.resolve_cfg(bits)?;
+        let mut cfg = self.resolve_cfg()?;
         let Pipeline {
             source, assignment, ..
         } = self;
