@@ -41,7 +41,10 @@
 //!
 //! Parsing is hand-rolled over the vendored [`serde::Value`] model so
 //! optional fields (`"model"` on `stats`) behave leniently and error
-//! messages can point at the offending field.
+//! messages can point at the offending field. The one exception is the
+//! canonical `predict` line, the hot path: [`parse_request`] decodes it
+//! in one pass straight into a `Vec<f32>` and hands every other line to
+//! the `Value` path, [`parse_request_value`], which stays the reference.
 
 use serde::{Serialize, Value};
 
@@ -122,11 +125,93 @@ fn string_field(obj: &[(String, Value)], key: &str) -> Result<String, ManError> 
 
 /// Parses one request line.
 ///
+/// A line in the canonical `predict` shape — exactly
+/// `{"op":"predict","model":"<name>","input":[n,...]}`, no whitespace,
+/// no escapes in the name, at least one input — is decoded in one pass;
+/// every other line, and every line that pass gives up on, goes through
+/// [`parse_request_value`]. The two agree on every line: same request,
+/// bit-identical inputs, same error.
+///
 /// # Errors
 ///
 /// [`ServeError::Protocol`] on malformed JSON, a missing/mistyped field
 /// or an unknown `"op"`.
 pub fn parse_request(line: &str) -> Result<Request, ManError> {
+    match parse_canonical_predict(line) {
+        Some(request) => Ok(request),
+        None => parse_request_value(line),
+    }
+}
+
+/// What a canonical `predict` line starts with, up to the model name.
+const PREDICT_HEAD: &str = r#"{"op":"predict","model":""#;
+/// What follows the model name, up to the first input number.
+const INPUT_HEAD: &str = r#"","input":["#;
+/// What a canonical `predict` line ends with.
+const PREDICT_TAIL: &str = "]}";
+
+/// Decodes a canonical `predict` line in one pass, or returns `None` for
+/// any other line (which [`parse_request_value`] then parses or rejects).
+///
+/// Each number is the maximal run of `[0-9.eE+-]` starting at `-` or a
+/// digit, the run the vendored JSON parser takes, and is converted as the
+/// `Value` path converts it: text with only digits after its first byte
+/// reads as `i64`, then `u64`, then `f64`, any other text as `f64`, and
+/// the result converts to `f32` with `as`. Text that is no number there
+/// returns `None`, so the `Value` path reports the error.
+fn parse_canonical_predict(line: &str) -> Option<Request> {
+    let rest = line.strip_prefix(PREDICT_HEAD)?;
+    let name_len = rest.bytes().position(|b| b == b'"' || b == b'\\')?;
+    let (model, rest) = rest.split_at(name_len);
+    let mut rest = rest.strip_prefix(INPUT_HEAD)?;
+    let commas = rest.bytes().filter(|&b| b == b',').count();
+    let mut input = Vec::with_capacity(commas + 1);
+    loop {
+        let len = rest
+            .bytes()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(rest.len());
+        let (text, tail) = rest.split_at(len);
+        input.push(number_to_f32(text)?);
+        match tail.strip_prefix(',') {
+            Some(more) => rest = more,
+            None if tail == PREDICT_TAIL => break,
+            None => return None,
+        }
+    }
+    Some(Request::Predict {
+        model: model.to_owned(),
+        input,
+    })
+}
+
+/// One JSON number's text as the `Value` path reads it into an `f32`
+/// (`Value::{I64, U64, F64}`, then `Vec<f32>::from_value`); `None` for
+/// text that is not a number there.
+fn number_to_f32(text: &str) -> Option<f32> {
+    let (&first, after) = text.as_bytes().split_first()?;
+    if first != b'-' && !first.is_ascii_digit() {
+        return None;
+    }
+    if after.iter().all(u8::is_ascii_digit) {
+        if let Ok(n) = text.parse::<i64>() {
+            return Some(n as f32);
+        }
+        if let Ok(n) = text.parse::<u64>() {
+            return Some(n as f32);
+        }
+    }
+    text.parse::<f64>().ok().map(|f| f as f32)
+}
+
+/// Parses one request line through the generic [`serde::Value`] tree:
+/// the reference [`parse_request`] must agree with, and the path it
+/// takes for every line outside the canonical `predict` shape.
+///
+/// # Errors
+///
+/// As [`parse_request`].
+pub fn parse_request_value(line: &str) -> Result<Request, ManError> {
     let value: Value = serde_json::from_str(line.trim())
         .map_err(|e| protocol_err(format!("request is not valid JSON: {e}")))?;
     let obj = value

@@ -225,6 +225,7 @@ fn check_ok(value: Value) -> Result<Value, WireError> {
 ///
 /// One request in flight at a time; responses arrive in request order.
 /// The reactor sniffs the first byte (a `{`) and speaks NDJSON back.
+/// Each request goes out, newline included, in a single `write_all`.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -246,15 +247,20 @@ impl TcpClient {
         })
     }
 
-    /// Sends one raw request line and returns the parsed response value.
+    /// Sends one raw request line, newline appended, in a single
+    /// `write_all` and returns the parsed response value.
     ///
     /// # Errors
     ///
     /// [`WireError`] with code `io` on transport failure, `bad_response`
     /// on an unparseable reply.
     pub fn request(&mut self, line: &str) -> Result<Value, WireError> {
-        writeln!(self.writer, "{line}").map_err(|e| WireError::io(&e))?;
-        self.writer.flush().map_err(|e| WireError::io(&e))?;
+        let mut bytes = Vec::with_capacity(line.len() + 1);
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        self.writer
+            .write_all(&bytes)
+            .map_err(|e| WireError::io(&e))?;
         let mut response = String::new();
         self.reader
             .read_line(&mut response)
@@ -281,14 +287,10 @@ impl TcpClient {
     /// # Errors
     ///
     /// As [`TcpClient::request`], plus any server-reported error.
+    /// A non-finite input is refused with `bad_response` before anything
+    /// is sent: JSON has no spelling for it.
     pub fn predict(&mut self, model: &str, input: &[f32]) -> Result<(usize, Vec<i64>), WireError> {
-        let line = serde_json::to_string(&Value::Object(vec![
-            ("op".into(), Value::Str("predict".into())),
-            ("model".into(), Value::Str(model.into())),
-            ("input".into(), serde::Serialize::to_value(&input)),
-        ]))
-        .map_err(|e| WireError::protocol(e.to_string()))?;
-        let value = self.request_ok(&line)?;
+        let value = self.request_ok(&predict_line(model, input)?)?;
         let obj = value.as_object().expect("request_ok returns objects");
         let class = match field(obj, "class") {
             Some(v) => <usize as serde::Deserialize>::from_value(v)
@@ -376,6 +378,43 @@ impl TcpClient {
             Some(dump) => Ok(Some(dump.clone())),
         }
     }
+}
+
+/// Renders a `predict` request line, byte for byte what `serde_json`
+/// writes for the `{"op","model","input"}` object, without building its
+/// `Value` tree: each input as its `f64` shortest form (which reads back
+/// to the same `f32`), with `.0` appended to integral text.
+///
+/// # Errors
+///
+/// `bad_response` with `serde_json`'s message for a NaN or infinite
+/// input.
+fn predict_line(model: &str, input: &[f32]) -> Result<String, WireError> {
+    use std::fmt::Write as _;
+    let model = serde_json::to_string(model).expect("a string always renders");
+    // Room for 20 bytes per input; longer renderings grow the buffer.
+    let mut line = String::with_capacity(40 + model.len() + 20 * input.len());
+    line.push_str(r#"{"op":"predict","model":"#);
+    line.push_str(&model);
+    line.push_str(r#","input":["#);
+    for (i, &x) in input.iter().enumerate() {
+        let x = f64::from(x);
+        if !x.is_finite() {
+            return Err(WireError::protocol(
+                "JSON cannot represent a non-finite float",
+            ));
+        }
+        if i > 0 {
+            line.push(',');
+        }
+        let start = line.len();
+        write!(line, "{x}").expect("writing to a String cannot fail");
+        if !line[start..].contains(['.', 'e', 'E']) {
+            line.push_str(".0");
+        }
+    }
+    line.push_str("]}");
+    Ok(line)
 }
 
 /// A blocking client for the length-prefixed binary framing

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
@@ -269,7 +269,17 @@ fn unload_drains_accepted_requests() {
             std::thread::spawn(move || registry.predict("m", probe_input(i)))
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(5));
+    // Unload once the queue holds work: a request counted `accepted`
+    // was handed to the queue under the same lock `unload` takes to
+    // close it, so at least one request is queued when unload starts.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while registry.stats(Some("m")).expect("model is loaded")[0].accepted == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "no submitter reached the queue in 10 s"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
     registry.unload("m").expect("model is loaded");
     let mut answered = 0;
     for s in submitters {
@@ -277,6 +287,8 @@ fn unload_drains_accepted_requests() {
             Ok(_) => answered += 1,
             // Submitted after the queue closed: a typed rejection.
             Err(ManError::Serve(ServeError::Unavailable(_))) => {}
+            // Looked the model up after the unload: it is gone.
+            Err(ManError::Serve(ServeError::UnknownModel(_))) => {}
             Err(other) => panic!("unexpected drain error: {other:?}"),
         }
     }
