@@ -162,13 +162,12 @@ pub fn accuracy_experiment(
         loss_pct: 0.0,
     }];
     let sets = table_alphabets();
-    // Outer workers fan over the per-set retrains; each set's accuracy
-    // evaluation gets the remaining budget (see `man_par::split_budget`).
-    let (parallelism, inner) = man_par::split_budget(parallelism, sets.len());
+    // Workers fan over the per-set retrains; each set's accuracy
+    // evaluation nests on the same pool.
     rows.extend(man_par::parallel_map(parallelism, sets.len(), |i| {
         let alphabets = LayerAlphabets::uniform(sets[i].clone(), layers);
         let retrained = baseline
-            .retrain_with_parallelism(&alphabets, inner)
+            .retrain(&alphabets)
             .expect("projected weights always compile");
         AccuracyRow {
             config: retrained.alphabets().label(),

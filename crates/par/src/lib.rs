@@ -1,16 +1,17 @@
 //! **man-par** — the deterministic parallel execution layer.
 //!
 //! Everything above this crate (the fixed-point engine, the facade
-//! sessions, the serving scheduler, the experiment binaries) parallelizes
-//! through one primitive: [`run_chunked`], a chunked work queue drained
-//! by a **persistent** [`WorkerPool`] of parked workers. The contract is
+//! sessions, the float accuracy sweep, the Algorithm-2 candidate
+//! fan-out, the experiment binaries) parallelizes through one
+//! primitive: [`parallel_map`], a chunked work queue drained by one
+//! process-lifetime pool of parked workers. The contract is
 //! deliberately narrow so that callers can argue determinism *by
 //! construction*:
 //!
 //! * work is split into contiguous index chunks and results are
 //!   reassembled in item order — output never depends on scheduling;
-//! * each worker owns a private mutable context (an accumulator, …);
-//!   nothing is shared mutably between workers;
+//! * the map function is shared (`Fn + Sync`); nothing is shared
+//!   mutably between workers;
 //! * a panic inside one chunk never deadlocks or leaks threads: the
 //!   remaining workers finish their current chunk, stop pulling new
 //!   ones, and the panic resumes on the caller once every worker slot
@@ -18,13 +19,12 @@
 //!   the serving scheduler's `dispatch`.
 //!
 //! The pool is std-only (`Mutex` + `Condvar`, no rayon, no global
-//! executor crate). Worker threads are spawned **once** — by
-//! [`WorkerPool::new`] or lazily by [`global_pool`] — and parked on a
-//! condvar between jobs, so the serving hot path no longer pays the
-//! ~tens-of-µs thread-spawn cost once per large layer. Borrowed engines
-//! and input slices still flow straight into workers: a job blocks its
+//! executor crate). Its workers, one per available hardware thread,
+//! are spawned on the first parallel call and parked on a condvar
+//! between jobs, so no call pays a thread spawn. Borrowed engines and
+//! input slices still flow straight into workers: a job blocks its
 //! submitter until every worker slot has completed, which is what makes
-//! the (single, encapsulated) lifetime erasure in [`WorkerPool::run_chunked`]
+//! the single, encapsulated lifetime erasure behind [`parallel_map`]
 //! sound.
 //!
 //! This crate also hosts the one place a batch's sharding is decided:
@@ -37,11 +37,9 @@
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock};
 
 /// How much parallelism a caller wants.
 ///
@@ -128,23 +126,11 @@ pub fn available_cores() -> usize {
     })
 }
 
-/// Splits one worker budget across two nested parallel stages: the
-/// outer stage fans `outer_items` tasks across the budget, and each
-/// task gets `budget / outer_items` workers for its own inner
-/// parallelism — so nesting never oversubscribes the machine with
-/// `workers × workers` threads. Returns `(outer, inner)`; both resolve
-/// to at least one worker, and results must be (and everywhere in this
-/// workspace are) identical for every split.
-pub fn split_budget(parallelism: Parallelism, outer_items: usize) -> (Parallelism, Parallelism) {
-    let inner = (parallelism.workers() / outer_items.max(1)).max(1);
-    (parallelism, Parallelism::Threads(inner))
-}
-
 /// A chunk size that gives each worker a few chunks to pull, so a slow
 /// chunk does not leave the other workers idle (work stealing via the
 /// shared queue), while keeping per-chunk overhead negligible.
 fn default_chunk_size(items: usize, workers: usize) -> usize {
-    (items / (workers.max(1) * 4)).max(1)
+    (items / (workers * 4)).max(1)
 }
 
 // ---------------------------------------------------------------------------
@@ -223,16 +209,16 @@ fn rows_or_sequential(budget: usize, batch: usize) -> ShardPlan {
 }
 
 // ---------------------------------------------------------------------------
-// The persistent worker pool
+// The process-lifetime worker pool
 // ---------------------------------------------------------------------------
 
 /// A queued unit of work: one worker slot of one job, with every borrow
-/// lifetime erased (see the safety argument in
-/// [`WorkerPool::run_chunked`]). Tagged with the job id so a submitter
-/// can steal its own unstarted slots back.
+/// lifetime erased (see the safety argument on [`erase_slot`]). Tagged
+/// with the job id so a submitter can steal its own unstarted slots
+/// back.
 type ErasedSlot = Box<dyn FnOnce() + Send + 'static>;
 
-/// Cumulative activity counters for every pool in the process — the
+/// Cumulative activity counters for the process's worker pool — the
 /// `man-obs` export plane's view of worker utilization. All counters
 /// are monotone; utilization is `busy_ns / (busy_ns + park_ns)`.
 ///
@@ -295,39 +281,76 @@ impl PoolStats {
     }
 }
 
-/// The process-wide [`PoolStats`] instance (covers the global pool and
-/// any private pools alike).
+/// The process-wide [`PoolStats`] instance.
 pub fn pool_stats() -> &'static PoolStats {
     static STATS: OnceLock<PoolStats> = OnceLock::new();
     STATS.get_or_init(PoolStats::default)
 }
 
-struct PoolQueue {
-    tasks: VecDeque<(u64, ErasedSlot)>,
-    /// Set once by [`WorkerPool::shutdown`]; workers drain the queue
-    /// and then exit.
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<PoolQueue>,
+/// The shared job queue: parked workers pop slots off its front, and
+/// submitters steal their own unstarted slots back out of it.
+struct Pool {
+    tasks: Mutex<VecDeque<(u64, ErasedSlot)>>,
     /// Workers park here between jobs.
     work_ready: Condvar,
 }
 
-impl PoolShared {
-    fn lock(&self) -> MutexGuard<'_, PoolQueue> {
+/// The one pool: one parked worker per available hardware thread,
+/// spawned on the first parallel call and kept for the process
+/// lifetime. It is never shut down, so a queued slot is always run by
+/// a worker or stolen back by its submitter.
+static POOL: Pool = Pool {
+    tasks: Mutex::new(VecDeque::new()),
+    work_ready: Condvar::new(),
+};
+
+/// Monotonic job ids, process-wide (the tag steal-back filters on).
+static NEXT_JOB: AtomicU64 = AtomicU64::new(0);
+
+impl Pool {
+    /// The pool, its workers spawned on first use.
+    fn get() -> &'static Pool {
+        static SPAWN: Once = Once::new();
+        SPAWN.call_once(|| {
+            for i in 0..available_cores() {
+                std::thread::Builder::new()
+                    .name(format!("man-par/worker-{i}"))
+                    .spawn(|| worker_main(&POOL))
+                    .expect("spawning a man-par pool worker");
+            }
+        });
+        &POOL
+    }
+
+    fn lock(&self) -> MutexGuard<'_, VecDeque<(u64, ErasedSlot)>> {
         // A worker can only hold this lock around queue pops, which do
         // not panic; recover rather than poison-cascade regardless.
-        self.queue
+        self.tasks
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn submit(&self, tasks: Vec<(u64, ErasedSlot)>) {
+        let woken = tasks.len();
+        self.lock().extend(tasks);
+        // Wake one parked worker per slot; extras fall back asleep.
+        for _ in 0..woken {
+            self.work_ready.notify_one();
+        }
+    }
+
+    /// Removes one still-queued slot of `job`, if any — the submitter's
+    /// steal-back path.
+    fn steal(&self, job: u64) -> Option<ErasedSlot> {
+        let mut tasks = self.lock();
+        let pos = tasks.iter().position(|(id, _)| *id == job)?;
+        tasks.remove(pos).map(|(_, slot)| slot)
     }
 }
 
 /// Counts outstanding worker slots of one job; the submitter blocks on
 /// it until every slot has run (which is what keeps the erased borrows
-/// alive long enough — see [`WorkerPool::run_chunked`]).
+/// alive long enough — see [`erase_slot`]).
 struct JobLatch {
     remaining: Mutex<usize>,
     all_done: Condvar,
@@ -366,279 +389,28 @@ impl JobLatch {
     }
 }
 
-/// A long-lived pool of parked worker threads.
-///
-/// Threads are spawned once, at construction, and parked on a condvar
-/// between jobs — [`WorkerPool::run_chunked`] hands them work without
-/// spawning anything, which removes the per-call thread-spawn cost
-/// (~tens of µs per worker) the old scoped pool paid on every
-/// large-layer forward pass of the serving hot path.
-///
-/// # Lifecycle
-///
-/// * The submitting thread always **participates**: it runs one worker
-///   slot inline and then steals back any of its own slots still queued,
-///   so a job completes even on a zero-thread (or already shut down)
-///   pool, and a nested `run_chunked` from inside a pool worker can
-///   never deadlock — every slot is either running somewhere or
-///   stealable by its submitter.
-/// * [`WorkerPool::shutdown`] (also run by `Drop`) is an idempotent
-///   drain-then-join: the queue is closed, workers finish every
-///   already-queued slot (abandoning one would deadlock its submitter),
-///   then exit and are joined. After shutdown the pool still *works* —
-///   jobs simply run entirely on their submitting thread.
-///
-/// Most code should use the process-wide [`global_pool`] (which the
-/// free-function [`run_chunked`] / [`parallel_map`] route through) so
-/// facade sessions, the serve scheduler, training evaluations and the
-/// bench binaries all share one set of workers; private pools exist for
-/// lifecycle tests and isolation experiments.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    threads: usize,
-}
-
-/// Monotonic job ids, process-wide (the tag steal-back filters on).
-static NEXT_JOB: AtomicU64 = AtomicU64::new(0);
-
-impl WorkerPool {
-    /// Spawns a pool of `threads` parked workers (0 is allowed: every
-    /// job then runs inline on its submitter, which is also the natural
-    /// configuration for a 1-core host).
-    pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(PoolQueue {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("man-par/worker-{i}"))
-                    .spawn(move || worker_main(&shared))
-                    .expect("spawning a man-par pool worker")
-            })
-            .collect();
-        Self {
-            shared,
-            handles: Mutex::new(handles),
-            threads,
-        }
-    }
-
-    /// The number of worker threads the pool was built with.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Idempotent drain-then-join shutdown: closes the queue, lets the
-    /// workers finish every already-queued slot, joins them. Called by
-    /// `Drop`; safe to call any number of times. A pool that has been
-    /// shut down still completes jobs — inline on the submitter.
-    pub fn shutdown(&self) {
-        {
-            let mut queue = self.shared.lock();
-            queue.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
-        let handles: Vec<_> = {
-            let mut handles = self
-                .handles
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            handles.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-
-    fn submit(&self, tasks: Vec<(u64, ErasedSlot)>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let woken = tasks.len();
-        {
-            let mut queue = self.shared.lock();
-            queue.tasks.extend(tasks);
-        }
-        // Wake one parked worker per slot; extras fall back asleep.
-        for _ in 0..woken {
-            self.shared.work_ready.notify_one();
-        }
-    }
-
-    /// Removes one still-queued slot of `job`, if any — the submitter's
-    /// steal-back path.
-    fn steal(&self, job: u64) -> Option<ErasedSlot> {
-        let mut queue = self.shared.lock();
-        let pos = queue.tasks.iter().position(|(id, _)| *id == job)?;
-        queue.tasks.remove(pos).map(|(_, slot)| slot)
-    }
-
-    /// Runs `work` over the index range `0..items`, split into
-    /// contiguous chunks of `chunk_size`, on one worker slot per element
-    /// of `contexts` — the pool-method form of the crate-level
-    /// [`run_chunked`] (same contract, same panics, same bit-exact
-    /// output assembly).
-    pub fn run_chunked<C, R, F>(
-        &self,
-        contexts: &mut [C],
-        items: usize,
-        chunk_size: usize,
-        work: F,
-    ) -> Vec<R>
-    where
-        C: Send,
-        R: Send,
-        F: Fn(&mut C, Range<usize>) -> Vec<R> + Sync,
-    {
-        assert!(
-            !contexts.is_empty(),
-            "run_chunked needs at least one worker context"
-        );
-        assert!(chunk_size > 0, "chunk size must be positive");
-        let chunks = items.div_ceil(chunk_size);
-
-        if contexts.len() == 1 || chunks <= 1 {
-            // Inline fast path: the reference sequential loop.
-            return drain_sequential(&mut contexts[0], items, chunks, chunk_size, &work);
-        }
-
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let slots = contexts.len();
-        let mut outcomes: Vec<WorkerOutcome<R>> = (0..slots).map(|_| (Vec::new(), None)).collect();
-        // ORDERING: job ids only need uniqueness, which fetch_add gives
-        // at any ordering; nothing synchronizes through the counter.
-        let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
-        let latch = Arc::new(JobLatch::new(slots));
-
-        {
-            let work = &work;
-            let next = &next;
-            let abort = &abort;
-            // One closure per worker slot. Each owns disjoint `&mut`s
-            // (its context, its outcome cell) plus shared `&`s (the
-            // work function, the chunk counter, the abort flag) and an
-            // owned Arc on the latch.
-            let mut pending: Vec<(u64, ErasedSlot)> = contexts
-                .iter_mut()
-                .zip(outcomes.iter_mut())
-                .map(|(ctx, out)| {
-                    let latch = Arc::clone(&latch);
-                    let slot: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        // One span per slot drain (not per chunk — the
-                        // handout loop is the hot path); the span's arg
-                        // is the number of chunks this slot completed.
-                        // DETERMINISM: observability timing only.
-                        let drain_from = if man_obs::counters_enabled() {
-                            man_obs::now_ns().max(1)
-                        } else {
-                            0
-                        };
-                        // Nothing may unwind out of a slot: an escaped
-                        // panic would kill a pool thread and strand the
-                        // submitter on the latch. `drain_chunks` contains
-                        // per-chunk panics itself; this outer catch is the
-                        // belt for anything outside that loop.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            drain_chunks(ctx, items, chunks, chunk_size, work, next, abort)
-                        }));
-                        if let Ok((done, _)) = &outcome {
-                            let stats = pool_stats();
-                            // ORDERING: monotone statistics counter.
-                            stats.chunks.fetch_add(done.len() as u64, Ordering::Relaxed);
-                            if drain_from > 0 {
-                                man_obs::record(
-                                    man_obs::Stage::Chunk,
-                                    0,
-                                    drain_from,
-                                    man_obs::now_ns().saturating_sub(drain_from),
-                                    "",
-                                    done.len() as u64,
-                                );
-                            }
-                        }
-                        *out = match outcome {
-                            Ok(o) => o,
-                            Err(payload) => {
-                                // ORDERING: best-effort abort hint; the
-                                // latch's mutex provides the real
-                                // happens-before for the outcome itself.
-                                abort.store(true, Ordering::Relaxed);
-                                (Vec::new(), Some((usize::MAX, payload)))
-                            }
-                        };
-                        // Last touch of any borrow: after this the slot
-                        // only drops plain references (no-op) and its
-                        // owned latch Arc.
-                        latch.complete_one();
-                    });
-                    (job, erase_slot(slot))
-                })
-                .collect();
-
-            // The submitter keeps one slot for itself (guaranteed
-            // progress even on a busy/zero-thread pool) and queues the
-            // rest for the parked workers.
-            let inline = pending.pop();
-            self.submit(pending);
-            if let Some((_, slot)) = inline {
-                // ORDERING: monotone statistics counter.
-                pool_stats().inline_slots.fetch_add(1, Ordering::Relaxed);
-                slot();
-            }
-            // Steal back any of this job's slots the pool has not
-            // started yet, then wait for the in-flight ones. Every slot
-            // is thereby either run here or run by a pool worker — the
-            // latch cannot be left hanging.
-            while let Some(slot) = self.steal(job) {
-                // ORDERING: monotone statistics counter.
-                pool_stats().steals.fetch_add(1, Ordering::Relaxed);
-                man_obs::record_event(man_obs::Stage::Steal, 0, man_obs::now_ns(), 0, "", job);
-                slot();
-            }
-            latch.wait();
-        }
-
-        assemble(outcomes, items)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Erases the borrow lifetimes of one worker slot so it can sit in the
-/// persistent pool's queue.
+/// process-lifetime pool's queue.
 ///
 /// # Safety argument
 ///
-/// This is the single `unsafe` expression in the workspace, and the
-/// only thing it does is extend a closure's lifetime parameter; the
-/// pointee, layout and vtable are untouched (`Box<dyn FnOnce + Send>`
-/// with two different lifetime bounds is the same fat pointer).
-/// Soundness rests on three invariants local to
-/// [`WorkerPool::run_chunked`]:
+/// This is the only `unsafe` expression in `man-par` (the workspace's
+/// other audited site is the reactor's `poll(2)` call in `man-serve`),
+/// and the only thing it does is extend a closure's lifetime parameter;
+/// the pointee, layout and vtable are untouched (`Box<dyn FnOnce +
+/// Send>` with two different lifetime bounds is the same fat pointer).
+/// Soundness rests on three invariants local to [`pooled_map`]:
 ///
-/// 1. **The submitter outlives the slot.** `run_chunked` blocks on a
+/// 1. **The submitter outlives the slot.** `pooled_map` blocks on a
 ///    [`JobLatch`] that counts every slot of the job and is only
 ///    released by the slot's final statement, *after* its last use of
-///    any borrow. The borrows all live in `run_chunked`'s frame (or its
+///    any borrow. The borrows all live in `pooled_map`'s frame (or its
 ///    caller's), which cannot unwind past `latch.wait()`.
 /// 2. **Every slot runs exactly once.** A slot is either executed
 ///    inline by the submitter, stolen back from the queue by the
-///    submitter, executed by a pool worker, or — during shutdown —
-///    drained by an exiting worker. The queue never drops a slot on the
-///    floor (dropping one would strand its submitter on the latch, so
-///    shutdown drains instead of discarding).
+///    submitter, or executed by a pool worker. The pool is never shut
+///    down and its queue never drops a slot, so no slot can strand its
+///    submitter on the latch.
 /// 3. **Nothing escapes the slot.** The closure's captures are disjoint
 ///    `&mut`s, shared `&`s of `Sync` values, and an owned latch `Arc`;
 ///    after the latch is signalled the remaining drop glue touches only
@@ -657,7 +429,7 @@ fn erase_slot(slot: Box<dyn FnOnce() + Send + '_>) -> ErasedSlot {
 /// ORDERING: every `PoolStats` update below is a monotone statistics
 /// counter read only by the export plane; `Relaxed` suffices (the
 /// queue mutex orders the work itself).
-fn worker_main(shared: &PoolShared) {
+fn worker_main(pool: &Pool) {
     let stats = pool_stats();
     loop {
         // Accumulated park time for this wait (0 when the obs plane is
@@ -665,13 +437,10 @@ fn worker_main(shared: &PoolShared) {
         let mut park_from = 0u64;
         let mut parked_ns = 0u64;
         let slot = {
-            let mut queue = shared.lock();
+            let mut tasks = pool.lock();
             loop {
-                if let Some((_, slot)) = queue.tasks.pop_front() {
+                if let Some((_, slot)) = tasks.pop_front() {
                     break slot;
-                }
-                if queue.shutdown {
-                    return;
                 }
                 stats.parks.fetch_add(1, Ordering::Relaxed);
                 // DETERMINISM: the monotonic clock feeds only the
@@ -685,9 +454,9 @@ fn worker_main(shared: &PoolShared) {
                 if park_from == 0 {
                     park_from = start;
                 }
-                queue = shared
+                tasks = pool
                     .work_ready
-                    .wait(queue)
+                    .wait(tasks)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 if start > 0 {
                     parked_ns += man_obs::now_ns().saturating_sub(start);
@@ -718,55 +487,135 @@ fn worker_main(shared: &PoolShared) {
 
 /// The chunks one worker slot completed plus, possibly, the chunk index
 /// at which it panicked (with the payload). `usize::MAX` marks a panic
-/// outside the per-chunk containment (e.g. the result-length assert).
+/// outside the per-chunk containment.
 type ChunkResults<R> = Vec<(usize, Vec<R>)>;
 type WorkerOutcome<R> = (
     ChunkResults<R>,
     Option<(usize, Box<dyn std::any::Any + Send>)>,
 );
 
-fn range_of(c: usize, chunk_size: usize, items: usize) -> Range<usize> {
-    (c * chunk_size)..((c + 1) * chunk_size).min(items)
-}
-
-fn drain_sequential<C, R, F>(
-    ctx: &mut C,
-    items: usize,
-    chunks: usize,
-    chunk_size: usize,
-    work: &F,
-) -> Vec<R>
+/// Maps `0..items` through `f` on `workers` (≥ 2) slots of the pool:
+/// the submitter runs one slot itself and queues the rest, each slot
+/// drains chunks of [`default_chunk_size`] items off a shared atomic
+/// cursor, and the chunks are reassembled in item order.
+fn pooled_map<R, F>(workers: usize, items: usize, f: &F) -> Vec<R>
 where
-    F: Fn(&mut C, Range<usize>) -> Vec<R>,
+    R: Send,
+    F: Fn(usize) -> R + Sync,
 {
-    let mut out = Vec::with_capacity(items);
-    for c in 0..chunks {
-        let range = range_of(c, chunk_size, items);
-        let produced = work(ctx, range.clone());
-        assert_eq!(
-            produced.len(),
-            range.len(),
-            "work must yield one result per item"
-        );
-        out.extend(produced);
+    let chunk_size = default_chunk_size(items, workers);
+    let chunks = items.div_ceil(chunk_size);
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let mut outcomes: Vec<WorkerOutcome<R>> = (0..workers).map(|_| (Vec::new(), None)).collect();
+    // ORDERING: job ids only need uniqueness, which fetch_add gives
+    // at any ordering; nothing synchronizes through the counter.
+    let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
+    let latch = Arc::new(JobLatch::new(workers));
+    let pool = Pool::get();
+
+    {
+        let next = &next;
+        let abort = &abort;
+        // One closure per worker slot. Each owns a disjoint `&mut` (its
+        // outcome cell) plus shared `&`s (the map function, the chunk
+        // cursor, the abort flag) and an owned Arc on the latch.
+        let mut pending: Vec<(u64, ErasedSlot)> = outcomes
+            .iter_mut()
+            .map(|out| {
+                let latch = Arc::clone(&latch);
+                let slot: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    // One span per slot drain (not per chunk — the
+                    // handout loop is the hot path); the span's arg
+                    // is the number of chunks this slot completed.
+                    // DETERMINISM: observability timing only.
+                    let drain_from = if man_obs::counters_enabled() {
+                        man_obs::now_ns().max(1)
+                    } else {
+                        0
+                    };
+                    // Nothing may unwind out of a slot: an escaped
+                    // panic would kill a pool thread and strand the
+                    // submitter on the latch. `drain_chunks` contains
+                    // per-chunk panics itself; this outer catch is the
+                    // belt for anything outside that loop.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        drain_chunks(items, chunks, chunk_size, f, next, abort)
+                    }));
+                    if let Ok((done, _)) = &outcome {
+                        let stats = pool_stats();
+                        // ORDERING: monotone statistics counter.
+                        stats.chunks.fetch_add(done.len() as u64, Ordering::Relaxed);
+                        if drain_from > 0 {
+                            man_obs::record(
+                                man_obs::Stage::Chunk,
+                                0,
+                                drain_from,
+                                man_obs::now_ns().saturating_sub(drain_from),
+                                "",
+                                done.len() as u64,
+                            );
+                        }
+                    }
+                    *out = match outcome {
+                        Ok(o) => o,
+                        Err(payload) => {
+                            // ORDERING: best-effort abort hint; the
+                            // latch's mutex provides the real
+                            // happens-before for the outcome itself.
+                            abort.store(true, Ordering::Relaxed);
+                            (Vec::new(), Some((usize::MAX, payload)))
+                        }
+                    };
+                    // Last touch of any borrow: after this the slot
+                    // only drops plain references (no-op) and its
+                    // owned latch Arc.
+                    latch.complete_one();
+                });
+                (job, erase_slot(slot))
+            })
+            .collect();
+
+        // The submitter keeps one slot for itself (guaranteed progress
+        // even when every worker is busy) and queues the rest for the
+        // parked workers.
+        let inline = pending.pop();
+        pool.submit(pending);
+        if let Some((_, slot)) = inline {
+            // ORDERING: monotone statistics counter.
+            pool_stats().inline_slots.fetch_add(1, Ordering::Relaxed);
+            slot();
+        }
+        // Steal back any of this job's slots the pool has not started
+        // yet, then wait for the in-flight ones. Every slot is thereby
+        // either run here or run by a pool worker — the latch cannot be
+        // left hanging, and a nested map from inside a pool worker
+        // cannot deadlock.
+        while let Some(slot) = pool.steal(job) {
+            // ORDERING: monotone statistics counter.
+            pool_stats().steals.fetch_add(1, Ordering::Relaxed);
+            man_obs::record_event(man_obs::Stage::Steal, 0, man_obs::now_ns(), 0, "", job);
+            slot();
+        }
+        latch.wait();
     }
-    out
+
+    assemble(outcomes, items)
 }
 
 /// One worker slot's loop: pull the next unclaimed chunk off the shared
-/// atomic counter, run it under per-chunk panic containment, repeat
+/// atomic cursor, map it under per-chunk panic containment, repeat
 /// until the chunks run out or a co-worker aborts.
-fn drain_chunks<C, R, F>(
-    ctx: &mut C,
+fn drain_chunks<R, F>(
     items: usize,
     chunks: usize,
     chunk_size: usize,
-    work: &F,
+    f: &F,
     next: &AtomicUsize,
     abort: &AtomicBool,
 ) -> WorkerOutcome<R>
 where
-    F: Fn(&mut C, Range<usize>) -> Vec<R>,
+    F: Fn(usize) -> R,
 {
     let mut done: ChunkResults<R> = Vec::new();
     loop {
@@ -782,17 +631,8 @@ where
         if c >= chunks {
             return (done, None);
         }
-        let range = range_of(c, chunk_size, items);
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let produced = work(ctx, range.clone());
-            assert_eq!(
-                produced.len(),
-                range.len(),
-                "work must yield one result per item"
-            );
-            produced
-        }));
-        match attempt {
+        let range = (c * chunk_size)..((c + 1) * chunk_size).min(items);
+        match catch_unwind(AssertUnwindSafe(|| range.map(f).collect())) {
             Ok(produced) => done.push((c, produced)),
             Err(payload) => {
                 // ORDERING: abort hint only; panic payload delivery is
@@ -832,68 +672,41 @@ fn assemble<R>(outcomes: Vec<WorkerOutcome<R>>, items: usize) -> Vec<R> {
     out
 }
 
-/// The process-wide shared pool: one parked worker per available
-/// hardware thread, spawned lazily on first parallel call and kept for
-/// the process lifetime. Facade sessions, the serve scheduler, the
-/// training pipeline's parallel evaluations and the bench binaries all
-/// draw from this one pool (submitters additionally run one slot
-/// inline, so an N-core host keeps N+1 runnable threads at peak — the
-/// submitter's slot drains the queue rather than idling).
-pub fn global_pool() -> &'static WorkerPool {
-    static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| WorkerPool::new(available_cores()))
-}
-
-/// Runs `work` over the index range `0..items`, split into contiguous
-/// chunks of `chunk_size`, on one worker slot per element of `contexts`,
-/// drawn from the [`global_pool`].
+/// Maps `0..items` through `f` with `parallelism`; output index `i`
+/// holds `f(i)`.
 ///
-/// Each worker slot repeatedly pulls the next unclaimed chunk off a
-/// shared atomic queue and maps it through `work(&mut context, range)`;
-/// the per-chunk result vectors are reassembled in item order, so the
-/// output is exactly what the single-context sequential loop would
-/// produce (provided `work` is a pure function of `(range, context-local
-/// memoization)` — which is what every caller in this workspace
-/// guarantees).
-///
-/// With a single context (or a single chunk) no pool interaction happens
-/// and `work` runs inline on the caller.
+/// With one worker (`Sequential`, `Threads(1)`, or fewer than two
+/// items) this is a plain `map` on the caller. Otherwise the items are
+/// split into contiguous chunks that `min(workers, items)` slots of the
+/// process-lifetime pool pull off a shared atomic cursor, and the
+/// results are reassembled in item order — so the output is exactly
+/// the sequential map's, provided `f` is a pure function of its index
+/// (which every caller in this workspace guarantees). The calling
+/// thread runs one slot itself and steals back any still queued, so a
+/// nested `parallel_map` inside `f` cannot deadlock, and the pool's
+/// fixed size, not the requested worker count, bounds the OS threads.
 ///
 /// # Panics
 ///
-/// Panics if `contexts` is empty, if `chunk_size` is zero, or if `work`
-/// returns a vector whose length differs from its range. If `work`
-/// itself panics, the panic is *contained*: remaining workers finish
-/// their current chunk and stop, every worker slot is accounted for,
-/// and then the first panic (by chunk order) resumes on the caller.
-pub fn run_chunked<C, R, F>(contexts: &mut [C], items: usize, chunk_size: usize, work: F) -> Vec<R>
-where
-    C: Send,
-    R: Send,
-    F: Fn(&mut C, Range<usize>) -> Vec<R> + Sync,
-{
-    global_pool().run_chunked(contexts, items, chunk_size, work)
-}
-
-/// Maps `0..items` through `f` with `parallelism`, stateless-worker
-/// convenience over [`run_chunked`]. Output index `i` holds `f(i)`.
+/// If `f` panics, the panic is *contained*: the other slots finish
+/// their current chunk and stop, every slot is accounted for, and then
+/// the earliest panic (by chunk order) resumes on the caller. The pool
+/// stays usable.
 pub fn parallel_map<R, F>(parallelism: Parallelism, items: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = parallelism.workers().min(items.max(1));
-    let mut contexts = vec![(); workers];
-    let chunk = default_chunk_size(items, workers);
-    run_chunked(&mut contexts, items, chunk, |(), range| {
-        range.map(&f).collect()
-    })
+    let workers = parallelism.workers().min(items);
+    if workers <= 1 {
+        return (0..items).map(f).collect();
+    }
+    pooled_map(workers, items, &f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn parallelism_resolves_to_at_least_one_worker() {
@@ -908,64 +721,51 @@ mod tests {
     fn chunked_map_preserves_item_order() {
         for workers in [1usize, 2, 3, 8] {
             for items in [0usize, 1, 7, 64, 97] {
-                let mut contexts = vec![0u64; workers];
-                let out = run_chunked(&mut contexts, items, 5, |ctx, range| {
-                    *ctx += range.len() as u64;
-                    range.map(|i| i * i).collect()
+                let calls = AtomicUsize::new(0);
+                let out = parallel_map(Parallelism::Threads(workers), items, |i| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    // Slow enough that parked workers wake and take
+                    // chunks before the submitter drains them all.
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    i * i
                 });
                 let expected: Vec<usize> = (0..items).map(|i| i * i).collect();
                 assert_eq!(out, expected, "workers={workers} items={items}");
                 // Every item was processed exactly once, across whichever
-                // workers pulled chunks.
-                assert_eq!(contexts.iter().sum::<u64>(), items as u64);
+                // workers pulled its chunk.
+                assert_eq!(calls.load(Ordering::Relaxed), items);
             }
         }
     }
 
     #[test]
-    fn worker_contexts_persist_across_chunks() {
-        // One worker, many chunks: the context accumulates.
-        let mut contexts = vec![Vec::<usize>::new()];
-        let out = run_chunked(&mut contexts, 10, 3, |seen, range| {
-            seen.extend(range.clone());
-            range.map(|i| i + 1).collect()
-        });
-        assert_eq!(out, (1..=10).collect::<Vec<_>>());
-        assert_eq!(contexts[0], (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn panic_in_one_chunk_is_contained_and_resumed() {
-        let attempted = AtomicU64::new(0);
+        let attempted = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut contexts = vec![(); 4];
-            run_chunked(&mut contexts, 32, 1, |(), range| {
+            parallel_map(Parallelism::Threads(4), 32, |i| {
                 attempted.fetch_add(1, Ordering::Relaxed);
-                if range.start == 7 {
-                    panic!("chunk 7 exploded");
+                if i >= 7 {
+                    panic!("item {i} exploded");
                 }
-                range.collect::<Vec<_>>()
+                i
             })
         }));
         // Containment: the panic surfaced on the caller (no deadlock, no
-        // stranded worker — every slot was accounted for by the latch),
-        // with the original payload intact. How many chunks the *other*
-        // workers completed before seeing the abort flag is
+        // stranded worker — every slot was accounted for by the latch).
+        // Chunks are handed out in order and a handed-out chunk always
+        // runs, so item 7's chunk ran whichever later chunks also
+        // panicked, and its payload is the earliest. How many chunks the
+        // *other* workers completed before seeing the abort flag is
         // scheduling-dependent, so it is deliberately not asserted.
         let payload = result.expect_err("the worker panic must surface to the caller");
         let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("non-str payload");
-        assert_eq!(msg, "chunk 7 exploded");
-        assert!(
-            attempted.load(Ordering::Relaxed) >= 8,
-            "chunk 7 was reached"
-        );
+            .downcast_ref::<String>()
+            .map_or("non-String payload", String::as_str);
+        assert_eq!(msg, "item 7 exploded");
+        assert!(attempted.load(Ordering::Relaxed) >= 8, "item 7 was reached");
 
         // The pool survives: the very next call works normally.
-        let mut contexts = vec![(); 4];
-        let ok = run_chunked(&mut contexts, 8, 2, |(), range| range.collect::<Vec<_>>());
+        let ok = parallel_map(Parallelism::Threads(4), 8, |i| i);
         assert_eq!(ok, (0..8).collect::<Vec<_>>());
     }
 
@@ -987,40 +787,9 @@ mod tests {
     }
 
     #[test]
-    fn private_pool_runs_jobs_and_shuts_down_idempotently() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        let mut contexts = vec![0u64; 4];
-        let out = pool.run_chunked(&mut contexts, 50, 3, |ctx, range| {
-            *ctx += 1;
-            range.map(|i| i * 2).collect()
-        });
-        assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
-        pool.shutdown();
-        pool.shutdown(); // idempotent
-
-        // A shut-down pool still completes jobs (inline on the caller).
-        let mut contexts = vec![0u64; 4];
-        let out = pool.run_chunked(&mut contexts, 10, 2, |_, range| range.collect());
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-        // Only the caller's slot plus its steal-backs could have run.
-        assert_eq!(contexts.iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn zero_thread_pool_runs_inline() {
-        let pool = WorkerPool::new(0);
-        let mut contexts = vec![(); 4];
-        let out = pool.run_chunked(&mut contexts, 20, 2, |(), range| {
-            range.map(|i| i + 100).collect()
-        });
-        assert_eq!(out, (100..120).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn nested_run_chunked_on_the_global_pool_does_not_deadlock() {
+    fn nested_parallel_map_does_not_deadlock() {
         // Outer fan-out over the pool; each outer slot runs an inner
-        // run_chunked on the SAME pool. Steal-back guarantees progress.
+        // parallel_map on the SAME pool. Steal-back guarantees progress.
         let out = parallel_map(Parallelism::Threads(4), 8, |i| {
             parallel_map(Parallelism::Threads(3), 16, move |j| (i * 16 + j) as u64)
                 .iter()
@@ -1034,15 +803,14 @@ mod tests {
 
     #[test]
     fn pool_reuse_across_many_jobs_is_stable() {
-        let pool = WorkerPool::new(2);
         for round in 0..64u64 {
-            let mut contexts = vec![0u64; 3];
-            let out = pool.run_chunked(&mut contexts, 31, 4, move |ctx, range| {
-                *ctx += range.len() as u64;
-                range.map(|i| i as u64 + round).collect()
+            let calls = AtomicUsize::new(0);
+            let out = parallel_map(Parallelism::Threads(3), 31, |i| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                i as u64 + round
             });
             assert_eq!(out, (0..31).map(|i| i + round).collect::<Vec<_>>());
-            assert_eq!(contexts.iter().sum::<u64>(), 31);
+            assert_eq!(calls.load(Ordering::Relaxed), 31);
         }
     }
 

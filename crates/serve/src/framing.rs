@@ -117,9 +117,9 @@ pub fn frame_predict_response(prediction: &Prediction) -> Vec<u8> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PredictRequest {
     /// Registry model name.
-    pub(crate) model: String,
+    pub model: String,
     /// Flat input vector.
-    pub(crate) input: Vec<f32>,
+    pub input: Vec<f32>,
 }
 
 /// Decodes the body of a `TAG_REQ_PREDICT` payload (everything after

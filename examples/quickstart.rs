@@ -83,7 +83,7 @@ fn main() -> Result<(), ManError> {
     // Serve a batch through the exact-integer MAC path, rows sharded
     // across every available core (bit-identical to the sequential
     // session and to the ASM reference `infer_raw` — DESIGN.md §8/§10).
-    let session = reloaded.session_parallel(par);
+    let session = reloaded.session().with_parallelism(par);
     let batch: Vec<Vec<f32>> = (0..4).map(|i| vec![0.2 * i as f32; 1024]).collect();
     for (i, p) in session.infer_batch(&batch)?.iter().enumerate() {
         println!("batch[{i}] -> class {} (scores {:?})", p.class, p.scores);

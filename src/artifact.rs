@@ -127,14 +127,6 @@ impl CompiledModel {
         InferenceSession::new(self)
     }
 
-    /// Opens a session whose batches are sharded across `parallelism`
-    /// worker threads — sugar for
-    /// `session().with_parallelism(parallelism)`. Predictions are
-    /// bit-identical to the sequential session for every setting.
-    pub fn session_parallel(&self, parallelism: man_par::Parallelism) -> InferenceSession {
-        self.session().with_parallelism(parallelism)
-    }
-
     /// Renders the single-file artifact as JSON text.
     ///
     /// # Errors

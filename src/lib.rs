@@ -32,11 +32,11 @@
 //!   (`man-par`): `session.with_parallelism(Parallelism::Auto)` shards
 //!   batch rows across cores with bit-identical results by
 //!   construction; a lone row runs on the caller. Threads come from one
-//!   process-wide persistent [`WorkerPool`] of parked workers (no
-//!   per-call spawning). [`Parallelism::plan`] is the one place a
-//!   batch's [`ShardPlan`] is resolved; under `Auto` it picks the
-//!   worker count from compile-time MACs/row, batch size and serve
-//!   queue pressure (DESIGN.md §8–§9).
+//!   process-lifetime pool of parked workers behind
+//!   [`man_par::parallel_map`] (no per-call spawning).
+//!   [`Parallelism::plan`] is the one place a batch's [`ShardPlan`] is
+//!   resolved; under `Auto` it picks the worker count from
+//!   compile-time MACs/row and batch size (DESIGN.md §8–§9).
 //! * [`ManError`] — one `Result`-first error taxonomy wrapping the
 //!   member crates' typed errors, including the serving-runtime
 //!   [`ServeError`] variants.
@@ -82,6 +82,6 @@ mod session;
 
 pub use artifact::{CompiledModel, CostedModel};
 pub use error::{ManError, ServeError};
-pub use man_par::{Parallelism, ShardPlan, WorkerPool};
+pub use man_par::{Parallelism, ShardPlan};
 pub use pipeline::{BaselineModel, Pipeline, TrainedModel, TrainingData};
 pub use session::{InferenceSession, Prediction, SessionStats};

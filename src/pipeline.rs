@@ -438,7 +438,9 @@ impl BaselineModel {
 
     /// Constrained-retrains one explicit per-layer assignment from the
     /// restore point (Algorithm 2 step 3 for a single configuration) and
-    /// measures its fixed-point accuracy `K`.
+    /// measures its fixed-point accuracy `K` under the configured
+    /// [`Pipeline::with_parallelism`] setting (the result is the same for
+    /// every setting).
     ///
     /// # Errors
     ///
@@ -447,25 +449,6 @@ impl BaselineModel {
     /// network fails to compile (it cannot, unless the projection is
     /// bypassed).
     pub fn retrain(&self, alphabets: &LayerAlphabets) -> Result<TrainedModel, ManError> {
-        self.retrain_with_parallelism(alphabets, self.cfg.parallelism)
-    }
-
-    /// [`BaselineModel::retrain`] with an explicit worker budget for the
-    /// accuracy evaluation (`K`). Results are identical for every
-    /// setting; this exists so an *outer* stage that already fans
-    /// candidates out across the cores — [`Pipeline::train`], the
-    /// bench sweeps — can run each candidate's inner evaluation
-    /// sequentially instead of oversubscribing the machine with
-    /// `workers × workers` threads.
-    ///
-    /// # Errors
-    ///
-    /// As [`BaselineModel::retrain`].
-    pub fn retrain_with_parallelism(
-        &self,
-        alphabets: &LayerAlphabets,
-        eval_parallelism: Parallelism,
-    ) -> Result<TrainedModel, ManError> {
         let layers = self.spec.layer_formats().len();
         if alphabets.len() != layers {
             return Err(ManError::config(format!(
@@ -485,7 +468,7 @@ impl BaselineModel {
         let k = fixed.accuracy_par(
             &self.data.test_images,
             &self.data.test_labels,
-            eval_parallelism,
+            self.cfg.parallelism,
         );
         let j = self.conventional_accuracy;
         let accepted = k >= j * self.cfg.quality;
@@ -533,16 +516,11 @@ impl BaselineModel {
             // set. An `Err` from a candidate *past* that point is a
             // candidate Algorithm 2 would never have evaluated, so it
             // must not surface; an `Err` at or before it is one the
-            // sequential run would have hit, and propagates. The worker
-            // budget is split between the two levels (candidates outer,
-            // accuracy evaluations inner — see `man_par::split_budget`)
-            // so parallel select never oversubscribes the machine.
-            let (outer, inner) = man_par::split_budget(self.cfg.parallelism, candidates.len());
-            for result in man_par::parallel_map(outer, candidates.len(), |i| {
-                self.retrain_with_parallelism(
-                    &LayerAlphabets::uniform(candidates[i].clone(), layers),
-                    inner,
-                )
+            // sequential run would have hit, and propagates. Each
+            // candidate's accuracy evaluation nests on the same pool,
+            // whose fixed size bounds the threads.
+            for result in man_par::parallel_map(self.cfg.parallelism, candidates.len(), |i| {
+                self.retrain(&LayerAlphabets::uniform(candidates[i].clone(), layers))
             }) {
                 let one = result?;
                 let accepted = one.attempts.first().is_some_and(|a| a.accepted);

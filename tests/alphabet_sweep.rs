@@ -133,7 +133,8 @@ fn every_configuration_is_bit_identical_under_parallel_sessions() {
                 Parallelism::Auto,
             ] {
                 let got: Vec<Vec<i64>> = compiled
-                    .session_parallel(p)
+                    .session()
+                    .with_parallelism(p)
                     .infer_batch(&batch)
                     .expect("inputs match")
                     .into_iter()

@@ -13,7 +13,7 @@ use man_repro::man::zoo::Benchmark;
 use man_repro::man_datasets::GenOptions;
 use man_repro::man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_repro::man_nn::network::Network;
-use man_repro::man_par::{run_chunked, Parallelism};
+use man_repro::man_par::{parallel_map, Parallelism};
 use man_repro::{CompiledModel, Pipeline};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -118,7 +118,7 @@ proptest! {
         let model = random_model(seed, bits, in_dim, hidden, classes, set);
         let batch = random_batch(seed, rows, in_dim);
         let want = oracle(&model, &batch);
-        let session = model.session_parallel(parallelism_of(pick));
+        let session = model.session().with_parallelism(parallelism_of(pick));
         let got = scores_of(session.infer_batch(&batch).expect("shapes match"));
         prop_assert_eq!(&got, &want);
         let again = scores_of(session.infer_batch(&batch).expect("shapes match"));
@@ -138,7 +138,7 @@ proptest! {
         let input = random_batch(seed, 1, 12).remove(0);
         let want = model.fixed().infer_raw(&input);
         let parallel = model
-            .session_parallel(Parallelism::Threads(threads))
+            .session().with_parallelism(Parallelism::Threads(threads))
             .infer(&input)
             .expect("shape ok");
         prop_assert_eq!(parallel.class, argmax_raw(&want));
@@ -175,8 +175,8 @@ proptest! {
             / rows as f64;
 
         // Long-lived tenants sharing the pool across the op sequence.
-        let mut plain = model.session_parallel(Parallelism::Threads(4));
-        let auto = model.session_parallel(Parallelism::Auto);
+        let mut plain = model.session().with_parallelism(Parallelism::Threads(4));
+        let auto = model.session().with_parallelism(Parallelism::Auto);
         for op in ops {
             match op % 4 {
                 0 => {
@@ -201,7 +201,7 @@ proptest! {
                 _ => {
                     // Resize: a fresh session on the same pool; results
                     // must survive the resize.
-                    plain = model.session_parallel(Parallelism::Threads(1 + op % 7));
+                    plain = model.session().with_parallelism(Parallelism::Threads(1 + op % 7));
                     let got = scores_of(
                         plain.infer_batch(&batch).expect("shapes match"),
                     );
@@ -223,7 +223,7 @@ proptest! {
         let model = random_model(seed, 8, 14, hidden, 3, set);
         let batch = random_batch(seed, rows, 14);
         let want = oracle(&model, &batch);
-        let session = model.session_parallel(Parallelism::Auto);
+        let session = model.session().with_parallelism(Parallelism::Auto);
         let auto = scores_of(session.infer_batch(&batch).expect("shapes match"));
         prop_assert_eq!(&auto, &want);
     }
@@ -257,7 +257,7 @@ fn zoo_models_match_the_asm_oracle() {
                 Parallelism::Threads(4),
                 Parallelism::Auto,
             ] {
-                let session = model.session_parallel(parallelism);
+                let session = model.session().with_parallelism(parallelism);
                 let got = scores_of(session.infer_batch(&ds.test_images).expect("shapes match"));
                 assert_eq!(got, want, "{} {set} {parallelism:?}", bench.name());
                 let single = session.infer(&ds.test_images[0]).expect("shape ok");
@@ -280,12 +280,11 @@ fn zoo_models_match_the_asm_oracle() {
 fn panic_in_worker_is_contained_and_pool_survives_reuse() {
     let poison = |marker: usize| {
         std::panic::catch_unwind(move || {
-            let mut contexts = vec![(); 4];
-            run_chunked(&mut contexts, 64, 1, move |(), range| {
-                if range.start == marker {
+            parallel_map(Parallelism::Threads(4), 64, move |i| {
+                if i == marker {
                     panic!("poisoned row");
                 }
-                range.map(|i| i as u64).collect::<Vec<_>>()
+                i as u64
             })
         })
     };
@@ -300,7 +299,8 @@ fn panic_in_worker_is_contained_and_pool_survives_reuse() {
     let want = oracle(&model, &batch);
     let parallel = scores_of(
         model
-            .session_parallel(Parallelism::Threads(4))
+            .session()
+            .with_parallelism(Parallelism::Threads(4))
             .infer_batch(&batch)
             .expect("shapes match"),
     );
@@ -313,7 +313,8 @@ fn panic_in_worker_is_contained_and_pool_survives_reuse() {
     // ...and the other tenants keep getting exact answers.
     let resized = scores_of(
         model
-            .session_parallel(Parallelism::Threads(3))
+            .session()
+            .with_parallelism(Parallelism::Threads(3))
             .infer_batch(&batch)
             .expect("shapes match"),
     );
@@ -330,7 +331,7 @@ fn panic_in_worker_is_contained_and_pool_survives_reuse() {
 fn session_stats_report_the_resolved_plan() {
     let model = random_model(22, 8, 12, 32, 3, AlphabetSet::a2());
     let batch = random_batch(22, 16, 12);
-    let session = model.session_parallel(Parallelism::Threads(2));
+    let session = model.session().with_parallelism(Parallelism::Threads(2));
     let fresh = session.stats();
     assert_eq!(fresh.plan, "unresolved", "no batch has resolved yet");
     assert_eq!(fresh.workers, 2);
