@@ -180,7 +180,8 @@ pub enum Stage {
     Steal = 9,
     /// Incident: a request rejected with `Overloaded`.
     Overloaded = 10,
-    /// Incident: a submitter gave up waiting (`request_timeout`).
+    /// Incident: a submitter gave up waiting (the scheduler's 30 s
+    /// request timeout).
     Timeout = 11,
     /// Incident: a worker panic was contained.
     Panic = 12,

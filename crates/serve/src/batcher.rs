@@ -1,26 +1,25 @@
-//! The dynamic micro-batching scheduler: one bounded queue and a pool of
-//! worker threads per hosted model.
-//!
-//! Callers submit single requests; workers coalesce whatever is queued —
-//! up to [`BatchConfig::max_batch`] requests, waiting at most
-//! [`BatchConfig::max_wait`] after the first — into one `infer_batch`
-//! call. Replies travel back over per-request oneshot channels. When the
-//! queue is full, submission fails *immediately* with
-//! [`man_repro::ServeError::Overloaded`] — explicit backpressure beats
-//! unbounded latency.
+//! The dynamic micro-batching scheduler: one bounded queue per hosted
+//! model, and no threads of its own (leader/follower). A submitter that
+//! finds no batch of its model running *leads*: it drains up to
+//! [`BatchConfig::max_batch`] queued requests into one `infer_batch`
+//! call on its own thread. The others *follow*: they wait until their
+//! reply arrives or the batch ends and one of them may lead, so what
+//! queues while a batch computes forms the next one. A full queue fails
+//! submission *immediately* with [`man_repro::ServeError::Overloaded`]
+//! — explicit backpressure beats unbounded latency.
 //!
 //! The whole lifecycle is traced through `man-obs` (DESIGN.md §12):
 //! submit records an `accept` span and tags the job with a request id,
-//! the drain loop records `queue_wait` (per request) and `coalesce`
-//! (per batch), dispatch records `dispatch` (with the resolved plan
-//! label) and `kernel` (with the same label) — and the
-//! incident paths (`Overloaded`, request timeout, contained panic)
-//! anchor a flight-recorder dump to the failing request.
+//! the leader records `queue_wait` (per request) and `coalesce` (per
+//! batch), dispatch records `dispatch` (with the resolved plan label)
+//! and `kernel` (with the same label) — and the incident paths
+//! (`Overloaded`, request timeout, contained panic) anchor a
+//! flight-recorder dump to the failing request.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use man_obs::{flight, Span, Stage};
@@ -28,6 +27,10 @@ use man_par::ShardPlan;
 use man_repro::{CompiledModel, InferenceSession, ManError, Parallelism, Prediction, ServeError};
 
 use crate::metrics::ModelMetrics;
+
+/// How long a follower waits for its reply before giving up with
+/// [`ServeError::Timeout`].
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Scheduler tuning for one hosted model.
 ///
@@ -37,64 +40,48 @@ use crate::metrics::ModelMetrics;
 /// override what matters, keep the production defaults for the rest:
 ///
 /// ```
-/// use std::time::Duration;
-/// use man_serve::BatchConfig;
+/// use man_serve::{BatchConfig, Parallelism};
 ///
 /// let config = BatchConfig {
 ///     max_batch: 8,
-///     max_wait: Duration::from_micros(200),
 ///     ..BatchConfig::default()
 /// };
-/// assert_eq!(config.workers, 1);
-/// assert_eq!(config.request_timeout, Duration::from_secs(30));
+/// assert_eq!(config.queue_capacity, 256);
+/// assert_eq!(config.parallelism, Parallelism::Sequential);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
     /// Most requests coalesced into one `infer_batch` call.
     pub max_batch: usize,
-    /// Longest a worker waits for more requests after the first one of a
-    /// batch arrives. Zero — the default — means "drain whatever is
-    /// already queued and go": batches then form naturally while the
-    /// previous batch computes (continuous batching), which wastes no
-    /// worker time. A positive wait trades first-request latency for
-    /// fuller batches under sparse open-loop traffic.
-    pub max_wait: Duration,
     /// Bounded queue size; a full queue rejects with `Overloaded`.
     pub queue_capacity: usize,
-    /// Worker threads, each with its own session, opened once and kept
-    /// for every request the worker serves.
-    pub workers: usize,
-    /// Intra-batch parallelism: each scheduler worker's session shards
-    /// one coalesced micro-batch across this many cores (row-sharded;
-    /// bit-identical to sequential). [`Parallelism::Sequential`] — the
-    /// default — keeps one core per micro-batch, which is right when
-    /// `workers` already covers the machine; raise it instead of
-    /// `workers` when per-request latency matters more than stream
-    /// throughput. [`Parallelism::Auto`] hands the choice to the
-    /// `man-par` tuner, which folds in the model's MACs per row and the
-    /// coalesced batch size.
+    /// Intra-batch parallelism: the model's session shards one
+    /// coalesced micro-batch across this many cores (row-sharded;
+    /// bit-identical to sequential). It is the one way to give a model
+    /// more cores: a host never runs two batches at once.
+    /// [`Parallelism::Sequential`] — the default — runs each batch on
+    /// the leading caller's core alone. [`Parallelism::Auto`] hands the
+    /// choice to the `man-par` tuner, which folds in the model's MACs
+    /// per row and the coalesced batch size.
     pub parallelism: Parallelism,
-    /// How long a submitter waits for its reply before giving up.
-    pub request_timeout: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch: 32,
-            max_wait: Duration::ZERO,
             queue_capacity: 256,
-            workers: 1,
             parallelism: Parallelism::Sequential,
-            request_timeout: Duration::from_secs(30),
         }
     }
 }
 
+type Reply = Result<Prediction, ManError>;
+
 /// One queued request: the input plus the oneshot reply slot.
 struct Job {
     input: Vec<f32>,
-    reply: SyncSender<Result<Prediction, ManError>>,
+    reply: SyncSender<Reply>,
     enqueued: Instant,
     /// Tracing request id (`man_obs::next_request_id`; 0 when the
     /// observability plane is off).
@@ -103,56 +90,65 @@ struct Job {
     enqueued_ns: u64,
 }
 
-/// A model plus its scheduler: queue, worker pool, metrics.
+/// What a host's one lock guards. A job leaves `jobs` only into the
+/// running batch, whose replies are all delivered before `leading`
+/// clears; `closed` ends intake.
+struct Queue {
+    jobs: VecDeque<Job>,
+    leading: bool,
+    closed: bool,
+}
+
+/// A model plus its scheduler: queue, session, metrics.
 ///
-/// Dropping (or `ModelHost::stop`-ping) the host closes the queue;
-/// workers then drain every already-queued request before exiting, so
-/// shutdown never silently drops accepted work.
+/// Stopping it (on reload and `unload`) closes intake and runs every
+/// already-queued request before returning, so shutdown never silently
+/// drops accepted work.
 pub struct ModelHost {
     name: String,
-    config: BatchConfig,
+    max_batch: usize,
+    queue_capacity: usize,
     input_len: usize,
     metrics: Arc<ModelMetrics>,
-    /// `None` once stopped; taking it drops the sender and closes the
-    /// queue.
-    queue: Mutex<Option<SyncSender<Job>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    queue: Mutex<Queue>,
+    /// Notified when a batch ends: its replies are out; a waiter may lead.
+    batch_done: Condvar,
+    session: InferenceSession,
+}
+
+/// Ends a batch — clears `leading`, wakes every waiter — on unwinding
+/// too, so a panic outside `dispatch`'s containment cannot wedge a host.
+struct Leading<'a>(&'a ModelHost);
+
+impl Drop for Leading<'_> {
+    fn drop(&mut self) {
+        self.0.lock().leading = false;
+        self.0.batch_done.notify_all();
+    }
 }
 
 impl ModelHost {
-    /// Starts a scheduler for `model`.
-    pub(crate) fn start(
+    /// A scheduler for `model`; it spawns nothing.
+    pub(crate) fn new(
         name: impl Into<String>,
-        model: CompiledModel,
-        config: BatchConfig,
-    ) -> Arc<Self> {
-        let name = name.into();
-        let model = Arc::new(model);
-        let metrics = Arc::new(ModelMetrics::new(config.max_batch));
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let mut handles = Vec::new();
-        for w in 0..config.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let model = Arc::clone(&model);
-            let metrics = Arc::clone(&metrics);
-            let cfg = config.clone();
-            let thread_name = format!("man-serve/{name}/{w}");
-            handles.push(
-                std::thread::Builder::new()
-                    .name(thread_name)
-                    .spawn(move || worker_loop(&rx, &model, &cfg, &metrics))
-                    .expect("spawning a scheduler worker thread"),
-            );
-        }
-        Arc::new(Self {
-            name,
+        model: &CompiledModel,
+        config: &BatchConfig,
+    ) -> Self {
+        let max_batch = config.max_batch.max(1);
+        Self {
+            name: name.into(),
+            max_batch,
+            queue_capacity: config.queue_capacity.max(1),
             input_len: model.fixed().input_len(),
-            config,
-            metrics,
-            queue: Mutex::new(Some(tx)),
-            workers: Mutex::new(handles),
-        })
+            metrics: Arc::new(ModelMetrics::new(max_batch)),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                leading: false,
+                closed: false,
+            }),
+            batch_done: Condvar::new(),
+            session: model.session().with_parallelism(config.parallelism),
+        }
     }
 
     /// The model name this host serves.
@@ -165,24 +161,27 @@ impl ModelHost {
         &self.metrics
     }
 
-    /// Submits one request and blocks until its reply (or timeout).
+    /// The lock is never held across inference, so a poisoned one still
+    /// guards a consistent queue.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Submits one request and blocks until its reply (or timeout),
+    /// leading batches on this thread whenever none is running.
     ///
     /// # Errors
     ///
     /// [`ManError::Shape`] for a wrong-length input (checked before
     /// queueing), [`ServeError::Overloaded`] when the queue is full,
     /// [`ServeError::Unavailable`] when the host is stopping, and
-    /// [`ServeError::Timeout`] when no reply arrives in
-    /// [`BatchConfig::request_timeout`].
+    /// [`ServeError::Timeout`] when no reply arrives within 30 s.
     ///
-    /// `accepted` is counted (SeqCst) *before* the queue handoff and
-    /// never rolled back, so it means "admitted past shape validation"
-    /// and dominates the disjoint outcome counters at every instant —
-    /// see [`ModelMetrics`]. `queue_depth` stays a Relaxed advisory
-    /// gauge: it is pre-incremented before `try_send` (and decremented
-    /// on rejection) so it never under-reports the backlog the workers
-    /// are about to see.
-    pub(crate) fn submit(&self, input: Vec<f32>) -> Result<Prediction, ManError> {
+    /// `accepted` is counted (SeqCst) *before* the enqueue and never
+    /// rolled back, so it means "admitted past shape validation" and
+    /// dominates the disjoint outcome counters at every instant — see
+    /// [`ModelMetrics`]. `queue_depth` stays a Relaxed advisory gauge.
+    pub(crate) fn submit(&self, input: Vec<f32>) -> Reply {
         if input.len() != self.input_len {
             // ORDERING: monotonic statistics counter; reporting only.
             self.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -206,49 +205,38 @@ impl ModelHost {
             req,
             enqueued_ns: if obs_on { man_obs::now_ns() } else { 0 },
         };
-        {
-            let accept_span = Span::enter_for(Stage::Accept, req);
-            let queue = self.queue.lock().expect("queue lock poisoned");
-            let Some(tx) = queue.as_ref() else {
-                return Err(ServeError::Unavailable(self.name.clone()).into());
-            };
-            // Count the admission before handing the job over: a worker
-            // may dequeue the instant try_send returns.
-            // ORDERING: advisory depth gauge; never synchronizes data.
-            self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-            self.metrics.accepted.fetch_add(1, Ordering::SeqCst);
-            match tx.try_send(job) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    // ORDERING: advisory depth gauge; never synchronizes data.
-                    self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    self.metrics.rejected.fetch_add(1, Ordering::SeqCst);
-                    drop(accept_span);
-                    // Anchor a flight-recorder dump to the rejected
-                    // request: flush this thread's span buffer first so
-                    // the dump sees the freshest events.
-                    man_obs::incident(Stage::Overloaded, req);
-                    man_obs::flush();
-                    flight::trigger_dump("overloaded", req);
-                    return Err(ServeError::Overloaded {
-                        model: self.name.clone(),
-                        capacity: self.config.queue_capacity,
-                    }
-                    .into());
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    // ORDERING: advisory depth gauge; never synchronizes data.
-                    self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    return Err(ServeError::Unavailable(self.name.clone()).into());
-                }
-            }
+        let accept_span = Span::enter_for(Stage::Accept, req);
+        let mut queue = self.lock();
+        if queue.closed {
+            return Err(ServeError::Unavailable(self.name.clone()).into());
         }
+        self.metrics.accepted.fetch_add(1, Ordering::SeqCst);
+        if queue.jobs.len() >= self.queue_capacity {
+            drop(queue);
+            self.metrics.rejected.fetch_add(1, Ordering::SeqCst);
+            drop(accept_span);
+            // Anchor a flight-recorder dump to the rejected request:
+            // flush this thread's span buffer first so the dump sees
+            // the freshest events.
+            man_obs::incident(Stage::Overloaded, req);
+            man_obs::flush();
+            flight::trigger_dump("overloaded", req);
+            return Err(ServeError::Overloaded {
+                model: self.name.clone(),
+                capacity: self.queue_capacity,
+            }
+            .into());
+        }
+        // ORDERING: advisory depth gauge; never synchronizes data.
+        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        queue.jobs.push_back(job);
+        drop(accept_span);
         // Outcome accounting happens here, on the submitter, *before*
         // the call returns: exactly one of `completed`/`errors`/
         // `timed_out` per accepted request, so a client that got its
         // reply is guaranteed to see it in the very next `stats` call,
         // and the disjoint-outcome invariant holds at every instant.
-        match reply_rx.recv_timeout(self.config.request_timeout) {
+        match self.await_reply(queue, &reply_rx, enqueued + REQUEST_TIMEOUT) {
             Ok(result) => {
                 self.metrics.latency.observe(enqueued.elapsed());
                 match &result {
@@ -264,93 +252,86 @@ impl ModelHost {
                 flight::trigger_dump("timeout", req);
                 Err(ServeError::Timeout(self.name.clone()).into())
             }
-            // The host is stopping and this job's reply slot was dropped
-            // unanswered; `accepted` dominates the outcome counters, so
-            // leaving it outcome-less keeps the invariant sound.
+            // The batch holding this job unwound past `dispatch`'s
+            // containment; leaving it outcome-less keeps the invariant.
             Err(RecvTimeoutError::Disconnected) => {
                 Err(ServeError::Unavailable(self.name.clone()).into())
             }
         }
     }
 
-    /// Graceful shutdown: closes the queue, lets the workers drain every
-    /// already-accepted request, and joins them. Idempotent.
-    pub(crate) fn stop(&self) {
-        drop(self.queue.lock().expect("queue lock poisoned").take());
-        let handles: Vec<_> = {
-            let mut workers = self.workers.lock().expect("workers lock poisoned");
-            workers.drain(..).collect()
+    /// Waits for `reply` until `deadline`, leading a batch whenever none
+    /// is running: then a missing reply means the job is still queued.
+    fn await_reply<'a>(
+        &'a self,
+        mut queue: MutexGuard<'a, Queue>,
+        reply: &Receiver<Reply>,
+        deadline: Instant,
+    ) -> Result<Reply, RecvTimeoutError> {
+        loop {
+            match reply.try_recv() {
+                Ok(result) => return Ok(result),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {}
+            }
+            if !queue.leading {
+                queue = self.lead(queue);
+                continue;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            queue = self
+                .batch_done
+                .wait_timeout(queue, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Drains up to `max_batch` queued jobs and runs and answers them on
+    /// this thread, unlocked; returns relocked after `leading` clears.
+    ///
+    /// ORDERING: `queue_depth` is an advisory backlog gauge; the lock
+    /// that handed over the jobs already ordered them.
+    fn lead<'a>(&'a self, mut queue: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+        let coalesce_start = if man_obs::counters_enabled() {
+            man_obs::now_ns().max(1)
+        } else {
+            0
         };
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ModelHost {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// ORDERING: `queue_depth` is an advisory backlog gauge — the
-/// `fetch_sub` after draining is `Relaxed` because the channel recv that
-/// delivered the jobs already ordered them.
-fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    model: &CompiledModel,
-    cfg: &BatchConfig,
-    metrics: &ModelMetrics,
-) {
-    let session = model.session().with_parallelism(cfg.parallelism);
-    loop {
-        // Hold the receiver lock across the blocking wait *and* the batch
-        // drain: idle co-workers queue behind it and take over the moment
-        // this worker moves on to inference.
-        let mut batch = Vec::new();
-        let mut coalesce_start = 0u64;
-        {
-            let rx = rx.lock().expect("receiver lock poisoned");
-            match rx.recv() {
-                Ok(job) => {
-                    // Coalescing starts when the batch's first request
-                    // is in hand — the blocking wait above was idle
-                    // time, not batching time.
-                    if man_obs::counters_enabled() {
-                        coalesce_start = man_obs::now_ns().max(1);
-                    }
-                    batch.push(job);
-                }
-                Err(_) => return, // queue closed and fully drained
-            }
-            let deadline = (!cfg.max_wait.is_zero()).then(|| Instant::now() + cfg.max_wait);
-            while batch.len() < cfg.max_batch {
-                let wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                match wait {
-                    // Drain-only (or deadline passed): take what is
-                    // already queued, never idle.
-                    None | Some(Duration::ZERO) => match rx.try_recv() {
-                        Ok(job) => batch.push(job),
-                        Err(_) => break,
-                    },
-                    Some(wait) => match rx.recv_timeout(wait) {
-                        Ok(job) => batch.push(job),
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    },
-                }
-            }
-        }
-        metrics
-            .queue_depth
-            .fetch_sub(batch.len(), Ordering::Relaxed);
-        metrics.observe_batch(batch.len());
-        observe_drain(&batch, coalesce_start, metrics);
-        dispatch(batch, &session, metrics);
-        // Lifecycle flush point: the batch's span events reach the
-        // flight-recorder ring before the next blocking wait, so a dump
-        // triggered by anyone sees complete request lifecycles.
+        let take = queue.jobs.len().min(self.max_batch);
+        let batch: Vec<Job> = queue.jobs.drain(..take).collect();
+        queue.leading = true;
+        drop(queue);
+        let leading = Leading(self);
+        let m = &self.metrics;
+        m.queue_depth.fetch_sub(batch.len(), Ordering::Relaxed);
+        m.observe_batch(batch.len());
+        observe_drain(&batch, coalesce_start, m);
+        dispatch(batch, &self.session, m);
+        // Lifecycle flush point: a dump triggered by anyone sees this
+        // batch's complete request lifecycles.
         man_obs::flush();
+        drop(leading);
+        self.lock()
+    }
+
+    /// Graceful shutdown: closes intake, waits out a running batch and
+    /// runs every batch still queued on the calling thread, so every
+    /// accepted request is answered before it returns. Idempotent.
+    pub(crate) fn stop(&self) {
+        let mut queue = self.lock();
+        queue.closed = true;
+        while queue.leading || !queue.jobs.is_empty() {
+            queue = if queue.leading {
+                let waited = self.batch_done.wait(queue);
+                waited.unwrap_or_else(PoisonError::into_inner)
+            } else {
+                self.lead(queue)
+            };
+        }
     }
 }
 
@@ -424,10 +405,10 @@ fn dispatch(batch: Vec<Job>, session: &InferenceSession, metrics: &ModelMetrics)
     // The kernel-execution window inside the dispatch, on the obs
     // clock (start, duration); left (0, 0) when the plane is off.
     let mut kernel_window = (0u64, 0u64);
-    // A panicking inference must not kill the worker thread: with the
-    // default single worker, a dead worker would silently turn the host
-    // into a black hole (requests accepted, never answered). Contain the
-    // panic, answer the batch with a typed error, keep serving.
+    // A panicking inference must not unwind into the leading caller:
+    // its followers would wait out the timeout for replies that never
+    // come. Contain the panic, answer the batch with a typed error,
+    // keep serving.
     let outcome = {
         let resolved = &mut resolved;
         let kernel_window = &mut kernel_window;
@@ -521,7 +502,7 @@ fn dispatch(batch: Vec<Job>, session: &InferenceSession, metrics: &ModelMetrics)
         }
         Err(e) => {
             // Shapes are validated at submit time, so this is a genuine
-            // worker-side failure; stringify it once per job.
+            // inference failure; stringify it once per job.
             let msg = e.to_string();
             for (reply, _req) in replies {
                 let _ = reply.send(Err(ServeError::Internal(msg.clone()).into()));

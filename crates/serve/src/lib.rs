@@ -9,17 +9,17 @@
 //!                    ┌────────────────────────────────────────────┐
 //!  TCP (NDJSON, ───▶ │ ModelRegistry ──▶ ModelHost("digits")      │
 //!   MANB)            │   name routing      bounded queue          │
-//!  in-process ─────▶ │   hot load/reload   micro-batching workers │
+//!  in-process ─────▶ │   hot load/reload   batch led by a caller  │
 //!                    │   unload/stats      InferenceSession       │
 //!                    └────────────────────────────────────────────┘
 //! ```
 //!
-//! * [`ModelHost`] — the dynamic micro-batching scheduler: a bounded
-//!   MPSC queue and worker threads that coalesce up to
-//!   [`BatchConfig::max_batch`] requests (waiting at most
-//!   [`BatchConfig::max_wait`]) into one `infer_batch` call, with
-//!   oneshot replies, explicit `Overloaded` backpressure and
-//!   drain-then-join shutdown.
+//! * [`ModelHost`] — the dynamic micro-batching scheduler, with no
+//!   threads of its own: a bounded queue per model, and whichever
+//!   waiting caller finds no batch running drains up to
+//!   [`BatchConfig::max_batch`] queued requests into one `infer_batch`
+//!   call on its own thread, with explicit `Overloaded` backpressure
+//!   and a drain-then-return shutdown.
 //! * [`ModelRegistry`] — named models, hot (re)loaded from single-file
 //!   `CompiledModel` artifacts, routed by name; in-process callers use
 //!   it directly for the same four operations the wire protocol

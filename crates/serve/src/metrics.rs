@@ -28,7 +28,7 @@ use man_par::ShardPlan;
 use serde::Serialize;
 
 /// Live counters for one hosted model. Shared (`Arc`) between the
-/// submit path, the scheduler workers, and the stats endpoint.
+/// submit path, the batch-leading callers, and the stats endpoint.
 #[derive(Debug)]
 pub struct ModelMetrics {
     /// Requests admitted past shape validation and offered to the
@@ -40,11 +40,12 @@ pub struct ModelMetrics {
     pub(crate) completed: AtomicU64,
     /// Requests rejected at submit (queue full).
     pub(crate) rejected: AtomicU64,
-    /// Requests whose submitter gave up at `request_timeout` (the
-    /// scheduler still ran the batch; the late reply goes nowhere).
+    /// Requests whose submitter gave up after the scheduler's fixed 30 s
+    /// request timeout (the batch still runs; the late reply goes
+    /// nowhere).
     pub(crate) timed_out: AtomicU64,
     /// Requests answered with an error: shape mismatches at submit,
-    /// plus worker-side failures delivered back in time.
+    /// plus inference failures delivered back in time.
     pub(crate) errors: AtomicU64,
     /// `infer_batch` calls issued by the scheduler.
     pub(crate) batches: AtomicU64,
@@ -52,7 +53,7 @@ pub struct ModelMetrics {
     batch_sizes: Vec<AtomicU64>,
     /// End-to-end latency (enqueue to reply) of delivered replies.
     pub(crate) latency: LatencyHistogram,
-    /// Time each request sat queued before a scheduler drained it —
+    /// Time each request sat queued before a batch leader drained it —
     /// the backpressure-onset signal the end-to-end percentiles hide.
     pub(crate) queue_wait: LatencyHistogram,
     /// Requests currently queued (approximate).
@@ -190,7 +191,8 @@ pub struct ModelStats {
     pub completed: u64,
     /// Requests rejected with `Overloaded`.
     pub rejected: u64,
-    /// Requests whose submitter gave up at `request_timeout`.
+    /// Requests whose submitter gave up after the fixed 30 s request
+    /// timeout.
     pub timed_out: u64,
     /// Requests answered with an error.
     pub errors: u64,

@@ -80,8 +80,8 @@ pub struct ReactorConfig {
     /// connections (the `conn` bench pins this).
     pub reactor_threads: usize,
     /// Workers calling the blocking scheduler on parsed requests. This
-    /// bounds front-end request concurrency the way
-    /// `BatchConfig::workers` bounds scheduler concurrency.
+    /// bounds front-end request concurrency; a worker whose predict
+    /// finds no batch of its model running runs that batch itself.
     pub dispatch_threads: usize,
 }
 

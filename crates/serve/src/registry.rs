@@ -7,7 +7,7 @@
 //! read lock, clones the host's `Arc`, and submits outside the lock — so
 //! inference never serializes on the registry, and a reload swaps the
 //! `Arc` atomically while in-flight requests drain on the old host
-//! (which shuts down gracefully once the last reference drops).
+//! (which then answers what is still queued and refuses new work).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -123,7 +123,7 @@ impl ModelRegistry {
     pub fn install(&self, name: impl Into<String>, model: CompiledModel) -> ModelInfo {
         let name = name.into();
         let info = info_of(&name, &model);
-        let host = ModelHost::start(name.clone(), model, self.config.clone());
+        let host = Arc::new(ModelHost::new(name.clone(), &model, &self.config));
         let old = self
             .hosts
             .write()
@@ -152,8 +152,8 @@ impl ModelRegistry {
         Ok(self.install(name, CompiledModel::load(path)?))
     }
 
-    /// Evicts a model: removes it from routing, drains its queue, joins
-    /// its workers.
+    /// Evicts a model: removes it from routing, then answers every
+    /// request still queued for it before returning.
     ///
     /// # Errors
     ///

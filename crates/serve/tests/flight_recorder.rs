@@ -28,15 +28,15 @@ const IN_DIM: usize = 24;
 
 static OBS: Mutex<()> = Mutex::new(());
 
-fn compiled_model(seed: u64) -> CompiledModel {
+fn compiled_model(seed: u64, hidden: usize) -> CompiledModel {
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::SmallRng::seed_from_u64(seed)
     };
     let net = Network::new(vec![
-        Layer::Dense(Dense::new(IN_DIM, 12, &mut rng)),
+        Layer::Dense(Dense::new(IN_DIM, hidden, &mut rng)),
         Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-        Layer::Dense(Dense::new(12, 4, &mut rng)),
+        Layer::Dense(Dense::new(hidden, 4, &mut rng)),
     ]);
     Pipeline::from_network(net)
         .with_bits(8)
@@ -82,18 +82,16 @@ fn forced_overload_dumps_a_full_request_lifecycle() {
     flight::clear();
 
     // A scheduler that can be both productive and overwhelmed: one
-    // worker, a 2-slot queue. Completed requests populate the ring with
-    // lifecycle spans; the hammering phase then trips `Overloaded`,
-    // which triggers the dump.
+    // batch at a time, a 2-slot queue, and a model wide enough (24 →
+    // 8192 → 4) that one batch outlasts several submissions. Completed
+    // requests populate the ring with lifecycle spans; the hammering
+    // phase then trips `Overloaded`, which triggers the dump.
     let registry = ModelRegistry::new(BatchConfig {
         max_batch: 4,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 2,
-        workers: 1,
-        request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
-    registry.install("m", compiled_model(3));
+    registry.install("m", compiled_model(3, 8192));
 
     // Phase A: uncontended predicts, so complete request lifecycles sit
     // in the ring when the dump freezes its 1s window.
@@ -230,7 +228,7 @@ fn encode_span_starts_after_the_kernel_ends() {
     flight::clear();
 
     let registry = ModelRegistry::new(BatchConfig::default());
-    registry.install("m", compiled_model(5));
+    registry.install("m", compiled_model(5, 12));
     let mut server = Server::bind("127.0.0.1:0", Arc::clone(&registry)).expect("loopback bind");
     let mut ndjson = TcpClient::connect(server.local_addr()).expect("loopback connect");
     ndjson

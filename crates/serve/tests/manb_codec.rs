@@ -11,7 +11,7 @@
 //! * Over loopback: an unknown request tag, and a truncated predict body
 //!   inside a complete frame, each get `bad_request`, and the same
 //!   connection then answers a valid predict (PROTOCOL.md: the
-//!   connection stays open).
+//!   connection stays open). So does a JSON frame nested 200,000 deep.
 //!
 //! Seeded and std-only, with a fixed budget: the same bytes every run.
 
@@ -26,8 +26,8 @@ use man_nn::network::Network;
 use man_repro::{CompiledModel, Pipeline, Prediction};
 use man_serve::framing::{
     self, decode_predict_request, decode_predict_response, frame_predict_request,
-    frame_predict_response, handshake, negotiate, HANDSHAKE_LEN, TAG_RESP_JSON, TAG_RESP_PREDICT,
-    VERSION,
+    frame_predict_response, handshake, negotiate, HANDSHAKE_LEN, TAG_REQ_JSON, TAG_RESP_JSON,
+    TAG_RESP_PREDICT, VERSION,
 };
 use man_serve::{BatchConfig, ModelRegistry, Server};
 use rand::rngs::SmallRng;
@@ -331,6 +331,15 @@ fn malformed_frames_get_bad_request_and_the_connection_stays_open() {
         expect_bad_request(&mut stream, &truncated, "truncated predict body");
         expect_prediction(&mut stream, &model, &input, "a truncated predict body");
     }
+    // Parsed by recursion, JSON nested 200,000 deep would overflow the
+    // parsing thread's stack and abort the server.
+    let mut deep = vec![TAG_REQ_JSON];
+    deep.extend_from_slice(br#"{"op":"predict","model":"m","input":"#);
+    deep.extend(std::iter::repeat_n(b'[', 200_000));
+    deep.extend(std::iter::repeat_n(b']', 200_000));
+    deep.push(b'}');
+    expect_bad_request(&mut stream, &framing::frame(&deep), "deep nesting");
+    expect_prediction(&mut stream, &model, &input, "a deeply nested frame");
 
     server.shutdown();
     registry.shutdown();

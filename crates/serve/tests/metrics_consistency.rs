@@ -78,14 +78,9 @@ fn assert_consistent(prev: &ModelStats, cur: &ModelStats) {
 fn snapshots_stay_consistent_under_concurrent_hammering() {
     let registry = ModelRegistry::new(BatchConfig {
         max_batch: 8,
-        max_wait: Duration::from_micros(200),
         // Small enough that 8 hammering writers trip Overloaded, so the
         // rejected counter participates in the race too.
         queue_capacity: 4,
-        workers: 2,
-        // Effectively no timeouts: at quiescence every accepted request
-        // must resolve to completed or rejected.
-        request_timeout: Duration::from_secs(60),
         ..BatchConfig::default()
     });
     registry.install("m", compiled_model(7));
@@ -152,7 +147,7 @@ fn snapshots_stay_consistent_under_concurrent_hammering() {
     assert_eq!(ok + rejected, 8 * 150, "every submission resolved");
     assert_eq!(stats.completed, ok);
     assert_eq!(stats.rejected, rejected);
-    assert_eq!(stats.timed_out, 0, "60s timeout must never fire here");
+    assert_eq!(stats.timed_out, 0, "the 30 s timeout must never fire here");
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.accepted, stats.completed + stats.rejected);
     assert_eq!(stats.queue_depth, 0);

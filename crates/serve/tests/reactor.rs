@@ -44,10 +44,7 @@ fn probe_input(i: usize) -> Vec<f32> {
 fn quick_config() -> BatchConfig {
     BatchConfig {
         max_batch: 8,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 64,
-        workers: 2,
-        request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     }
 }
@@ -65,9 +62,10 @@ fn reactor_is_the_default_mode() {
 
 #[test]
 fn ndjson_roundtrip_through_reactor() {
+    let model = compiled_model(3, AlphabetSet::a1());
     let registry = ModelRegistry::new(quick_config());
-    registry.install("m", compiled_model(3, AlphabetSet::a1()));
-    let reference = compiled_model(3, AlphabetSet::a1()).session();
+    registry.install("m", model.clone());
+    let reference = model.session();
     let mut server = reactor_server(Arc::clone(&registry));
 
     let mut tcp = TcpClient::connect(server.local_addr()).expect("connect");
@@ -81,6 +79,14 @@ fn ndjson_roundtrip_through_reactor() {
     let err = tcp.predict("m", &[0.1; 3]).expect_err("short input");
     assert_eq!(err.code, "shape_mismatch");
     let (_, _) = tcp.predict("m", &probe_input(0)).expect("conn survives");
+    // Parsed by recursion, a line nested 200,000 deep would overflow the
+    // parsing thread's stack and abort the server.
+    let (open, close) = ("[".repeat(200_000), "]".repeat(200_000));
+    let deep = format!(r#"{{"op":"predict","model":"m","input":{open}{close}}}"#);
+    let reply = serde_json::to_string(&tcp.request(&deep).expect("a reply")).expect("renders");
+    assert!(reply.contains(r#""error":"bad_request""#), "{reply}");
+    let (_, scores) = tcp.predict("m", &probe_input(1)).expect("conn survives");
+    assert_eq!(scores, model.fixed().infer_raw(&probe_input(1)));
 
     let stats = server.frontend_stats();
     assert_eq!(stats.mode, "reactor");

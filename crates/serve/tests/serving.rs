@@ -17,11 +17,15 @@ use rand::SeedableRng;
 const IN_DIM: usize = 24;
 
 fn compiled_model(seed: u64, set: AlphabetSet) -> CompiledModel {
+    model_with_hidden(seed, 12, set)
+}
+
+fn model_with_hidden(seed: u64, hidden: usize, set: AlphabetSet) -> CompiledModel {
     let mut rng = SmallRng::seed_from_u64(seed);
     let net = Network::new(vec![
-        Layer::Dense(Dense::new(IN_DIM, 12, &mut rng)),
+        Layer::Dense(Dense::new(IN_DIM, hidden, &mut rng)),
         Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
-        Layer::Dense(Dense::new(12, 4, &mut rng)),
+        Layer::Dense(Dense::new(hidden, 4, &mut rng)),
     ]);
     Pipeline::from_network(net)
         .with_bits(8)
@@ -41,10 +45,7 @@ fn probe_input(i: usize) -> Vec<f32> {
 fn quick_config() -> BatchConfig {
     BatchConfig {
         max_batch: 8,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 64,
-        workers: 2,
-        request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     }
 }
@@ -129,15 +130,15 @@ fn unknown_model_is_a_typed_error() {
 fn full_queue_rejects_with_overloaded() {
     // A tiny queue and a scheduler that cannot drain: the submitting
     // side must see explicit Overloaded errors, not unbounded latency.
+    // The batch runs on a waiting caller with no hand-off, so the model
+    // is wide enough (24 → 8192 → 4) that one batch outlasts several
+    // submissions; a 24 → 12 → 4 batch ends before three callers queue.
     let registry = ModelRegistry::new(BatchConfig {
         max_batch: 1,
-        max_wait: Duration::ZERO,
         queue_capacity: 2,
-        workers: 1,
-        request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
-    registry.install("m", compiled_model(3, AlphabetSet::a1()));
+    registry.install("m", model_with_hidden(3, 8192, AlphabetSet::a1()));
 
     // Saturate from many threads; with 12 concurrent submitters and a
     // 2-slot queue, at least a few must hit the Overloaded path.
@@ -256,10 +257,7 @@ fn unload_drains_accepted_requests() {
     // Requests already queued when unload starts still get answers.
     let registry = ModelRegistry::new(BatchConfig {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         queue_capacity: 256,
-        workers: 1,
-        request_timeout: Duration::from_secs(10),
         ..BatchConfig::default()
     });
     registry.install("m", compiled_model(5, AlphabetSet::a2()));
@@ -359,7 +357,7 @@ fn tcp_roundtrip_load_predict_stats_unload() {
 }
 
 #[test]
-fn worker_sessions_match_the_asm_oracle() {
+fn host_sessions_match_the_asm_oracle() {
     let model = compiled_model(7, AlphabetSet::a4());
     let expected: Vec<Vec<i64>> = (0..12)
         .map(|i| model.fixed().infer_raw(&probe_input(i)))
@@ -387,7 +385,7 @@ fn intra_batch_parallelism_is_bit_identical_and_exposed_in_config() {
         assert_eq!(registry.config().parallelism, parallelism);
         registry.install("m", model.clone());
         // Hammer from several threads so micro-batches actually form and
-        // get row-sharded inside the worker sessions.
+        // get row-sharded inside the host's session.
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let registry = &registry;

@@ -6,7 +6,6 @@
 //! Run with: `cargo run --release --example serving`
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use man_repro::man::alphabet::AlphabetSet;
 use man_repro::man::zoo::Benchmark;
@@ -22,8 +21,8 @@ fn main() -> Result<(), ManError> {
     // (DESIGN.md §12). Production default is `Counters`; `Off` reduces
     // every instrumentation site to one branch.
     obs::set_level(ObsLevel::Spans);
-    // One line for the CI logs: what the scheduler workers can shard
-    // a micro-batch across on this host.
+    // One line for the CI logs: what the scheduler can shard a
+    // micro-batch across on this host.
     let parallelism = Parallelism::Auto;
     println!(
         "[man-par] host cores: {}, scheduler micro-batches run {}",
@@ -61,8 +60,10 @@ fn main() -> Result<(), ManError> {
     );
 
     // ---- In-process serving: many threads, one model. The scheduler
-    // coalesces concurrent requests into batches; predictions stay
-    // bit-identical to sequential inference.
+    // spawns no threads: whichever caller finds no batch running runs
+    // the queued requests as one batch on its own thread, and the
+    // others wait for their replies. Predictions stay bit-identical to
+    // sequential inference.
     std::thread::scope(|scope| {
         for t in 0..4 {
             let registry = &registry;
@@ -147,7 +148,6 @@ fn main() -> Result<(), ManError> {
     // `overloaded` answers.
     let tiny = ModelRegistry::new(BatchConfig {
         queue_capacity: 1,
-        request_timeout: Duration::from_secs(5),
         ..BatchConfig::default()
     });
     tiny.install("digits", compiled);
