@@ -188,7 +188,7 @@ fn parse_canonical_predict(line: &str) -> Option<Request> {
 /// One JSON number's text as the `Value` path reads it into an `f32`
 /// (`Value::{I64, U64, F64}`, then `Vec<f32>::from_value`); `None` for
 /// text that is not a number there.
-fn number_to_f32(text: &str) -> Option<f32> {
+pub(crate) fn number_to_f32(text: &str) -> Option<f32> {
     let (&first, after) = text.as_bytes().split_first()?;
     if first != b'-' && !first.is_ascii_digit() {
         return None;

@@ -55,6 +55,7 @@ pub(crate) mod poll;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -971,7 +972,20 @@ fn dispatch_worker(
             Ok(job) => job,
             Err(_) => return, // every reactor exited; queue fully drained
         };
-        let bytes = serve_job(handler, &job.kind);
+        // A panicking handler must not take this thread with it: its
+        // client would wait forever and the pool would shrink by one.
+        let bytes = catch_unwind(AssertUnwindSafe(|| serve_job(handler, &job.kind)))
+            .unwrap_or_else(|_| {
+                let json = raw_error_response("internal", "request handler panicked");
+                match job.kind {
+                    JobKind::Line(_) => {
+                        let mut bytes = json.into_bytes();
+                        bytes.push(b'\n');
+                        bytes
+                    }
+                    JobKind::Frame(_) => framing::frame_json_response(&json),
+                }
+            });
         man_obs::flush();
         let reactor = &reactors[job.reactor];
         reactor

@@ -8,9 +8,10 @@
 //!   duplicate and escaped fields, whitespace, nesting, bad numbers,
 //!   trailing bytes, every truncation of a short line and seeded random
 //!   byte edits.
-//! * Client: `TcpClient::predict` must put on the socket the bytes
-//!   `serde_json` renders for the request object, and refuse a
-//!   non-finite input without writing anything.
+//! * Client: every line `TcpClient::predict` puts on the socket must
+//!   escape the model name as `serde_json` does and decode, through
+//!   both parsers, to that model and the sent inputs' exact bits; a
+//!   non-finite input is refused without writing anything.
 //!
 //! Seeded and std-only, with a fixed budget: the same lines every run.
 
@@ -120,7 +121,7 @@ const EDGE_TEXTS: &[&str] = &[
 /// send.
 fn number_text(rng: &mut Rng) -> String {
     match rng.below(9) {
-        // What `TcpClient` sends: the `f64` shortest form.
+        // The `f64` shortest form.
         0 | 1 => serde_json::to_string(&rng.finite_f32()).expect("finite"),
         // The `f32` shortest form.
         2 => rng.finite_f32().to_string(),
@@ -382,7 +383,7 @@ fn value_rendering(model: &str, input: &[f32]) -> String {
 }
 
 #[test]
-fn client_predict_lines_match_the_value_rendering_byte_for_byte() {
+fn client_predict_lines_decode_to_the_sent_model_and_input_bits() {
     // A loopback peer that records every line and answers each with a
     // fixed `ok` envelope.
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
@@ -421,10 +422,8 @@ fn client_predict_lines_match_the_value_rendering_byte_for_byte() {
     let non_finite_message = serde_json::to_string(&f64::NAN)
         .expect_err("NaN has no JSON spelling")
         .to_string();
-    let mut expected = Vec::new();
     for (model, input) in &cases {
         client.predict(model, input).expect("the peer answers ok");
-        expected.push(value_rendering(model, input) + "\n");
         // A refused input between two sent lines: any byte it wrote
         // would prefix the next line the peer records.
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -437,11 +436,33 @@ fn client_predict_lines_match_the_value_rendering_byte_for_byte() {
     }
     drop(client);
     let received = peer.join().expect("peer thread");
-    assert_eq!(received.len(), expected.len());
-    for (got, want) in received.iter().zip(&expected) {
+    assert_eq!(received.len(), cases.len());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (got, (model, input)) in received.iter().zip(&cases) {
+        // Up to the numbers, the bytes `serde_json` writes: the model
+        // name is escaped the same way.
+        let want = value_rendering(model, input);
+        let head = &want[..want.rfind(r#""input":["#).expect("an input field") + 9];
         assert!(
-            got == want,
-            "wire bytes differ:\n got {got:?}\nwant {want:?}"
+            got.starts_with(head),
+            "head differs:\n got {got:?}\nwant {head:?}"
         );
+        let line = got.strip_suffix('\n').expect("newline-terminated");
+        for parsed in [parse_request(line), parse_request_value(line)] {
+            match parsed {
+                Ok(Request::Predict {
+                    model: got_model,
+                    input: got_input,
+                }) => {
+                    assert_eq!(&got_model, model, "model differs on {line:?}");
+                    assert_eq!(
+                        bits(&got_input),
+                        bits(input),
+                        "input bits differ on {line:?}"
+                    );
+                }
+                other => panic!("{line:?} decoded to {other:?}"),
+            }
+        }
     }
 }

@@ -12,8 +12,12 @@ use std::time::{Duration, Instant};
 use man::alphabet::AlphabetSet;
 use man_nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use man_nn::network::Network;
-use man_repro::{CompiledModel, Pipeline};
-use man_serve::{framing, BatchConfig, BinaryClient, ModelRegistry, Server, TcpClient};
+use man_repro::{CompiledModel, ManError, Pipeline, Prediction};
+use man_serve::protocol::Request;
+use man_serve::{
+    framing, BatchConfig, BinaryClient, ModelRegistry, ReactorConfig, RequestHandler, Server,
+    TcpClient,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -95,6 +99,59 @@ fn ndjson_roundtrip_through_reactor() {
     assert_eq!(stats.ndjson_conns, 1);
     server.shutdown();
     registry.shutdown();
+}
+
+/// A handler whose predict panics on the model `boom` and answers every
+/// other model with `class` = input length and one fixed score.
+struct PanicsOnBoom;
+
+impl RequestHandler for PanicsOnBoom {
+    fn handle(&self, _request: Request) -> String {
+        r#"{"ok":true}"#.to_owned()
+    }
+
+    fn handle_predict(&self, model: &str, input: Vec<f32>) -> Result<Prediction, ManError> {
+        assert_ne!(model, "boom", "a handler bug");
+        Ok(Prediction {
+            class: input.len(),
+            scores: vec![7],
+        })
+    }
+}
+
+#[test]
+fn a_panicking_handler_answers_internal_and_keeps_every_dispatch_thread() {
+    let config = ReactorConfig::default();
+    // More panics per wire mode than there are dispatch threads: one
+    // that killed its thread would leave the next request unanswered.
+    let panics = config.dispatch_threads + 2;
+    let mut server =
+        Server::bind_handler("127.0.0.1:0", Arc::new(PanicsOnBoom), config).expect("server binds");
+    let mut ndjson = TcpClient::connect(server.local_addr()).expect("ndjson connect");
+    let mut binary = BinaryClient::connect(server.local_addr()).expect("binary handshake");
+    let json_boom = r#"{"op":"predict","model":"boom","input":[0.5]}"#;
+    for _ in 0..panics {
+        let err = ndjson
+            .predict("boom", &[0.5])
+            .expect_err("the handler panics");
+        assert_eq!(err.code, "internal", "{err}");
+        let answer = ndjson
+            .predict("m", &[0.5, 1.0])
+            .expect("the connection answers");
+        assert_eq!(answer, (2, vec![7]));
+
+        let err = binary
+            .predict("boom", &[0.5])
+            .expect_err("the handler panics");
+        assert_eq!(err.code, "internal", "{err}");
+        let err = binary
+            .request_ok(json_boom)
+            .expect_err("the handler panics");
+        assert_eq!(err.code, "internal", "{err}");
+        let answer = binary.predict("m", &[0.5]).expect("the connection answers");
+        assert_eq!(answer, (1, vec![7]));
+    }
+    server.shutdown();
 }
 
 #[test]
