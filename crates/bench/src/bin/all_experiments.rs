@@ -1,5 +1,5 @@
-//! Runs every table and figure in sequence — the one-shot regeneration of
-//! EXPERIMENTS.md's measured columns.
+//! Runs every table and figure bin in sequence, passing `--full` on to
+//! each; every bin writes its JSON under `target/experiments/`.
 #![forbid(unsafe_code)]
 
 use std::process::Command;

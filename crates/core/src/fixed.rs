@@ -4,8 +4,9 @@
 //! A trained float [`Network`] is *compiled* into a [`FixedNet`]: weights
 //! quantized into per-layer `QFormat`s (sign-magnitude) and checked
 //! against the layer's alphabet, biases widened to the accumulator
-//! fraction, and every activation replaced by the PLAN sigmoid unit (the
-//! same bit-exact reference the gate-level model uses). Inference runs
+//! fraction, and every activation replaced by the PLAN sigmoid unit (a
+//! table of the bit-exact reference the gate-level model is tested
+//! against). Inference runs
 //! as an exact integer dot product per neuron; the ASM select/shift/add
 //! datapath stays as the reference it is tested against and as the
 //! source of the cost model's operand traces.
@@ -14,9 +15,9 @@
 //! sigmoid outputs live in `[0, 1)`, so the sign lane of the datapath is
 //! only exercised by weights.
 
-use man_fixed::quantize::{fit_format, round_to_range};
+use man_fixed::quantize::fit_format;
 use man_fixed::QFormat;
-use man_hw::components::activation::{activation_unit_fixed, PlanParams};
+use man_hw::components::activation::{plan_sigmoid_fixed, PlanParams};
 use man_nn::layers::Layer;
 use man_nn::network::Network;
 use man_par::{parallel_map, Parallelism, ShardPlan};
@@ -262,14 +263,14 @@ struct MacParams {
 }
 
 impl MacParams {
-    /// Exact `Σ w·x` over the weight run starting at `w0`: `i16 × i16`
+    /// Exact `Σ w·x` of a weight row and its inputs: `i16 × i16`
     /// products summed in `i32` runs of at most `chunk`, each run folded
     /// into the `i64` result. Integer addition is associative, so the
     /// grouping cannot change the value — only the bound on `chunk`
     /// keeps every partial sum in range. A fan-in that fits one run
     /// skips the splitting.
-    fn dot(&self, w0: usize, x: &[i16]) -> i64 {
-        let w = &self.weights[w0..w0 + x.len()];
+    #[inline]
+    fn dot(&self, w: &[i16], x: &[i16]) -> i64 {
         if x.len() <= self.chunk {
             return i64::from(dot_run(w, x));
         }
@@ -457,13 +458,89 @@ pub struct FixedNet {
     bits: u32,
     act_frac: u32,
     layers: Vec<FixedLayer>,
+    /// The activation unit every sigmoid stage applies; `None` when no
+    /// layer feeds a sigmoid (the PLAN unit needs 6-bit words or more).
+    sigmoid: Option<SigmoidTable>,
+}
+
+/// Zero elements past the end of every layer-input activation vector and
+/// im2col buffer, so that a conv run copied in [`WINDOW`]-lane windows
+/// may read and write up to `WINDOW - 1` elements past its end.
+const WINDOW: usize = 8;
+
+/// The activation unit (range compressor + PLAN sigmoid) as a table:
+/// `plan_sigmoid_fixed` of every compressed magnitude up to the PLAN
+/// saturation point `5 · 2^(bits-1)`, built once at compile.
+#[derive(Clone, Debug)]
+struct SigmoidTable {
+    /// `2^(bits-1)`, the output word's 1.0: a negative input's output
+    /// is `one - y(|x|)`.
+    one: u16,
+    /// `y(m)` for compressed magnitudes `m` in `0..=5 · 2^(bits-1)`;
+    /// larger magnitudes saturate to the last entry.
+    y: Vec<u16>,
+}
+
+/// The PLAN unit of `bits`-bit words: a `bits + 3`-bit input at the
+/// activation fraction, so it holds the saturation point 5.0, and
+/// `bits - 1` output bits.
+fn plan_params(bits: u32) -> PlanParams {
+    PlanParams {
+        in_bits: bits + 3,
+        in_frac: bits - 1,
+        out_bits: bits - 1,
+    }
+}
+
+impl SigmoidTable {
+    fn new(plan: &PlanParams) -> Self {
+        let saturation = 5i64 << plan.in_frac;
+        Self {
+            one: 1 << plan.out_bits,
+            y: (0..=saturation)
+                .map(|m| plan_sigmoid_fixed(m, plan) as u16)
+                .collect(),
+        }
+    }
+
+    /// The activation word of an accumulator holding `shift` more
+    /// fraction bits than the PLAN input: the compressor's truncating
+    /// shift, then the table. Its clamp to the PLAN input width needs no
+    /// step of its own, since every clamped magnitude is past saturation.
+    #[inline]
+    fn apply(&self, acc: i64, shift: u32) -> i16 {
+        let x = acc >> shift;
+        let last = self.y.len() - 1;
+        let y = self.y[(x.unsigned_abs() as usize).min(last)];
+        (if x < 0 { self.one - y } else { y }) as i16
+    }
+}
+
+/// `1.5 · 2^23`: adding it to an `f32` in `[0, 2^22)` leaves a sum whose
+/// unit in the last place is 1, so the addition rounds to an integer,
+/// half to even, and that integer is the sum's bit pattern less this
+/// constant's.
+const ROUND_MAGIC_F32: f32 = 12_582_912.0;
+
+/// One input pixel as an activation word: `p · 2^act_frac` (exact, the
+/// scale is a power of two) clamped to `[0, 2^act_frac - 1]` (`NaN` to
+/// 0, as `f32::max` drops it) and rounded half to even — for every `f32`
+/// the word `round_to_range(f64::from(p) * 2^act_frac, 0, 2^act_frac - 1)`
+/// gives, computed in `f32` lanes the compiler vectorizes.
+#[inline]
+fn quantize_pixel(p: f32, act_frac: u32) -> i16 {
+    let scale = (1u32 << act_frac) as f32;
+    let clamped = (p * scale).max(0.0).min(scale - 1.0);
+    ((clamped + ROUND_MAGIC_F32).to_bits() - ROUND_MAGIC_F32.to_bits()) as i16
 }
 
 /// `Σ w·x` of one run no longer than its layer's `chunk`, so no partial
 /// sum leaves `i32`. Sixteen independent lane sums give the compiler a
 /// vectorizable loop; which lane a product lands in cannot change the
 /// total. Conv rows are padded to whole blocks of 16 (see
-/// [`Shape::stride`]), so their runs leave no scalar tail.
+/// [`Shape::stride`]), so their runs leave no scalar tail. Inlined into
+/// its callers, so that a conv's short rows pay no call per position.
+#[inline(always)]
 fn dot_run(w: &[i16], x: &[i16]) -> i32 {
     let body = w.len() / 16 * 16;
     let mut lanes = [0i32; 16];
@@ -495,8 +572,7 @@ fn pad_rows(w: Vec<i16>, fan: usize, stride: usize) -> Vec<i16> {
 
 /// The input offset of each `(c, ky)` run of `k` consecutive inputs that
 /// output position `pos` (row-major) of a valid convolution reads, in the
-/// fan-in order `(c, ky, kx)` its weights are stored in. Both datapaths
-/// walk a conv fan-in through this one definition.
+/// fan-in order `(c, ky, kx)` its weights are stored in.
 fn conv_runs(
     in_ch: usize,
     k: usize,
@@ -509,23 +585,58 @@ fn conv_runs(
     (0..in_ch).flat_map(move |c| (0..k).map(move |ky| c * in_h * in_w + ky * in_w + corner))
 }
 
-/// Fills `cols` (zeroed, one row of `stride` per output position) with
-/// each position's fan-in of a `(in_ch, k, in_h, in_w)` convolution over
-/// `x`, copied `(c, ky)` run by run.
+/// Fills `cols` (one row of `stride` per output position, then
+/// [`WINDOW`] slack elements) with each position's fan-in of a
+/// `(in_ch, k, in_h, in_w)` convolution over `x` (its inputs, then
+/// [`WINDOW`] slack elements), in the order [`conv_runs`] defines but
+/// walked as plain loops: its iterator adapters and division cost more
+/// than the copies.
+///
+/// Each `(c, ky)` run is copied in whole [`WINDOW`]-lane windows, runs
+/// in order: a run's last window spills past the run into the next one,
+/// which overwrites it, and zero windows over the row's pad overwrite the
+/// last run's spill. What spills past a row the next row overwrites, and
+/// the last row's spill lands in the slack. So every copy has one fixed
+/// length and none is a `memcpy` call, for any `k`.
 fn im2col(
     x: &[i16],
     cols: &mut [i16],
     stride: usize,
     (in_ch, k, in_h, in_w): (usize, usize, usize, usize),
 ) {
-    for (pos, col) in cols.chunks_exact_mut(stride).enumerate() {
-        for (run, src) in col
-            .chunks_exact_mut(k)
-            .zip(conv_runs(in_ch, k, in_h, in_w, pos))
-        {
-            run.copy_from_slice(&x[src..src + k]);
+    let mut row = 0;
+    for oy in 0..=in_h - k {
+        for ox in 0..=in_w - k {
+            let col = &mut cols[row..];
+            row += stride;
+            let mut at = 0;
+            for c in 0..in_ch {
+                for ky in 0..k {
+                    let src = c * in_h * in_w + ky * in_w + oy * in_w + ox;
+                    let mut j = 0;
+                    while j < k {
+                        *window_mut(&mut col[at + j..]) = *window(&x[src + j..]);
+                        j += WINDOW;
+                    }
+                    at += k;
+                }
+            }
+            while at < stride {
+                *window_mut(&mut col[at..]) = [0; WINDOW];
+                at += WINDOW;
+            }
         }
     }
+}
+
+/// The [`WINDOW`] values at the start of `v`.
+fn window(v: &[i16]) -> &[i16; WINDOW] {
+    v.first_chunk().expect("activations carry WINDOW slack")
+}
+
+/// The [`WINDOW`] slots at the start of `v`.
+fn window_mut(v: &mut [i16]) -> &mut [i16; WINDOW] {
+    v.first_chunk_mut().expect("im2col rows carry WINDOW slack")
 }
 
 /// Calls `f(ch, avg)` for every 2×2 pool window, channel by channel and
@@ -696,10 +807,15 @@ impl FixedNet {
             pi += 1;
             i += 1;
         }
+        let sigmoid = layers
+            .iter()
+            .any(|l| l.mac.output == OutputStage::Sigmoid)
+            .then(|| SigmoidTable::new(&plan_params(bits)));
         Ok(Self {
             bits,
             act_frac: spec.act_frac(),
             layers,
+            sigmoid,
         })
     }
 
@@ -805,30 +921,11 @@ impl FixedNet {
             .collect()
     }
 
-    /// Input pixels as activation words: unsigned `Q0.(bits-1)`,
-    /// saturated below `2^(bits-1)`.
-    fn quantize_input(&self, image: &[f32]) -> Vec<i16> {
-        let scale = (1u64 << self.act_frac) as f64;
-        let max = (1i32 << self.act_frac) - 1;
-        image
-            .iter()
-            .map(|&p| round_to_range((p as f64) * scale, 0, max) as i16)
-            .collect()
-    }
-
-    fn plan_params(&self) -> PlanParams {
-        PlanParams {
-            in_bits: self.bits + 3,
-            in_frac: self.bits - 1,
-            out_bits: self.bits - 1,
-        }
-    }
-
     /// The forward pass both datapaths share: input quantization and the
     /// output stages (PLAN sigmoid, requantization, logits) are the same
     /// integer arithmetic for both, and `layer_accs(li, layer, x)`
     /// supplies each layer's accumulators from its sign-folded input
-    /// activations.
+    /// activations, which are followed by [`WINDOW`] zeros.
     fn forward(
         &self,
         image: &[f32],
@@ -841,42 +938,50 @@ impl FixedNet {
             image.len(),
             self.input_len()
         );
-        let plan = self.plan_params();
         let max_mag = (1i64 << (self.bits - 1)) - 1;
-        let mut x = self.quantize_input(image);
-        let mut logits = Vec::new();
+        let widest = self.layers.iter().map(|l| l.geometry.in_len).max();
+        let mut x = Vec::with_capacity(widest.unwrap_or(0) + WINDOW);
+        x.extend(image.iter().map(|&p| quantize_pixel(p, self.act_frac)));
         for (li, layer) in self.layers.iter().enumerate() {
+            x.resize(x.len() + WINDOW, 0);
             let accs = layer_accs(li, layer, &x);
-            let mac = &layer.mac;
-            let acc_frac = self.act_frac + mac.w_format.frac();
-            match mac.output {
+            x.clear();
+            // The accumulator holds the weight fraction on top of the
+            // activation fraction the PLAN input and requant word use.
+            let shift = layer.mac.w_format.frac();
+            match layer.mac.output {
                 OutputStage::Sigmoid => {
-                    x = accs
-                        .iter()
-                        .map(|&a| activation_unit_fixed(a, acc_frac, &plan) as i16)
-                        .collect();
+                    let table = self
+                        .sigmoid
+                        .as_ref()
+                        .expect("compile tabulates the PLAN unit of a net with a sigmoid");
+                    x.extend(accs.iter().map(|&a| table.apply(a, shift)));
                 }
                 OutputStage::Requant => {
                     // Saturating arithmetic shift back to the activation
                     // fraction: the hardware word between conv and pool.
-                    let shift = mac.w_format.frac();
-                    x = accs
-                        .iter()
-                        .map(|&a| (a >> shift).clamp(-max_mag, max_mag) as i16)
-                        .collect();
+                    x.extend(
+                        accs.iter()
+                            .map(|&a| (a >> shift).clamp(-max_mag, max_mag) as i16),
+                    );
                 }
-                OutputStage::Logits => logits = accs,
+                OutputStage::Logits => return accs,
             }
         }
-        logits
+        // A network whose last layer feeds a sigmoid has no logits.
+        Vec::new()
     }
 
     /// One layer through the exact-integer datapath.
+    /// `x` is followed by [`WINDOW`] zeros, which only im2col reads.
     fn exact_layer(&self, layer: &FixedLayer, x: &[i16]) -> Vec<i64> {
         let mac = &layer.mac;
         match layer.shape {
-            Shape::Dense { in_dim, out_dim } => (0..out_dim)
-                .map(|o| mac.bias[o] + mac.dot(o * in_dim, x))
+            Shape::Dense { in_dim, .. } => mac
+                .weights
+                .chunks_exact(in_dim)
+                .zip(&mac.bias)
+                .map(|(w, &bias)| bias + mac.dot(w, &x[..in_dim]))
                 .collect(),
             Shape::Conv {
                 in_ch,
@@ -889,19 +994,23 @@ impl FixedNet {
                 // per position shared by all output channels.
                 let stride = layer.shape.stride();
                 let positions = (in_h - k + 1) * (in_w - k + 1);
-                let mut cols = vec![0i16; positions * stride];
+                let mut cols = vec![0i16; positions * stride + WINDOW];
                 im2col(x, &mut cols, stride, (in_ch, k, in_h, in_w));
                 let mut accs = Vec::with_capacity(out_ch * positions);
-                for oc in 0..out_ch {
-                    let bias = mac.bias[oc];
-                    accs.extend(
-                        cols.chunks_exact(stride)
-                            .map(|col| bias + mac.dot(oc * stride, col)),
-                    );
+                for (w, &bias) in mac.weights.chunks_exact(stride).zip(&mac.bias) {
+                    let cols = cols[..positions * stride].chunks_exact(stride);
+                    // A row of one `i32` run (every conv below 16 bits)
+                    // is checked once here, not once per position.
+                    if stride <= mac.chunk {
+                        accs.extend(cols.map(|col| bias + i64::from(dot_run(w, col))));
+                    } else {
+                        accs.extend(cols.map(|col| bias + mac.dot(w, col)));
+                    }
                 }
                 accs
             }
             Shape::Pool { in_h, in_w, .. } => {
+                let x = &x[..layer.geometry.in_len];
                 let mut accs = Vec::with_capacity(x.len() / 4);
                 for_each_pool_avg(x, in_h, in_w, self.bits, |ch, avg| {
                     accs.push(mac.bias[ch] + i64::from(mac.weights[ch]) * i64::from(avg));
@@ -923,6 +1032,7 @@ impl FixedNet {
         x: &[i16],
         mut trace: Option<&mut LayerTrace>,
     ) -> Vec<i64> {
+        let x = &x[..layer.geometry.in_len];
         let mac = &layer.mac;
         let width = mac.asm.alphabet().len();
         let bank_of = |v: i16| mac.asm.precompute(u32::from(v.unsigned_abs()));
@@ -1401,10 +1511,9 @@ mod tests {
             let w = &fixed.layers[0].mac.weights;
             assert_eq!(i64::from(w[0]), -max_mag, "bits={bits}");
             let x = [0.75f32, 1.0];
-            let xq: Vec<i64> = fixed
-                .quantize_input(&x)
-                .into_iter()
-                .map(i64::from)
+            let xq: Vec<i64> = x
+                .iter()
+                .map(|&p| i64::from(quantize_pixel(p, fixed.act_frac)))
                 .collect();
             let want = -max_mag * xq[0] + (1i64 << (bits - 2)) * xq[1];
             assert_eq!(fixed.infer_raw(&x), vec![want], "bits={bits} oracle");
@@ -1455,5 +1564,188 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The sigmoid table equals the gate-level reference's bit-exact
+    /// twin, range compressor included, for every word length the PLAN
+    /// unit supports: on every compressed word at each weight fraction
+    /// (with and without the bits the compressor truncates), and on
+    /// accumulators at the saturation point, at the compressor's clamp
+    /// and at the ends of `i64`.
+    #[test]
+    fn sigmoid_table_matches_the_activation_unit() {
+        use man_hw::components::activation::activation_unit_fixed;
+        assert_eq!(SigmoidTable::new(&plan_params(8)).y.len(), 641);
+        assert_eq!(SigmoidTable::new(&plan_params(12)).y.len(), 10_241);
+        for bits in 6..=16u32 {
+            let plan = plan_params(bits);
+            let table = SigmoidTable::new(&plan);
+            let top = 1i64 << (plan.in_bits - 1);
+            let saturation = 5i64 << plan.in_frac;
+            for shift in [0, 1, bits / 2, bits - 1] {
+                let acc_frac = plan.in_frac + shift;
+                let check = |acc: i64| {
+                    assert_eq!(
+                        i64::from(table.apply(acc, shift)),
+                        activation_unit_fixed(acc, acc_frac, &plan) as i64,
+                        "bits={bits} shift={shift} acc={acc}"
+                    );
+                };
+                let low = (1i64 << shift) - 1;
+                for word in -top..top {
+                    check(word << shift);
+                    check((word << shift) + low);
+                }
+                for edge in [saturation, top] {
+                    for d in -2..=2 {
+                        check((edge + d) << shift);
+                        check(-((edge + d) << shift));
+                        check(((edge + d) << shift) - 1);
+                    }
+                }
+                for acc in [i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1] {
+                    check(acc);
+                }
+            }
+        }
+    }
+
+    /// The word the `f64` quantizer gives: what `quantize_pixel` must
+    /// equal.
+    fn f64_word(p: f32, act_frac: u32) -> i16 {
+        use man_fixed::quantize::round_to_range;
+        let scale = f64::from(1u32 << act_frac);
+        round_to_range(f64::from(p) * scale, 0, (1 << act_frac) - 1) as i16
+    }
+
+    fn assert_quantizes_like_f64(patterns: impl IntoIterator<Item = u32>) {
+        for bits in patterns {
+            let p = f32::from_bits(bits);
+            for act_frac in 2..=15 {
+                assert_eq!(
+                    quantize_pixel(p, act_frac),
+                    f64_word(p, act_frac),
+                    "pixel {p:e} ({bits:#010x}) at act_frac {act_frac}"
+                );
+            }
+        }
+    }
+
+    /// The `f32` input quantizer equals the `f64` one at every word
+    /// length on every exponent (subnormals included) crossed with the
+    /// mantissa edges, ±0, ±∞, NaNs, both range ends, every tie of the
+    /// rounding, and 2^20 seeded random patterns, both signs of each.
+    #[test]
+    fn input_quantizer_matches_round_to_range() {
+        let mantissas = [
+            0,
+            1,
+            2,
+            3,
+            (1 << 22) - 1,
+            1 << 22,
+            (1 << 22) + 1,
+            (1 << 23) - 2,
+            (1 << 23) - 1,
+        ];
+        let exponents = (0..=255u32).flat_map(|e| mantissas.iter().map(move |m| e << 23 | m));
+        // Ties `(n + 1/2) / 2^f`, each with its neighbours, and the range
+        // ends `(2^f - 1) / 2^f` and 1.0 with theirs.
+        let ties = (2..=15u32).flat_map(|f| {
+            let scale = (1u32 << f) as f32;
+            (0..1u32 << f)
+                .step_by(((1usize << f) / 64).max(1))
+                .chain([(1 << f) - 2, (1 << f) - 1, 1 << f])
+                .flat_map(move |n| {
+                    let tie = (n as f32 + 0.5) / scale;
+                    let end = n as f32 / scale;
+                    [tie, end].map(f32::to_bits)
+                })
+                .flat_map(|b| b.saturating_sub(1)..=b + 1)
+        });
+        let mut state = 0x7175_616e_7469_7a65_u64;
+        let random = (0..1 << 20).map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as u32
+        });
+        let nans = [0x7fc0_0000, 0x7f80_0001, 0x7fff_ffff];
+        assert_quantizes_like_f64(
+            exponents
+                .chain(ties)
+                .chain(nans)
+                .chain(random)
+                .flat_map(|b| [b & 0x7fff_ffff, b | 0x8000_0000]),
+        );
+        assert_eq!(quantize_pixel(f32::NAN, 7), 0);
+        assert_eq!(quantize_pixel(f32::INFINITY, 7), 127);
+        assert_eq!(quantize_pixel(f32::NEG_INFINITY, 11), 0);
+        assert_eq!(quantize_pixel(0.5 / 128.0, 7), 0);
+        assert_eq!(quantize_pixel(1.5 / 128.0, 7), 2);
+    }
+
+    /// Every `f32` bit pattern through both quantizers at each of
+    /// `act_fracs`, on all cores; returns the patterns that differ.
+    fn sweep_every_f32(act_fracs: &[u32]) -> Vec<(u32, u32)> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let span = (1_u64 << 32).div_ceil(threads);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let mut wrong = Vec::new();
+                        for bits in t * span..((t + 1) * span).min(1 << 32) {
+                            let p = f32::from_bits(bits as u32);
+                            for &f in act_fracs {
+                                if quantize_pixel(p, f) != f64_word(p, f) {
+                                    wrong.push((bits as u32, f));
+                                }
+                            }
+                        }
+                        wrong
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep thread"))
+                .collect()
+        })
+    }
+
+    /// All 2^32 `f32` patterns at the zoo's word lengths (8 and 12 bits,
+    /// act_frac 7 and 11). About a minute in release on two cores: `cargo
+    /// test --release -p man --lib
+    /// fixed::tests::input_quantizer_matches_round_to_range_on_every_f32_at_zoo_word_lengths
+    /// -- --ignored --exact`.
+    #[test]
+    #[ignore = "exhaustive: about a minute in release"]
+    fn input_quantizer_matches_round_to_range_on_every_f32_at_zoo_word_lengths() {
+        let wrong = sweep_every_f32(&[7, 11]);
+        assert!(
+            wrong.is_empty(),
+            "{} differ, first {:?}",
+            wrong.len(),
+            &wrong[..wrong.len().min(8)]
+        );
+    }
+
+    /// All 2^32 `f32` patterns at every word length `compile` accepts
+    /// (act_frac 2..=15). Several minutes in release: `cargo test
+    /// --release -p man --lib
+    /// fixed::tests::input_quantizer_matches_round_to_range_on_every_f32_at_every_word_length
+    /// -- --ignored --exact`.
+    #[test]
+    #[ignore = "exhaustive: several minutes in release"]
+    fn input_quantizer_matches_round_to_range_on_every_f32_at_every_word_length() {
+        let wrong = sweep_every_f32(&(2..=15).collect::<Vec<_>>());
+        assert!(
+            wrong.is_empty(),
+            "{} differ, first {:?}",
+            wrong.len(),
+            &wrong[..wrong.len().min(8)]
+        );
     }
 }

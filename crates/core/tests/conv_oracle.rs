@@ -1,11 +1,13 @@
 //! Property test of the exact-integer conv and pool path: for random
 //! conv → requant → pool → sigmoid → dense stacks, `FixedNet::run` under
 //! every shard plan equals the ASM reference datapath
-//! `FixedNet::infer_raw` row by row. Kernels 1..=5 and 1..=8 channels
+//! `FixedNet::infer_raw` row by row. Kernels 1..=11 and 1..=8 channels
 //! give fan-ins that mostly are not multiples of 16, so the zero padding
-//! of the im2col rows and weights is always in play; 16-bit
-//! maximum-magnitude weights make the `i32` chunk bound shorter than the
-//! fan-in.
+//! of the im2col rows and weights is always in play. im2col copies each
+//! `k`-input run in 8-lane windows that spill past it: kernels past 8
+//! take runs of two windows, and the last position's windows read past
+//! the end of the layer input into its slack. 16-bit maximum-magnitude
+//! weights make the `i32` chunk bound shorter than the fan-in.
 
 use man::alphabet::AlphabetSet;
 use man::constrain::{constrain_slice, WeightLattice};
@@ -97,7 +99,7 @@ proptest! {
     #[test]
     fn conv_pool_stacks_match_the_asm_oracle(
         seed in any::<u64>(),
-        k in 1usize..=5,
+        k in 1usize..=11,
         in_ch in 1usize..=8,
         out_ch in 1usize..=8,
         half_h in 1usize..=3,

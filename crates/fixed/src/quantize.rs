@@ -21,8 +21,7 @@ const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// monotone and the bounds are integers, so the order does not matter),
 /// then rounded by adding and subtracting `1.5 · 2^52`.
 ///
-/// [`QFormat::quantize`] and the fixed-point engine's input quantizer
-/// both round through it.
+/// [`QFormat::quantize`] rounds through it.
 ///
 /// # Example
 ///

@@ -221,11 +221,18 @@ fn check_ok(value: Value) -> Result<Value, WireError> {
     }
 }
 
+/// How long a client's read or write may block: past the scheduler's
+/// 30 s request timeout, so a live server always answers first, and a
+/// server that stops answering fails the call with `io` instead of
+/// hanging its caller.
+const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A blocking line-protocol (NDJSON) client for the TCP front-end.
 ///
 /// One request in flight at a time; responses arrive in request order.
 /// The reactor sniffs the first byte (a `{`) and speaks NDJSON back.
 /// Each request goes out, newline included, in a single `write_all`.
+/// A read or write blocked for 60 s fails with `io`.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -240,6 +247,8 @@ impl TcpClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(CLIENT_IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT))?;
         let writer = stream.try_clone()?;
         Ok(Self {
             reader: BufReader::new(stream),
@@ -561,7 +570,8 @@ pub struct BinaryClient {
 }
 
 impl BinaryClient {
-    /// Connects and performs the binary-framing handshake.
+    /// Connects and performs the binary-framing handshake. A read or
+    /// write blocked for 60 s fails with `io`.
     ///
     /// # Errors
     ///
@@ -569,6 +579,10 @@ impl BinaryClient {
     /// with anything but a valid `MANB` handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
         let stream = TcpStream::connect(addr).map_err(|e| WireError::io(&e))?;
+        stream
+            .set_read_timeout(Some(CLIENT_IO_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT)))
+            .map_err(|e| WireError::io(&e))?;
         Self::handshake_on(stream)
     }
 
