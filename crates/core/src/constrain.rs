@@ -14,6 +14,7 @@
 //! never farther from the input, and the two are compared in the ablation
 //! bench.
 
+use man_fixed::quantize::quantize_f32;
 use man_fixed::QFormat;
 use serde::{Deserialize, Serialize};
 
@@ -171,12 +172,17 @@ pub fn project_greedy(bits: u32, alphabet: &AlphabetSet, mag: u32) -> u32 {
 /// table has at most 2^16 entries (256 at 8 bits).
 ///
 /// Projecting a weight is then one quantization
-/// ([`QFormat::quantize`]) and one lookup.
+/// ([`man_fixed::quantize::quantize_f32`], the word [`QFormat::quantize`]
+/// gives) and one lookup.
 #[derive(Clone, Debug)]
 pub(crate) struct ProjectionTable {
     format: QFormat,
     projected: Vec<f32>,
 }
+
+/// Weights [`ProjectionTable::apply`] quantizes in one vectorized pass
+/// before it looks their projections up.
+const PROJECT_BLOCK: usize = 256;
 
 impl ProjectionTable {
     /// Tabulates the projection of every raw word of `format`.
@@ -197,17 +203,22 @@ impl ProjectionTable {
         Self { format, projected }
     }
 
-    /// Projects one float weight.
-    #[inline]
-    pub(crate) fn project(&self, v: f32) -> f32 {
-        let raw = self.format.quantize(v as f64).raw();
-        self.projected[(raw - self.format.min_raw()) as usize]
-    }
-
-    /// Projects every value of a tensor in place.
+    /// Projects every value of a tensor in place, a block at a time:
+    /// first every value's table index, in `f32` lanes, then the lookups.
     pub(crate) fn apply(&self, values: &mut [f32]) {
-        for v in values.iter_mut() {
-            *v = self.project(*v);
+        let (frac, lo, hi) = (
+            self.format.frac(),
+            self.format.min_raw(),
+            self.format.max_raw(),
+        );
+        let mut index = [0u32; PROJECT_BLOCK];
+        for block in values.chunks_mut(PROJECT_BLOCK) {
+            for (i, &v) in index.iter_mut().zip(&*block) {
+                *i = quantize_f32(v, frac, lo, hi).wrapping_sub(lo) as u32;
+            }
+            for (v, &i) in block.iter_mut().zip(&index) {
+                *v = self.projected[i as usize];
+            }
         }
     }
 }
@@ -331,31 +342,35 @@ mod tests {
                     let format = QFormat::new(bits, frac);
                     let table = ProjectionTable::new(format, &lattice);
                     let resolution = format.resolution();
-                    for raw in format.min_raw()..=format.max_raw() {
-                        // The word itself, a point a quarter LSB off it, and
-                        // the half-way points on either side.
-                        let r = raw as f64;
-                        for v in [r, r + 0.25, r + 0.5, r - 0.5] {
-                            let v = (v * resolution) as f32;
-                            assert_eq!(
-                                table.project(v).to_bits(),
-                                project_direct(format, &lattice, v).to_bits(),
-                                "{bits}-bit Q.{frac} {alphabet} raw {raw}"
-                            );
-                        }
-                    }
-                    for v in [
-                        f32::NAN,
-                        f32::INFINITY,
-                        f32::NEG_INFINITY,
-                        -0.0,
-                        1e30,
-                        -1e30,
-                    ] {
+                    // Each word, a point a quarter LSB off it and the
+                    // half-way points on either side, then the non-finite
+                    // and out-of-range values: more than one block of
+                    // `apply` from 4 bits up.
+                    let mut values: Vec<f32> = (format.min_raw()..=format.max_raw())
+                        .flat_map(|raw| {
+                            let r = raw as f64;
+                            [r, r + 0.25, r + 0.5, r - 0.5].map(|v| (v * resolution) as f32)
+                        })
+                        .chain([
+                            f32::NAN,
+                            f32::INFINITY,
+                            f32::NEG_INFINITY,
+                            -0.0,
+                            1e30,
+                            -1e30,
+                        ])
+                        .collect();
+                    let want: Vec<u32> = values
+                        .iter()
+                        .map(|&v| project_direct(format, &lattice, v).to_bits())
+                        .collect();
+                    let given = values.clone();
+                    table.apply(&mut values);
+                    for ((v, got), want) in given.iter().zip(&values).zip(want) {
                         assert_eq!(
-                            table.project(v).to_bits(),
-                            project_direct(format, &lattice, v).to_bits(),
-                            "{bits}-bit Q.{frac} {alphabet} value {v}"
+                            got.to_bits(),
+                            want,
+                            "{bits}-bit Q.{frac} {alphabet} value {v:e}"
                         );
                     }
                 }

@@ -15,7 +15,7 @@
 //! sigmoid outputs live in `[0, 1)`, so the sign lane of the datapath is
 //! only exercised by weights.
 
-use man_fixed::quantize::fit_format;
+use man_fixed::quantize::{fit_format, quantize_f32};
 use man_fixed::QFormat;
 use man_hw::components::activation::{plan_sigmoid_fixed, PlanParams};
 use man_nn::layers::Layer;
@@ -171,8 +171,8 @@ fn parts_of(layer: &Layer) -> Option<(Shape, &[f32], &[f32])> {
 /// Why a float network failed to compile.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
-    /// The architecture is not (parameterized layer → sigmoid)* with an
-    /// optional trailing logits layer.
+    /// The architecture is not (parameterized layer → sigmoid)* ending in
+    /// a logits layer.
     UnsupportedArchitecture(String),
     /// A weight's quartets are not representable under the assigned
     /// alphabet set (the network was not constrained before compiling).
@@ -448,11 +448,11 @@ struct FixedLayer {
 /// It runs two datapaths over the same compiled weights. The serving
 /// path ([`FixedNet::run`], and through it the accuracy evaluators) is a
 /// plain exact-integer dot product per neuron.
-/// The reference path ([`FixedNet::infer_raw`] and
-/// [`FixedNet::sample_traces`]) simulates the paper's ASM select, shift
-/// and add. Every compiled weight decodes under its layer's alphabet and
-/// a decodable weight multiplies exactly, so the two agree bit for bit
-/// (DESIGN.md §10).
+/// The reference path ([`FixedNet::infer_raw`], and
+/// [`FixedNet::sample_traces`] for the MACs it records) simulates the
+/// paper's ASM select, shift and add. Every compiled weight decodes under
+/// its layer's alphabet and a decodable weight multiplies exactly, so the
+/// two agree bit for bit (DESIGN.md §10).
 #[derive(Clone, Debug)]
 pub struct FixedNet {
     bits: u32,
@@ -514,24 +514,6 @@ impl SigmoidTable {
         let y = self.y[(x.unsigned_abs() as usize).min(last)];
         (if x < 0 { self.one - y } else { y }) as i16
     }
-}
-
-/// `1.5 · 2^23`: adding it to an `f32` in `[0, 2^22)` leaves a sum whose
-/// unit in the last place is 1, so the addition rounds to an integer,
-/// half to even, and that integer is the sum's bit pattern less this
-/// constant's.
-const ROUND_MAGIC_F32: f32 = 12_582_912.0;
-
-/// One input pixel as an activation word: `p · 2^act_frac` (exact, the
-/// scale is a power of two) clamped to `[0, 2^act_frac - 1]` (`NaN` to
-/// 0, as `f32::max` drops it) and rounded half to even — for every `f32`
-/// the word `round_to_range(f64::from(p) * 2^act_frac, 0, 2^act_frac - 1)`
-/// gives, computed in `f32` lanes the compiler vectorizes.
-#[inline]
-fn quantize_pixel(p: f32, act_frac: u32) -> i16 {
-    let scale = (1u32 << act_frac) as f32;
-    let clamped = (p * scale).max(0.0).min(scale - 1.0);
-    ((clamped + ROUND_MAGIC_F32).to_bits() - ROUND_MAGIC_F32.to_bits()) as i16
 }
 
 /// `Σ w·x` of one run no longer than its layer's `chunk`, so no partial
@@ -771,6 +753,13 @@ impl FixedNet {
                             "layer {i} feeds a sigmoid, whose PLAN unit needs at least 6-bit words (got {bits})"
                         )));
                     }
+                    // The engine's scores are the last layer's raw
+                    // accumulators; a squashed last layer has none.
+                    if i + 2 == all.len() {
+                        return Err(CompileError::UnsupportedArchitecture(format!(
+                            "layer {i} feeds a trailing sigmoid; the last layer must emit logits"
+                        )));
+                    }
                     i += 1;
                     OutputStage::Sigmoid
                 }
@@ -845,9 +834,10 @@ impl FixedNet {
         let asm = AsmMultiplier::new(bits, set);
         let mut plans: Vec<Option<AsmPlan>> = Vec::new();
         let mut folded = Vec::with_capacity(weights.len());
+        let (frac, lo, hi) = (format.frac(), format.min_raw(), format.max_raw());
         for &w in weights {
-            let q = format.quantize(w as f64);
-            let (neg, mag) = man_fixed::bits::sign_magnitude(q.raw(), bits);
+            let raw = quantize_f32(w, frac, lo, hi);
+            let (neg, mag) = man_fixed::bits::sign_magnitude(raw, bits);
             let slot = mag as usize;
             if plans.len() <= slot {
                 plans.resize(slot + 1, None);
@@ -941,7 +931,12 @@ impl FixedNet {
         let max_mag = (1i64 << (self.bits - 1)) - 1;
         let widest = self.layers.iter().map(|l| l.geometry.in_len).max();
         let mut x = Vec::with_capacity(widest.unwrap_or(0) + WINDOW);
-        x.extend(image.iter().map(|&p| quantize_pixel(p, self.act_frac)));
+        let top = (1 << self.act_frac) - 1;
+        x.extend(
+            image
+                .iter()
+                .map(|&p| quantize_f32(p, self.act_frac, 0, top) as i16),
+        );
         for (li, layer) in self.layers.iter().enumerate() {
             x.resize(x.len() + WINDOW, 0);
             let accs = layer_accs(li, layer, &x);
@@ -968,8 +963,7 @@ impl FixedNet {
                 OutputStage::Logits => return accs,
             }
         }
-        // A network whose last layer feeds a sigmoid has no logits.
-        Vec::new()
+        unreachable!("compile ends every network in a logits layer")
     }
 
     /// One layer through the exact-integer datapath.
@@ -1026,27 +1020,37 @@ impl FixedNet {
     /// every weight it meets (the CSHM arrangement); pool layers
     /// multiply a derived window average, whose bank is computed where
     /// it is used.
+    ///
+    /// With a `trace`, the datapath is simulated only until the trace is
+    /// full: the outputs left then come from [`FixedNet::exact_layer`],
+    /// which equals the ASM bit for bit (DESIGN.md §10). Without one, every
+    /// MAC is simulated: this is the oracle.
+    /// `x` is followed by [`WINDOW`] zeros, which only im2col reads.
     fn asm_layer(
         &self,
         layer: &FixedLayer,
         x: &[i16],
         mut trace: Option<&mut LayerTrace>,
     ) -> Vec<i64> {
-        let x = &x[..layer.geometry.in_len];
+        let full = |trace: &Option<&mut LayerTrace>| trace.as_deref().is_some_and(LayerTrace::full);
+        let xs = &x[..layer.geometry.in_len];
         let mac = &layer.mac;
         let width = mac.asm.alphabet().len();
         let bank_of = |v: i16| mac.asm.precompute(u32::from(v.unsigned_abs()));
         let banks: Vec<u64> = match layer.shape {
             Shape::Pool { .. } => Vec::new(),
-            _ => x.iter().flat_map(|&v| bank_of(v)).collect(),
+            _ => xs.iter().flat_map(|&v| bank_of(v)).collect(),
         };
         let bank = |i: usize| &banks[i * width..(i + 1) * width];
-        let mut accs = Vec::new();
+        let mut accs = Vec::with_capacity(layer.geometry.out_len);
         match layer.shape {
             Shape::Dense { in_dim, out_dim } => {
                 for o in 0..out_dim {
+                    if full(&trace) {
+                        break;
+                    }
                     let mut acc = mac.bias[o];
-                    for (i, &xi) in x.iter().enumerate() {
+                    for (i, &xi) in xs.iter().enumerate() {
                         mac.asm_step(&mut acc, o * in_dim + i, xi, bank(i), &mut trace);
                     }
                     accs.push(acc);
@@ -1061,13 +1065,16 @@ impl FixedNet {
             } => {
                 let stride = layer.shape.stride();
                 let positions = (in_h - k + 1) * (in_w - k + 1);
-                for oc in 0..out_ch {
+                'outputs: for oc in 0..out_ch {
                     for pos in 0..positions {
+                        if full(&trace) {
+                            break 'outputs;
+                        }
                         let mut acc = mac.bias[oc];
                         for (run, src) in conv_runs(in_ch, k, in_h, in_w, pos).enumerate() {
                             for kx in 0..k {
                                 let (wi, xi) = (oc * stride + run * k + kx, src + kx);
-                                mac.asm_step(&mut acc, wi, x[xi], bank(xi), &mut trace);
+                                mac.asm_step(&mut acc, wi, xs[xi], bank(xi), &mut trace);
                             }
                         }
                         accs.push(acc);
@@ -1075,12 +1082,19 @@ impl FixedNet {
                 }
             }
             Shape::Pool { in_h, in_w, .. } => {
-                for_each_pool_avg(x, in_h, in_w, self.bits, |ch, avg| {
-                    let mut acc = mac.bias[ch];
-                    mac.asm_step(&mut acc, ch, avg, &bank_of(avg), &mut trace);
-                    accs.push(acc);
+                for_each_pool_avg(xs, in_h, in_w, self.bits, |ch, avg| {
+                    // Outputs go in order, and a full trace stays full.
+                    if !full(&trace) {
+                        let mut acc = mac.bias[ch];
+                        mac.asm_step(&mut acc, ch, avg, &bank_of(avg), &mut trace);
+                        accs.push(acc);
+                    }
                 });
             }
+        }
+        if accs.len() < layer.geometry.out_len {
+            let exact = self.exact_layer(layer, x);
+            accs.extend_from_slice(&exact[accs.len()..]);
         }
         accs
     }
@@ -1152,7 +1166,10 @@ impl FixedNet {
 
     /// Runs ASM inferences over `images` collecting per-layer operand
     /// traces (up to `limit` MACs per layer) for the switching-activity
-    /// power model.
+    /// power model, and stops at the first image after which every trace
+    /// is full. A layer's MACs are simulated only while its trace records
+    /// them; its other outputs come from the exact-integer dot, so the
+    /// layers after it see the operands a full ASM walk gives them.
     ///
     /// # Panics
     ///
@@ -1329,6 +1346,28 @@ mod tests {
             }
         }
         assert!(agree >= 18, "only {agree}/20 predictions agree");
+    }
+
+    /// A network whose last layer feeds a sigmoid has no logits to score
+    /// with, so it does not compile.
+    #[test]
+    fn compile_rejects_a_trailing_sigmoid() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        let net = Network::new(vec![
+            Layer::Dense(Dense::new(16, 8, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+            Layer::Dense(Dense::new(8, 3, &mut rng)),
+            Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+        ]);
+        let spec = QuantSpec::fit(&net, 8);
+        let alphabets = LayerAlphabets::uniform(AlphabetSet::a8(), 2);
+        let err = FixedNet::compile(&net, &spec, &alphabets).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::UnsupportedArchitecture(
+                "layer 2 feeds a trailing sigmoid; the last layer must emit logits".into()
+            )
+        );
     }
 
     #[test]
@@ -1513,7 +1552,14 @@ mod tests {
             let x = [0.75f32, 1.0];
             let xq: Vec<i64> = x
                 .iter()
-                .map(|&p| i64::from(quantize_pixel(p, fixed.act_frac)))
+                .map(|&p| {
+                    i64::from(quantize_f32(
+                        p,
+                        fixed.act_frac,
+                        0,
+                        (1 << fixed.act_frac) - 1,
+                    ))
+                })
                 .collect();
             let want = -max_mag * xq[0] + (1i64 << (bits - 2)) * xq[1];
             assert_eq!(fixed.infer_raw(&x), vec![want], "bits={bits} oracle");
@@ -1541,6 +1587,130 @@ mod tests {
         assert!(want > i64::from(i32::MAX));
         assert_eq!(fixed.infer_raw(&x), vec![want]);
         assert_eq!(fixed.run(&[&x], ShardPlan::Sequential), [[want]]);
+    }
+
+    /// `sample_traces` as it was before it stopped simulating: every MAC
+    /// of every image through the ASM and recorded, until the first image
+    /// after which every layer holds `limit` MACs, each trace then cut to
+    /// `limit`. Returns the traces, and each walked image's layer inputs
+    /// and logits.
+    #[allow(clippy::type_complexity)]
+    fn full_asm_walk(
+        fixed: &FixedNet,
+        images: &[Vec<f32>],
+        limit: usize,
+    ) -> (Vec<LayerTrace>, Vec<(Vec<Vec<i16>>, Vec<i64>)>) {
+        let mut traces: Vec<LayerTrace> = (0..fixed.layers.len())
+            .map(|_| LayerTrace::new(usize::MAX))
+            .collect();
+        let mut walked = Vec::new();
+        for image in images {
+            let mut inputs = Vec::new();
+            let logits = fixed.forward(image, |li, layer, x| {
+                inputs.push(x.to_vec());
+                fixed.asm_layer(layer, x, Some(&mut traces[li]))
+            });
+            walked.push((inputs, logits));
+            if traces.iter().all(|t| t.len() >= limit) {
+                break;
+            }
+        }
+        for t in &mut traces {
+            t.limit = limit;
+            let n = t.len().min(limit);
+            t.w_mag.truncate(n);
+            t.w_neg.truncate(n);
+            t.x_mag.truncate(n);
+            t.x_neg.truncate(n);
+            t.product.truncate(n);
+            t.acc.truncate(n);
+        }
+        (traces, walked)
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn trace_fields(t: &LayerTrace) -> (usize, &[u32], &[bool], &[u32], &[bool], &[i64], &[i64]) {
+        (
+            t.limit, &t.w_mag, &t.w_neg, &t.x_mag, &t.x_neg, &t.product, &t.acc,
+        )
+    }
+
+    /// Traces that stop simulating once full equal a full ASM walk's on
+    /// dense, conv (kernels 1..=5) → requant → pool and dense stacks, at
+    /// limits inside the first output, past several outputs and past every
+    /// layer's MACs: every trace field, and every later layer's inputs and
+    /// the logits of each walked image.
+    #[test]
+    fn sample_traces_match_a_full_asm_walk() {
+        use man_nn::layers::{Conv2d, ScaledAvgPool};
+        let mut rng = SmallRng::seed_from_u64(27);
+        let sig = || Layer::Activation(ActivationLayer::new(Activation::Sigmoid));
+        let mut nets: Vec<(Network, usize, u32)> = vec![(
+            Network::new(vec![
+                Layer::Dense(Dense::new(40, 30, &mut rng)),
+                sig(),
+                Layer::Dense(Dense::new(30, 12, &mut rng)),
+                sig(),
+                Layer::Dense(Dense::new(12, 4, &mut rng)),
+            ]),
+            40,
+            8,
+        )];
+        for k in 1..=5usize {
+            let (in_h, in_w) = (7 + k, 5 + k);
+            nets.push((
+                Network::new(vec![
+                    Layer::Conv2d(Conv2d::new(2, 3, k, in_h, in_w, &mut rng)),
+                    Layer::ScaledAvgPool(ScaledAvgPool::new(3, 8, 6)),
+                    sig(),
+                    Layer::Dense(Dense::new(3 * 4 * 3, 5, &mut rng)),
+                    sig(),
+                    Layer::Dense(Dense::new(5, 3, &mut rng)),
+                ]),
+                2 * in_h * in_w,
+                if k % 2 == 0 { 8 } else { 12 },
+            ));
+        }
+        for (mut net, in_len, bits) in nets {
+            let spec = QuantSpec::fit(&net, bits);
+            let layers = spec.layer_formats().len();
+            let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), layers);
+            constrain_net(&mut net, &spec, &alphabets);
+            let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
+            let images: Vec<Vec<f32>> = (0..4)
+                .map(|i| {
+                    (0..in_len)
+                        .map(|j| ((i * 13 + j * 7) % 29) as f32 / 29.0)
+                        .collect()
+                })
+                .collect();
+            let most = *fixed.macs_per_layer().iter().max().unwrap() as usize;
+            for limit in [1, 600, most + 1] {
+                let got = fixed.sample_traces(&images, limit);
+                let (want, walked) = full_asm_walk(&fixed, &images, limit);
+                assert_eq!(got.len(), want.len());
+                for (li, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        trace_fields(g),
+                        trace_fields(w),
+                        "bits={bits} limit={limit} layer {li}"
+                    );
+                }
+                // The same walk with traces that stop simulating.
+                let mut traces: Vec<LayerTrace> = (0..fixed.layers.len())
+                    .map(|_| LayerTrace::new(limit))
+                    .collect();
+                for (image, (inputs, logits)) in images.iter().zip(&walked) {
+                    let mut seen = Vec::new();
+                    let out = fixed.forward(image, |li, layer, x| {
+                        seen.push(x.to_vec());
+                        fixed.asm_layer(layer, x, Some(&mut traces[li]))
+                    });
+                    assert_eq!(&seen, inputs, "bits={bits} limit={limit}");
+                    assert_eq!(&out, logits, "bits={bits} limit={limit}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1608,144 +1778,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The word the `f64` quantizer gives: what `quantize_pixel` must
-    /// equal.
-    fn f64_word(p: f32, act_frac: u32) -> i16 {
-        use man_fixed::quantize::round_to_range;
-        let scale = f64::from(1u32 << act_frac);
-        round_to_range(f64::from(p) * scale, 0, (1 << act_frac) - 1) as i16
-    }
-
-    fn assert_quantizes_like_f64(patterns: impl IntoIterator<Item = u32>) {
-        for bits in patterns {
-            let p = f32::from_bits(bits);
-            for act_frac in 2..=15 {
-                assert_eq!(
-                    quantize_pixel(p, act_frac),
-                    f64_word(p, act_frac),
-                    "pixel {p:e} ({bits:#010x}) at act_frac {act_frac}"
-                );
-            }
-        }
-    }
-
-    /// The `f32` input quantizer equals the `f64` one at every word
-    /// length on every exponent (subnormals included) crossed with the
-    /// mantissa edges, ±0, ±∞, NaNs, both range ends, every tie of the
-    /// rounding, and 2^20 seeded random patterns, both signs of each.
-    #[test]
-    fn input_quantizer_matches_round_to_range() {
-        let mantissas = [
-            0,
-            1,
-            2,
-            3,
-            (1 << 22) - 1,
-            1 << 22,
-            (1 << 22) + 1,
-            (1 << 23) - 2,
-            (1 << 23) - 1,
-        ];
-        let exponents = (0..=255u32).flat_map(|e| mantissas.iter().map(move |m| e << 23 | m));
-        // Ties `(n + 1/2) / 2^f`, each with its neighbours, and the range
-        // ends `(2^f - 1) / 2^f` and 1.0 with theirs.
-        let ties = (2..=15u32).flat_map(|f| {
-            let scale = (1u32 << f) as f32;
-            (0..1u32 << f)
-                .step_by(((1usize << f) / 64).max(1))
-                .chain([(1 << f) - 2, (1 << f) - 1, 1 << f])
-                .flat_map(move |n| {
-                    let tie = (n as f32 + 0.5) / scale;
-                    let end = n as f32 / scale;
-                    [tie, end].map(f32::to_bits)
-                })
-                .flat_map(|b| b.saturating_sub(1)..=b + 1)
-        });
-        let mut state = 0x7175_616e_7469_7a65_u64;
-        let random = (0..1 << 20).map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) as u32
-        });
-        let nans = [0x7fc0_0000, 0x7f80_0001, 0x7fff_ffff];
-        assert_quantizes_like_f64(
-            exponents
-                .chain(ties)
-                .chain(nans)
-                .chain(random)
-                .flat_map(|b| [b & 0x7fff_ffff, b | 0x8000_0000]),
-        );
-        assert_eq!(quantize_pixel(f32::NAN, 7), 0);
-        assert_eq!(quantize_pixel(f32::INFINITY, 7), 127);
-        assert_eq!(quantize_pixel(f32::NEG_INFINITY, 11), 0);
-        assert_eq!(quantize_pixel(0.5 / 128.0, 7), 0);
-        assert_eq!(quantize_pixel(1.5 / 128.0, 7), 2);
-    }
-
-    /// Every `f32` bit pattern through both quantizers at each of
-    /// `act_fracs`, on all cores; returns the patterns that differ.
-    fn sweep_every_f32(act_fracs: &[u32]) -> Vec<(u32, u32)> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-        let span = (1_u64 << 32).div_ceil(threads);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut wrong = Vec::new();
-                        for bits in t * span..((t + 1) * span).min(1 << 32) {
-                            let p = f32::from_bits(bits as u32);
-                            for &f in act_fracs {
-                                if quantize_pixel(p, f) != f64_word(p, f) {
-                                    wrong.push((bits as u32, f));
-                                }
-                            }
-                        }
-                        wrong
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep thread"))
-                .collect()
-        })
-    }
-
-    /// All 2^32 `f32` patterns at the zoo's word lengths (8 and 12 bits,
-    /// act_frac 7 and 11). About a minute in release on two cores: `cargo
-    /// test --release -p man --lib
-    /// fixed::tests::input_quantizer_matches_round_to_range_on_every_f32_at_zoo_word_lengths
-    /// -- --ignored --exact`.
-    #[test]
-    #[ignore = "exhaustive: about a minute in release"]
-    fn input_quantizer_matches_round_to_range_on_every_f32_at_zoo_word_lengths() {
-        let wrong = sweep_every_f32(&[7, 11]);
-        assert!(
-            wrong.is_empty(),
-            "{} differ, first {:?}",
-            wrong.len(),
-            &wrong[..wrong.len().min(8)]
-        );
-    }
-
-    /// All 2^32 `f32` patterns at every word length `compile` accepts
-    /// (act_frac 2..=15). Several minutes in release: `cargo test
-    /// --release -p man --lib
-    /// fixed::tests::input_quantizer_matches_round_to_range_on_every_f32_at_every_word_length
-    /// -- --ignored --exact`.
-    #[test]
-    #[ignore = "exhaustive: several minutes in release"]
-    fn input_quantizer_matches_round_to_range_on_every_f32_at_every_word_length() {
-        let wrong = sweep_every_f32(&(2..=15).collect::<Vec<_>>());
-        assert!(
-            wrong.is_empty(),
-            "{} differ, first {:?}",
-            wrong.len(),
-            &wrong[..wrong.len().min(8)]
-        );
     }
 }

@@ -20,6 +20,10 @@ use serde::{Deserialize, Serialize};
 /// lane per row, wide enough for the compiler to vectorize across rows.
 const LANES: usize = 16;
 
+/// Values of a [`Dense`] gradient row (weight or input) held in registers
+/// while their terms are added.
+const GRAD_BLOCK: usize = 32;
+
 /// Which parameter tensor of a layer is being visited.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ParamKind {
@@ -113,8 +117,10 @@ impl Dense {
 
     /// `y = W·x + b` for each of `rows` rows. Rows are transposed into
     /// blocks of [`LANES`] (tail lanes zero-padded, their outputs
-    /// discarded); inside a lane, a row's products are summed from `0.0`
-    /// in input order and the bias is added last.
+    /// discarded), and outputs go two to a pass over a block, so that
+    /// each transposed input feeds two independent sums; inside a lane, a
+    /// row's products are summed from `0.0` in input order and the bias
+    /// is added last.
     fn infer(&self, x: &[f32], rows: usize) -> Vec<f32> {
         let (ni, no) = (self.in_dim, self.out_dim);
         assert_eq!(x.len(), rows * ni, "dense input is not rows x {ni}");
@@ -132,16 +138,31 @@ impl Dense {
                     col[lanes..].fill(0.0);
                 }
             }
-            for (o, (w, &b)) in self.weights.chunks_exact(ni).zip(&self.bias).enumerate() {
-                let mut acc = [0.0f32; LANES];
-                for (&wi, col) in w.iter().zip(&xt) {
-                    // Rebuilding the lane array vectorizes; a zipped
+            let mut store = |o: usize, acc: &[f32; LANES]| {
+                for (yl, &a) in ys.chunks_exact_mut(no).zip(acc) {
+                    yl[o] = self.bias[o] + a;
+                }
+            };
+            let pairs = self.weights.chunks_exact(2 * ni);
+            let odd = pairs.remainder();
+            for (p, w) in pairs.enumerate() {
+                let (w0, w1) = w.split_at(ni);
+                let (mut a0, mut a1) = ([0.0f32; LANES], [0.0f32; LANES]);
+                for ((&u, &v), col) in w0.iter().zip(w1).zip(&xt) {
+                    // Rebuilding the lane arrays vectorizes; a zipped
                     // in-place update does not.
-                    acc = std::array::from_fn(|l| acc[l] + wi * col[l]);
+                    a0 = std::array::from_fn(|l| a0[l] + u * col[l]);
+                    a1 = std::array::from_fn(|l| a1[l] + v * col[l]);
                 }
-                for (yl, &a) in ys.chunks_exact_mut(no).zip(&acc) {
-                    yl[o] = b + a;
+                store(2 * p, &a0);
+                store(2 * p + 1, &a1);
+            }
+            if !odd.is_empty() {
+                let mut acc = [0.0f32; LANES];
+                for (&u, col) in odd.iter().zip(&xt) {
+                    acc = std::array::from_fn(|l| acc[l] + u * col[l]);
                 }
+                store(no - 1, &acc);
             }
         }
         y
@@ -150,6 +171,11 @@ impl Dense {
     /// Folds the rows' gradients into `grad_w`/`grad_b` in row order and,
     /// with `input_grad`, returns each row's input gradient summed over
     /// outputs in ascending order.
+    ///
+    /// Both go [`GRAD_BLOCK`] values at a time, each block held in
+    /// registers while its terms are added: a block of `grad_w` takes
+    /// every row's product in row order, a block of a row's input
+    /// gradient every output's in output order.
     fn backward(&mut self, g: &[f32], rows: usize, input_grad: bool) -> Vec<f32> {
         let (ni, no) = (self.in_dim, self.out_dim);
         debug_assert_eq!(g.len(), rows * no);
@@ -160,10 +186,25 @@ impl Dense {
                 *b += go;
             }
         }
+        let body = ni / GRAD_BLOCK * GRAD_BLOCK;
+        // Block-major, so the rows' inputs of a block stay in L1 for
+        // every output.
+        for b in (0..body).step_by(GRAD_BLOCK) {
+            for (o, grow) in self.grad_w.chunks_exact_mut(ni).enumerate() {
+                let block = &mut grow[b..b + GRAD_BLOCK];
+                let mut acc: [f32; GRAD_BLOCK] = (&*block).try_into().expect("a whole block");
+                for (gr, xr) in g.chunks_exact(no).zip(x.chunks_exact(ni)) {
+                    let go = gr[o];
+                    let xb = &xr[b..b + GRAD_BLOCK];
+                    acc = std::array::from_fn(|j| acc[j] + go * xb[j]);
+                }
+                block.copy_from_slice(&acc);
+            }
+        }
         for (o, grow) in self.grad_w.chunks_exact_mut(ni).enumerate() {
             for (gr, xr) in g.chunks_exact(no).zip(x.chunks_exact(ni)) {
                 let go = gr[o];
-                for (gw, &xi) in grow.iter_mut().zip(xr) {
+                for (gw, &xi) in grow[body..].iter_mut().zip(&xr[body..]) {
                     *gw += go * xi;
                 }
             }
@@ -173,8 +214,17 @@ impl Dense {
         }
         let mut gx = vec![0.0f32; rows * ni];
         for (gxr, gr) in gx.chunks_exact_mut(ni).zip(g.chunks_exact(no)) {
+            let (blocks, tail) = gxr.split_at_mut(body);
+            for (b, block) in blocks.chunks_exact_mut(GRAD_BLOCK).enumerate() {
+                let mut acc = [0.0f32; GRAD_BLOCK];
+                for (&go, w) in gr.iter().zip(self.weights.chunks_exact(ni)) {
+                    let wb = &w[b * GRAD_BLOCK..][..GRAD_BLOCK];
+                    acc = std::array::from_fn(|j| acc[j] + go * wb[j]);
+                }
+                block.copy_from_slice(&acc);
+            }
             for (&go, w) in gr.iter().zip(self.weights.chunks_exact(ni)) {
-                for (gi, &wi) in gxr.iter_mut().zip(w) {
+                for (gi, &wi) in tail.iter_mut().zip(&w[body..]) {
                     *gi += go * wi;
                 }
             }
@@ -637,6 +687,110 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// `Dense::infer` as its plain loops: one output at a time over
+    /// 16-lane row blocks. The reference the tuned pass must equal.
+    fn reference_infer(d: &Dense, x: &[f32], rows: usize) -> Vec<f32> {
+        let (ni, no) = (d.in_dim, d.out_dim);
+        let mut y = vec![0.0f32; rows * no];
+        let mut xt = vec![[0.0f32; LANES]; ni];
+        for (xs, ys) in x.chunks(LANES * ni).zip(y.chunks_mut(LANES * no)) {
+            let lanes = xs.len() / ni;
+            for (l, row) in xs.chunks_exact(ni).enumerate() {
+                for (col, &v) in xt.iter_mut().zip(row) {
+                    col[l] = v;
+                }
+            }
+            for col in &mut xt {
+                col[lanes..].fill(0.0);
+            }
+            for (o, (w, &b)) in d.weights.chunks_exact(ni).zip(&d.bias).enumerate() {
+                let mut acc = [0.0f32; LANES];
+                for (&wi, col) in w.iter().zip(&xt) {
+                    for (a, &c) in acc.iter_mut().zip(col) {
+                        *a += wi * c;
+                    }
+                }
+                for (yl, &a) in ys.chunks_exact_mut(no).zip(&acc) {
+                    yl[o] = b + a;
+                }
+            }
+        }
+        y
+    }
+
+    /// `Dense::backward` as its plain loops: `grad_w` row by row through
+    /// memory, the input gradient row by row.
+    fn reference_backward(d: &mut Dense, g: &[f32], rows: usize) -> Vec<f32> {
+        let (ni, no) = (d.in_dim, d.out_dim);
+        let x = std::mem::take(&mut d.cached_input);
+        for gr in g.chunks_exact(no) {
+            for (b, &go) in d.grad_b.iter_mut().zip(gr) {
+                *b += go;
+            }
+        }
+        for (o, grow) in d.grad_w.chunks_exact_mut(ni).enumerate() {
+            for (gr, xr) in g.chunks_exact(no).zip(x.chunks_exact(ni)) {
+                let go = gr[o];
+                for (gw, &xi) in grow.iter_mut().zip(xr) {
+                    *gw += go * xi;
+                }
+            }
+        }
+        let mut gx = vec![0.0f32; rows * ni];
+        for (gxr, gr) in gx.chunks_exact_mut(ni).zip(g.chunks_exact(no)) {
+            for (&go, w) in gr.iter().zip(d.weights.chunks_exact(ni)) {
+                for (gi, &wi) in gxr.iter_mut().zip(w) {
+                    *gi += go * wi;
+                }
+            }
+        }
+        gx
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The dense forward pass, weight and bias gradients (added onto
+        /// nonzero running sums) and input gradient equal the plain
+        /// loops bit for bit, on shapes that leave odd outputs, partial
+        /// gradient blocks and partial row blocks, with zeros of both
+        /// signs among the values.
+        #[test]
+        fn dense_passes_match_the_reference_loops(
+            in_dim in 1usize..=70,
+            out_dim in 1usize..=9,
+            rows in 1usize..=40,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut value = move || match rng.gen_range(0..10) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.5f32..1.5),
+            };
+            let mut d = Dense::new(in_dim, out_dim, &mut SmallRng::seed_from_u64(seed ^ 1));
+            d.weights.iter_mut().for_each(|w| *w = value());
+            d.bias.iter_mut().for_each(|b| *b = value());
+            d.grad_w.iter_mut().for_each(|w| *w = value());
+            d.grad_b.iter_mut().for_each(|b| *b = value());
+            let x: Vec<f32> = (0..rows * in_dim).map(|_| value()).collect();
+            let g: Vec<f32> = (0..rows * out_dim).map(|_| value()).collect();
+            let mut want = d.clone();
+            proptest::prop_assert_eq!(bits(&d.infer(&x, rows)), bits(&reference_infer(&want, &x, rows)));
+            d.cached_input = x.clone();
+            want.cached_input = x;
+            let gx = d.backward(&g, rows, true);
+            let want_gx = reference_backward(&mut want, &g, rows);
+            proptest::prop_assert_eq!(bits(&d.grad_w), bits(&want.grad_w));
+            proptest::prop_assert_eq!(bits(&d.grad_b), bits(&want.grad_b));
+            proptest::prop_assert_eq!(bits(&gx), bits(&want_gx));
+        }
+    }
 
     #[test]
     fn dense_forward_matches_manual() {

@@ -63,8 +63,9 @@ fn info_of(name: &str, model: &CompiledModel) -> ModelInfo {
 /// # fn main() -> Result<(), man_serve::ManError> {
 /// let mut rng = SmallRng::seed_from_u64(7);
 /// let net = Network::new(vec![
-///     Layer::Dense(Dense::new(8, 4, &mut rng)),
+///     Layer::Dense(Dense::new(8, 6, &mut rng)),
 ///     Layer::Activation(ActivationLayer::new(Activation::Sigmoid)),
+///     Layer::Dense(Dense::new(6, 4, &mut rng)),
 /// ]);
 /// let model = Pipeline::from_network(net)
 ///     .with_bits(8)

@@ -9,6 +9,7 @@
 //!   few weights, a conv kernel larger than its input, and sizes whose
 //!   products overflow `usize`;
 //! * layer-count mismatches between network, spec and alphabets;
+//! * a network whose last layer feeds a sigmoid, so has no logits;
 //! * word lengths outside 3..=16, and a `bits` field that disagrees with
 //!   the spec;
 //! * every truncation, and 2000 seeded byte edits;
@@ -223,6 +224,17 @@ fn named_cases(json: &str) -> Vec<(&'static str, String)> {
                 let sigmoid = at(v, &["network", "layers", "1"]).clone();
                 if let Value::Array(layers) = at(v, &["network", "layers"]) {
                     layers.extend([sigmoid, last]);
+                }
+            }),
+        ),
+        (
+            // No logits to score with: compiled, it answered every input
+            // with an empty score vector.
+            "network ending in a sigmoid",
+            edited(&base, |v| {
+                let sigmoid = at(v, &["network", "layers", "1"]).clone();
+                if let Value::Array(layers) = at(v, &["network", "layers"]) {
+                    layers.push(sigmoid);
                 }
             }),
         ),
