@@ -14,7 +14,7 @@
 //! never farther from the input, and the two are compared in the ablation
 //! bench.
 
-use man_fixed::quantize::quantize_f32;
+use man_fixed::quantize::{f32_quantizable, quantize_f32};
 use man_fixed::QFormat;
 use serde::{Deserialize, Serialize};
 
@@ -189,9 +189,15 @@ impl ProjectionTable {
     ///
     /// # Panics
     ///
-    /// Panics if `format` and `lattice` differ in word length.
+    /// Panics if `format` and `lattice` differ in word length, or if
+    /// `format`'s words are too wide for [`quantize_f32`].
     pub(crate) fn new(format: QFormat, lattice: &WeightLattice) -> Self {
         assert_eq!(format.bits(), lattice.bits, "format/lattice word length");
+        assert!(
+            f32_quantizable(format.min_raw(), format.max_raw()),
+            "{}-bit words are too wide for the f32 quantizer",
+            format.bits()
+        );
         let projected = (format.min_raw()..=format.max_raw())
             .map(|raw| {
                 let (neg, mag) = man_fixed::bits::sign_magnitude(raw, format.bits());
@@ -345,7 +351,7 @@ mod tests {
                     // Each word, a point a quarter LSB off it and the
                     // half-way points on either side, then the non-finite
                     // and out-of-range values: more than one block of
-                    // `apply` from 4 bits up.
+                    // `apply` from 8 bits up.
                     let mut values: Vec<f32> = (format.min_raw()..=format.max_raw())
                         .flat_map(|raw| {
                             let r = raw as f64;

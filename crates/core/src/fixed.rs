@@ -15,7 +15,7 @@
 //! sigmoid outputs live in `[0, 1)`, so the sign lane of the datapath is
 //! only exercised by weights.
 
-use man_fixed::quantize::{fit_format, quantize_f32};
+use man_fixed::quantize::{f32_quantizable, fit_format, quantize_f32};
 use man_fixed::QFormat;
 use man_hw::components::activation::{plan_sigmoid_fixed, PlanParams};
 use man_nn::layers::Layer;
@@ -835,6 +835,10 @@ impl FixedNet {
         let mut plans: Vec<Option<AsmPlan>> = Vec::new();
         let mut folded = Vec::with_capacity(weights.len());
         let (frac, lo, hi) = (format.frac(), format.min_raw(), format.max_raw());
+        assert!(
+            f32_quantizable(lo, hi),
+            "{bits}-bit words are too wide for the f32 quantizer"
+        );
         for &w in weights {
             let raw = quantize_f32(w, frac, lo, hi);
             let (neg, mag) = man_fixed::bits::sign_magnitude(raw, bits);

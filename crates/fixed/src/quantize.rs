@@ -63,7 +63,9 @@ const ROUND_MAGIC_F32: f32 = 12_582_912.0;
 /// product past the range does. `NaN` becomes 0 before the clamp, as
 /// [`round_to_range`]'s cast makes it; the clamped value is then rounded
 /// half to even by adding and subtracting `1.5 · 2^23`, which needs the
-/// range inside `[-2^22, 2^22)`.
+/// range inside `[-2^22, 2^22)` ([`f32_quantizable`]). Only debug
+/// builds check that here, so the per-value loop carries no branch for
+/// it; callers check a whole slice's range once.
 ///
 /// # Example
 ///
@@ -78,7 +80,7 @@ const ROUND_MAGIC_F32: f32 = 12_582_912.0;
 #[inline]
 pub fn quantize_f32(x: f32, frac: u32, lo: i32, hi: i32) -> i32 {
     debug_assert!(
-        -(1 << 22) <= lo && lo <= hi && hi < 1 << 22,
+        f32_quantizable(lo, hi),
         "range {lo}..={hi} is not inside [-2^22, 2^22)"
     );
     let scaled = x * (1u64 << frac) as f32;
@@ -87,6 +89,22 @@ pub fn quantize_f32(x: f32, frac: u32, lo: i32, hi: i32) -> i32 {
     let clamped = if scaled > lo_f { scaled } else { lo_f };
     let clamped = if clamped < hi_f { clamped } else { hi_f };
     ((clamped + ROUND_MAGIC_F32).to_bits() as i32).wrapping_sub(ROUND_MAGIC_F32.to_bits() as i32)
+}
+
+/// Whether [`quantize_f32`] rounds exactly into `lo..=hi`: a nonempty
+/// range inside `[-2^22, 2^22)`, which holds for every [`QFormat`] of at
+/// most 23 bits.
+///
+/// # Example
+///
+/// ```
+/// use man_fixed::quantize::f32_quantizable;
+///
+/// assert!(f32_quantizable(-32768, 32767));
+/// assert!(!f32_quantizable(0, 1 << 22));
+/// ```
+pub const fn f32_quantizable(lo: i32, hi: i32) -> bool {
+    -(1 << 22) <= lo && lo <= hi && hi < 1 << 22
 }
 
 /// Largest absolute value in a slice (0.0 for an empty slice; NaNs ignored).
@@ -166,8 +184,10 @@ mod tests {
     /// ranges of every word length 2..=16: on every exponent (subnormals
     /// included) crossed with the mantissa edges, ±0, ±∞, NaNs, both range
     /// ends and ties of the rounding across each range, both signs of
-    /// each; and on 2^18 seeded random patterns at the zoo's 8- and
-    /// 12-bit words.
+    /// each; on 2^20 seeded random patterns, both signs, in the input
+    /// range `0..=2^f - 1` of every fraction `f` in 2..=15; and on 2^18
+    /// more in the input and weight ranges of the zoo's 8- and 12-bit
+    /// words.
     #[test]
     fn quantize_f32_matches_round_to_range() {
         let mantissas = [
@@ -201,6 +221,8 @@ mod tests {
             let patterns: Vec<u32> = exponents.clone().chain(nans).chain(ties).collect();
             assert_quantizes_like_f64(patterns.into_iter().flat_map(both_signs), &ranges);
         }
+        let inputs: Vec<Range> = (2..=15).map(|f| (f, 0, (1 << f) - 1)).collect();
+        assert_quantizes_like_f64(random_patterns(1 << 20).flat_map(both_signs), &inputs);
         let zoo: Vec<Range> = ranges(8).chain(ranges(12)).collect();
         assert_quantizes_like_f64(random_patterns(1 << 18).flat_map(both_signs), &zoo);
         assert_eq!(quantize_f32(f32::NAN, 7, 0, 127), 0);
@@ -269,23 +291,23 @@ mod tests {
     }
 
     /// All 2^32 `f32` patterns in the input and weight ranges of the
-    /// zoo's 8- and 12-bit words (22 ranges). About a minute in release on
-    /// two cores: `cargo test --release -p man-fixed --lib
+    /// zoo's 8- and 12-bit words (22 ranges). Two to three minutes in
+    /// release on two cores: `cargo test --release -p man-fixed --lib
     /// quantize::tests::quantize_f32_matches_round_to_range_on_every_f32_at_zoo_word_lengths
     /// -- --ignored --exact`.
     #[test]
-    #[ignore = "exhaustive: about a minute in release"]
+    #[ignore = "exhaustive: 2-3 minutes in release on two cores"]
     fn quantize_f32_matches_round_to_range_on_every_f32_at_zoo_word_lengths() {
         assert_sweep_clean([8, 12]);
     }
 
     /// All 2^32 `f32` patterns in the input and weight ranges of every
-    /// word length 2..=16 (150 ranges). Several minutes in release:
-    /// `cargo test --release -p man-fixed --lib
+    /// word length 2..=16 (150 ranges). About 16 minutes in release on
+    /// two cores: `cargo test --release -p man-fixed --lib
     /// quantize::tests::quantize_f32_matches_round_to_range_on_every_f32_at_every_word_length
     /// -- --ignored --exact`.
     #[test]
-    #[ignore = "exhaustive: several minutes in release"]
+    #[ignore = "exhaustive: about 16 minutes in release on two cores"]
     fn quantize_f32_matches_round_to_range_on_every_f32_at_every_word_length() {
         assert_sweep_clean(2..=16);
     }
