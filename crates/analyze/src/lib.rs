@@ -60,12 +60,6 @@ impl Default for Config {
                 // carry the same justification markers.
                 "crates/obs/src/lib.rs",
                 "crates/obs/src/flight.rs",
-                // The cluster placement function (DESIGN.md §14): the
-                // same node set must yield the same ring — and thus
-                // the same replica sets — on every router instance, or
-                // two routers would disagree about where a model
-                // lives.
-                "crates/serve/src/cluster/ring.rs",
             ],
             allow_unsafe_files: vec![
                 // The §9 latch transmute.
@@ -292,5 +286,19 @@ mod tests {
             assert!(f.ends_with(".rs"), "allowlist entries are files: {f}");
         }
         assert!(cfg.determinism_scope.contains(&"crates/par/src/lib.rs"));
+        // A scope entry naming a deleted file would silently check
+        // nothing: every configured path must exist in the workspace.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let paths = cfg
+            .determinism_scope
+            .iter()
+            .chain(&cfg.allow_unsafe_files)
+            .chain(cfg.env_read_allowed.iter().map(|(f, _)| f));
+        for f in paths {
+            assert!(
+                root.join(f).is_file(),
+                "configured path does not exist: {f}"
+            );
+        }
     }
 }

@@ -39,12 +39,6 @@
 //!   stats, `man-par` pool utilization and the `man-obs` per-stage span
 //!   histograms; the `dump_trace` verb retrieves flight-recorder
 //!   dumps.
-//! * [`cluster`] — the multi-process tier: a [`Router`] that serves
-//!   both wire modes on one port through the same reactor front-end
-//!   (via [`RequestHandler`]) and fans out to worker processes over the
-//!   binary framing, with consistent-hash sharding, per-model replica
-//!   sets, health-check-driven failover and drain-then-join rebalance
-//!   — any replica answers bit-identically.
 //!
 //! Everything is `std`-only and deterministic-by-construction: a batch
 //! of predictions is bit-identical to the same inputs served
@@ -77,7 +71,6 @@
 #![warn(missing_docs)]
 
 mod batcher;
-pub mod cluster;
 mod exporter;
 pub mod framing;
 pub mod metrics;
@@ -87,7 +80,6 @@ pub mod registry;
 mod server;
 
 pub use batcher::{BatchConfig, ModelHost};
-pub use cluster::{HashRing, Router, RouterConfig, RouterStats};
 pub use metrics::{LatencyHistogram, ModelMetrics, ModelStats};
 pub use reactor::{FrontendStats, ReactorConfig};
 pub use registry::{ModelInfo, ModelRegistry};

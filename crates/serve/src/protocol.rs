@@ -11,9 +11,7 @@
 //! {"op":"stats"}            // or {"op":"stats","model":"digits"}
 //! {"op":"metrics"}          // Prometheus text page (as a JSON string)
 //! {"op":"dump_trace"}       // most recent flight-recorder dump
-//! {"op":"health"}           // liveness + loaded models (any node)
-//! {"op":"join","node":"host:port"}   // router only: add a worker node
-//! {"op":"leave","node":"host:port"}  // router only: remove a worker node
+//! {"op":"health"}           // liveness + loaded models
 //! ```
 //!
 //! Responses always carry `"ok"`:
@@ -30,14 +28,9 @@
 //! `bad_artifact`, `io`, `internal` — plus `frame_too_large`, raised by
 //! the reactor front-end when a binary frame's length prefix exceeds
 //! [`crate::framing::MAX_FRAME_LEN`] (the connection closes after the
-//! error is written; see `PROTOCOL.md`), and `no_backend`, raised by
-//! the cluster router when a model's replica set has no healthy member
-//! left after the bounded retry budget. A router relays worker-side
-//! errors *verbatim* ([`man_repro::ServeError::Upstream`]), so clients
-//! see identical codes whether they talk to a worker or a router. The
-//! same grammar travels unchanged inside binary
-//! `TAG_REQ_JSON`/`TAG_RESP_JSON` frames, so codes are identical across
-//! both wire modes.
+//! error is written; see `PROTOCOL.md`). The same grammar travels
+//! unchanged inside binary `TAG_REQ_JSON`/`TAG_RESP_JSON` frames, so
+//! codes are identical across both wire modes.
 //!
 //! Parsing is hand-rolled over the vendored [`serde::Value`] model so
 //! optional fields (`"model"` on `stats`) behave leniently and error
@@ -84,22 +77,8 @@ pub enum Request {
     Metrics,
     /// The most recent flight-recorder dump, if one was triggered.
     DumpTrace,
-    /// Liveness + loaded-model summary. Any node answers it: a plain
-    /// server reports `role:"node"`, a cluster router reports
-    /// `role:"router"` with per-backend health and replica sets.
+    /// Liveness + loaded-model summary (`role:"node"`).
     Health,
-    /// Node admin (router only): register a worker node and rebalance.
-    /// A plain server answers `bad_request`.
-    Join {
-        /// The worker's `host:port` address.
-        node: String,
-    },
-    /// Node admin (router only): remove a worker node and rebalance.
-    /// A plain server answers `bad_request`.
-    Leave {
-        /// The worker's `host:port` address.
-        node: String,
-    },
 }
 
 fn protocol_err(msg: impl Into<String>) -> ManError {
@@ -251,14 +230,8 @@ pub fn parse_request_value(line: &str) -> Result<Request, ManError> {
         "metrics" => Ok(Request::Metrics),
         "dump_trace" => Ok(Request::DumpTrace),
         "health" => Ok(Request::Health),
-        "join" => Ok(Request::Join {
-            node: string_field(obj, "node")?,
-        }),
-        "leave" => Ok(Request::Leave {
-            node: string_field(obj, "node")?,
-        }),
         other => Err(protocol_err(format!(
-            "unknown op `{other}` (expected predict/load/unload/stats/metrics/dump_trace/health/join/leave)"
+            "unknown op `{other}` (expected predict/load/unload/stats/metrics/dump_trace/health)"
         ))),
     }
 }
@@ -272,43 +245,11 @@ pub fn error_code(e: &ManError) -> &'static str {
         ManError::Serve(ServeError::Timeout(_)) => "timeout",
         ManError::Serve(ServeError::Protocol(_)) => "bad_request",
         ManError::Serve(ServeError::Internal(_)) => "internal",
-        ManError::Serve(ServeError::NoBackend { .. }) => "no_backend",
-        // A relayed worker error keeps the worker's own stable code
-        // (interned against the known table; an unrecognized upstream
-        // code degrades to `internal` rather than leaking free text).
-        ManError::Serve(ServeError::Upstream { code, .. }) => intern_code(code),
         ManError::Shape { .. } => "shape_mismatch",
         ManError::Artifact(_) | ManError::Compile(_) => "bad_artifact",
         ManError::Io(_) => "io",
         _ => "internal",
     }
-}
-
-/// Every stable wire code a server can emit (`PROTOCOL.md`'s error
-/// table). The cluster router uses this to intern upstream codes and
-/// to decide which errors are worth a failover retry.
-pub(crate) const STABLE_CODES: &[&str] = &[
-    "overloaded",
-    "unknown_model",
-    "unavailable",
-    "timeout",
-    "bad_request",
-    "shape_mismatch",
-    "bad_artifact",
-    "io",
-    "internal",
-    "frame_too_large",
-    "no_backend",
-];
-
-/// Interns a dynamic code string against [`STABLE_CODES`]; anything
-/// off-table maps to `internal`.
-pub(crate) fn intern_code(code: &str) -> &'static str {
-    STABLE_CODES
-        .iter()
-        .find(|&&c| c == code)
-        .copied()
-        .unwrap_or("internal")
 }
 
 pub(crate) fn render(value: &Value) -> String {
@@ -389,9 +330,8 @@ pub(crate) fn metrics_response(page: &str) -> String {
     ]))
 }
 
-/// Renders a plain server's `health` response line: liveness plus the
-/// loaded model names (a router renders its own richer variant — see
-/// `crate::cluster`).
+/// Renders the `health` response line: liveness plus the loaded
+/// model names.
 pub(crate) fn health_response(models: &[String]) -> String {
     render(&Value::Object(vec![
         ("ok".into(), Value::Bool(true)),
@@ -455,47 +395,6 @@ mod tests {
             parse_request(r#"{"op":"health"}"#).unwrap(),
             Request::Health
         );
-        assert_eq!(
-            parse_request(r#"{"op":"join","node":"127.0.0.1:9001"}"#).unwrap(),
-            Request::Join {
-                node: "127.0.0.1:9001".into()
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"leave","node":"127.0.0.1:9001"}"#).unwrap(),
-            Request::Leave {
-                node: "127.0.0.1:9001".into()
-            }
-        );
-    }
-
-    #[test]
-    fn cluster_error_codes_are_stable() {
-        let no_backend: ManError = ServeError::NoBackend {
-            model: "m".into(),
-            attempts: 3,
-        }
-        .into();
-        assert_eq!(error_code(&no_backend), "no_backend");
-        // A relayed worker error keeps the worker's own code...
-        let relayed: ManError = ServeError::Upstream {
-            code: "shape_mismatch".into(),
-            message: "input has 2 values but the network expects 4".into(),
-        }
-        .into();
-        assert_eq!(error_code(&relayed), "shape_mismatch");
-        // ...and an off-table upstream code degrades to `internal`.
-        let bogus: ManError = ServeError::Upstream {
-            code: "made_up".into(),
-            message: "?".into(),
-        }
-        .into();
-        assert_eq!(error_code(&bogus), "internal");
-        // join/leave need their node field.
-        assert_eq!(
-            error_code(&parse_request(r#"{"op":"join"}"#).unwrap_err()),
-            "bad_request"
-        );
     }
 
     #[test]
@@ -505,6 +404,7 @@ mod tests {
             "[1,2]",
             r#"{"model":"m"}"#,
             r#"{"op":"fly"}"#,
+            r#"{"op":"join","node":"127.0.0.1:1"}"#,
             r#"{"op":"predict","model":"m"}"#,
             r#"{"op":"predict","model":"m","input":"x"}"#,
             r#"{"op":"load","model":"m"}"#,

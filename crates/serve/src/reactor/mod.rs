@@ -38,8 +38,9 @@
 //! Every request is parsed in one place, `serve_job`: it opens the
 //! `decode`/`encode` spans, answers parse errors, `predict` and
 //! `dump_trace` itself, and hands every other verb to the
-//! [`RequestHandler`], so a plain model server and the cluster router
-//! render those answers byte-identically.
+//! [`RequestHandler`] — the [`ModelRegistry`](crate::ModelRegistry) in
+//! production, a fake in the tests that drive the front-end's failure
+//! paths.
 //!
 //! Only the thread counts are configurable ([`ReactorConfig`]); the
 //! caps, high-water marks and timings are constants (DESIGN.md §13).

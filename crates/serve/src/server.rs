@@ -24,22 +24,21 @@ use man_repro::{ManError, Prediction};
 use crate::exporter::prometheus_page;
 use crate::framing;
 use crate::protocol::{
-    error_response, health_response, load_response, metrics_response, raw_error_response,
-    stats_response, unload_response, Request,
+    error_response, health_response, load_response, metrics_response, stats_response,
+    unload_response, Request,
 };
 use crate::reactor::{serve_request, FrontendStats, ReactorConfig, ReactorFrontend};
 use crate::registry::ModelRegistry;
 
 /// The dispatch seam the front-end serves requests through.
 ///
-/// Everything above the socket — wire-mode sniffing, framing, request
-/// parsing, backpressure, the dispatch pool — is identical whether the
-/// process is a plain model server or a cluster router; only what
-/// happens to a *parsed* request differs. A [`ModelRegistry`] serves
-/// requests locally (scheduler + sessions); a [`crate::cluster::Router`]
-/// routes them to worker processes over the binary framing. The reactor
-/// is generic over this trait, so the router inherits NDJSON + binary
-/// serving, the reactor's slab, and every backpressure valve for free.
+/// [`ModelRegistry`] is the one production implementation. The trait
+/// exists so a test can put a fake behind the real front-end through
+/// [`Server::bind_handler`] — for example a handler that panics, to
+/// pin that the front-end answers `internal` and keeps every dispatch
+/// thread. Everything above the socket (wire-mode sniffing, framing,
+/// request parsing, backpressure, the dispatch pool) stays the real
+/// code.
 ///
 /// The reactor answers parse errors, `predict` (through
 /// [`RequestHandler::handle_predict`]) and `dump_trace` itself; every
@@ -70,10 +69,6 @@ impl RequestHandler for ModelRegistry {
             Request::Stats { model } => self.stats(model.as_deref()).map(|s| stats_response(&s)),
             Request::Metrics => Ok(metrics_response(&prometheus_page(self))),
             Request::Health => Ok(health_response(&self.names())),
-            Request::Join { .. } | Request::Leave { .. } => Ok(raw_error_response(
-                "bad_request",
-                "join/leave are cluster-router verbs; this server is a plain node",
-            )),
             request @ (Request::Predict { .. } | Request::DumpTrace) => {
                 Ok(serve_request(self, request))
             }
@@ -116,9 +111,9 @@ impl Server {
         Self::bind_handler(addr, registry as Arc<dyn RequestHandler>, config)
     }
 
-    /// Binds a front-end over any [`RequestHandler`] — the seam the
-    /// cluster router uses to serve both wire modes on one port with
-    /// the exact same reactor a plain model server gets.
+    /// Binds the front-end over any [`RequestHandler`] — the seam a test
+    /// uses to serve a fake handler through the exact reactor a model
+    /// server gets.
     ///
     /// # Errors
     ///
@@ -578,34 +573,11 @@ impl BinaryClient {
     /// `io` on transport failure; `bad_response` if the server answers
     /// with anything but a valid `MANB` handshake.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
-        let stream = TcpStream::connect(addr).map_err(|e| WireError::io(&e))?;
+        let mut stream = TcpStream::connect(addr).map_err(|e| WireError::io(&e))?;
         stream
             .set_read_timeout(Some(CLIENT_IO_TIMEOUT))
             .and_then(|()| stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT)))
             .map_err(|e| WireError::io(&e))?;
-        Self::handshake_on(stream)
-    }
-
-    /// Connects with explicit connect + read/write timeouts — the
-    /// constructor the cluster router uses so a dead worker surfaces as
-    /// a fast `io` error (and a failover) instead of a hung client.
-    ///
-    /// # Errors
-    ///
-    /// As [`BinaryClient::connect`], plus `io` when any deadline
-    /// expires.
-    pub(crate) fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, WireError> {
-        let stream = TcpStream::connect_timeout(addr, timeout).map_err(|e| WireError::io(&e))?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| WireError::io(&e))?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(|e| WireError::io(&e))?;
-        Self::handshake_on(stream)
-    }
-
-    fn handshake_on(mut stream: TcpStream) -> Result<Self, WireError> {
         stream.set_nodelay(true).map_err(|e| WireError::io(&e))?;
         stream
             .write_all(&framing::handshake(framing::VERSION))

@@ -91,6 +91,12 @@ fn ndjson_roundtrip_through_reactor() {
     assert!(reply.contains(r#""error":"bad_request""#), "{reply}");
     let (_, scores) = tcp.predict("m", &probe_input(1)).expect("conn survives");
     assert_eq!(scores, model.fixed().infer_raw(&probe_input(1)));
+    // `join` is no verb of this server: an unknown op, connection kept.
+    let join = r#"{"op":"join","node":"127.0.0.1:1"}"#;
+    let reply = serde_json::to_string(&tcp.request(join).expect("a reply")).expect("renders");
+    assert!(reply.contains(r#""error":"bad_request""#), "{reply}");
+    let (_, scores) = tcp.predict("m", &probe_input(2)).expect("conn survives");
+    assert_eq!(scores, model.fixed().infer_raw(&probe_input(2)));
 
     let stats = server.frontend_stats();
     assert_eq!(stats.mode, "reactor");

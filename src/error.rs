@@ -30,10 +30,12 @@ pub enum ServeError {
     },
     /// No model of this name is loaded in the registry.
     UnknownModel(String),
-    /// The model was unloaded (or its workers stopped) while the request
-    /// was in flight or being submitted.
+    /// The model's queue was closed — it was unloaded, swapped out or
+    /// its host is shutting down — when the request was submitted, or
+    /// the batch holding the request unwound before answering it.
     Unavailable(String),
-    /// The reply did not arrive within the configured request timeout.
+    /// The reply did not arrive within the scheduler's fixed 30 s
+    /// request timeout (`REQUEST_TIMEOUT`, PROTOCOL.md §1.2).
     Timeout(String),
     /// A malformed wire request: bad JSON, a missing field, or an
     /// unknown operation.
@@ -41,26 +43,6 @@ pub enum ServeError {
     /// An unexpected worker-side failure, stringified for transport
     /// across the reply channel.
     Internal(String),
-    /// The cluster router exhausted its bounded retries without finding
-    /// a healthy replica able to answer for this model.
-    NoBackend {
-        /// The model whose replica set had no healthy member.
-        model: String,
-        /// Route attempts made before giving up (bounded by the
-        /// router's retry budget).
-        attempts: usize,
-    },
-    /// An error relayed verbatim from an upstream worker by the cluster
-    /// router: the worker's stable wire code plus its message. The
-    /// router forwards these instead of re-wrapping them so clients see
-    /// identical codes whether they talk to a worker or a router.
-    Upstream {
-        /// The worker's stable wire error code (`overloaded`,
-        /// `unknown_model`, ...).
-        code: String,
-        /// The worker's human-readable message.
-        message: String,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -79,11 +61,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             ServeError::Internal(msg) => write!(f, "internal serving error: {msg}"),
-            ServeError::NoBackend { model, attempts } => write!(
-                f,
-                "no healthy replica answered for model `{model}` after {attempts} attempts"
-            ),
-            ServeError::Upstream { message, .. } => write!(f, "{message}"),
         }
     }
 }
