@@ -915,64 +915,90 @@ impl FixedNet {
             .collect()
     }
 
-    /// The forward pass both datapaths share: input quantization and the
-    /// output stages (PLAN sigmoid, requantization, logits) are the same
-    /// integer arithmetic for both, and `layer_accs(li, layer, x)`
-    /// supplies each layer's accumulators from its sign-folded input
-    /// activations, which are followed by [`WINDOW`] zeros.
-    fn forward(
+    /// The forward pass both datapaths share, layer-major: every row
+    /// passes through a layer before any row starts the next, so each
+    /// layer's weights stay in cache across the rows. Input quantization
+    /// and the output stages (PLAN sigmoid, requantization, logits) are
+    /// the same integer arithmetic for both datapaths, and
+    /// `layer_accs(li, layer, x)` supplies one row's accumulators of a
+    /// layer from its sign-folded input activations, which are followed
+    /// by [`WINDOW`] zeros. Returns each row's logits, in row order.
+    fn forward<R: AsRef<[f32]>>(
         &self,
-        image: &[f32],
+        rows: &[R],
         mut layer_accs: impl FnMut(usize, &FixedLayer, &[i16]) -> Vec<i64>,
-    ) -> Vec<i64> {
-        assert_eq!(
-            image.len(),
-            self.input_len(),
-            "input has {} values but the network expects {}",
-            image.len(),
-            self.input_len()
-        );
-        let max_mag = (1i64 << (self.bits - 1)) - 1;
+    ) -> Vec<Vec<i64>> {
         let widest = self.layers.iter().map(|l| l.geometry.in_len).max();
-        let mut x = Vec::with_capacity(widest.unwrap_or(0) + WINDOW);
         let top = (1 << self.act_frac) - 1;
-        x.extend(
-            image
-                .iter()
-                .map(|&p| quantize_f32(p, self.act_frac, 0, top) as i16),
-        );
-        for (li, layer) in self.layers.iter().enumerate() {
-            x.resize(x.len() + WINDOW, 0);
-            let accs = layer_accs(li, layer, &x);
-            x.clear();
+        let mut acts: Vec<Vec<i16>> = rows
+            .iter()
+            .map(|image| {
+                let image = image.as_ref();
+                assert_eq!(
+                    image.len(),
+                    self.input_len(),
+                    "input has {} values but the network expects {}",
+                    image.len(),
+                    self.input_len()
+                );
+                let mut x = Vec::with_capacity(widest.unwrap_or(0) + WINDOW);
+                x.extend(
+                    image
+                        .iter()
+                        .map(|&p| quantize_f32(p, self.act_frac, 0, top) as i16),
+                );
+                x
+            })
+            .collect();
+        let max_mag = (1i64 << (self.bits - 1)) - 1;
+        let (last, hidden) = self
+            .layers
+            .split_last()
+            .expect("compile keeps at least one layer");
+        for (li, layer) in hidden.iter().enumerate() {
             // The accumulator holds the weight fraction on top of the
             // activation fraction the PLAN input and requant word use.
             let shift = layer.mac.w_format.frac();
-            match layer.mac.output {
-                OutputStage::Sigmoid => {
-                    let table = self
-                        .sigmoid
-                        .as_ref()
-                        .expect("compile tabulates the PLAN unit of a net with a sigmoid");
-                    x.extend(accs.iter().map(|&a| table.apply(a, shift)));
+            for x in &mut acts {
+                x.resize(x.len() + WINDOW, 0);
+                let accs = layer_accs(li, layer, x);
+                x.clear();
+                match layer.mac.output {
+                    OutputStage::Sigmoid => {
+                        let table = self
+                            .sigmoid
+                            .as_ref()
+                            .expect("compile tabulates the PLAN unit of a net with a sigmoid");
+                        x.extend(accs.iter().map(|&a| table.apply(a, shift)));
+                    }
+                    OutputStage::Requant => {
+                        // Saturating arithmetic shift back to the activation
+                        // fraction: the hardware word between conv and pool.
+                        x.extend(
+                            accs.iter()
+                                .map(|&a| (a >> shift).clamp(-max_mag, max_mag) as i16),
+                        );
+                    }
+                    OutputStage::Logits => {
+                        unreachable!("compile puts logits on the last layer only")
+                    }
                 }
-                OutputStage::Requant => {
-                    // Saturating arithmetic shift back to the activation
-                    // fraction: the hardware word between conv and pool.
-                    x.extend(
-                        accs.iter()
-                            .map(|&a| (a >> shift).clamp(-max_mag, max_mag) as i16),
-                    );
-                }
-                OutputStage::Logits => return accs,
             }
         }
-        unreachable!("compile ends every network in a logits layer")
+        acts.iter_mut()
+            .map(|x| {
+                x.resize(x.len() + WINDOW, 0);
+                layer_accs(hidden.len(), last, x)
+            })
+            .collect()
     }
 
     /// One layer through the exact-integer datapath.
     /// `x` is followed by [`WINDOW`] zeros, which only im2col reads.
-    fn exact_layer(&self, layer: &FixedLayer, x: &[i16]) -> Vec<i64> {
+    /// `cols` is the im2col column buffer a conv layer resizes and
+    /// rewrites whole, so one buffer serves every row and layer of a
+    /// call without re-zeroing.
+    fn exact_layer(&self, layer: &FixedLayer, x: &[i16], cols: &mut Vec<i16>) -> Vec<i64> {
         let mac = &layer.mac;
         match layer.shape {
             Shape::Dense { in_dim, .. } => mac
@@ -989,11 +1015,13 @@ impl FixedNet {
                 in_w,
             } => {
                 // Every output position's fan-in, in one zero-padded row
-                // per position shared by all output channels.
+                // per position shared by all output channels. im2col
+                // writes each row's runs and pad, so what the buffer held
+                // before is never read.
                 let stride = layer.shape.stride();
                 let positions = (in_h - k + 1) * (in_w - k + 1);
-                let mut cols = vec![0i16; positions * stride + WINDOW];
-                im2col(x, &mut cols, stride, (in_ch, k, in_h, in_w));
+                cols.resize(positions * stride + WINDOW, 0);
+                im2col(x, cols, stride, (in_ch, k, in_h, in_w));
                 let mut accs = Vec::with_capacity(out_ch * positions);
                 for (w, &bias) in mac.weights.chunks_exact(stride).zip(&mac.bias) {
                     let cols = cols[..positions * stride].chunks_exact(stride);
@@ -1097,7 +1125,7 @@ impl FixedNet {
             }
         }
         if accs.len() < layer.geometry.out_len {
-            let exact = self.exact_layer(layer, x);
+            let exact = self.exact_layer(layer, x, &mut Vec::new());
             accs.extend_from_slice(&exact[accs.len()..]);
         }
         accs
@@ -1112,25 +1140,37 @@ impl FixedNet {
     ///
     /// Panics if `image` does not hold [`FixedNet::input_len`] values.
     pub fn infer_raw(&self, image: &[f32]) -> Vec<i64> {
-        self.forward(image, |_, layer, x| self.asm_layer(layer, x, None))
+        self.forward(&[image], |_, layer, x| self.asm_layer(layer, x, None))
+            .swap_remove(0)
     }
 
-    /// Runs `rows` through the exact-integer datapath under `plan`:
-    /// `Rows` shards the rows over its workers (each row whole on one
-    /// thread) and `Sequential` runs them on the caller's thread. Row
-    /// `i` of the result is bit-identical to `infer_raw(rows[i])` for
-    /// every plan.
+    /// Runs `rows` through the exact-integer datapath under `plan`,
+    /// layer by layer over the rows, so each layer's weights are
+    /// streamed once per shard rather than once per row. `Sequential`
+    /// runs the whole batch on the caller's thread; `Rows` splits it
+    /// into one contiguous range per worker (every row costs the same)
+    /// and concatenates the ranges' results in row order. Row `i` of the
+    /// result is bit-identical to `infer_raw(rows[i])` for every plan.
     ///
     /// # Panics
     ///
     /// Panics if any row does not hold [`FixedNet::input_len`] values.
     pub fn run<R: AsRef<[f32]> + Sync>(&self, rows: &[R], plan: ShardPlan) -> Vec<Vec<i64>> {
-        let row = |x: &R| self.forward(x.as_ref(), |_, layer, x| self.exact_layer(layer, x));
+        let exact = |rows: &[R]| {
+            let mut cols = Vec::new();
+            self.forward(rows, |_, layer, x| self.exact_layer(layer, x, &mut cols))
+        };
         match plan {
+            ShardPlan::Sequential => exact(rows),
             ShardPlan::Rows { workers } => {
-                parallel_map(Parallelism::Threads(workers), rows.len(), |i| row(&rows[i]))
+                let (n, shards) = (rows.len(), workers.min(rows.len()));
+                parallel_map(Parallelism::Threads(shards), shards, |s| {
+                    exact(&rows[s * n / shards..(s + 1) * n / shards])
+                })
+                .into_iter()
+                .flatten()
+                .collect()
             }
-            ShardPlan::Sequential => rows.iter().map(row).collect(),
         }
     }
 
@@ -1182,8 +1222,10 @@ impl FixedNet {
         let mut traces: Vec<LayerTrace> = (0..self.layers.len())
             .map(|_| LayerTrace::new(limit))
             .collect();
+        // One image at a time, so the walk ends at the image that fills
+        // the last trace.
         for image in images {
-            self.forward(image, |li, layer, x| {
+            self.forward(std::slice::from_ref(image), |li, layer, x| {
                 self.asm_layer(layer, x, Some(&mut traces[li]))
             });
             if traces.iter().all(LayerTrace::full) {
@@ -1610,11 +1652,11 @@ mod tests {
         let mut walked = Vec::new();
         for image in images {
             let mut inputs = Vec::new();
-            let logits = fixed.forward(image, |li, layer, x| {
+            let logits = fixed.forward(std::slice::from_ref(image), |li, layer, x| {
                 inputs.push(x.to_vec());
                 fixed.asm_layer(layer, x, Some(&mut traces[li]))
             });
-            walked.push((inputs, logits));
+            walked.push((inputs, logits.concat()));
             if traces.iter().all(|t| t.len() >= limit) {
                 break;
             }
@@ -1706,15 +1748,30 @@ mod tests {
                     .collect();
                 for (image, (inputs, logits)) in images.iter().zip(&walked) {
                     let mut seen = Vec::new();
-                    let out = fixed.forward(image, |li, layer, x| {
+                    let out = fixed.forward(std::slice::from_ref(image), |li, layer, x| {
                         seen.push(x.to_vec());
                         fixed.asm_layer(layer, x, Some(&mut traces[li]))
                     });
                     assert_eq!(&seen, inputs, "bits={bits} limit={limit}");
-                    assert_eq!(&out, logits, "bits={bits} limit={limit}");
+                    assert_eq!(&out.concat(), logits, "bits={bits} limit={limit}");
                 }
             }
         }
+    }
+
+    /// `sample_traces` walks one image at a time and stops after the
+    /// image that fills every trace: an image past it is never read, so
+    /// one of the wrong length there does not reach `forward`'s check.
+    #[test]
+    fn sample_traces_stop_before_the_image_after_the_last_full_trace() {
+        let mut net = tiny_net(30);
+        let spec = QuantSpec::fit(&net, 8);
+        let alphabets = LayerAlphabets::uniform(AlphabetSet::a2(), 2);
+        constrain_net(&mut net, &spec, &alphabets);
+        let fixed = FixedNet::compile(&net, &spec, &alphabets).unwrap();
+        let images = vec![vec![0.25f32; 16], vec![0.5f32; 3]];
+        let traces = fixed.sample_traces(&images, 20);
+        assert!(traces.iter().all(|t| t.len() == 20));
     }
 
     #[test]

@@ -148,8 +148,8 @@ const MIN_TOTAL_MACS: u64 = 50_000;
 pub enum ShardPlan {
     /// Run on the caller thread — the reference path.
     Sequential,
-    /// Shard batch rows across `workers` pool slots (each row's whole
-    /// forward pass on one thread).
+    /// Split the batch into `workers` contiguous row ranges, one per
+    /// pool slot; each range runs its whole forward pass on one thread.
     Rows {
         /// Resolved worker count (≥ 2).
         workers: usize,

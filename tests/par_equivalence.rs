@@ -231,8 +231,10 @@ proptest! {
 
 /// Every Table IV model — dense, conv, requantization and pool stages —
 /// at its default word length, under the MAN set `{1}` and the full
-/// alphabet, agrees with the oracle for a few rows, sequential and
-/// sharded, batched and one row at a time.
+/// alphabet, agrees with the oracle for a few rows: batched, where each
+/// layer runs over every row of a shard before the next layer starts,
+/// on the caller or split into contiguous row ranges over 2 to 4
+/// workers, and one row at a time.
 #[test]
 fn zoo_models_match_the_asm_oracle() {
     for bench in Benchmark::ALL {
